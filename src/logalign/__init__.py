@@ -7,8 +7,7 @@ concurrency-free S-components, aligning projections, and recomposing.
 """
 
 from .align import (Alignment, MemoTables, Move, Psp, align_all_optimal,
-                    align_all_optimal_memoized, align_one_optimal, alignment_cost,
-                    is_proper)
+                    align_one_optimal, alignment_cost, is_proper)
 from .dafsa import Dafsa, build_dafsa, common_affixes, language
 from .errors import (DecompositionError, LogAlignError, NetStructureError,
                      Not1BoundedError, OracleGuardError, PnmlParseError,
@@ -23,8 +22,8 @@ from .oracle import brute_force_optimal_cost, enumerate_optimal_move_sequences
 from .petri import SystemNet, ValidationReport, parse_pnml, validate
 from .reachability import (ReachabilityGraph, build_rg, min_visible_skips_net,
                            remove_tau, remove_tau_extended)
-from .recompose import (RecompositionOutcome, SComponentAligner, align_recomposed,
-                        hybrid_select, replays_on_model)
+from .recompose import (RecompositionOutcome, SComponentAligner, hybrid_select,
+                        replays_on_model)
 from .report import RunConfig, RunResult, run_conformance
 
 __version__ = "0.1.0"

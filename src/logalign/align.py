@@ -15,16 +15,15 @@ label, and finally the full move sequence.
 
 ``align_all_optimal`` computes every cost-minimal proper alignment of each
 trace with a bounded forward/backward shortest-distance sweep over search
-states, keeping exactly the moves on some cheapest path.  The memoized
-variant seeds both sweeps with partial results recorded at shared trace
-prefixes and suffixes; the sweeps stay exact, so memoization can speed the
-search up but never changes the optima.
+states, keeping exactly the moves on some cheapest path.  Given memo tables,
+it seeds both sweeps with partial results recorded at shared trace prefixes
+and suffixes; the sweeps stay exact, so memoization can speed the search up
+but never changes the optima.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -94,11 +93,6 @@ def is_proper(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:
         if prev.rg_tgt != nxt.rg_src:
             return False
     return all((m.rg_src, m.label, m.trail, m.rg_tgt) in arcset for m in model)
-
-
-def min_model_skips(rg: ReachabilityGraph) -> int:
-    """Length of the shortest all-rhide completion, used as the search bound."""
-    return rg.min_visible_skips()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,7 @@ def align_one_optimal(trace, dafsa: Dafsa, rg: ReachabilityGraph, *,
 
 
 class MemoTables:
-    """Partial-alignment caches shared across traces (and worker threads).
+    """Partial-alignment caches shared across the traces of one log.
 
     ``prefix`` maps a trace prefix ending at a branching DAFSA state to the
     optimal-cost search states reached after consuming it; ``suffix`` maps
@@ -281,51 +275,38 @@ class MemoTables:
     def __init__(self):
         self.prefix: dict[tuple, dict[tuple[int, int], int]] = {}
         self.suffix: dict[tuple, dict[int, int]] = {}
-        self._lock = threading.Lock()
 
     def prefix_seeds(self, trace) -> list[tuple[int, int, int]]:
         trace = tuple(trace)
-        with self._lock:
-            for i in range(len(trace), 0, -1):
-                hit = self.prefix.get(trace[:i])
-                if hit:
-                    return [(pos, mid, g) for (pos, mid), g in sorted(hit.items())]
+        for i in range(len(trace), 0, -1):
+            hit = self.prefix.get(trace[:i])
+            if hit:
+                return [(pos, mid, g) for (pos, mid), g in sorted(hit.items())]
         return []
 
     def suffix_seeds(self, trace, dpath) -> list[tuple[int, int, int]]:
         trace = tuple(trace)
         seeds = []
-        with self._lock:
-            for pos in range(len(trace) + 1):
-                hit = self.suffix.get((dpath[pos], trace[pos:]))
-                if hit:
-                    seeds.extend((pos, mid, db) for mid, db in sorted(hit.items()))
+        for pos in range(len(trace) + 1):
+            hit = self.suffix.get((dpath[pos], trace[pos:]))
+            if hit:
+                seeds.extend((pos, mid, db) for mid, db in sorted(hit.items()))
         return seeds
 
     def record(self, trace, dpath, dafsa: Dafsa, dist, db, cstar):
         trace = tuple(trace)
-        pref: dict[tuple, dict] = {}
-        suff: dict[tuple, dict] = {}
         for (pos, mid), g in dist.items():
             d = db.get((pos, mid))
-            if d is None or g + d != cstar:
+            if d is None or g + d != cstar or not 0 < pos < len(trace):
                 continue
-            if 0 < pos < len(trace):
-                if dafsa.out_degree[dpath[pos]] > 1:
-                    pref.setdefault(trace[:pos], {})[(pos, mid)] = g
-                if dafsa.in_degree[dpath[pos]] > 1:
-                    suff.setdefault((dpath[pos], trace[pos:]), {})[mid] = d
-        with self._lock:
-            for key, states in pref.items():
-                slot = self.prefix.setdefault(key, {})
-                for k, g in states.items():
-                    if g < slot.get(k, _INF):
-                        slot[k] = g
-            for key, states in suff.items():
-                slot = self.suffix.setdefault(key, {})
-                for mid, d in states.items():
-                    if d < slot.get(mid, _INF):
-                        slot[mid] = d
+            if dafsa.out_degree[dpath[pos]] > 1:
+                slot = self.prefix.setdefault(trace[:pos], {})
+                if g < slot.get((pos, mid), _INF):
+                    slot[(pos, mid)] = g
+            if dafsa.in_degree[dpath[pos]] > 1:
+                slot = self.suffix.setdefault((dpath[pos], trace[pos:]), {})
+                if d < slot.get(mid, _INF):
+                    slot[mid] = d
 
 
 class TraceResult(NamedTuple):
@@ -457,16 +438,6 @@ class Psp:
             self.nodes[key] = nid
         return nid
 
-    def insert_alignment(self, trace, alignment: Alignment, keys):
-        """Merge one alignment given its node keys (len(moves)+1 entries)."""
-        trace = tuple(trace)
-        ids = [self._node(k) for k in keys]
-        for i, move in enumerate(alignment.moves):
-            self.arcs.add((ids[i], move.core(), ids[i + 1]))
-        self.finals.add(ids[-1])
-        self.results[trace] = TraceResult(alignment.cost, None, None, None, None)
-        self._alignments[trace] = (alignment,)
-
     def add_optimal_set(self, trace, cost, edges, dpath, m0):
         trace = tuple(trace)
         root = (0, m0)
@@ -526,10 +497,8 @@ class Psp:
     def count_optimal(self, trace) -> int:
         trace = tuple(trace)
         res = self.results.get(trace)
-        if res is None:
+        if res is None or res.edges is None:
             return 0
-        if res.edges is None:
-            return len(self._alignments.get(trace, ()))
         memo: dict = {}
 
         def paths(key):
@@ -543,22 +512,16 @@ class Psp:
 
 
 def align_all_optimal(log: EventLog, dafsa: Dafsa, rg: ReachabilityGraph, *,
+                      memo: Optional[MemoTables] = None,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       deadline: Optional[float] = None) -> Psp:
-    """PSP holding every optimal proper alignment of every distinct trace."""
-    return _align_all(log, dafsa, rg, None, node_budget, deadline)
+    """PSP holding every optimal proper alignment of every distinct trace.
 
-
-def align_all_optimal_memoized(log: EventLog, dafsa: Dafsa, rg: ReachabilityGraph, *,
-                               memo: Optional[MemoTables] = None,
-                               node_budget: int = DEFAULT_NODE_BUDGET,
-                               deadline: Optional[float] = None) -> Psp:
-    """As align_all_optimal, reusing partial alignments across shared affixes."""
-    return _align_all(log, dafsa, rg, memo if memo is not None else MemoTables(),
-                      node_budget, deadline)
-
-
-def _align_all(log, dafsa, rg, memo, node_budget, deadline):
+    With ``memo``, partial alignments recorded at shared prefixes and
+    suffixes seed the sweeps of later traces; the optima stay the same.
+    A trace whose sweep exceeds the node budget or the deadline is recorded
+    as a failure and the remaining traces are still attempted.
+    """
     psp = Psp((dafsa.initial, rg.m0, 0))
     for trace in log.traces:
         try:
@@ -569,17 +532,3 @@ def _align_all(log, dafsa, rg, memo, node_budget, deadline):
             continue
         psp.add_optimal_set(trace.labels, cost, edges, dpath, rg.m0)
     return psp
-
-
-def alignment_node_keys(alignment: Alignment, dafsa_initial: int, m0: int):
-    """Node keys along a monolithic alignment, for PSP insertion."""
-    pos, mid, dstate = 0, m0, dafsa_initial
-    keys = [(dstate, mid, pos)]
-    for move in alignment.moves:
-        if move.op != OP_RHIDE:
-            pos += 1
-            dstate = move.dafsa_tgt
-        if move.op != OP_LHIDE:
-            mid = move.rg_tgt
-        keys.append((dstate, mid, pos))
-    return keys

@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enumerate all optimal alignments (monolithic only)")
     check.add_argument("--no-memo", action="store_true",
                        help="disable reuse of shared prefix/suffix computations")
-    check.add_argument("--threads", type=int, default=1)
     check.add_argument("--timeout-ms", type=int, default=None,
                        help="per-trace alignment deadline")
     check.add_argument("--global-timeout-ms", type=int, default=None)
@@ -80,7 +79,6 @@ def main(argv=None) -> int:
         strategy=args.strategy,
         all_optimal=args.all_optimal,
         memo=not args.no_memo,
-        threads=max(1, args.threads),
         timeout_ms=args.timeout_ms,
         global_timeout_ms=args.global_timeout_ms,
         state_cap=args.state_cap,

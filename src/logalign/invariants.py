@@ -36,13 +36,13 @@ def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
     """All minimal semi-positive solutions of J*N = 0, support-ordered."""
     nplaces = len(net.places)
     ntrans = len(net.transitions)
-    n, _, _ = net.incidence()
     # rows of [N | I]: effect vector per place plus its unit annotation
     rows: list[tuple[list[int], list[int]]] = []
     for p in range(nplaces):
         unit = [0] * nplaces
         unit[p] = 1
-        rows.append(([int(x) for x in n[p]], unit))
+        effect = [(net.post[t] >> p & 1) - (net.pre[t] >> p & 1) for t in range(ntrans)]
+        rows.append((effect, unit))
     for t in range(ntrans):
         keep = [r for r in rows if r[0][t] == 0]
         pos = [r for r in rows if r[0][t] > 0]

@@ -9,8 +9,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import NetStructureError, PnmlParseError
 from .logs import TAU, LabelTable
 
@@ -77,23 +75,6 @@ class SystemNet:
 
     def place_producers(self, p: int) -> tuple[int, ...]:
         return tuple(t for t in range(len(self.transitions)) if self.post[t] >> p & 1)
-
-    # -- incidence matrix ----------------------------------------------
-
-    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, N-, N+) with one row per place and one column per transition."""
-        P, T = len(self.places), len(self.transitions)
-        nminus = np.zeros((P, T), dtype=np.int64)
-        nplus = np.zeros((P, T), dtype=np.int64)
-        for t in range(T):
-            for p in self.preset_places(t):
-                nminus[p, t] = 1
-            for p in self.postset_places(t):
-                nplus[p, t] = 1
-        return nplus - nminus, nminus, nplus
-
-    def marking_vector(self, m: int) -> np.ndarray:
-        return np.array([m >> i & 1 for i in range(len(self.places))], dtype=np.int64)
 
     # -- construction helpers ------------------------------------------
 

@@ -15,13 +15,11 @@ cost less than a monolithic optimum.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment,
-                    Move, Psp, align_one_optimal, alignment_node_keys, make_alignment)
+                    Move, align_one_optimal, make_alignment)
 from .dafsa import build_dafsa
 from .errors import LogAlignError, SearchBudgetError
 from .invariants import SComponentDecomposition, decompose
@@ -77,18 +75,16 @@ class SComponentAligner:
         self._proj_cache: dict = {}
         self._full_rg_factory = full_rg
         self._full_rg: Optional[ReachabilityGraph] = None
-        self._lock = threading.Lock()
 
     # -- lazy monolithic graph for conflicting traces --------------------
 
     def full_rg(self) -> ReachabilityGraph:
-        with self._lock:
-            if self._full_rg is None:
-                if self._full_rg_factory is not None:
-                    self._full_rg = self._full_rg_factory()
-                else:
-                    self._full_rg = remove_tau(build_rg(self.net))
-            return self._full_rg
+        if self._full_rg is None:
+            if self._full_rg_factory is not None:
+                self._full_rg = self._full_rg_factory()
+            else:
+                self._full_rg = remove_tau(build_rg(self.net))
+        return self._full_rg
 
     def component_rgs(self) -> list[ReachabilityGraph]:
         return [rg for _, rg, _ in self.components]
@@ -98,8 +94,7 @@ class SComponentAligner:
     def _lane_moves(self, idx: int, projected: tuple[int, ...], deadline) -> tuple:
         key = (idx, projected)
         if self.memo:
-            with self._lock:
-                hit = self._proj_cache.get(key)
+            hit = self._proj_cache.get(key)
             if hit is not None:
                 return hit
         comp, rg, dafsa = self.components[idx]
@@ -109,8 +104,7 @@ class SComponentAligner:
             (m.op, m.label, tuple(comp.transition_ids[x] for x in m.trail), m.rg_tgt)
             for m in alignment.moves)
         if self.memo:
-            with self._lock:
-                self._proj_cache[key] = moves
+            self._proj_cache[key] = moves
         return moves
 
     # -- the replay itself ------------------------------------------------
@@ -213,68 +207,6 @@ class SComponentAligner:
             composed.append(Move(OP_RHIDE, x, trail, None, None, None, None))
             for i in members:
                 lanes[i].pos += 1
-
-
-def align_recomposed(log: EventLog, net, *, decomposition=None, memo: bool = True,
-                     node_budget: int = DEFAULT_NODE_BUDGET,
-                     per_trace_timeout: Optional[float] = None,
-                     full_rg: Optional[Callable[[], ReachabilityGraph]] = None
-                     ) -> tuple[Psp, list[RecompositionOutcome]]:
-    """Align every distinct trace through the S-components, with fallback.
-
-    Returns the PSP over the composed alignments plus one outcome record per
-    trace (conflict kind and whether the monolithic fallback ran).
-    """
-    aligner = SComponentAligner(net, log, decomposition, memo=memo,
-                                node_budget=node_budget, full_rg=full_rg)
-    root_marks = tuple(rg.m0 for _, rg, _ in aligner.components)
-    psp = Psp((aligner.global_dafsa.initial, root_marks, 0))
-    outcomes = []
-    for trace in log.traces:
-        deadline = None if per_trace_timeout is None else time.monotonic() + per_trace_timeout
-        outcome = aligner.align_trace(trace.labels, deadline)
-        outcomes.append(outcome)
-        if outcome.alignment is None:
-            psp.add_failure(trace.labels, outcome.error or "alignment failed")
-        elif outcome.fallback_used:
-            keys = alignment_node_keys(outcome.alignment, aligner.global_dafsa.initial,
-                                       aligner.full_rg().m0)
-            psp.insert_alignment(trace.labels, outcome.alignment, keys)
-        else:
-            psp.insert_alignment(trace.labels, outcome.alignment,
-                                 _composed_node_keys(outcome.alignment, aligner))
-    return psp, outcomes
-
-
-def _composed_node_keys(alignment: Alignment, aligner: SComponentAligner):
-    """PSP node keys for a recomposed alignment: DAFSA state, the vector of
-    component markings, and the count of consumed events."""
-    marks = [rg.m0 for _, rg, _ in aligner.components]
-    alphabets = [comp.alphabet for comp, _, _ in aligner.components]
-    rgs = [rg for _, rg, _ in aligner.components]
-    dstate = aligner.global_dafsa.initial
-    pos = 0
-    keys = [(dstate, tuple(marks), pos)]
-    for move in alignment.moves:
-        if move.op != OP_RHIDE:
-            pos += 1
-            dstate = move.dafsa_tgt
-        if move.op != OP_LHIDE:
-            for i, alpha in enumerate(alphabets):
-                if move.label in alpha:
-                    marks[i] = _advance(rgs[i], marks[i], move, aligner)
-        keys.append((dstate, tuple(marks), pos))
-    return keys
-
-
-def _advance(rg: ReachabilityGraph, mid: int, move: Move, aligner: SComponentAligner):
-    comp = next(c for c, r, _ in aligner.components if r is rg)
-    for k in rg.out[mid]:
-        a = rg.arcs[k]
-        gtrail = tuple(comp.transition_ids[x] for x in a.trail)
-        if a.label == move.label and gtrail == move.trail:
-            return a.tgt
-    return mid
 
 
 def visible_run_realizable(net, labels) -> bool:

@@ -15,16 +15,14 @@ The raw fitness cost aggregate is the frequency-weighted total cost.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .align import (DEFAULT_NODE_BUDGET, MemoTables, OP_NAMES, Alignment,
-                    align_all_optimal, align_all_optimal_memoized, align_one_optimal)
+                    align_all_optimal, align_one_optimal)
 from .dafsa import build_dafsa, dafsa_to_dot
 from .errors import SearchBudgetError, StateSpaceCapError, TauReductionError
-from .invariants import decompose
-from .logs import EventLog
+from .logs import EventLog, make_log
 from .petri import SystemNet, net_to_dot, validate
 from .reachability import (DEFAULT_MARKING_CAP, build_rg, min_visible_skips_net,
                            remove_tau, rg_to_dot)
@@ -43,7 +41,6 @@ class RunConfig:
     strategy: str = "auto"  # auto | monolithic | scomponent
     all_optimal: bool = False
     memo: bool = True
-    threads: int = 1
     timeout_ms: Optional[int] = None  # per trace
     global_timeout_ms: Optional[int] = None
     state_cap: int = DEFAULT_MARKING_CAP
@@ -56,7 +53,6 @@ class RunConfig:
 class RunResult:
     report: dict
     exit_code: int
-    psp: object = None
 
 
 def moves_to_dicts(net: SystemNet, alignment: Alignment) -> list[dict]:
@@ -82,6 +78,10 @@ def fitness_of(cost: int, length: int, skips: Optional[int]) -> Optional[float]:
 def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResult:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    # searches check their deadlines against time.monotonic()
+    global_deadline = None
+    if config.global_timeout_ms is not None:
+        global_deadline = time.monotonic() + config.global_timeout_ms / 1000.0
 
     def mark(name, since):
         timings[name] = round((time.perf_counter() - since) * 1000.0, 3)
@@ -160,10 +160,6 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
     except (StateSpaceCapError, TauReductionError):
         skips = None
 
-    global_deadline = None
-    if config.global_timeout_ms is not None:
-        global_deadline = t0 + config.global_timeout_ms / 1000.0
-
     t = time.perf_counter()
     if chosen == "monolithic":
         dafsa = build_dafsa(log)
@@ -171,8 +167,9 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         dafsa = aligner.global_dafsa  # already built for the fallback route
     t = mark("build_dafsa", t)
 
-    rows, psp, timed_out = _align_all_traces(
-        net, log, dafsa, rg, aligner, chosen, config, skips, global_deadline)
+    results, timed_out = _align_all_traces(log, dafsa, rg, aligner, chosen, config,
+                                           global_deadline)
+    rows = _rows(net, log, results, chosen, skips, config)
     mark("align", t)
     timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
 
@@ -181,74 +178,63 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
 
     report = _base_report(net, log, vreport, report_strategy, skips, timings, rows)
     exit_code = EXIT_GLOBAL_TIMEOUT if timed_out else EXIT_OK
-    return RunResult(report, exit_code, psp)
+    return RunResult(report, exit_code)
 
 
-def _align_all_traces(net, log, dafsa, rg, aligner, chosen, config, skips, global_deadline):
-    memo = MemoTables() if config.memo else None
-    timed_out = [False]
+def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
+    """One result per distinct trace, aligned in log order, and whether the
+    global deadline cut the run short.
 
-    def per_trace_deadline():
-        candidates = []
-        if config.timeout_ms is not None:
-            candidates.append(time.monotonic() + config.timeout_ms / 1000.0)
-        if global_deadline is not None:
-            candidates.append(global_deadline)
-        return min(candidates) if candidates else None
+    Each trace's search gets the earlier of its own timeout and the global
+    deadline.  Once the global deadline has passed, the remaining traces are
+    not attempted and are marked ``"global timeout"``.
+    """
+    all_optimal = chosen == "monolithic" and config.all_optimal
+    memo = MemoTables() if all_optimal and config.memo else None
 
-    psp = None
+    def align(labels, deadline):
+        if all_optimal:
+            psp = align_all_optimal(make_log([labels], log.table), dafsa, rg, memo=memo,
+                                    node_budget=config.node_budget, deadline=deadline)
+            cost = psp.cost(labels)
+            if cost is None:
+                return {"cost": None, "error": psp.error(labels)}
+            entry = {"cost": cost, "n_optimal": psp.count_optimal(labels)}
+            if config.emit_alignments:
+                entry["alignment"] = psp.alignments_for(labels, limit=1)[0]
+            return entry
+        if chosen == "monolithic":
+            try:
+                alignment = align_one_optimal(labels, dafsa, rg, node_budget=config.node_budget,
+                                              deadline=deadline)
+            except SearchBudgetError as exc:
+                return {"cost": None, "error": str(exc)}
+            return {"cost": alignment.cost, "alignment": alignment}
+        outcome = aligner.align_trace(labels, deadline)
+        return {"cost": None if outcome.alignment is None else outcome.alignment.cost,
+                "conflict": outcome.conflict, "fallback": outcome.fallback_used,
+                "error": outcome.error, "alignment": outcome.alignment}
+
     results: list[dict] = []
-
-    if chosen == "monolithic" and config.all_optimal:
-        if config.memo:
-            psp = align_all_optimal_memoized(log, dafsa, rg, memo=memo,
-                                             node_budget=config.node_budget)
+    timed_out = False
+    for trace in log.traces:
+        now = time.monotonic()
+        if global_deadline is not None and now > global_deadline:
+            timed_out = True
+            entry = {"cost": None, "error": "global timeout"}
         else:
-            psp = align_all_optimal(log, dafsa, rg, node_budget=config.node_budget)
-        for trace in log.traces:
-            cost = psp.cost(trace.labels)
-            entry = {"cost": cost, "conflict": None, "fallback": False,
-                     "error": psp.error(trace.labels),
-                     "n_optimal": psp.count_optimal(trace.labels) if cost is not None else 0,
-                     "alignment": None}
-            if cost is not None and config.emit_alignments:
-                entry["alignment"] = psp.alignments_for(trace.labels, limit=1)[0]
-            results.append(entry)
-        return _rows(net, log, results, chosen, skips, config), psp, False
-
-    def job_monolithic(trace):
-        if global_deadline is not None and time.monotonic() > global_deadline:
-            timed_out[0] = True
-            return {"cost": None, "conflict": None, "fallback": False,
-                    "error": "global timeout", "alignment": None}
-        try:
-            alignment = align_one_optimal(trace.labels, dafsa, rg,
-                                          node_budget=config.node_budget,
-                                          deadline=per_trace_deadline())
-            return {"cost": alignment.cost, "conflict": None, "fallback": False,
-                    "error": None, "alignment": alignment}
-        except SearchBudgetError as exc:
-            return {"cost": None, "conflict": None, "fallback": False,
-                    "error": str(exc), "alignment": None}
-
-    def job_scomponent(trace):
-        if global_deadline is not None and time.monotonic() > global_deadline:
-            timed_out[0] = True
-            return {"cost": None, "conflict": None, "fallback": False,
-                    "error": "global timeout", "alignment": None}
-        outcome = aligner.align_trace(trace.labels, per_trace_deadline())
-        cost = None if outcome.alignment is None else outcome.alignment.cost
-        return {"cost": cost, "conflict": outcome.conflict,
-                "fallback": outcome.fallback_used, "error": outcome.error,
-                "alignment": outcome.alignment}
-
-    job = job_monolithic if chosen == "monolithic" else job_scomponent
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, log.traces))
-    else:
-        results = [job(trace) for trace in log.traces]
-    return _rows(net, log, results, chosen, skips, config), psp, timed_out[0]
+            deadline = global_deadline
+            if config.timeout_ms is not None:
+                own = now + config.timeout_ms / 1000.0
+                deadline = own if deadline is None else min(own, deadline)
+            entry = align(trace.labels, deadline)
+            if (entry["cost"] is None and global_deadline is not None
+                    and time.monotonic() > global_deadline):
+                timed_out = True
+        if all_optimal:
+            entry.setdefault("n_optimal", 0)
+        results.append(entry)
+    return results, timed_out
 
 
 def _rows(net, log, results, chosen, skips, config):

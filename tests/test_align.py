@@ -1,8 +1,7 @@
 import random
 
 from logalign.align import (OP_LHIDE, OP_MATCH, OP_RHIDE, MemoTables, align_all_optimal,
-                            align_all_optimal_memoized, align_one_optimal,
-                            alignment_cost, alignment_node_keys, is_proper, Move)
+                            align_one_optimal, alignment_cost, is_proper, Move)
 from logalign.dafsa import build_dafsa
 from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
@@ -134,7 +133,7 @@ def test_all_optimal_matches_oracle_on_random_instances():
 def test_memoization_changes_nothing_on_running_example():
     net, log, rg, dafsa = loan_setup()
     plain = align_all_optimal(log, dafsa, rg)
-    memo = align_all_optimal_memoized(log, dafsa, rg)
+    memo = align_all_optimal(log, dafsa, rg, memo=MemoTables())
     for trace in log.traces:
         assert plain.cost(trace.labels) == memo.cost(trace.labels)
         assert plain.count_optimal(trace.labels) == memo.count_optimal(trace.labels)
@@ -154,7 +153,7 @@ def test_memoization_neutral_on_random_logs():
         dafsa = build_dafsa(log)
         plain = align_all_optimal(log, dafsa, rg)
         shared = MemoTables()
-        memo = align_all_optimal_memoized(log, dafsa, rg, memo=shared)
+        memo = align_all_optimal(log, dafsa, rg, memo=shared)
         for trace in log.traces:
             assert plain.cost(trace.labels) == memo.cost(trace.labels), "seed %d" % seed
             assert plain.count_optimal(trace.labels) == memo.count_optimal(trace.labels)
@@ -209,7 +208,7 @@ def test_all_optimal_through_model_loop():
 def test_memo_tables_populate_and_hit():
     net, log, rg, dafsa = loan_setup()
     memo = MemoTables()
-    align_all_optimal_memoized(log, dafsa, rg, memo=memo)
+    align_all_optimal(log, dafsa, rg, memo=memo)
     # the two branching prefixes and the two merge suffixes got recorded
     prefix_keys = {tuple(net.table.text(l) for l in k) for k in memo.prefix}
     assert tuple("BD") in prefix_keys
@@ -264,14 +263,3 @@ def test_psp_structure_running_example():
     assert not (psp.finals & sources)
     assert psp.nodes[psp.initial_key] == 0
 
-
-def test_insert_one_optimal_into_psp():
-    from logalign.align import Psp
-
-    net, log, rg, dafsa = loan_setup()
-    psp = Psp((dafsa.initial, rg.m0, 0))
-    trace = ids(net, "BDCEG")
-    alignment = align_one_optimal(trace, dafsa, rg)
-    psp.insert_alignment(trace, alignment, alignment_node_keys(alignment, dafsa.initial, rg.m0))
-    assert psp.cost(trace) == 1
-    assert psp.alignments_for(trace) == (alignment,)

@@ -30,11 +30,10 @@ def test_check_matches_golden_report(tmp_path):
     assert report == golden
 
 
-def test_check_thread_count_does_not_change_output(tmp_path):
+def test_check_repeated_runs_give_identical_output(tmp_path):
     reports = []
-    for threads in ("1", "16"):
-        args, out = check_args(tmp_path, "--strategy", "auto", "--emit-alignments",
-                               "--threads", threads)
+    for _ in range(2):
+        args, out = check_args(tmp_path, "--strategy", "auto", "--emit-alignments")
         proc = run_cli(*args)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
@@ -130,6 +129,28 @@ def test_global_timeout_exit_code(tmp_path):
     assert proc.returncode == 3
     report = json.loads(out.read_text())
     assert any(r["error"] == "global timeout" for r in report["traces"])
+
+
+def test_all_optimal_global_timeout_exit_code(tmp_path):
+    args, out = check_args(tmp_path, "--strategy", "monolithic", "--all-optimal",
+                           "--global-timeout-ms", "0")
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    report = json.loads(out.read_text())
+    assert report["traces"]
+    for row in report["traces"]:
+        assert row["cost"] is None
+        assert row["error"] == "global timeout"
+        assert row["n_optimal"] == 0
+
+
+def test_import_loads_neither_numpy_nor_a_thread_pool():
+    code = ("import sys, logalign, logalign.cli; "
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fitness_formula():

@@ -1,10 +1,13 @@
-"""Library-level pipeline behavior: threading, long inputs, strategy parity."""
+"""Library-level pipeline behavior: determinism, long inputs, strategy parity."""
 
 import json
 import random
+import time
 
+from logalign import report as report_module
+from logalign.errors import SearchBudgetError
 from logalign.logs import make_log
-from logalign.report import RunConfig, run_conformance
+from logalign.report import EXIT_GLOBAL_TIMEOUT, RunConfig, run_conformance
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
@@ -17,15 +20,15 @@ def canonical(report):
     return json.dumps(report, sort_keys=True)
 
 
-def test_threaded_runs_are_deterministic_on_random_logs():
+def test_repeated_runs_are_deterministic_on_random_logs():
     rng = random.Random(77)
     net = random_workflow_net(12, max_visible=8)
     log = random_log(net, rng, n_traces=120, max_trace_len=10)
     for strategy in ("monolithic", "scomponent"):
         reports = []
-        for threads in (1, 8):
+        for _ in range(2):
             result = run_conformance(net, log, RunConfig(
-                strategy=strategy, threads=threads, emit_alignments=True))
+                strategy=strategy, emit_alignments=True))
             reports.append(canonical(result.report))
         assert reports[0] == reports[1], strategy
 
@@ -97,3 +100,38 @@ def test_auto_strategy_on_parallel_net_end_to_end():
     mono = run_conformance(net, log, RunConfig(strategy="monolithic"))
     assert mono.report["aggregates"]["raw_fitness_cost"] <= \
         result.report["aggregates"]["raw_fitness_cost"]
+
+
+def test_all_optimal_stops_at_the_global_deadline():
+    rng = random.Random(79)
+    net = parallel_tasks_net(["T%d" % i for i in range(8)])
+    log = random_log(net, rng, n_traces=300, max_trace_len=8)
+    result = run_conformance(net, log, RunConfig(
+        strategy="monolithic", all_optimal=True, timeout_ms=1, global_timeout_ms=50))
+    assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+    rows = result.report["traces"]
+    assert rows[-1]["error"] == "global timeout"
+    for row in rows:
+        if row["cost"] is None:
+            assert row["error"] is not None and row["n_optimal"] == 0
+        else:
+            assert row["error"] is None and row["n_optimal"] >= 1
+
+
+def test_global_deadline_crossed_inside_the_only_search(monkeypatch):
+    # the deadline passes while the last trace is being searched: that trace
+    # fails with the search's own error and the run still reports a timeout
+    def search_until_deadline(trace, dafsa, rg, *, node_budget, deadline):
+        while time.monotonic() <= deadline:
+            time.sleep(0.005)
+        raise SearchBudgetError("alignment search exceeded its deadline")
+
+    monkeypatch.setattr(report_module, "align_one_optimal", search_until_deadline)
+    net, _ = loan_pair()
+    log = make_log([tuple(net.table.lookup(x) for x in "BDCEG")], net.table)
+    result = run_conformance(net, log, RunConfig(strategy="monolithic",
+                                                 global_timeout_ms=300))
+    assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+    (row,) = result.report["traces"]
+    assert row["cost"] is None
+    assert row["error"] == "alignment search exceeded its deadline"

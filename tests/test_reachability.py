@@ -5,7 +5,8 @@ import pytest
 from logalign.errors import Not1BoundedError, StateSpaceCapError, TauReductionError
 from logalign.logs import TAU, LabelTable
 from logalign.petri import SystemNet
-from logalign.reachability import build_rg, remove_tau, remove_tau_extended
+from logalign.reachability import (build_rg, min_visible_skips_net, remove_tau,
+                                   remove_tau_extended)
 from logalign.sampledata import loan_net
 
 from gen import random_workflow_net
@@ -202,3 +203,26 @@ def test_min_visible_skips():
     rg = remove_tau(build_rg(loan_net()))
     assert rg.min_visible_skips() == 6  # one parallel sweep, E, then F or G
     assert remove_tau(build_rg(sequence_net(["A"]))).min_visible_skips() == 1
+
+
+def test_min_visible_skips_net_agrees_with_reduced_graph():
+    # the net-level search is the fitness denominator whenever the graph hits
+    # its state cap, so it must give the same value as the graph search
+    nets = [loan_net(), skippable_parallel_net(), parallel_tasks_net(list("ABCD"))]
+    nets += [random_workflow_net(seed, max_visible=8) for seed in range(40)]
+    checked = 0
+    for net in nets:
+        try:
+            expected = remove_tau(build_rg(net)).min_visible_skips()
+        except TauReductionError:
+            continue
+        assert min_visible_skips_net(net) == expected
+        checked += 1
+    assert checked >= 30
+    assert min_visible_skips_net(loan_net()) == 6
+
+
+def test_min_visible_skips_net_cap():
+    net = parallel_tasks_net(["T%d" % i for i in range(8)])
+    with pytest.raises(StateSpaceCapError):
+        min_visible_skips_net(net, cap=10)
