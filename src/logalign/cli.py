@@ -4,8 +4,10 @@
 
 reads an event log (XES, or the one-trace-per-line text fallback) and a
 PNML workflow net, runs conformance checking and writes a JSON report plus
-an optional per-trace CSV.  Exit codes: 0 success, 2 unusable input,
-3 global timeout, 4 state-space cap hit with the monolithic strategy forced.
+an optional per-trace CSV.  Exit codes: 0 success, 2 unusable input
+(including a model that is not 1-bounded or whose silent steps cannot be
+removed), 3 global timeout, 4 state-space cap hit with the monolithic
+strategy forced.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="auto")
     check.add_argument("--all-optimal", action="store_true",
                        help="enumerate all optimal alignments (monolithic only)")
-    check.add_argument("--no-memo", action="store_true",
-                       help="disable reuse of shared prefix/suffix computations")
     check.add_argument("--timeout-ms", type=int, default=None,
                        help="per-trace alignment deadline")
     check.add_argument("--global-timeout-ms", type=int, default=None)
@@ -78,14 +78,17 @@ def main(argv=None) -> int:
     config = RunConfig(
         strategy=args.strategy,
         all_optimal=args.all_optimal,
-        memo=not args.no_memo,
         timeout_ms=args.timeout_ms,
         global_timeout_ms=args.global_timeout_ms,
         state_cap=args.state_cap,
         emit_alignments=args.emit_alignments,
         dot_dir=args.dot_dir,
     )
-    result = run_conformance(net, log, config)
+    try:
+        result = run_conformance(net, log, config)
+    except LogAlignError as exc:  # a model that is not 1-bounded or not tau-reducible
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT_ERROR
     text = json.dumps(result.report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

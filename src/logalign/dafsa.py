@@ -48,9 +48,6 @@ class Dafsa:
     def __len__(self) -> int:
         return len(self.out)
 
-    def step(self, state: int, label: int) -> Optional[int]:
-        return self.out[state].get(label)
-
     def walk(self, labels: tuple[int, ...]) -> Optional[list[int]]:
         """State path for a label sequence, or None if it leaves the automaton."""
         path = [self.initial]
@@ -60,10 +57,6 @@ class Dafsa:
                 return None
             path.append(nxt)
         return path
-
-    def accepts(self, labels) -> bool:
-        path = self.walk(tuple(labels))
-        return path is not None and path[-1] in self.finals
 
     def language(self) -> Iterator[tuple[int, ...]]:
         """All initial-to-final label sequences, lexicographic by label text."""

@@ -113,9 +113,6 @@ class SComponentDecomposition:
     place_cover: dict
     transition_cover: dict
 
-    def components_of_transition(self, t: int) -> tuple[int, ...]:
-        return self.transition_cover[t]
-
 
 def decompose(net: SystemNet) -> SComponentDecomposition:
     """One concurrency-free component per minimal invariant, cover-checked."""

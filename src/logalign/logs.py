@@ -49,9 +49,6 @@ class LabelTable:
     def is_tau(self, lid: int) -> bool:
         return lid == TAU
 
-    def visible_ids(self) -> list[int]:
-        return list(range(1, len(self._texts)))
-
     def rank(self) -> dict[int, int]:
         """Map label id -> position under lexicographic order of the texts.
 
@@ -89,9 +86,6 @@ class EventLog:
 
     def texts(self, trace: Trace) -> tuple[str, ...]:
         return tuple(self.table.text(l) for l in trace.labels)
-
-    def trace_key(self, trace: Trace) -> tuple[str, ...]:
-        return self.texts(trace)
 
 
 def make_log(sequences: Iterable[tuple[int, ...] | list[int]], table: LabelTable,

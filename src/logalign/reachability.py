@@ -37,7 +37,6 @@ class ReachabilityGraph:
     finals: frozenset[int]  # marking ids
     arcs: tuple[Arc, ...]
     reduced: bool = False
-    extended: bool = False
     warnings: tuple[str, ...] = ()
     out: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
     inn: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
@@ -59,7 +58,14 @@ class ReachabilityGraph:
         return self.net.marking_name(self.markings[mid])
 
     def min_visible_skips(self) -> int:
-        """Arc length of the shortest path from m0 to a final marking."""
+        """Arc length of the shortest path from m0 to a final marking,
+        searched once per graph."""
+        skips = getattr(self, "_min_visible_skips", None)
+        if skips is None:
+            skips = self._min_visible_skips = self._shortest_final_distance()
+        return skips
+
+    def _shortest_final_distance(self) -> int:
         if self.m0 in self.finals:
             return 0
         dist = {self.m0: 0}
@@ -304,7 +310,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     assert all(a.label != TAU for a in new_arcs)
     return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
                              frozenset(remap[f] for f in live_finals), new_arcs,
-                             reduced=True, extended=extended, warnings=rg.warnings)
+                             reduced=True, warnings=rg.warnings)
 
 
 def rg_to_dot(rg: ReachabilityGraph) -> str:

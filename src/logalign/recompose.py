@@ -16,15 +16,15 @@ cost less than a monolithic optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment,
                     Move, align_one_optimal, make_alignment)
 from .dafsa import build_dafsa
-from .errors import LogAlignError, SearchBudgetError
+from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import SComponentDecomposition, decompose
 from .logs import EventLog, project_log
-from .reachability import ReachabilityGraph, build_rg, remove_tau, remove_tau_extended
+from .reachability import ReachabilityGraph, build_rg, remove_tau_extended
 
 ORDER_CONFLICT = "order-conflict"
 OPERATION_CONFLICT = "operation-conflict"
@@ -54,16 +54,21 @@ class _Lane:
 
 
 class SComponentAligner:
-    """Aligns traces of one log against one net through its S-components."""
+    """Aligns traces of one log against one net through its S-components.
+
+    ``full_rg`` is the net's tau-free monolithic graph, which conflicting
+    traces fall back to, or the StateSpaceCapError that stopped its build;
+    in that case only the conflicting traces fail.
+    """
 
     def __init__(self, net, log: EventLog, decomposition: Optional[SComponentDecomposition] = None,
-                 *, memo: bool = True, node_budget: int = DEFAULT_NODE_BUDGET,
-                 full_rg: Optional[Callable[[], ReachabilityGraph]] = None):
+                 *, full_rg: ReachabilityGraph | StateSpaceCapError,
+                 node_budget: int = DEFAULT_NODE_BUDGET):
         self.net = net
         self.log = log
         self.decomposition = decomposition if decomposition is not None else decompose(net)
         self.node_budget = node_budget
-        self.memo = memo
+        self.full_rg = full_rg
         self.rank = net.table.rank()
         self.global_dafsa = build_dafsa(log)
         self.components = []
@@ -73,18 +78,6 @@ class SComponentAligner:
             dafsa = build_dafsa(projected)
             self.components.append((comp, rg, dafsa))
         self._proj_cache: dict = {}
-        self._full_rg_factory = full_rg
-        self._full_rg: Optional[ReachabilityGraph] = None
-
-    # -- lazy monolithic graph for conflicting traces --------------------
-
-    def full_rg(self) -> ReachabilityGraph:
-        if self._full_rg is None:
-            if self._full_rg_factory is not None:
-                self._full_rg = self._full_rg_factory()
-            else:
-                self._full_rg = remove_tau(build_rg(self.net))
-        return self._full_rg
 
     def component_rgs(self) -> list[ReachabilityGraph]:
         return [rg for _, rg, _ in self.components]
@@ -93,18 +86,16 @@ class SComponentAligner:
 
     def _lane_moves(self, idx: int, projected: tuple[int, ...], deadline) -> tuple:
         key = (idx, projected)
-        if self.memo:
-            hit = self._proj_cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._proj_cache.get(key)
+        if hit is not None:
+            return hit
         comp, rg, dafsa = self.components[idx]
         alignment = align_one_optimal(projected, dafsa, rg,
                                       node_budget=self.node_budget, deadline=deadline)
         moves = tuple(
             (m.op, m.label, tuple(comp.transition_ids[x] for x in m.trail), m.rg_tgt)
             for m in alignment.moves)
-        if self.memo:
-            self._proj_cache[key] = moves
+        self._proj_cache[key] = moves
         return moves
 
     # -- the replay itself ------------------------------------------------
@@ -129,11 +120,12 @@ class SComponentAligner:
                 conflict = EXTENDED_LABEL_CONFLICT
         if conflict is None:
             return RecompositionOutcome(trace, make_alignment(composed), None, False)
+        if isinstance(self.full_rg, StateSpaceCapError):
+            return RecompositionOutcome(trace, None, conflict, True, str(self.full_rg))
         try:
-            alignment = align_one_optimal(trace, self.global_dafsa, self.full_rg(),
+            alignment = align_one_optimal(trace, self.global_dafsa, self.full_rg,
                                           node_budget=self.node_budget, deadline=deadline)
         except LogAlignError as exc:
-            # the monolithic graph may itself be unbuildable (state cap) or
             # the search may run out of budget; only this trace fails
             return RecompositionOutcome(trace, None, conflict, True, str(exc))
         return RecompositionOutcome(trace, alignment, conflict, True)

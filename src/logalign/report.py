@@ -3,8 +3,8 @@
 The pipeline parses nothing itself; it takes an already built net and log
 sharing one label table and produces a machine-readable report:
 
-    parse -> validate -> (decompose?) -> build graphs -> remove tau
-          -> build DAFSA(s) -> align per strategy -> report
+    parse -> validate -> build graph -> remove tau -> (decompose?)
+          -> choose strategy -> build DAFSA(s) -> align -> report
 
 Per-trace fitness is 1 - cost / (|trace| + minModelSkips), clamped to
 [0, 1]; minModelSkips is the length of the shortest visible model run, so
@@ -21,7 +21,7 @@ from typing import Optional
 from .align import (DEFAULT_NODE_BUDGET, MemoTables, OP_NAMES, Alignment,
                     align_all_optimal, align_one_optimal)
 from .dafsa import build_dafsa, dafsa_to_dot
-from .errors import SearchBudgetError, StateSpaceCapError, TauReductionError
+from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError, TauReductionError
 from .logs import EventLog, make_log
 from .petri import SystemNet, net_to_dot, validate
 from .reachability import (DEFAULT_MARKING_CAP, build_rg, min_visible_skips_net,
@@ -40,7 +40,6 @@ EXIT_STATE_CAP = 4
 class RunConfig:
     strategy: str = "auto"  # auto | monolithic | scomponent
     all_optimal: bool = False
-    memo: bool = True
     timeout_ms: Optional[int] = None  # per trace
     global_timeout_ms: Optional[int] = None
     state_cap: int = DEFAULT_MARKING_CAP
@@ -87,70 +86,47 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         timings[name] = round((time.perf_counter() - since) * 1000.0, 3)
         return time.perf_counter()
 
-    report_strategy = {"requested": config.strategy, "chosen": None, "reason": None,
-                       "rg_size": None, "component_rg_sizes": None,
-                       "component_rg_total": None}
-
     t = time.perf_counter()
     vreport = validate(net)
     t = mark("validate", t)
 
-    # decomposition attempt
-    aligner = None
-    decomposition_error = None
-    if config.strategy in ("auto", "scomponent") and vreport.decomposable:
-        try:
-            aligner = SComponentAligner(
-                net, log, memo=config.memo, node_budget=config.node_budget,
-                full_rg=lambda: remove_tau(build_rg(net, cap=config.state_cap)))
-        except Exception as exc:  # decomposition or component reduction failed
-            decomposition_error = str(exc)
-            aligner = None
-    elif config.strategy in ("auto", "scomponent"):
-        decomposition_error = "net is not decomposable: %s" % "; ".join(vreport.problems)
-    t = mark("decompose", t)
-
-    # monolithic graph (may exceed the cap)
+    # the monolithic graph, built once: compared by the hybrid rule, searched
+    # by the monolithic route and by the decomposed route's fallbacks
     rg = None
     cap_error = None
     try:
         rg = remove_tau(build_rg(net, cap=config.state_cap))
     except StateSpaceCapError as exc:
-        cap_error = str(exc)
+        cap_error = exc
     t = mark("build_rg", t)
 
-    # strategy selection
+    aligner = None
+    decomposition_error = None
+    if config.strategy in ("auto", "scomponent") and vreport.decomposable:
+        try:
+            aligner = SComponentAligner(net, log, node_budget=config.node_budget,
+                                        full_rg=rg if rg is not None else cap_error)
+        except LogAlignError as exc:  # decomposition or component reduction failed
+            decomposition_error = str(exc)
+    elif config.strategy in ("auto", "scomponent"):
+        decomposition_error = "net is not decomposable: %s" % "; ".join(vreport.problems)
+    t = mark("decompose", t)
+
+    # one decision; a requested strategy overrides only its outcome
+    chosen, info = hybrid_select(rg, None if aligner is None else aligner.component_rgs())
     if config.strategy == "monolithic":
-        chosen = "monolithic"
-        report_strategy["reason"] = "requested"
-        if rg is not None:
-            report_strategy["rg_size"] = rg.size()
+        chosen, reason = "monolithic", "requested"
+    elif aligner is None:
+        reason = decomposition_error
     elif config.strategy == "scomponent":
-        if aligner is None:
-            chosen = "monolithic"
-            report_strategy["reason"] = decomposition_error or "decomposition unavailable"
-            if rg is not None:
-                report_strategy["rg_size"] = rg.size()
-        else:
-            chosen = "s-component"
-            report_strategy["reason"] = "requested"
-            comp_rgs = aligner.component_rgs()
-            report_strategy["rg_size"] = None if rg is None else rg.size()
-            report_strategy["component_rg_sizes"] = [c.size() for c in comp_rgs]
-            report_strategy["component_rg_total"] = sum(c.size() for c in comp_rgs)
-    else:  # auto
-        comp_rgs = None if aligner is None else aligner.component_rgs()
-        chosen, info = hybrid_select(rg, comp_rgs)
-        report_strategy.update(info)
-        if aligner is None:
-            report_strategy["reason"] = decomposition_error or "no decomposition"
-        else:
-            report_strategy["reason"] = "state-space comparison"
-    report_strategy["chosen"] = chosen
+        chosen, reason = "s-component", "requested"
+    else:
+        reason = "state-space comparison"
+    report_strategy = {"requested": config.strategy, "chosen": chosen, "reason": reason, **info}
 
     if chosen == "monolithic" and rg is None:
         report = _base_report(net, log, vreport, report_strategy, None, timings, [])
-        report["error"] = cap_error
+        report["error"] = str(cap_error)
         return RunResult(report, EXIT_STATE_CAP)
 
     # minimum visible model run, for the fitness denominator
@@ -190,7 +166,7 @@ def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
     not attempted and are marked ``"global timeout"``.
     """
     all_optimal = chosen == "monolithic" and config.all_optimal
-    memo = MemoTables() if all_optimal and config.memo else None
+    memo = MemoTables() if all_optimal else None
 
     def align(labels, deadline):
         if all_optimal:

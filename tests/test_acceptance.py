@@ -232,7 +232,7 @@ def test_c08_recomposition_propriety(instance_corpus):
     routed = 0
     for net, rg, dafsa, log, trace in instance_corpus:
         if id(net) not in aligners:
-            aligners[id(net)] = SComponentAligner(net, log)
+            aligners[id(net)] = SComponentAligner(net, log, full_rg=rg)
         outcome = aligners[id(net)].align_trace(trace)
         if outcome.alignment is None or outcome.fallback_used:
             continue
@@ -245,7 +245,8 @@ def test_c08_recomposition_propriety(instance_corpus):
 def test_c09_known_cases():
     net = parallel_merge_net()
     trace = tuple(net.table.lookup(x) for x in "CAB")
-    aligner = SComponentAligner(net, make_log([trace], net.table))
+    aligner = SComponentAligner(net, make_log([trace], net.table),
+                                full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(trace)
     rg = remove_tau(build_rg(net))
     assert outcome.conflict is None and not outcome.fallback_used
@@ -255,7 +256,8 @@ def test_c09_known_cases():
 
     net2 = skippable_parallel_net()
     trace2 = tuple(net2.table.lookup(x) for x in "ABD")
-    aligner2 = SComponentAligner(net2, make_log([trace2], net2.table))
+    aligner2 = SComponentAligner(net2, make_log([trace2], net2.table),
+                                 full_rg=remove_tau(build_rg(net2)))
     outcome2 = aligner2.align_trace(trace2)
     rg2 = remove_tau(build_rg(net2))
     assert outcome2.conflict == EXTENDED_LABEL_CONFLICT
@@ -273,7 +275,8 @@ def test_c10_over_approximation_bound(instance_corpus):
             break
         if id(net) not in aligners:
             decomposition = decompose(net)
-            aligners[id(net)] = (SComponentAligner(net, log, decomposition), decomposition)
+            aligners[id(net)] = (SComponentAligner(net, log, decomposition, full_rg=rg),
+                                 decomposition)
         aligner, decomposition = aligners[id(net)]
         outcome = aligner.align_trace(trace)
         if outcome.alignment is None or outcome.fallback_used:
@@ -296,14 +299,14 @@ def test_c11_hybrid(loan):
     par_net = parallel_tasks_net(["T%d" % i for i in range(8)])
     par_rg = remove_tau(build_rg(par_net))
     par_log = random_log(par_net, random.Random(4), n_traces=1000, max_trace_len=12)
-    par_aligner = SComponentAligner(par_net, par_log)
+    par_aligner = SComponentAligner(par_net, par_log, full_rg=par_rg)
     choice, info = hybrid_select(par_rg, par_aligner.component_rgs())
     assert choice == "s-component"
     assert info["rg_size"] > 2 ** 8
 
     seq_net = sequence_net(["A", "B", "C"])
     seq_rg = remove_tau(build_rg(seq_net))
-    seq_aligner = SComponentAligner(seq_net, make_log([], seq_net.table))
+    seq_aligner = SComponentAligner(seq_net, make_log([], seq_net.table), full_rg=seq_rg)
     assert hybrid_select(seq_rg, seq_aligner.component_rgs())[0] == "monolithic"
 
     # directional wall-clock check on the 8-parallel net with 1000 traces

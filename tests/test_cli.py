@@ -107,6 +107,54 @@ def test_exit_code_on_bad_model(tmp_path):
     assert proc.returncode == 2
 
 
+def write_pnml(path, places, transitions):
+    """PNML file for a net given as place ids and (id, label or None, pre, post)."""
+    rows = ['<pnml><net id="n">']
+    rows += ['<place id="%s"/>' % p for p in places]
+    arcs = []
+    for tid, label, pre, post in transitions:
+        name = "" if label is None else "<name><text>%s</text></name>" % label
+        rows.append('<transition id="%s">%s</transition>' % (tid, name))
+        arcs += [(p, tid) for p in pre] + [(tid, p) for p in post]
+    rows += ['<arc id="a%d" source="%s" target="%s"/>' % (k, src, tgt)
+             for k, (src, tgt) in enumerate(arcs)]
+    rows.append("</net></pnml>")
+    path.write_text("\n".join(rows))
+
+
+def assert_input_error_on_every_strategy(tmp_path, model, message):
+    log = tmp_path / "log.txt"
+    log.write_text("A,B,C,D\n")
+    for strategy in ("auto", "monolithic", "scomponent"):
+        proc = run_cli("check", "--log", str(log), "--model", str(model),
+                       "--strategy", strategy)
+        assert proc.returncode == 2, (strategy, proc.stderr)
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_exit_code_on_model_that_is_not_1_bounded(tmp_path):
+    # both branches of the split write p3, so the second one stacks a token
+    model = tmp_path / "unbounded.pnml"
+    write_pnml(model, ["i", "p1", "p2", "p3", "o"],
+               [("tA", "A", ["i"], ["p1", "p2"]),
+                ("tB", "B", ["p1"], ["p3"]),
+                ("tC", "C", ["p2"], ["p3"]),
+                ("tD", "D", ["p3"], ["o"])])
+    assert_input_error_on_every_strategy(tmp_path, model, "exceeds one token")
+
+
+def test_exit_code_on_tau_into_a_dead_end(tmp_path):
+    # the silent choice into p2 leaves a marking nothing can leave
+    model = tmp_path / "dead_end.pnml"
+    write_pnml(model, ["i", "p1", "p2", "p3", "o"],
+               [("tA", "A", ["i"], ["p1"]),
+                ("tB", "B", ["p1"], ["p3"]),
+                ("tau", None, ["p1"], ["p2"]),
+                ("tC", "C", ["p2", "p3"], ["o"])])
+    assert_input_error_on_every_strategy(tmp_path, model, "no visible continuation")
+
+
 def test_exit_code_on_state_cap(tmp_path):
     args, _ = check_args(tmp_path, "--strategy", "monolithic", "--state-cap", "5")
     proc = run_cli(*args)

@@ -7,6 +7,7 @@ import time
 from logalign import report as report_module
 from logalign.errors import SearchBudgetError
 from logalign.logs import make_log
+from logalign.reachability import build_rg
 from logalign.report import EXIT_GLOBAL_TIMEOUT, RunConfig, run_conformance
 from logalign.sampledata import loan_net, loan_pair
 
@@ -61,14 +62,14 @@ def test_long_trace_alignment_is_tractable():
     assert row["cost"] == 0  # the loop path replays the whole trace
 
 
-def test_conflicting_trace_with_capped_fallback_fails_alone():
-    # the components stay usable under a tight state cap; only the trace
-    # whose fallback needs the full graph reports an error
+def hidden_history_net():
+    """A, then B||C or a silent skip of both, then D.  The trace A,B,D
+    recomposes into a hidden-history conflict and falls back."""
     from logalign.logs import LabelTable
     from logalign.petri import SystemNet
 
     table = LabelTable()
-    net = SystemNet.build(
+    return SystemNet.build(
         ["i", "p1", "p2", "p3", "p4", "p5", "p6", "o"],
         [("t_A", "A", ["i"], ["p1"]),
          ("t_split", None, ["p1"], ["p2", "p4"]),
@@ -78,6 +79,13 @@ def test_conflicting_trace_with_capped_fallback_fails_alone():
          ("t_skip", None, ["p1"], ["p6"]),
          ("t_D", "D", ["p6"], ["o"])],
         table)
+
+
+def test_conflicting_trace_with_capped_fallback_fails_alone():
+    # the components stay usable under a tight state cap; only the trace
+    # whose fallback needs the full graph reports an error
+    net = hidden_history_net()
+    table = net.table
     good = tuple(table.lookup(x) for x in "ABCD")
     bad = tuple(table.lookup(x) for x in "ABD")  # hidden-history conflict
     log = make_log([good, bad], table)
@@ -88,6 +96,44 @@ def test_conflicting_trace_with_capped_fallback_fails_alone():
     assert rows[("A", "B", "D")]["cost"] is None
     assert "cap" in rows[("A", "B", "D")]["error"]
     assert result.report["aggregates"]["failed_traces"] == 1
+
+
+def count_monolithic_builds(monkeypatch, net):
+    calls = []
+
+    def counting_build_rg(built, *args, **kwargs):
+        if built is net:
+            calls.append(kwargs.get("cap"))
+        return build_rg(built, *args, **kwargs)
+
+    monkeypatch.setattr(report_module, "build_rg", counting_build_rg)
+    return calls
+
+
+def test_one_monolithic_build_per_run(monkeypatch):
+    # the hybrid rule, the monolithic route and every fallback share one graph
+    net = hidden_history_net()
+    table = net.table
+    log = make_log([tuple(table.lookup(x) for x in word) for word in ("ABCD", "ABD")],
+                   table)
+    calls = count_monolithic_builds(monkeypatch, net)
+    result = run_conformance(net, log, RunConfig(strategy="scomponent"))
+    assert result.report["aggregates"]["fallbacks"] == 1
+    assert len(calls) == 1
+
+
+def test_one_monolithic_build_per_capped_run(monkeypatch):
+    # a build that hit the state cap is not retried for each conflicting trace
+    net = hidden_history_net()
+    table = net.table
+    a, b, c, d = (table.lookup(x) for x in "ABCD")
+    conflicting = [(a, b, d), (a, c, d), (a, b, b, d), (a, c, c, d), (a, b, d, d), (a, c, d, d)]
+    log = make_log([(a, b, c, d)] + conflicting, table)
+    calls = count_monolithic_builds(monkeypatch, net)
+    result = run_conformance(net, log, RunConfig(strategy="scomponent", state_cap=4))
+    rows = result.report["traces"]
+    assert sum(1 for r in rows if r["conflict"] and "cap" in r["error"]) == len(conflicting)
+    assert calls == [4]
 
 
 def test_auto_strategy_on_parallel_net_end_to_end():

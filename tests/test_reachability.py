@@ -205,6 +205,14 @@ def test_min_visible_skips():
     assert remove_tau(build_rg(sequence_net(["A"]))).min_visible_skips() == 1
 
 
+def test_min_visible_skips_searched_once_per_graph():
+    # the graph never changes, so later calls read the first result
+    rg = remove_tau(build_rg(loan_net()))
+    assert rg.min_visible_skips() == 6
+    rg.out = ()  # a second search would fail on the emptied adjacency
+    assert rg.min_visible_skips() == 6
+
+
 def test_min_visible_skips_net_agrees_with_reduced_graph():
     # the net-level search is the fitness denominator whenever the graph hits
     # its state cap, so it must give the same value as the graph search

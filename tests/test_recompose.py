@@ -26,7 +26,7 @@ def as_text(net, alignment):
 
 def test_recompose_loan_trace_without_conflict():
     net, log = loan_pair()
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(ids(net, "BDAEFG"))
     assert outcome.conflict is None
     assert not outcome.fallback_used
@@ -38,7 +38,7 @@ def test_recompose_loan_trace_without_conflict():
 
 def test_recompose_all_loan_traces_proper():
     net, log = loan_pair()
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     full = remove_tau(build_rg(net))
     for trace in log.traces:
         outcome = aligner.align_trace(trace.labels)
@@ -51,7 +51,7 @@ def test_recompose_all_loan_traces_proper():
 def test_recompose_over_approximates_parallel_merge():
     net = parallel_merge_net()
     log = make_log([ids(net, "CAB")], net.table)
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(ids(net, "CAB"))
     assert outcome.conflict is None and not outcome.fallback_used
     assert as_text(net, outcome.alignment) == ["r(A)", "r(B)", "m(C)", "l(A)", "l(B)"]
@@ -65,7 +65,7 @@ def test_recompose_over_approximates_parallel_merge():
 def test_recompose_extended_label_conflict_falls_back():
     net = skippable_parallel_net()
     log = make_log([ids(net, "ABD")], net.table)
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(ids(net, "ABD"))
     assert outcome.conflict == EXTENDED_LABEL_CONFLICT
     assert outcome.fallback_used
@@ -81,7 +81,7 @@ def test_recompose_without_trails_would_be_improper():
     net = skippable_parallel_net()
     rg = remove_tau(build_rg(net))
     log = make_log([ids(net, "ABD")], net.table)
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=rg)
     lanes_ok = aligner.align_trace(ids(net, "ABD"))
     assert lanes_ok.fallback_used
     # m(A), m(B), m(D) does not correspond to any path of the full graph
@@ -105,7 +105,7 @@ def test_recompose_random_instances_proper_and_bounded():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=8)
-        aligner = SComponentAligner(net, log)
+        aligner = SComponentAligner(net, log, full_rg=full)
         decomposition = decompose(net)
         k = len(decomposition.components)
         for trace in log.traces:
@@ -134,7 +134,7 @@ def test_recompose_random_instances_proper_and_bounded():
 def test_hybrid_prefers_components_for_parallel_net():
     net = parallel_tasks_net(["T%d" % i for i in range(8)])
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, make_log([], net.table))
+    aligner = SComponentAligner(net, make_log([], net.table), full_rg=rg)
     choice, info = hybrid_select(rg, aligner.component_rgs())
     assert choice == "s-component"
     assert info["component_rg_total"] < info["rg_size"]
@@ -144,7 +144,7 @@ def test_hybrid_prefers_components_for_parallel_net():
 def test_hybrid_prefers_monolithic_for_sequence():
     net = sequence_net(["A", "B", "C"])
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, make_log([], net.table))
+    aligner = SComponentAligner(net, make_log([], net.table), full_rg=rg)
     choice, info = hybrid_select(rg, aligner.component_rgs())
     assert choice == "monolithic"
     assert info["component_rg_total"] == info["rg_size"]
@@ -164,7 +164,7 @@ def test_recompose_label_unknown_to_model_is_log_move():
     trace = tuple(net.table.lookup(x) if net.table.lookup(x) is not None
                   else net.table.intern(x) for x in ["B", "D", "C", "ZZZ", "E", "G"])
     log = make_log([trace], net.table)
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(trace)
     assert outcome.conflict is None
     assert not outcome.fallback_used
@@ -191,7 +191,7 @@ def test_recompose_trace_with_only_foreign_labels():
     zzz = net.table.intern("ZZZ")
     trace = (zzz,)
     log = make_log([trace], net.table)
-    aligner = SComponentAligner(net, log)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(trace)
     assert outcome.conflict is None and not outcome.fallback_used
     rg = remove_tau(build_rg(net))
@@ -211,7 +211,7 @@ def test_conflict_taxonomy_all_kinds_occur():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=9)
-        aligner = SComponentAligner(net, log)
+        aligner = SComponentAligner(net, log, full_rg=full)
         for trace in log.traces:
             outcome = aligner.align_trace(trace.labels)
             if outcome.conflict:
@@ -226,7 +226,7 @@ def test_conflict_taxonomy_all_kinds_occur():
 def test_projected_alignment_cache_reuse():
     net = parallel_merge_net()
     log = make_log([ids(net, "ABC"), ids(net, "BAC")], net.table)
-    aligner = SComponentAligner(net, log, memo=True)
+    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
     for trace in log.traces:
         outcome = aligner.align_trace(trace.labels)
         assert outcome.alignment.cost == 0
