@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .dafsa import Dafsa
@@ -100,7 +101,18 @@ def is_proper(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:
 
 
 class _Node:
-    __slots__ = ("parent", "move", "pos", "mid", "g", "length", "lrank")
+    """A* search node; the heap breaks full ties by the node's move keys.
+
+    ``key`` is the node's own move key, so ``chain()`` (the keys from the
+    root) orders two nodes lexicographically, a prefix first.  ``__lt__``
+    gives the same order without building chains: two paths agree up to
+    their lowest common ancestor, so it brings both nodes to equal depth,
+    walks up to that ancestor and compares the keys of its two children on
+    the paths.  When one node is an ancestor of the other, the shorter path
+    sorts first; when the two child keys are equal, the full chains decide.
+    """
+
+    __slots__ = ("parent", "move", "key", "pos", "mid", "g", "length", "lrank")
 
     def __init__(self, parent, move, pos, mid, g, lrank):
         self.parent = parent
@@ -108,23 +120,39 @@ class _Node:
         self.pos = pos
         self.mid = mid
         self.g = g
-        self.length = 0 if parent is None else parent.length + 1
         self.lrank = lrank
+        if parent is None:
+            self.length = 0
+            self.key = None
+        else:
+            self.length = parent.length + 1
+            self.key = (move.op, lrank,
+                        -1 if move.rg_tgt is None else move.rg_tgt,
+                        -1 if move.dafsa_tgt is None else move.dafsa_tgt,
+                        move.trail)
 
     def chain(self):
         keys = []
         node = self
         while node.parent is not None:
-            m = node.move
-            keys.append((m.op, node.lrank,
-                         -1 if m.rg_tgt is None else m.rg_tgt,
-                         -1 if m.dafsa_tgt is None else m.dafsa_tgt,
-                         m.trail))
+            keys.append(node.key)
             node = node.parent
         keys.reverse()
         return keys
 
     def __lt__(self, other):
+        a, b = self, other
+        while a.length > b.length:
+            a = a.parent
+        while b.length > a.length:
+            b = b.parent
+        if a is b:
+            return self.length < other.length
+        while a.parent is not b.parent:
+            a = a.parent
+            b = b.parent
+        if a.key != b.key:
+            return a.key < b.key
         return self.chain() < other.chain()
 
     def moves(self):
@@ -474,22 +502,7 @@ class Psp:
             res = self.results.get(trace)
             if res is None or res.edges is None:
                 return ()
-            out: list[Alignment] = []
-
-            def rec(key, acc):
-                if limit is not None and len(out) >= limit:
-                    return
-                nexts = res.edges.get(key, ())
-                if not nexts:
-                    out.append(make_alignment(acc))
-                    return
-                for move, nkey in nexts:
-                    acc.append(move)
-                    rec(nkey, acc)
-                    acc.pop()
-
-            rec(res.root, [])
-            cached = tuple(out)
+            cached = tuple(islice(_optimal_paths(res.edges, res.root), limit))
             if limit is None:
                 self._alignments[trace] = cached
         return cached if limit is None else cached[:limit]
@@ -499,16 +512,46 @@ class Psp:
         res = self.results.get(trace)
         if res is None or res.edges is None:
             return 0
-        memo: dict = {}
-
-        def paths(key):
-            if key in memo:
-                return memo[key]
+        # paths to a leaf per key, children before parents (the edges form a DAG)
+        paths: dict = {}
+        stack = [res.root]
+        while stack:
+            key = stack[-1]
+            if key in paths:
+                stack.pop()
+                continue
             nexts = res.edges.get(key, ())
-            memo[key] = 1 if not nexts else sum(paths(nkey) for _, nkey in nexts)
-            return memo[key]
+            todo = [nkey for _, nkey in nexts if nkey not in paths]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            paths[key] = 1 if not nexts else sum(paths[nkey] for _, nkey in nexts)
+        return paths[res.root]
 
-        return paths(res.root)
+
+def _optimal_paths(edges, root):
+    """Every root-to-leaf path of the optimal edges, depth first in edge order."""
+    if not edges.get(root):
+        yield make_alignment(())
+        return
+    moves: list[Move] = []
+    stack = [iter(edges[root])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if moves:
+                moves.pop()
+            continue
+        move, nkey = step
+        moves.append(move)
+        nexts = edges.get(nkey, ())
+        if nexts:
+            stack.append(iter(nexts))
+        else:
+            yield make_alignment(moves)
+            moves.pop()
 
 
 def align_all_optimal(log: EventLog, dafsa: Dafsa, rg: ReachabilityGraph, *,

@@ -1,8 +1,10 @@
 import random
 
 from logalign.align import (OP_LHIDE, OP_MATCH, OP_RHIDE, MemoTables, align_all_optimal,
-                            align_one_optimal, alignment_cost, is_proper, Move)
+                            align_one_optimal, alignment_cost, is_proper, make_alignment, Move,
+                            _Node)
 from logalign.dafsa import build_dafsa
+from logalign.errors import LogAlignError
 from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
 from logalign.reachability import build_rg, remove_tau
@@ -263,3 +265,134 @@ def test_psp_structure_running_example():
     assert not (psp.finals & sources)
     assert psp.nodes[psp.initial_key] == 0
 
+
+
+def reference_chain(node):
+    """Move keys from the root, rebuilt from each node's move."""
+    keys = []
+    while node.parent is not None:
+        m = node.move
+        keys.append((m.op, node.lrank,
+                     -1 if m.rg_tgt is None else m.rg_tgt,
+                     -1 if m.dafsa_tgt is None else m.dafsa_tgt,
+                     m.trail))
+        node = node.parent
+    keys.reverse()
+    return keys
+
+
+def reference_lt(a, b):
+    return reference_chain(a) < reference_chain(b)
+
+
+def child(parent, op, label, rg_tgt=None, dafsa_tgt=None, trail=(), lrank=None):
+    move = Move(op, label, trail, None, dafsa_tgt, None, rg_tgt)
+    return _Node(parent, move, 0, 0, 0, label if lrank is None else lrank)
+
+
+def assert_same_order(nodes):
+    for a in nodes:
+        assert a.chain() == reference_chain(a)
+        for b in nodes:
+            assert (a < b) == reference_lt(a, b), (reference_chain(a), reference_chain(b))
+
+
+def test_tie_compare_matches_chain_order_on_hand_trees():
+    root = _Node(None, None, 0, 0, 0, 0)
+    s1 = child(root, OP_MATCH, 3, rg_tgt=1, dafsa_tgt=1)
+    s2 = child(root, OP_RHIDE, 1, rg_tgt=2)  # sibling of s1 with a larger op
+    s3 = child(root, OP_MATCH, 3, rg_tgt=1, dafsa_tgt=1)  # same move key as s1
+    s1a = child(s1, OP_LHIDE, 2, dafsa_tgt=2)  # s1 is its ancestor
+    s1b = child(s1, OP_LHIDE, 2, dafsa_tgt=2, trail=(5,))
+    s3a = child(s3, OP_LHIDE, 2, dafsa_tgt=2)  # same chain as s1a
+    s3b = child(s3, OP_MATCH, 0, rg_tgt=4)  # equal keys at s1/s3, decided below
+    s1aa = child(s1a, OP_RHIDE, 4, rg_tgt=7)
+    s2a = child(s2, OP_MATCH, 1, rg_tgt=3)
+    nodes = [root, s1, s2, s3, s1a, s1b, s3a, s3b, s1aa, s2a]
+    assert_same_order(nodes)
+    assert s1 < s1a and not s1a < s1  # a prefix sorts first
+    assert s1 < s2 and not s2 < s1
+    assert not s1a < s3a and not s3a < s1a  # equal chains
+    assert s3b < s1a
+
+
+def test_tie_compare_matches_chain_order_on_random_trees():
+    rng = random.Random(17)
+    for _ in range(20):
+        nodes = [_Node(None, None, 0, 0, 0, 0)]
+        for _ in range(40):
+            parent = rng.choice(nodes)
+            # few distinct moves, so siblings and cousins often share keys
+            nodes.append(child(parent, rng.choice((OP_MATCH, OP_RHIDE)), rng.randint(1, 2),
+                               rg_tgt=rng.choice((None, 1)), trail=rng.choice(((), (9,)))))
+        assert_same_order(nodes)
+
+
+def test_one_optimal_unchanged_under_chain_order(monkeypatch):
+    rng = random.Random(29)
+    cases = []
+    for seed in range(40):
+        net = random_workflow_net(seed, max_visible=8)
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        log = random_log(net, rng, n_traces=4, max_trace_len=10)
+        dafsa = build_dafsa(log)
+        cases.extend((trace.labels, dafsa, rg) for trace in log.traces)
+    assert len(cases) >= 100
+    fast = [align_one_optimal(*case).moves for case in cases]
+    monkeypatch.setattr(_Node, "__lt__", reference_lt)
+    assert [align_one_optimal(*case).moves for case in cases] == fast
+
+
+def reference_alignments(edges, root):
+    """Every optimal alignment by recursion, depth first in edge order."""
+    out = []
+
+    def rec(key, acc):
+        nexts = edges.get(key, ())
+        if not nexts:
+            out.append(make_alignment(acc))
+            return
+        for move, nkey in nexts:
+            rec(nkey, acc + [move])
+
+    rec(root, [])
+    return tuple(out)
+
+
+def test_optimal_alignments_listed_in_recursive_order():
+    rng = random.Random(3)
+    checked = 0
+    for seed in range(25):
+        net = random_workflow_net(seed, max_visible=6)
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        log = random_log(net, rng, n_traces=4, max_trace_len=8)
+        psp = align_all_optimal(log, build_dafsa(log), rg)
+        for trace in log.traces:
+            res = psp.results[trace.labels]
+            expected = reference_alignments(res.edges, res.root)
+            assert psp.count_optimal(trace.labels) == len(expected)
+            assert psp.alignments_for(trace.labels, limit=2) == expected[:2]
+            assert psp.alignments_for(trace.labels) == expected
+            checked += 1
+    assert checked > 30
+
+
+def test_all_optimal_on_a_trace_longer_than_the_recursion_limit():
+    net, _, rg, _ = loan_setup()
+    trace = ids(net, "A" * 1200)
+    log = make_log([trace], net.table)
+    dafsa = build_dafsa(log)
+    psp = align_all_optimal(log, dafsa, rg)
+    assert psp.cost(trace) == align_one_optimal(trace, dafsa, rg).cost
+    assert psp.count_optimal(trace) >= 1
+    first, second = psp.alignments_for(trace, limit=2)
+    assert first != second
+    for al in (first, second):
+        assert al.cost == psp.cost(trace)
+        assert is_proper(al, trace, rg)

@@ -66,6 +66,18 @@ def test_check_all_optimal_counts(tmp_path):
     assert counts[tuple("BDCEG")] == 4
 
 
+def test_all_optimal_on_a_long_trace(tmp_path):
+    text_log = tmp_path / "long.txt"
+    text_log.write_text(",".join(["A"] * 600) + "\n")
+    out = tmp_path / "r.json"
+    proc = run_cli("check", "--strategy", "monolithic", "--all-optimal", "--emit-alignments",
+                   "--log", str(text_log), "--model", str(DATA / "loan.pnml"), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    (trace,) = json.loads(out.read_text())["traces"]
+    assert trace["n_optimal"] >= 1
+    assert trace["length"] == 600
+
+
 def test_check_csv_output(tmp_path):
     csv_path = tmp_path / "rows.csv"
     args, _ = check_args(tmp_path, "--csv", str(csv_path))

@@ -1,10 +1,85 @@
-from logalign.heuristic import precompute_future_labels
+import random
+
+from logalign.errors import LogAlignError
+from logalign.heuristic import FutureLabelTable, _tarjan, precompute_future_labels
 from logalign.logs import LabelTable
 from logalign.petri import SystemNet
 from logalign.reachability import build_rg, remove_tau
 from logalign.sampledata import loan_net
 
+from gen import random_log, random_workflow_net
 from nets import sequence_net
+
+
+def reference_h(table, remaining, mid):
+    """The estimate as a scan of every entry, without pruning or early stop."""
+    best = None
+    for counts, omega in table.entries[mid]:
+        cdict = dict(counts)
+        missing = 0
+        for l, f in remaining.items():
+            if l not in omega:
+                d = f - cdict.get(l, 0)
+                if d > 0:
+                    missing += d
+        surplus = 0
+        for l, c in counts:
+            d = c - remaining.get(l, 0)
+            if d > 0:
+                surplus += d
+        v = missing + surplus
+        if best is None or v < best:
+            best = v
+            if best == 0:
+                break
+    return best if best is not None else 0
+
+
+def reference_entries(rg, entry_cap):
+    """Per-marking entries merged with a dict and a sort per candidate and
+    no stop at the cap."""
+    n = len(rg.markings)
+    comp = _tarjan(n, rg)
+    ncomp = max(comp) + 1 if n else 0
+    sizes = [0] * ncomp
+    for mid in range(n):
+        sizes[comp[mid]] += 1
+    internal = [set() for _ in range(ncomp)]
+    crossing = [[] for _ in range(ncomp)]
+    nontrivial = [size > 1 for size in sizes]
+    for a in rg.arcs:
+        if comp[a.tgt] == comp[a.src]:
+            internal[comp[a.src]].add(a.label)
+            nontrivial[comp[a.src]] = True
+        else:
+            crossing[comp[a.src]].append(a)
+    all_labels = frozenset(a.label for a in rg.arcs)
+    has_final = [False] * ncomp
+    for f in rg.finals:
+        has_final[comp[f]] = True
+    futures = [()] * ncomp
+    for c in range(ncomp):
+        omega_base = frozenset(internal[c]) if nontrivial[c] else frozenset()
+        acc = {}
+        if has_final[c]:
+            acc[((), omega_base)] = True
+        for a in crossing[c]:
+            for counts, omega in futures[comp[a.tgt]]:
+                merged = dict(counts)
+                merged[a.label] = merged.get(a.label, 0) + 1
+                acc[(tuple(sorted(merged.items())), omega | omega_base)] = True
+        futures[c] = (((), all_labels),) if len(acc) > entry_cap else tuple(sorted(acc))
+    return tuple(futures[comp[mid]] for mid in range(n))
+
+
+def suffix_counts(trace):
+    out = []
+    for i in range(len(trace) + 1):
+        rem = {}
+        for label in trace[i:]:
+            rem[label] = rem.get(label, 0) + 1
+        out.append(rem)
+    return out
 
 
 def counts(table, word):
@@ -66,3 +141,75 @@ def test_estimate_never_exceeds_true_cost_on_loan():
         trace = tuple(net.table.lookup(x) for x in word)
         cost, _ = brute_force_optimal_cost(trace, rg)
         assert ftable.h(counts(net.table, word), rg.m0) <= cost
+
+
+def assert_matches_reference(rg, traces, entry_cap=256):
+    table = precompute_future_labels(rg, entry_cap)
+    assert table.entries == reference_entries(rg, entry_cap)
+    remaining = [rem for trace in traces for rem in suffix_counts(trace)]
+    for mid in range(len(rg.markings)):
+        for rem in remaining:
+            assert table.h(rem, mid) == reference_h(table, rem, mid), (mid, rem)
+
+
+def test_pruned_estimate_equals_full_scan_on_loan():
+    net = loan_net()
+    rg = remove_tau(build_rg(net))
+    words = ["BDCEG", "BDAEFG", "CABEEG", "CABEHIEFG", "G", "", "ZZB"]
+    table = net.table
+    traces = [tuple(table.intern(x) for x in word) for word in words]
+    for cap in (1, 3, 256):
+        assert_matches_reference(rg, traces, cap)
+
+
+def test_pruned_estimate_equals_full_scan_on_random_nets():
+    rng = random.Random(41)
+    checked = 0
+    for seed in range(40):
+        net = random_workflow_net(seed, max_visible=10)
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        log = random_log(net, rng, n_traces=6, max_trace_len=12)
+        traces = [t.labels for t in log.traces]
+        assert_matches_reference(rg, traces, entry_cap=rng.choice((2, 8, 256)))
+        checked += 1
+    assert checked >= 30
+
+
+def test_dominated_entry_is_dropped_without_changing_the_estimate():
+    rg = remove_tau(build_rg(sequence_net(["A", "B"])))
+    a, b, c, d = 1, 2, 3, 4
+    x = (((a, 1),), frozenset({b}))
+    y = (((a, 1), (b, 2)), frozenset())  # dominated by x and by u
+    # none of these is dominated: each is strictly best for some multiset
+    z = (((c, 1),), frozenset())
+    w = (((c, 2),), frozenset())  # beats z on {c: 2}
+    u = (((a, 1), (b, 2)), frozenset({d}))  # beats x on {d: 5}
+    entries = tuple((x, y, z, w, u) for _ in rg.markings)
+    table = FutureLabelTable(rg, entries)
+    assert [(counts, omega) for _, counts, omega in table._scan[rg.m0]] == [
+        ({a: 1}, frozenset({b})), ({c: 1}, frozenset()), ({c: 2}, frozenset()),
+        ({a: 1, b: 2}, frozenset({d}))]
+    for rem in ({}, {a: 1}, {b: 2}, {a: 1, b: 2}, {b: 5}, {c: 1}, {c: 2}, {d: 5},
+                {a: 2, c: 3}, {a: 1, b: 2, d: 3}):
+        assert table.h(rem, rg.m0) == reference_h(table, rem, rg.m0)
+
+
+def test_component_past_a_small_cap_stays_degenerate():
+    table = LabelTable()
+    # a choice between four tasks: four future multisets at the initial marking
+    net = SystemNet.build(
+        ["i", "o"],
+        [("t_%s" % x, x, ["i"], ["o"]) for x in "ABCD"],
+        table)
+    rg = remove_tau(build_rg(net))
+    labels = frozenset(table.lookup(x) for x in "ABCD")
+    assert len(precompute_future_labels(rg).entries[rg.m0]) == 4
+    capped = precompute_future_labels(rg, entry_cap=2)
+    assert capped.entries[rg.m0] == (((), labels),)
+    assert capped.entries == reference_entries(rg, 2)
+    z = table.intern("Z")
+    for rem in ({}, {table.lookup("A"): 3}, {z: 2}):
+        assert capped.h(rem, rg.m0) == reference_h(capped, rem, rg.m0)
