@@ -10,6 +10,9 @@ the recomposition stage uses to detect hidden label conflicts.
 
 from __future__ import annotations
 
+import functools
+import gc
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -85,8 +88,6 @@ class ReachabilityGraph:
 def min_visible_skips_net(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> int:
     """Shortest number of visible firings from m0 to a final marking,
     computed directly on the net (0/1 breadth-first search over markings)."""
-    from .logs import TAU as _TAU
-
     dist = {net.m0: 0}
     queue = deque([(0, net.m0)])
     while queue:
@@ -99,7 +100,7 @@ def min_visible_skips_net(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> int
             if not net.enabled(m, t) or net.fire_overflows(m, t):
                 continue
             m2 = (m & ~net.pre[t]) | net.post[t]
-            w = 0 if net.transitions[t].label == _TAU else 1
+            w = 0 if net.transitions[t].label == TAU else 1
             if d + w < dist.get(m2, cap + 1):
                 if len(dist) > cap:
                     raise StateSpaceCapError("marking cap %d exceeded" % cap)
@@ -111,30 +112,61 @@ def min_visible_skips_net(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> int
     raise TauReductionError("no final marking reachable from the initial marking")
 
 
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    The graph code allocates a tuple per arc, none of them part of a
+    reference cycle.  Left on, the collector would walk the growing graph
+    again and again while it is built; paused, it walks the new tuples once,
+    at its next run.
+    """
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return run
+
+
+@_gc_paused
 def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGraph:
     """Breadth-first expansion of all reachable markings.
 
     Raises Not1BoundedError when a firing stacks a second token on a place
     and StateSpaceCapError when more than ``cap`` markings are discovered.
     """
+    firing = [(t, pre, ~pre, net.post[t], net.transitions[t].label)
+              for t, pre in enumerate(net.pre)]
     index = {net.m0: 0}
     markings = [net.m0]
     arcs: list[Arc] = []
-    fired = set()
+    out: list[tuple[int, ...]] = []
+    inn: list[list[int]] = [[]]
+    fired = [False] * len(firing)
+    new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
+    # breadth-first, so each marking's arcs form one contiguous run.  Ints
+    # above 256 are objects, so every id is made once and shared: arcs take
+    # their source id from the queue of discovered ids, and out and inn
+    # share each arc id
     queue = deque([0])
-    ntrans = len(net.transitions)
     while queue:
         mid = queue.popleft()
         m = markings[mid]
-        for t in range(ntrans):
-            if not net.enabled(m, t):
+        row = []
+        for t, pre, keep, post, label in firing:
+            if (m & pre) != pre:
                 continue
-            if net.fire_overflows(m, t):
+            rest = m & keep
+            if rest & post:
                 raise Not1BoundedError(
                     "firing %s at %s exceeds one token on a place"
                     % (net.transitions[t].name, net.marking_name(m)))
-            fired.add(t)
-            m2 = (m & ~net.pre[t]) | net.post[t]
+            fired[t] = True
+            m2 = rest | post
             tid = index.get(m2)
             if tid is None:
                 tid = len(markings)
@@ -142,17 +174,21 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                     raise StateSpaceCapError("marking cap %d exceeded" % cap)
                 index[m2] = tid
                 markings.append(m2)
+                inn.append([])
                 queue.append(tid)
-            arcs.append(Arc(mid, net.transitions[t].label, (), tid, t))
+            k = len(arcs)
+            row.append(k)
+            inn[tid].append(k)
+            arcs.append(new(Arc, (mid, label, (), tid, t)))
+        out.append(tuple(row))
     finals = frozenset(index[f] for f in net.finals if f in index)
-    warnings = []
-    for t in range(ntrans):
-        if t not in fired:
-            warnings.append("transition %s is dead" % net.transitions[t].name)
+    warnings = ["transition %s is dead" % net.transitions[t].name
+                for t in range(len(firing)) if not fired[t]]
     if not finals:
         warnings.append("final marking unreachable")
     return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs),
-                             warnings=tuple(warnings))
+                             warnings=tuple(warnings), out=tuple(out),
+                             inn=tuple(map(tuple, inn)))
 
 
 def remove_tau(rg: ReachabilityGraph) -> ReachabilityGraph:
@@ -164,41 +200,116 @@ def remove_tau_extended(rg: ReachabilityGraph) -> ReachabilityGraph:
     return _reduce(rg, extended=True)
 
 
+@_gc_paused
 def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
+    """Rewrite ``rg`` without silent arcs.
+
+    The rewrite works on arcs ``(src, label, trail, tgt)``.  Only the markings
+    the silent arcs touch get explicit arc sets ("hot" markings): the tau
+    arcs' sources and targets, the final markings, and every marking an
+    added or redirected arc starts or ends at, made hot just before that
+    arc is added.  Every other marking is "cold": its arcs are its raw arcs
+    whose other end is still alive, so it only keeps two counters.  Phases,
+    orders and tie-breaks are those of a rewrite with arc sets for every
+    marking, so the result is the same graph.
+    """
     net = rg.net
     n = len(rg.markings)
-    # working arc = (src, label, trail, tgt); raw tau arcs seed their trail
-    # with the silent transition's index so extended labels stay traceable
-    out: list[set] = [set() for _ in range(n)]
-    inn: list[set] = [set() for _ in range(n)]
-    transient = [False] * n
+    raw, raw_out, raw_inn = rg.arcs, rg.out, rg.inn
+    m0 = rg.m0
+    finals = set(rg.finals)
+
+    def work(a):
+        # raw tau arcs seed their trail with the silent transition's index so
+        # extended labels stay traceable
+        if extended and a[1] == TAU and a[4] >= 0:
+            return (a[0], TAU, (a[4],), a[3])
+        return a[:4]
+
+    hot = set(finals)
+    for a in raw:
+        if a[1] == TAU:
+            hot.add(a[0])
+            hot.add(a[3])
+    if _shares_a_visible_label(net):
+        # raw arcs equal in working form collapse into one; keeping their
+        # ends hot keeps the cold counters exact (a net without shared
+        # visible labels has no such arcs in its built or its reduced graph)
+        for u in range(n):
+            ks = raw_out[u]
+            if len({work(raw[k]) for k in ks}) < len(ks):
+                hot.add(u)
+                hot.update(raw[k][3] for k in ks)
+
+    alive = [True] * n
+    out: list = [None] * n  # arc sets of hot markings, None while cold
+    inn: list = [None] * n
+    nout = [len(x) for x in raw_out]  # arc counts of cold markings
+    nin = [len(x) for x in raw_inn]
+    touched = list(range(n))  # markings prune() must look at
+
+    def promote(u):
+        out[u] = {work(raw[k]) for k in raw_out[u] if alive[raw[k][3]]}
+        inn[u] = {work(raw[k]) for k in raw_inn[u] if alive[raw[k][0]]}
 
     def add(a):
+        if out[a[0]] is None:
+            promote(a[0])
+        if out[a[3]] is None:
+            promote(a[3])
         out[a[0]].add(a)
         inn[a[3]].add(a)
 
     def discard(a):
-        out[a[0]].discard(a)
-        inn[a[3]].discard(a)
+        u, v = a[0], a[3]
+        if out[u] is None:
+            nout[u] -= 1
+        else:
+            out[u].discard(a)
+        if inn[v] is None:
+            nin[v] -= 1
+        else:
+            inn[v].discard(a)
+        touched.append(u)
+        touched.append(v)
 
-    for a in rg.arcs:
-        trail = (a.transition,) if (extended and a.label == TAU and a.transition >= 0) else a.trail
-        add((a.src, a.label, trail, a.tgt))
-    for mid in range(n):
-        if out[mid] and all(a[1] == TAU for a in out[mid]):
-            transient[mid] = True
+    def kill(u):
+        alive[u] = False
+        if out[u] is not None:
+            for a in list(out[u]) + list(inn[u]):
+                discard(a)
+            return
+        for k in raw_out[u]:
+            if alive[raw[k][3]]:
+                discard(work(raw[k]))
+        for k in raw_inn[u]:
+            if alive[raw[k][0]]:
+                discard(work(raw[k]))
 
-    finals = set(rg.finals)
-    alive = [True] * n
+    def prune():
+        # the greatest set of markings that have an incoming arc (or are m0)
+        # and an outgoing arc (or are final) is unique, so any order finds it
+        while touched:
+            u = touched.pop()
+            if not alive[u]:
+                continue
+            if out[u] is None:
+                no_in, no_out = nin[u] == 0, nout[u] == 0
+            else:
+                no_in, no_out = not inn[u], not out[u]
+            if (no_in and u != m0) or (no_out and u not in finals):
+                kill(u)
+
+    for u in hot:
+        promote(u)
+    transient = {u for u in hot if out[u] and all(a[1] == TAU for a in out[u])}
 
     # forward replacement: incoming tau arcs of each non-final marking are
     # re-sourced onto the visible successors found along tau chains
-    for mid in range(n):
+    for mid in sorted({a[3] for u in hot for a in out[u] if a[1] == TAU}):
         if mid in finals:
             continue
-        for a in sorted(inn[mid]):
-            if a[1] != TAU:
-                continue
+        for a in sorted(x for x in inn[mid] if x[1] == TAU):
             m1, _, trail_a, _ = a
             additions = []
             seen = {mid}
@@ -222,20 +333,6 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             for new in additions:
                 add(new)
 
-    def prune():
-        changed = True
-        while changed:
-            changed = False
-            for mid in range(n):
-                if not alive[mid]:
-                    continue
-                dead = (not inn[mid] and mid != rg.m0) or (not out[mid] and mid not in finals)
-                if dead:
-                    alive[mid] = False
-                    changed = True
-                    for a in list(out[mid]) + list(inn[mid]):
-                        discard(a)
-
     prune()
 
     # backwards replacement: remaining tau arcs all target final markings;
@@ -249,8 +346,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             m1, _, trail, f = a
             if any(b[1] == TAU for b in inn[m1]):
                 continue  # resolve chains source-first
-            if m1 == rg.m0:
-                finals.add(rg.m0)  # the model can reach a final silently
+            if m1 == m0:
+                finals.add(m0)  # the model can reach a final silently
             for b in sorted(inn[m1]):
                 m2, l, trail2, _ = b
                 add((m2, l, trail2 + trail, f))
@@ -262,55 +359,107 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     prune()
 
     # fold markings whose only original exits were silent into an identically
-    # behaving survivor, so chains like AND-join -> tau -> join-place collapse
-    merged = True
-    while merged:
-        merged = False
-        sig: dict = {}
-        for mid in range(n):
-            if alive[mid]:
-                sig[mid] = (mid in finals, frozenset((l, tr, tgt) for _, l, tr, tgt in out[mid]))
-        for s in range(n):
-            if not alive[s] or not transient[s] or s == rg.m0 or s in finals:
+    # behaving survivor, so chains like AND-join -> tau -> join-place collapse:
+    # repeatedly merge the lowest candidate that has a match into
+    # min(matches, key=(transient, id)), where a match is any other live
+    # marking with the same signature (final or not, and its set of arcs)
+    candidates = sorted(s for s in transient if alive[s] and s != m0 and s not in finals)
+    if candidates:
+        def signature(u):
+            if out[u] is None:
+                exits = frozenset(raw[k][1:4] for k in raw_out[u] if alive[raw[k][3]])
+            else:
+                exits = frozenset(a[1:] for a in out[u])
+            return (u in finals, exits)
+
+        sig = {u: signature(u) for u in range(n) if alive[u]}
+        groups: dict = {}
+        for u, key in sig.items():
+            groups.setdefault(key, set()).add(u)
+        is_candidate = set(candidates)
+        heap = candidates  # sorted, so already a heap
+        while heap:
+            s = heapq.heappop(heap)
+            if not alive[s] or any(x[2] == s for x in sig[s][1]):
                 continue
-            if any(tgt == s for _, tr, tgt in sig[s][1]):
+            group = groups[sig[s]]
+            if len(group) < 2:
                 continue
-            matches = [m for m in sig if m != s and sig[m] == sig[s]]
-            if not matches:
-                continue
-            rep = min(matches, key=lambda m: (transient[m], m))
-            for a in sorted(inn[s]):
+            rep = min((m for m in group if m != s), key=lambda m: (m in transient, m))
+            redirected = sorted(inn[s])
+            for a in redirected:
+                if out[a[0]] is None:
+                    promote(a[0])  # before its counter changes
+            for a in redirected:
                 discard(a)
                 add((a[0], a[1], a[2], rep))
             for a in list(out[s]):
                 discard(a)
             alive[s] = False
-            merged = True
-            break
+            is_candidate.discard(s)
+            group.discard(s)
+            del sig[s]
+            # only the redirected arcs' sources changed their signatures; the
+            # candidates in a group that gained one of them (itself included)
+            # may have a match now, so they are looked at again
+            for u in {a[0] for a in redirected}:
+                key = signature(u)
+                if key != sig[u]:
+                    groups[sig[u]].discard(u)
+                    sig[u] = key
+                    group = groups.setdefault(key, set())
+                    group.add(u)
+                    for m in group:
+                        if m in is_candidate:
+                            heapq.heappush(heap, m)
 
     prune()
 
-    if not alive[rg.m0]:
+    if not alive[m0]:
         raise TauReductionError("initial marking has no behavior after reduction")
     live_finals = {f for f in finals if alive[f]}
     if not live_finals:
         raise TauReductionError("no final marking survives reduction")
 
-    remap = {}
+    remap = [-1] * n
     new_markings = []
     for mid in range(n):
         if alive[mid]:
             remap[mid] = len(new_markings)
             new_markings.append(rg.markings[mid])
+    # each marking's arcs in (label rank, trail, target) order
     rank = net.table.rank()
-    flat = sorted(
-        {(remap[a[0]], a[1], a[2], remap[a[3]]) for mid in range(n) if alive[mid] for a in out[mid]},
-        key=lambda a: (a[0], rank[a[1]], a[2], a[3]))
-    new_arcs = tuple(Arc(s, l, tr, t, -1) for s, l, tr, t in flat)
-    assert all(a.label != TAU for a in new_arcs)
-    return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
-                             frozenset(remap[f] for f in live_finals), new_arcs,
-                             reduced=True, warnings=rg.warnings)
+    arcs: list[Arc] = []
+    new_out: list[tuple[int, ...]] = []
+    new_inn: list[list[int]] = [[] for _ in new_markings]
+    new = tuple.__new__
+    for u in range(n):
+        if not alive[u]:
+            continue
+        if out[u] is None:
+            # a cold marking's arcs are its raw visible arcs into survivors
+            items = [(rank[a[1]], a[2], a[3], a[1])
+                     for a in map(raw.__getitem__, raw_out[u]) if alive[a[3]]]
+        else:
+            items = [(rank[a[1]], a[2], a[3], a[1]) for a in out[u]]
+            assert all(x[3] != TAU for x in items)
+        items.sort()
+        src = remap[u]
+        row_arcs = [new(Arc, (src, l, tr, remap[t], -1)) for _, tr, t, l in items]
+        row = tuple(range(len(arcs), len(arcs) + len(row_arcs)))
+        arcs += row_arcs
+        new_out.append(row)
+        for k, a in zip(row, row_arcs):  # one int object per arc id, as in build_rg
+            new_inn[a[3]].append(k)
+    return ReachabilityGraph(net, tuple(new_markings), remap[m0],
+                             frozenset(remap[f] for f in live_finals), tuple(arcs),
+                             reduced=True, warnings=rg.warnings, out=tuple(new_out),
+                             inn=tuple(map(tuple, new_inn)))
+
+
+def _shares_a_visible_label(net: SystemNet) -> bool:
+    labels = [t.label for t in net.transitions if t.label != TAU]
+    return len(set(labels)) < len(labels)
 
 
 def rg_to_dot(rg: ReachabilityGraph) -> str:

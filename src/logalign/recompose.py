@@ -23,7 +23,7 @@ from .align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment
 from .dafsa import build_dafsa
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import SComponentDecomposition, decompose
-from .logs import EventLog, project_log
+from .logs import TAU, EventLog, project_log
 from .reachability import ReachabilityGraph, build_rg, remove_tau_extended
 
 ORDER_CONFLICT = "order-conflict"
@@ -77,6 +77,11 @@ class SComponentAligner:
             projected = project_log(log, comp.alphabet)
             dafsa = build_dafsa(projected)
             self.components.append((comp, rg, dafsa))
+        # label -> indices of the lanes whose alphabet holds it, ascending
+        self.owners: dict[int, tuple[int, ...]] = {}
+        for idx, (comp, _, _) in enumerate(self.components):
+            for label in comp.alphabet:
+                self.owners[label] = self.owners.get(label, ()) + (idx,)
         self._proj_cache: dict = {}
 
     def component_rgs(self) -> list[ReachabilityGraph]:
@@ -131,17 +136,16 @@ class SComponentAligner:
         return RecompositionOutcome(trace, alignment, conflict, True)
 
     def _replay(self, trace, lanes):
-        alphabets = [comp.alphabet for comp, _, _ in self.components]
         gpath = self.global_dafsa.walk(trace)
         composed: list[Move] = []
         for pos_c in range(len(trace) + 1):
             label = trace[pos_c] if pos_c < len(trace) else None
-            conflict = self._catch_up(label, lanes, alphabets, composed)
+            conflict = self._catch_up(label, lanes, composed)
             if conflict:
                 return None, conflict
             if label is None:
                 break
-            owners = [i for i, alpha in enumerate(alphabets) if label in alpha]
+            owners = self.owners.get(label, ())
             nexts = [lanes[i].peek() for i in owners]
             if any(n is None or n[1] != label for n in nexts):
                 return None, OPERATION_CONFLICT
@@ -164,14 +168,14 @@ class SComponentAligner:
                 lanes[i].pos += 1
         return composed, None
 
-    def _catch_up(self, label, lanes, alphabets, composed):
+    def _catch_up(self, label, lanes, composed):
         """Compose agreed model skips until every owner of ``label`` is at it."""
         while True:
-            waiting = [
-                i for i, lane in enumerate(lanes)
-                if lane.peek() is not None and (
-                    label is None or (label in alphabets[i] and lane.peek()[1] != label))
-            ]
+            if label is None:
+                waiting = any(lane.peek() is not None for lane in lanes)
+            else:
+                waiting = any(nxt is not None and nxt[1] != label
+                              for nxt in (lanes[i].peek() for i in self.owners.get(label, ())))
             if not waiting:
                 return None
             proposals: dict = {}
@@ -182,8 +186,7 @@ class SComponentAligner:
             chosen = None
             for (x, trail), members in sorted(
                     proposals.items(), key=lambda kv: (self.rank[kv[0][0]], kv[0][1])):
-                owners = {i for i, alpha in enumerate(alphabets) if x in alpha}
-                if members == owners:
+                if members == set(self.owners.get(x, ())):
                     chosen = (x, trail, members)
                     break
             if chosen is None:
@@ -191,8 +194,8 @@ class SComponentAligner:
                 for (x, trail), members in proposals.items():
                     by_label.setdefault(x, set()).update(members)
                 for x, members in by_label.items():
-                    owners = {i for i, alpha in enumerate(alphabets) if x in alpha}
-                    if members == owners and len({t for (y, t) in proposals if y == x}) > 1:
+                    if members == set(self.owners.get(x, ())) and \
+                            len({t for (y, t) in proposals if y == x}) > 1:
                         return EXTENDED_LABEL_CONFLICT
                 return ORDER_CONFLICT
             x, trail, members = chosen
@@ -205,22 +208,17 @@ def visible_run_realizable(net, labels) -> bool:
     """Whether the net can execute exactly this visible label sequence and
     silently reach a final marking, decided by a tau-closure walk over
     marking sets (no reachability graph needed)."""
-    from .logs import TAU as _TAU
-
-    silent = [t for t in range(len(net.transitions)) if net.transitions[t].label == _TAU]
-    by_label: dict[int, list[int]] = {}
-    for t in range(len(net.transitions)):
-        if net.transitions[t].label != _TAU:
-            by_label.setdefault(net.transitions[t].label, []).append(t)
+    silent, by_label = _firing_tables(net)
 
     def closure(markings):
         seen = set(markings)
         stack = list(markings)
         while stack:
             m = stack.pop()
-            for t in silent:
-                if net.enabled(m, t) and not net.fire_overflows(m, t):
-                    m2 = (m & ~net.pre[t]) | net.post[t]
+            for pre, post in silent:
+                rest = m & ~pre
+                if (m & pre) == pre and not rest & post:
+                    m2 = rest | post
                     if m2 not in seen:
                         seen.add(m2)
                         stack.append(m2)
@@ -229,14 +227,33 @@ def visible_run_realizable(net, labels) -> bool:
     current = closure({net.m0})
     for label in labels:
         nxt = set()
-        for t in by_label.get(label, ()):
+        for pre, post in by_label.get(label, ()):
             for m in current:
-                if net.enabled(m, t) and not net.fire_overflows(m, t):
-                    nxt.add((m & ~net.pre[t]) | net.post[t])
+                rest = m & ~pre
+                if (m & pre) == pre and not rest & post:
+                    nxt.add(rest | post)
         if not nxt:
             return False
         current = closure(nxt)
     return bool(current & net.finals)
+
+
+def _firing_tables(net):
+    """``(silent, by_label)``: the (pre, post) masks of the net's silent
+    transitions, and of its visible ones per label, in transition order.
+    Built once per net and kept on it."""
+    tables = getattr(net, "_firing_tables", None)
+    if tables is None:
+        silent = []
+        by_label: dict[int, list[tuple[int, int]]] = {}
+        for t, tr in enumerate(net.transitions):
+            masks = (net.pre[t], net.post[t])
+            if tr.label == TAU:
+                silent.append(masks)
+            else:
+                by_label.setdefault(tr.label, []).append(masks)
+        tables = net._firing_tables = (silent, by_label)
+    return tables
 
 
 def replays_on_model(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:

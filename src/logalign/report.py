@@ -95,10 +95,13 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
     rg = None
     cap_error = None
     try:
-        rg = remove_tau(build_rg(net, cap=config.state_cap))
+        rg = build_rg(net, cap=config.state_cap)
     except StateSpaceCapError as exc:
         cap_error = exc
     t = mark("build_rg", t)
+    if rg is not None:
+        rg = remove_tau(rg)
+    t = mark("remove_tau", t)
 
     aligner = None
     decomposition_error = None

@@ -7,7 +7,7 @@ import time
 from logalign import report as report_module
 from logalign.errors import SearchBudgetError
 from logalign.logs import make_log
-from logalign.reachability import build_rg
+from logalign.reachability import build_rg, remove_tau
 from logalign.report import EXIT_GLOBAL_TIMEOUT, RunConfig, run_conformance
 from logalign.sampledata import loan_net, loan_pair
 
@@ -134,6 +134,26 @@ def test_one_monolithic_build_per_capped_run(monkeypatch):
     rows = result.report["traces"]
     assert sum(1 for r in rows if r["conflict"] and "cap" in r["error"]) == len(conflicting)
     assert calls == [4]
+
+
+def test_expansion_and_tau_removal_timed_apart(monkeypatch):
+    # the one monolithic graph is built and reduced once, in two timed phases
+    net, log = loan_pair()
+    builds = count_monolithic_builds(monkeypatch, net)
+    reductions = []
+
+    def counting_remove_tau(rg):
+        reductions.append(rg.net is net)
+        return remove_tau(rg)
+
+    monkeypatch.setattr(report_module, "remove_tau", counting_remove_tau)
+    timings = run_conformance(net, log, RunConfig()).report["timings_ms"]
+    assert len(builds) == 1 and reductions == [True]
+    assert list(timings)[:3] == ["validate", "build_rg", "remove_tau"]
+    # a capped build leaves nothing to reduce, but the phase is still listed
+    reductions.clear()
+    timings = run_conformance(net, log, RunConfig(state_cap=4)).report["timings_ms"]
+    assert reductions == [] and "remove_tau" in timings
 
 
 def test_auto_strategy_on_parallel_net_end_to_end():

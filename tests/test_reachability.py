@@ -2,15 +2,16 @@ from collections import deque
 
 import pytest
 
-from logalign.errors import Not1BoundedError, StateSpaceCapError, TauReductionError
+from logalign.errors import (LogAlignError, Not1BoundedError, StateSpaceCapError,
+                             TauReductionError)
 from logalign.logs import TAU, LabelTable
 from logalign.petri import SystemNet
-from logalign.reachability import (build_rg, min_visible_skips_net, remove_tau,
-                                   remove_tau_extended)
+from logalign.reachability import (DEFAULT_MARKING_CAP, Arc, ReachabilityGraph, build_rg,
+                                   min_visible_skips_net, remove_tau, remove_tau_extended)
 from logalign.sampledata import loan_net
 
 from gen import random_workflow_net
-from nets import parallel_tasks_net, sequence_net, skippable_parallel_net
+from nets import parallel_merge_net, parallel_tasks_net, sequence_net, skippable_parallel_net
 
 
 def marking_by_places(rg, names):
@@ -234,3 +235,403 @@ def test_min_visible_skips_net_cap():
     net = parallel_tasks_net(["T%d" % i for i in range(8)])
     with pytest.raises(StateSpaceCapError):
         min_visible_skips_net(net, cap=10)
+
+
+# -- exactness of the graph code against the straightforward versions ---------
+
+
+def reference_build_rg(net, cap=DEFAULT_MARKING_CAP):
+    """The expansion with a method call per enabled test and the index of
+    every arc left to the graph's constructor."""
+    index = {net.m0: 0}
+    markings = [net.m0]
+    arcs: list[Arc] = []
+    fired = set()
+    queue = deque([0])
+    ntrans = len(net.transitions)
+    while queue:
+        mid = queue.popleft()
+        m = markings[mid]
+        for t in range(ntrans):
+            if not net.enabled(m, t):
+                continue
+            if net.fire_overflows(m, t):
+                raise Not1BoundedError(
+                    "firing %s at %s exceeds one token on a place"
+                    % (net.transitions[t].name, net.marking_name(m)))
+            fired.add(t)
+            m2 = (m & ~net.pre[t]) | net.post[t]
+            tid = index.get(m2)
+            if tid is None:
+                tid = len(markings)
+                if tid >= cap:
+                    raise StateSpaceCapError("marking cap %d exceeded" % cap)
+                index[m2] = tid
+                markings.append(m2)
+                queue.append(tid)
+            arcs.append(Arc(mid, net.transitions[t].label, (), tid, t))
+    finals = frozenset(index[f] for f in net.finals if f in index)
+    warnings = []
+    for t in range(ntrans):
+        if t not in fired:
+            warnings.append("transition %s is dead" % net.transitions[t].name)
+    if not finals:
+        warnings.append("final marking unreachable")
+    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs),
+                             warnings=tuple(warnings))
+
+
+def reference_reduce(rg, extended):
+    """Tau removal with arc sets for every marking, full rescans in prune,
+    a signature of every marking on each merge pass and one final sort."""
+    net = rg.net
+    n = len(rg.markings)
+    # working arc = (src, label, trail, tgt); raw tau arcs seed their trail
+    # with the silent transition's index so extended labels stay traceable
+    out: list[set] = [set() for _ in range(n)]
+    inn: list[set] = [set() for _ in range(n)]
+    transient = [False] * n
+
+    def add(a):
+        out[a[0]].add(a)
+        inn[a[3]].add(a)
+
+    def discard(a):
+        out[a[0]].discard(a)
+        inn[a[3]].discard(a)
+
+    for a in rg.arcs:
+        trail = (a.transition,) if (extended and a.label == TAU and a.transition >= 0) else a.trail
+        add((a.src, a.label, trail, a.tgt))
+    for mid in range(n):
+        if out[mid] and all(a[1] == TAU for a in out[mid]):
+            transient[mid] = True
+
+    finals = set(rg.finals)
+    alive = [True] * n
+
+    # forward replacement: incoming tau arcs of each non-final marking are
+    # re-sourced onto the visible successors found along tau chains
+    for mid in range(n):
+        if mid in finals:
+            continue
+        for a in sorted(inn[mid]):
+            if a[1] != TAU:
+                continue
+            m1, _, trail_a, _ = a
+            additions = []
+            seen = {mid}
+            stack = [(mid, ())]
+            while stack:
+                mt, acc = stack.pop()
+                for b in sorted(out[mt]):
+                    _, l, trail_b, m2 = b
+                    if b == a:
+                        continue
+                    if l != TAU or m2 in finals:
+                        additions.append((m1, l, trail_a + acc + trail_b, m2))
+                    elif m2 not in seen:
+                        seen.add(m2)
+                        stack.append((m2, acc + trail_b))
+            if not additions:
+                raise TauReductionError(
+                    "no visible continuation after tau into %s (tau cycle or dead end)"
+                    % rg.marking_name(mid))
+            discard(a)
+            for new in additions:
+                add(new)
+
+    def prune():
+        changed = True
+        while changed:
+            changed = False
+            for mid in range(n):
+                if not alive[mid]:
+                    continue
+                dead = (not inn[mid] and mid != rg.m0) or (not out[mid] and mid not in finals)
+                if dead:
+                    alive[mid] = False
+                    changed = True
+                    for a in list(out[mid]) + list(inn[mid]):
+                        discard(a)
+
+    prune()
+
+    # backwards replacement: remaining tau arcs all target final markings;
+    # their sources' visible predecessors gain direct arcs into the final
+    while True:
+        taus = sorted(a for f in finals for a in inn[f] if a[1] == TAU)
+        if not taus:
+            break
+        progressed = False
+        for a in taus:
+            m1, _, trail, f = a
+            if any(b[1] == TAU for b in inn[m1]):
+                continue  # resolve chains source-first
+            if m1 == rg.m0:
+                finals.add(rg.m0)  # the model can reach a final silently
+            for b in sorted(inn[m1]):
+                m2, l, trail2, _ = b
+                add((m2, l, trail2 + trail, f))
+            discard(a)
+            progressed = True
+        if not progressed:
+            raise TauReductionError("tau cycle through final markings")
+
+    prune()
+
+    # fold markings whose only original exits were silent into an identically
+    # behaving survivor, so chains like AND-join -> tau -> join-place collapse
+    merged = True
+    while merged:
+        merged = False
+        sig: dict = {}
+        for mid in range(n):
+            if alive[mid]:
+                sig[mid] = (mid in finals, frozenset((l, tr, tgt) for _, l, tr, tgt in out[mid]))
+        for s in range(n):
+            if not alive[s] or not transient[s] or s == rg.m0 or s in finals:
+                continue
+            if any(tgt == s for _, tr, tgt in sig[s][1]):
+                continue
+            matches = [m for m in sig if m != s and sig[m] == sig[s]]
+            if not matches:
+                continue
+            rep = min(matches, key=lambda m: (transient[m], m))
+            for a in sorted(inn[s]):
+                discard(a)
+                add((a[0], a[1], a[2], rep))
+            for a in list(out[s]):
+                discard(a)
+            alive[s] = False
+            merged = True
+            break
+
+    prune()
+
+    if not alive[rg.m0]:
+        raise TauReductionError("initial marking has no behavior after reduction")
+    live_finals = {f for f in finals if alive[f]}
+    if not live_finals:
+        raise TauReductionError("no final marking survives reduction")
+
+    remap = {}
+    new_markings = []
+    for mid in range(n):
+        if alive[mid]:
+            remap[mid] = len(new_markings)
+            new_markings.append(rg.markings[mid])
+    rank = net.table.rank()
+    flat = sorted(
+        {(remap[a[0]], a[1], a[2], remap[a[3]]) for mid in range(n) if alive[mid] for a in out[mid]},
+        key=lambda a: (a[0], rank[a[1]], a[2], a[3]))
+    new_arcs = tuple(Arc(s, l, tr, t, -1) for s, l, tr, t in flat)
+    assert all(a.label != TAU for a in new_arcs)
+    return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
+                             frozenset(remap[f] for f in live_finals), new_arcs,
+                             reduced=True, warnings=rg.warnings)
+
+
+GRAPH_FIELDS = ("markings", "m0", "finals", "arcs", "warnings", "out", "inn", "reduced")
+
+
+def outcome(fn, *args, **kwargs):
+    """The graph ``fn`` returns, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs), None
+    except LogAlignError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_outcome(got, want, what):
+    (got_rg, got_err), (want_rg, want_err) = got, want
+    assert got_err == want_err, what
+    if want_rg is None:
+        return
+    for name in GRAPH_FIELDS:
+        assert getattr(got_rg, name) == getattr(want_rg, name), "%s: %s" % (what, name)
+
+
+def assert_graph_code_exact(net, what):
+    built = outcome(build_rg, net)
+    assert_same_outcome(built, outcome(reference_build_rg, net), what)
+    rg = built[0]
+    if rg is None:
+        return
+    for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
+        label = "%s, extended=%s" % (what, extended)
+        reduced = outcome(reduce, rg)
+        assert_same_outcome(reduced, outcome(reference_reduce, rg, extended), label)
+        if reduced[0] is not None:
+            # a reduced graph goes through the reduction unchanged in shape
+            assert_same_outcome(outcome(reduce, reduced[0]),
+                                outcome(reference_reduce, reduced[0], extended),
+                                label + ", reduced twice")
+
+
+def folding_net():
+    """Parallel blocks with silent joins, one of them into a place that is
+    also entered visibly, a three-way choice whose branches end silently in
+    a shared place, and a branch into a chain of dead ends."""
+    table = LabelTable()
+    places = ["i", "s", "a1", "b1", "a2", "b2", "p", "x1", "y1", "x2", "y2", "q",
+              "c1", "c2", "c3", "r", "d1", "d2", "d3", "o"]
+    rows = [
+        ("t_S", "S", ["i"], ["s"]),
+        ("t_split1", None, ["s"], ["a1", "b1"]),
+        ("t_A", "A", ["a1"], ["a2"]),
+        ("t_B", "B", ["b1"], ["b2"]),
+        ("t_join1", None, ["a2", "b2"], ["p"]),
+        ("t_P", "P", ["p"], ["x1", "y1"]),
+        ("t_X", "X", ["x1"], ["x2"]),
+        ("t_Y", "Y", ["y1"], ["y2"]),
+        ("t_join2", None, ["x2", "y2"], ["q"]),
+        ("t_C1", "C1", ["q"], ["c1"]),
+        ("t_C2", "C2", ["q"], ["c2"]),
+        ("t_C3", "C3", ["q"], ["c3"]),
+        ("tau_c1", None, ["c1"], ["r"]),
+        ("tau_c2", None, ["c2"], ["r"]),
+        ("tau_c3", None, ["c3"], ["r"]),
+        ("t_R", "R", ["r"], ["o"]),
+        ("t_D", "D", ["i"], ["d1"]),
+        ("t_P0", "P0", ["i"], ["p"]),
+        ("t_D2", "D2", ["d1"], ["d2"]),
+        ("t_D3", "D3", ["d2"], ["d3"]),
+    ]
+    return SystemNet.build(places, rows, table, initial="i", final="o")
+
+
+def shared_label_net():
+    """Two transitions with one label and the same effect, so two raw arcs
+    collapse into one working arc, next to a silent step."""
+    table = LabelTable()
+    rows = [("t_A1", "A", ["i"], ["p"]), ("t_A2", "A", ["i"], ["p"]),
+            ("tau", None, ["p"], ["q"]), ("t_B", "B", ["q"], ["o"]),
+            ("t_B2", "B", ["p"], ["o"])]
+    return SystemNet.build(["i", "p", "q", "o"], rows, table)
+
+
+def test_folding_net_merges_and_prunes():
+    # the hand net really exercises the transient fold and the prune chain
+    net = folding_net()
+    raw = build_rg(net)
+    plain = remove_tau(raw)
+    # [a2,b2] folds into [p]; [c1] folds into [c2], which folds into [c3]
+    for names in (["a2", "b2"], ["c1"], ["c2"], ["q"], ["r"], ["d1"], ["d2"], ["d3"]):
+        assert marking_by_places(raw, names) is not None, names
+        assert marking_by_places(plain, names) is None, names
+    for names in (["p"], ["c3"], ["x2", "y2"]):
+        assert marking_by_places(plain, names) is not None, names
+    assert_graph_code_exact(net, "folding net")
+
+
+def test_graph_code_exact_on_hand_nets():
+    nets = {"loan": loan_net(), "sequence": sequence_net(["A", "B", "C"]),
+            "parallel merge": parallel_merge_net(),
+            "skippable parallel": skippable_parallel_net(),
+            "shared label": shared_label_net(), "folding": folding_net()}
+    for k in range(1, 9):
+        nets["parallel %d" % k] = parallel_tasks_net(["T%d" % i for i in range(k)])
+    for what, net in nets.items():
+        assert_graph_code_exact(net, what)
+
+
+def test_graph_code_exact_on_random_nets():
+    count = 0
+    for seed in range(80):
+        for max_visible in (5, 8):
+            assert_graph_code_exact(random_workflow_net(seed, max_visible=max_visible),
+                                    "seed %d, max_visible %d" % (seed, max_visible))
+            count += 1
+    assert count >= 150
+
+
+def test_graph_code_exact_on_failing_inputs():
+    table = LabelTable()
+    tau_cycle = SystemNet.build(
+        ["i", "q1", "q2", "o"],
+        [("t1", "A", ["i"], ["q1"]), ("tau1", None, ["q1"], ["q2"]),
+         ("tau2", None, ["q2"], ["q1"]), ("t2", "B", ["i"], ["o"])], table)
+    dead_end = SystemNet.build(
+        ["i", "p1", "p2", "p3", "o"],
+        [("tA", "A", ["i"], ["p1"]), ("tB", "B", ["p1"], ["p3"]),
+         ("tau", None, ["p1"], ["p2"]), ("tC", "C", ["p2", "p3"], ["o"])], LabelTable())
+    not_1_bounded = SystemNet.build(
+        ["i", "q", "o"], [("t1", "A", ["i"], ["q"]), ("t2", "B", ["q"], ["q", "o"])],
+        LabelTable())
+    silent_final_loop = SystemNet.build(
+        ["i", "o"], [("t1", "A", ["i"], ["o"]), ("loop", None, ["o"], ["o"])],
+        LabelTable(), initial="i", final="o")
+    no_final = SystemNet.build(
+        ["i", "p", "o"], [("t1", "A", ["i"], ["p"]), ("t2", "B", ["p"], ["i"])],
+        LabelTable(), initial="i", final="o")
+    stuck = SystemNet.build(
+        ["i", "p", "o"], [("t1", "A", ["i"], ["p"])], LabelTable(), initial="i", final="o")
+    expected = {
+        "tau cycle": "tau cycle or dead end",
+        "dead end": "tau cycle or dead end",
+        "not 1-bounded": "exceeds one token",
+        "silent final loop": "tau cycle through final markings",
+        "no final": "no final marking survives reduction",
+        "stuck": "initial marking has no behavior",
+    }
+    nets = {"tau cycle": tau_cycle, "dead end": dead_end, "not 1-bounded": not_1_bounded,
+            "silent final loop": silent_final_loop, "no final": no_final, "stuck": stuck}
+    for what, net in nets.items():
+        assert_graph_code_exact(net, what)
+        try:
+            remove_tau(build_rg(net))
+        except LogAlignError as exc:
+            assert expected[what] in str(exc), what
+        else:
+            raise AssertionError("%s did not fail" % what)
+
+
+def test_build_rg_exact_at_the_cap():
+    for net in (loan_net(), parallel_tasks_net(["T%d" % i for i in range(8)])):
+        size = len(build_rg(net).markings)
+        for cap in (size, size - 1, 1):
+            assert_same_outcome(outcome(build_rg, net, cap=cap),
+                                outcome(reference_build_rg, net, cap=cap), "cap %d" % cap)
+        assert outcome(build_rg, net, cap=size)[1] is None
+        assert outcome(build_rg, net, cap=size - 1)[1] == (
+            StateSpaceCapError, "marking cap %d exceeded" % (size - 1))
+
+
+def hand_graph(n, rows, finals):
+    """A raw graph over markings 0..n-1 (0 initial) with the arcs ``rows`` of
+    (source, label or None for silent, target), each by its own transition."""
+    net = SystemNet.build(["i", "o"], [("t%d" % k, label, ["i"], ["o"])
+                                       for k, (_, label, _) in enumerate(rows)], LabelTable())
+    arcs = tuple(Arc(src, TAU if label is None else net.table.lookup(label), (), tgt, k)
+                 for k, (src, label, tgt) in enumerate(rows))
+    return ReachabilityGraph(net, tuple(1 << mid for mid in range(n)), 0, frozenset(finals), arcs)
+
+
+def arcs_by_name(rg):
+    return sorted((rg.markings[a.src].bit_length() - 1, rg.net.table.text(a.label),
+                   rg.markings[a.tgt].bit_length() - 1) for a in rg.arcs)
+
+
+def test_transient_fold_prefers_a_survivor_that_is_not_transient():
+    # 2 and 3 only exit silently into 4; after forward replacement 2, 3 and
+    # 4 all read {A->1, L->2}.  2 has a self-loop and stays; 3 folds into
+    # 4, which is not transient, rather than into the lower-numbered 2
+    rows = [(0, "X", 2), (0, "Y", 3), (0, "Z", 4), (2, None, 4), (3, None, 4),
+            (4, "A", 1), (4, "L", 2)]
+    rg = hand_graph(5, rows, {1})
+    reduced = remove_tau(rg)
+    assert arcs_by_name(reduced) == [(0, "X", 2), (0, "Y", 4), (0, "Z", 4), (2, "A", 1),
+                                     (2, "L", 2), (4, "A", 1), (4, "L", 2)]
+    assert_same_outcome((reduced, None), outcome(reference_reduce, rg, False), "plain")
+
+
+def test_transient_fold_revisits_a_candidate_that_gains_a_match():
+    # 1 reads {A->4} and has no match at first; folding 3 into 4 turns 2's
+    # arc A->3 into A->4, so 1 then folds into 2
+    rows = [(0, "X", 1), (0, "Y", 2), (1, None, 5), (5, "A", 4), (2, "A", 3),
+            (3, None, 7), (7, "B", 6), (4, "B", 6)]
+    rg = hand_graph(8, rows, {6})
+    reduced = remove_tau(rg)
+    assert arcs_by_name(reduced) == [(0, "X", 2), (0, "Y", 2), (2, "A", 4), (4, "B", 6)]
+    assert_same_outcome((reduced, None), outcome(reference_reduce, rg, False), "plain")

@@ -7,7 +7,7 @@ from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
 from logalign.reachability import build_rg, remove_tau
 from logalign.recompose import (EXTENDED_LABEL_CONFLICT, SComponentAligner, hybrid_select,
-                                replays_on_model)
+                                replays_on_model, visible_run_realizable)
 from logalign.sampledata import loan_pair
 
 from gen import random_log, random_workflow_net
@@ -232,3 +232,24 @@ def test_projected_alignment_cache_reuse():
         assert outcome.alignment.cost == 0
     # both interleavings project to the same per-component traces
     assert len(aligner._proj_cache) == len(aligner.components)
+
+
+def test_lane_owners_follow_the_alphabets():
+    for net in (loan_pair()[0], random_workflow_net(5, max_visible=10)):
+        log = make_log([()], net.table)
+        aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+        alphabets = [comp.alphabet for comp, _, _ in aligner.components]
+        labels = {label for alphabet in alphabets for label in alphabet}
+        assert set(aligner.owners) == labels
+        for label in labels:
+            assert aligner.owners[label] == tuple(
+                i for i, alphabet in enumerate(alphabets) if label in alphabet)
+
+
+def test_visible_run_realizable_builds_its_tables_once_per_net():
+    net, _ = loan_pair()
+    run = ids(net, "BDACEG")
+    assert visible_run_realizable(net, run)
+    assert not visible_run_realizable(net, ids(net, "BDACG"))
+    net.transitions = ()  # rebuilt tables would hold no transition at all
+    assert visible_run_realizable(net, run)
