@@ -10,7 +10,6 @@ from logalign.sampledata import loan_pair
 
 net, log = loan_pair()
 rg = remove_tau(build_rg(net))
-dafsa = build_dafsa(log)
 
 
 def pretty(alignment):
@@ -21,15 +20,15 @@ def pretty(alignment):
 
 print("One optimal alignment per trace (deterministic across runs):")
 for trace in log.traces:
-    alignment = align_one_optimal(trace.labels, dafsa, rg)
+    alignment = align_one_optimal(trace.labels, rg)
     oracle_cost, _ = brute_force_optimal_cost(trace.labels, rg)
     assert alignment.cost == oracle_cost
     print("   %-22s cost %d   %s"
           % (",".join(log.texts(trace)), alignment.cost, pretty(alignment)))
 
 print("\nEvery optimal alignment of B,D,C,E,G (the missing A can be replayed")
-print("at four different points):")
-psp = align_all_optimal(log, dafsa, rg)
+print("at four different points), computed over the log's DAFSA:")
+psp = align_all_optimal(log, build_dafsa(log), rg)
 trace = next(t.labels for t in log.traces if log.texts(t) == tuple("BDCEG"))
 for alignment in psp.alignments_for(trace):
     print("   %s" % pretty(alignment))

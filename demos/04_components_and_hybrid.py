@@ -25,7 +25,8 @@ for comp in decomposition.components:
     print("   component %d alphabet: %s" % (comp.index,
           ",".join(sorted(net.table.text(l) for l in comp.alphabet))))
 
-aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+# built from the net alone, the aligner takes any trace over its labels
+aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
 sym = {OP_MATCH: "m", OP_LHIDE: "l", OP_RHIDE: "r"}
 trace = next(t.labels for t in log.traces if log.texts(t) == tuple("BDAEFG"))
 outcome = aligner.align_trace(trace)
@@ -44,8 +45,7 @@ merge_net = SystemNet.build(
      ("t_C", "C", ["p"], ["o"])],
     table)
 bad_trace = tuple(table.lookup(x) for x in "CAB")
-merge_log = make_log([bad_trace], table)
-outcome = SComponentAligner(merge_net, merge_log,
+outcome = SComponentAligner(merge_net,
                             full_rg=remove_tau(build_rg(merge_net))).align_trace(bad_trace)
 print("\nTrace C,A,B on the A||B-then-C net recomposes at cost %d"
       % outcome.alignment.cost)
@@ -62,7 +62,7 @@ parallel8 = SystemNet.build(
     ["i"] + ["a%d" % k for k in range(8)] + ["b%d" % k for k in range(8)] + ["o"],
     rows, big_table)
 rg8 = remove_tau(build_rg(parallel8))
-aligner8 = SComponentAligner(parallel8, make_log([], big_table), full_rg=rg8)
+aligner8 = SComponentAligner(parallel8, full_rg=rg8)
 choice, info = hybrid_select(rg8, aligner8.component_rgs())
 print("\nEight parallel tasks: monolithic graph size %d vs %d summed over"
       % (info["rg_size"], info["component_rg_total"]))

@@ -1,9 +1,11 @@
 """Conformance checking between event logs and workflow nets.
 
 The library aligns each log trace against a Petri-net process model with
-minimal cost, either monolithically (log DAFSA versus the model's tau-free
-reachability graph, searched with A*) or by decomposing the model into
-concurrency-free S-components, aligning projections, and recomposing.
+minimal cost, either monolithically (each trace against the model's
+tau-free reachability graph, searched with A*) or by decomposing the model
+into concurrency-free S-components, aligning projections, and recomposing.
+Every optimal alignment of a whole log is computed over its DAFSA, which
+lets traces share the work on common prefixes and suffixes.
 """
 
 from .align import (Alignment, MemoTables, Move, Psp, align_all_optimal,

@@ -1,11 +1,11 @@
-"""Optimal alignments between a DAFSA and a tau-free reachability graph.
+"""Optimal alignments between log traces and a tau-free reachability graph.
 
-Three synchronization operations relate the two automata: ``match`` takes a
-DAFSA arc and a graph arc with the same label, ``lhide`` takes only a DAFSA
-arc (an event the model cannot mirror) and ``rhide`` takes only a graph arc
-(a task the log is missing).  The cost of an alignment is the number of
-hide operations on visible labels; on a tau-free graph that is simply the
-number of hides.
+Three synchronization operations relate a trace to the graph: ``match``
+takes the next trace event and a graph arc with the same label, ``lhide``
+takes only the event (one the model cannot mirror) and ``rhide`` takes only
+a graph arc (a task the log is missing).  The cost of an alignment is the
+number of hide operations on visible labels; on a tau-free graph that is
+simply the number of hides.
 
 ``align_one_optimal`` runs an A* search that returns a single cheapest
 proper alignment and breaks ties deterministically: lowest estimated total
@@ -14,11 +14,13 @@ match > rhide > lhide of the last move, then the lexicographic order of its
 label, and finally the full move sequence.
 
 ``align_all_optimal`` computes every cost-minimal proper alignment of each
-trace with a bounded forward/backward shortest-distance sweep over search
-states, keeping exactly the moves on some cheapest path.  Given memo tables,
-it seeds both sweeps with partial results recorded at shared trace prefixes
-and suffixes; the sweeps stay exact, so memoization can speed the search up
-but never changes the optima.
+trace of a log DAFSA with a bounded forward/backward shortest-distance sweep
+over search states, keeping exactly the moves on some cheapest path.  Given
+memo tables, it seeds both sweeps with partial results recorded at the
+DAFSA's shared prefixes and suffixes; the sweeps stay exact, so memoization
+can speed the search up but never changes the optima.  The PSP collecting
+the results keys its nodes on DAFSA states; it is the only consumer of the
+log automaton.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ class Move(NamedTuple):
     op: int
     label: int
     trail: tuple[int, ...]
-    dafsa_src: Optional[int]
-    dafsa_tgt: Optional[int]
     rg_src: Optional[int]
     rg_tgt: Optional[int]
 
@@ -127,9 +127,7 @@ class _Node:
         else:
             self.length = parent.length + 1
             self.key = (move.op, lrank,
-                        -1 if move.rg_tgt is None else move.rg_tgt,
-                        -1 if move.dafsa_tgt is None else move.dafsa_tgt,
-                        move.trail)
+                        -1 if move.rg_tgt is None else move.rg_tgt, move.trail)
 
     def chain(self):
         keys = []
@@ -183,22 +181,19 @@ def _remaining_counts(trace) -> list[dict[int, int]]:
     return rem
 
 
-def _successors(trace, dpath, rg, pos, mid):
+def _successors(trace, rg, pos, mid):
     """Deterministically ordered (move, npos, nmid, weight) expansions."""
     out = []
     if pos < len(trace):
         label = trace[pos]
-        d_src, d_tgt = dpath[pos], dpath[pos + 1]
         for k in rg.out[mid]:
             a = rg.arcs[k]
             if a.label == label:
-                out.append((Move(OP_MATCH, label, a.trail, d_src, d_tgt, a.src, a.tgt),
-                            pos + 1, a.tgt, 0))
-        out.append((Move(OP_LHIDE, label, (), d_src, d_tgt, None, None), pos + 1, mid, 1))
+                out.append((Move(OP_MATCH, label, a.trail, a.src, a.tgt), pos + 1, a.tgt, 0))
+        out.append((Move(OP_LHIDE, label, (), None, None), pos + 1, mid, 1))
     for k in rg.out[mid]:
         a = rg.arcs[k]
-        out.append((Move(OP_RHIDE, a.label, a.trail, None, None, a.src, a.tgt),
-                    pos, a.tgt, 1))
+        out.append((Move(OP_RHIDE, a.label, a.trail, a.src, a.tgt), pos, a.tgt, 1))
     return out
 
 
@@ -228,13 +223,12 @@ class _Budget:
 # one optimal alignment (deterministic A*)
 
 
-def align_one_optimal(trace, dafsa: Dafsa, rg: ReachabilityGraph, *,
+def align_one_optimal(trace, rg: ReachabilityGraph, *,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       deadline: Optional[float] = None,
                       stats: Optional[dict] = None) -> Alignment:
-    """Single cheapest proper alignment of a trace accepted by the DAFSA."""
+    """Single cheapest proper alignment of a trace against the graph."""
     trace = tuple(trace)
-    dpath = _dafsa_path(trace, dafsa)
     ftable = _future_table(rg)
     rem = _remaining_counts(trace)
     rank = rg.net.table.rank()
@@ -271,7 +265,7 @@ def align_one_optimal(trace, dafsa: Dafsa, rg: ReachabilityGraph, *,
                 stats["pops"] = pops
                 stats["max_rho_popped"] = max_rho
             return make_alignment(node.moves())
-        for move, npos, nmid, w in _successors(trace, dpath, rg, node.pos, node.mid):
+        for move, npos, nmid, w in _successors(trace, rg, node.pos, node.mid):
             ng = node.g + w
             nkey = (npos, nmid)
             prior = settled.get(nkey)
@@ -387,7 +381,7 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
         if key in goals:
             bound = min(bound, g)
             continue
-        for move, npos, nmid, w in _successors(trace, dpath, rg, key[0], key[1]):
+        for move, npos, nmid, w in _successors(trace, rg, key[0], key[1]):
             push_fwd((npos, nmid), g + w)
 
     cstar = min((dist[k] for k in goals if k in dist), default=None)
@@ -429,7 +423,7 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
         if key in goals or dist[key] + db.get(key, _INF) != cstar:
             continue
         nexts = []
-        for move, npos, nmid, w in _successors(trace, dpath, rg, key[0], key[1]):
+        for move, npos, nmid, w in _successors(trace, rg, key[0], key[1]):
             nkey = (npos, nmid)
             if dist[key] + w + db.get(nkey, _INF) == cstar:
                 nexts.append((move, nkey))

@@ -5,8 +5,8 @@ first laid out as a prefix trie, then traces are paired greedily by their
 longest shareable common suffix and each pair's suffix chains are folded
 together (including the state the suffix is read from, when that is safe).
 The result is deterministic, acyclic, accepts exactly the distinct traces,
-and exposes the shared-prefix and shared-suffix states that alignment
-memoization anchors on.
+and exposes the shared-prefix and shared-suffix states that the memoization
+of the all-optimal sweeps anchors on.
 """
 
 from __future__ import annotations
@@ -24,26 +24,23 @@ class Dafsa:
     out: tuple[dict[int, int], ...]  # per state: label id -> target state
     finals: frozenset[int]
     initial: int = 0
-    arcs: tuple[tuple[int, int, int], ...] = ()
-    in_degree: tuple[int, ...] = ()
-    out_degree: tuple[int, ...] = ()
-    _rank: dict = field(default_factory=dict, repr=False)
+    # derived from ``out``: arcs in label order per state, and state degrees
+    arcs: tuple[tuple[int, int, int], ...] = field(init=False)
+    in_degree: tuple[int, ...] = field(init=False)
+    out_degree: tuple[int, ...] = field(init=False)
+    _rank: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.arcs:
-            self._rank = self.table.rank()
-            arcs = []
-            for src, row in enumerate(self.out):
-                for label, tgt in sorted(row.items(), key=lambda it: self._rank[it[0]]):
-                    arcs.append((src, label, tgt))
-            self.arcs = tuple(arcs)
-            indeg = [0] * len(self.out)
-            outdeg = [0] * len(self.out)
-            for src, _, tgt in arcs:
-                outdeg[src] += 1
-                indeg[tgt] += 1
-            self.in_degree = tuple(indeg)
-            self.out_degree = tuple(outdeg)
+        self._rank = self.table.rank()
+        self.arcs = tuple((src, label, tgt) for src, row in enumerate(self.out)
+                          for label, tgt in sorted(row.items(), key=lambda it: self._rank[it[0]]))
+        indeg = [0] * len(self.out)
+        outdeg = [0] * len(self.out)
+        for src, _, tgt in self.arcs:
+            outdeg[src] += 1
+            indeg[tgt] += 1
+        self.in_degree = tuple(indeg)
+        self.out_degree = tuple(outdeg)
 
     def __len__(self) -> int:
         return len(self.out)

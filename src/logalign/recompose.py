@@ -1,8 +1,9 @@
 """Divide-and-conquer alignment along S-components and its recomposition.
 
 Each trace is projected onto every component's alphabet and aligned against
-that component's (extended-label, tau-free) reachability graph.  The
-projected alignments are then replayed in parallel over the original trace:
+that component's (extended-label, tau-free) reachability graph.  No log
+automaton is involved, so the aligner takes any trace over the net's labels.
+The projected alignments are then replayed in parallel over the original trace:
 a log event composes when every component owning its label proposes the
 same operation for it, and components catch up beforehand through jointly
 agreed model skips.  Disagreements (on order, on operation, or on the tau
@@ -20,10 +21,9 @@ from typing import Optional
 
 from .align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment,
                     Move, align_one_optimal, make_alignment)
-from .dafsa import build_dafsa
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import SComponentDecomposition, decompose
-from .logs import TAU, EventLog, project_log
+from .logs import TAU
 from .reachability import ReachabilityGraph, build_rg, remove_tau_extended
 
 ORDER_CONFLICT = "order-conflict"
@@ -54,38 +54,32 @@ class _Lane:
 
 
 class SComponentAligner:
-    """Aligns traces of one log against one net through its S-components.
+    """Aligns traces against one net through its S-components.
 
     ``full_rg`` is the net's tau-free monolithic graph, which conflicting
     traces fall back to, or the StateSpaceCapError that stopped its build;
     in that case only the conflicting traces fail.
     """
 
-    def __init__(self, net, log: EventLog, decomposition: Optional[SComponentDecomposition] = None,
+    def __init__(self, net, decomposition: Optional[SComponentDecomposition] = None,
                  *, full_rg: ReachabilityGraph | StateSpaceCapError,
                  node_budget: int = DEFAULT_NODE_BUDGET):
         self.net = net
-        self.log = log
         self.decomposition = decomposition if decomposition is not None else decompose(net)
         self.node_budget = node_budget
         self.full_rg = full_rg
         self.rank = net.table.rank()
-        self.global_dafsa = build_dafsa(log)
-        self.components = []
-        for comp in self.decomposition.components:
-            rg = remove_tau_extended(build_rg(comp.net))
-            projected = project_log(log, comp.alphabet)
-            dafsa = build_dafsa(projected)
-            self.components.append((comp, rg, dafsa))
+        self.components = [(comp, remove_tau_extended(build_rg(comp.net)))
+                           for comp in self.decomposition.components]
         # label -> indices of the lanes whose alphabet holds it, ascending
         self.owners: dict[int, tuple[int, ...]] = {}
-        for idx, (comp, _, _) in enumerate(self.components):
+        for idx, (comp, _) in enumerate(self.components):
             for label in comp.alphabet:
                 self.owners[label] = self.owners.get(label, ()) + (idx,)
         self._proj_cache: dict = {}
 
     def component_rgs(self) -> list[ReachabilityGraph]:
-        return [rg for _, rg, _ in self.components]
+        return [rg for _, rg in self.components]
 
     # -- per-component projected alignments ------------------------------
 
@@ -94,8 +88,8 @@ class SComponentAligner:
         hit = self._proj_cache.get(key)
         if hit is not None:
             return hit
-        comp, rg, dafsa = self.components[idx]
-        alignment = align_one_optimal(projected, dafsa, rg,
+        comp, rg = self.components[idx]
+        alignment = align_one_optimal(projected, rg=rg,
                                       node_budget=self.node_budget, deadline=deadline)
         moves = tuple(
             (m.op, m.label, tuple(comp.transition_ids[x] for x in m.trail), m.rg_tgt)
@@ -109,7 +103,7 @@ class SComponentAligner:
         trace = tuple(trace)
         try:
             lanes = []
-            for idx, (comp, rg, dafsa) in enumerate(self.components):
+            for idx, (comp, _) in enumerate(self.components):
                 projected = tuple(l for l in trace if l in comp.alphabet)
                 lanes.append(_Lane(self._lane_moves(idx, projected, deadline)))
         except SearchBudgetError as exc:
@@ -128,7 +122,7 @@ class SComponentAligner:
         if isinstance(self.full_rg, StateSpaceCapError):
             return RecompositionOutcome(trace, None, conflict, True, str(self.full_rg))
         try:
-            alignment = align_one_optimal(trace, self.global_dafsa, self.full_rg,
+            alignment = align_one_optimal(trace, rg=self.full_rg,
                                           node_budget=self.node_budget, deadline=deadline)
         except LogAlignError as exc:
             # the search may run out of budget; only this trace fails
@@ -136,7 +130,6 @@ class SComponentAligner:
         return RecompositionOutcome(trace, alignment, conflict, True)
 
     def _replay(self, trace, lanes):
-        gpath = self.global_dafsa.walk(trace)
         composed: list[Move] = []
         for pos_c in range(len(trace) + 1):
             label = trace[pos_c] if pos_c < len(trace) else None
@@ -150,18 +143,14 @@ class SComponentAligner:
             if any(n is None or n[1] != label for n in nexts):
                 return None, OPERATION_CONFLICT
             ops = {n[0] for n in nexts}
-            d_src = gpath[pos_c] if gpath else None
-            d_tgt = gpath[pos_c + 1] if gpath else None
-            if not owners:
-                # the model knows nothing about this event; log-only move
-                composed.append(Move(OP_LHIDE, label, (), d_src, d_tgt, None, None))
-            elif ops == {OP_LHIDE}:
-                composed.append(Move(OP_LHIDE, label, (), d_src, d_tgt, None, None))
+            if not owners or ops == {OP_LHIDE}:
+                # log-only move; with no owner the model knows nothing of the event
+                composed.append(Move(OP_LHIDE, label, (), None, None))
             elif ops == {OP_MATCH}:
                 trails = {n[2] for n in nexts}
                 if len(trails) > 1:
                     return None, EXTENDED_LABEL_CONFLICT
-                composed.append(Move(OP_MATCH, label, trails.pop(), d_src, d_tgt, None, None))
+                composed.append(Move(OP_MATCH, label, trails.pop(), None, None))
             else:
                 return None, OPERATION_CONFLICT
             for i in owners:
@@ -199,7 +188,7 @@ class SComponentAligner:
                         return EXTENDED_LABEL_CONFLICT
                 return ORDER_CONFLICT
             x, trail, members = chosen
-            composed.append(Move(OP_RHIDE, x, trail, None, None, None, None))
+            composed.append(Move(OP_RHIDE, x, trail, None, None))
             for i in members:
                 lanes[i].pos += 1
 

@@ -4,7 +4,10 @@ The pipeline parses nothing itself; it takes an already built net and log
 sharing one label table and produces a machine-readable report:
 
     parse -> validate -> build graph -> remove tau -> (decompose?)
-          -> choose strategy -> build DAFSA(s) -> align -> report
+          -> choose strategy -> (build DAFSA?) -> align -> report
+
+Only the all-optimal sweeps read the log DAFSA, so it is built only for
+``all_optimal`` runs (and for ``dafsa.dot`` when dot files are asked for).
 
 Per-trace fitness is 1 - cost / (|trace| + minModelSkips), clamped to
 [0, 1]; minModelSkips is the length of the shortest visible model run, so
@@ -107,7 +110,7 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
     decomposition_error = None
     if config.strategy in ("auto", "scomponent") and vreport.decomposable:
         try:
-            aligner = SComponentAligner(net, log, node_budget=config.node_budget,
+            aligner = SComponentAligner(net, node_budget=config.node_budget,
                                         full_rg=rg if rg is not None else cap_error)
         except LogAlignError as exc:  # decomposition or component reduction failed
             decomposition_error = str(exc)
@@ -140,10 +143,7 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         skips = None
 
     t = time.perf_counter()
-    if chosen == "monolithic":
-        dafsa = build_dafsa(log)
-    else:
-        dafsa = aligner.global_dafsa  # already built for the fallback route
+    dafsa = build_dafsa(log) if chosen == "monolithic" and config.all_optimal else None
     t = mark("build_dafsa", t)
 
     results, timed_out = _align_all_traces(log, dafsa, rg, aligner, chosen, config,
@@ -162,13 +162,14 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
 
 def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
     """One result per distinct trace, aligned in log order, and whether the
-    global deadline cut the run short.
+    global deadline cut the run short.  ``dafsa`` is the log's automaton on
+    all-optimal runs and None otherwise.
 
     Each trace's search gets the earlier of its own timeout and the global
     deadline.  Once the global deadline has passed, the remaining traces are
     not attempted and are marked ``"global timeout"``.
     """
-    all_optimal = chosen == "monolithic" and config.all_optimal
+    all_optimal = dafsa is not None
     memo = MemoTables() if all_optimal else None
 
     def align(labels, deadline):
@@ -184,7 +185,7 @@ def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
             return entry
         if chosen == "monolithic":
             try:
-                alignment = align_one_optimal(labels, dafsa, rg, node_budget=config.node_budget,
+                alignment = align_one_optimal(labels, rg=rg, node_budget=config.node_budget,
                                               deadline=deadline)
             except SearchBudgetError as exc:
                 return {"cost": None, "error": str(exc)}
@@ -301,9 +302,9 @@ def _write_dots(net, log, rg, aligner, dafsa, dot_dir):
             fh.write(text)
 
     put("net.dot", net_to_dot(net))
-    put("dafsa.dot", dafsa_to_dot(dafsa))
+    put("dafsa.dot", dafsa_to_dot(dafsa if dafsa is not None else build_dafsa(log)))
     if rg is not None:
         put("rg.dot", rg_to_dot(rg))
     if aligner is not None:
-        for comp, comp_rg, _ in aligner.components:
+        for comp, comp_rg in aligner.components:
             put("component_%d.dot" % comp.index, rg_to_dot(comp_rg))

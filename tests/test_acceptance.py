@@ -66,9 +66,8 @@ def instance_corpus():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=3, max_trace_len=10)
-        dafsa = build_dafsa(log)
         for trace in log.traces:
-            corpus.append((net, rg, dafsa, log, trace.labels))
+            corpus.append((net, rg, trace.labels))
             if len(corpus) >= 510:
                 break
     assert len(corpus) >= 500
@@ -110,7 +109,7 @@ def test_c03_one_optimal_deterministic(loan, tmp_path):
                     (OP_RHIDE, "A"), (OP_MATCH, "E"), (OP_MATCH, "G")]
     serialized = set()
     for _ in range(10):
-        alignment = align_one_optimal(trace, dafsa, rg)
+        alignment = align_one_optimal(trace, rg)
         got = [(m.op, net.table.text(m.label)) for m in alignment.moves]
         assert got == expected_ops
         assert alignment.cost == 1
@@ -142,9 +141,9 @@ def test_c04_all_optimal(loan):
 @criterion(5, "oracle equivalence on 500+ random instances")
 def test_c05_oracle_equivalence(instance_corpus, record_admissibility):
     start = time.perf_counter()
-    for net, rg, dafsa, log, trace in instance_corpus:
+    for net, rg, trace in instance_corpus:
         stats = {}
-        alignment = align_one_optimal(trace, dafsa, rg, stats=stats)
+        alignment = align_one_optimal(trace, rg, stats=stats)
         cost, _ = brute_force_optimal_cost(trace, rg)
         assert alignment.cost == cost
         record_admissibility.append((stats["max_rho_popped"], alignment.cost))
@@ -230,9 +229,9 @@ def test_c07_decomposition(loan):
 def test_c08_recomposition_propriety(instance_corpus):
     aligners = {}
     routed = 0
-    for net, rg, dafsa, log, trace in instance_corpus:
+    for net, rg, trace in instance_corpus:
         if id(net) not in aligners:
-            aligners[id(net)] = SComponentAligner(net, log, full_rg=rg)
+            aligners[id(net)] = SComponentAligner(net, full_rg=rg)
         outcome = aligners[id(net)].align_trace(trace)
         if outcome.alignment is None or outcome.fallback_used:
             continue
@@ -245,8 +244,7 @@ def test_c08_recomposition_propriety(instance_corpus):
 def test_c09_known_cases():
     net = parallel_merge_net()
     trace = tuple(net.table.lookup(x) for x in "CAB")
-    aligner = SComponentAligner(net, make_log([trace], net.table),
-                                full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(trace)
     rg = remove_tau(build_rg(net))
     assert outcome.conflict is None and not outcome.fallback_used
@@ -256,8 +254,7 @@ def test_c09_known_cases():
 
     net2 = skippable_parallel_net()
     trace2 = tuple(net2.table.lookup(x) for x in "ABD")
-    aligner2 = SComponentAligner(net2, make_log([trace2], net2.table),
-                                 full_rg=remove_tau(build_rg(net2)))
+    aligner2 = SComponentAligner(net2, full_rg=remove_tau(build_rg(net2)))
     outcome2 = aligner2.align_trace(trace2)
     rg2 = remove_tau(build_rg(net2))
     assert outcome2.conflict == EXTENDED_LABEL_CONFLICT
@@ -270,12 +267,12 @@ def test_c09_known_cases():
 def test_c10_over_approximation_bound(instance_corpus):
     aligners = {}
     routed = 0
-    for net, rg, dafsa, log, trace in instance_corpus:
+    for net, rg, trace in instance_corpus:
         if routed >= 200:
             break
         if id(net) not in aligners:
             decomposition = decompose(net)
-            aligners[id(net)] = (SComponentAligner(net, log, decomposition, full_rg=rg),
+            aligners[id(net)] = (SComponentAligner(net, decomposition, full_rg=rg),
                                  decomposition)
         aligner, decomposition = aligners[id(net)]
         outcome = aligner.align_trace(trace)
@@ -299,14 +296,14 @@ def test_c11_hybrid(loan):
     par_net = parallel_tasks_net(["T%d" % i for i in range(8)])
     par_rg = remove_tau(build_rg(par_net))
     par_log = random_log(par_net, random.Random(4), n_traces=1000, max_trace_len=12)
-    par_aligner = SComponentAligner(par_net, par_log, full_rg=par_rg)
+    par_aligner = SComponentAligner(par_net, full_rg=par_rg)
     choice, info = hybrid_select(par_rg, par_aligner.component_rgs())
     assert choice == "s-component"
     assert info["rg_size"] > 2 ** 8
 
     seq_net = sequence_net(["A", "B", "C"])
     seq_rg = remove_tau(build_rg(seq_net))
-    seq_aligner = SComponentAligner(seq_net, make_log([], seq_net.table), full_rg=seq_rg)
+    seq_aligner = SComponentAligner(seq_net, full_rg=seq_rg)
     assert hybrid_select(seq_rg, seq_aligner.component_rgs())[0] == "monolithic"
 
     # directional wall-clock check on the 8-parallel net with 1000 traces

@@ -34,7 +34,7 @@ def ids(net, word):
 
 
 def test_alignment_cost_function():
-    mk = lambda op, label: Move(op, label, (), None, None, None, None)
+    mk = lambda op, label: Move(op, label, (), None, None)
     assert alignment_cost([mk(OP_MATCH, 1)] * 6) == 0
     assert alignment_cost([mk(OP_MATCH, 1), mk(OP_RHIDE, 2)]) == 1
     assert alignment_cost([mk(OP_RHIDE, 1), mk(OP_RHIDE, 2), mk(OP_MATCH, 3),
@@ -45,7 +45,7 @@ def test_alignment_cost_function():
 
 def test_one_optimal_running_example_selected_alignment():
     net, log, rg, dafsa = loan_setup()
-    alignment = align_one_optimal(ids(net, "BDCEG"), dafsa, rg)
+    alignment = align_one_optimal(ids(net, "BDCEG"), rg)
     assert alignment.cost == 1
     assert moves_as_text(net, alignment) == ["m(B)", "m(D)", "m(C)", "r(A)", "m(E)", "m(G)"]
     assert is_proper(alignment, ids(net, "BDCEG"), rg)
@@ -55,14 +55,14 @@ def test_one_optimal_is_deterministic_across_runs():
     outputs = set()
     for _ in range(10):
         net, log, rg, dafsa = loan_setup()
-        alignment = align_one_optimal(ids(net, "BDCEG"), dafsa, rg)
+        alignment = align_one_optimal(ids(net, "BDCEG"), rg)
         outputs.add(tuple(moves_as_text(net, alignment)))
     assert len(outputs) == 1
 
 
 def test_one_optimal_second_running_trace():
     net, log, rg, dafsa = loan_setup()
-    alignment = align_one_optimal(ids(net, "BDAEFG"), dafsa, rg)
+    alignment = align_one_optimal(ids(net, "BDAEFG"), rg)
     assert moves_as_text(net, alignment) == \
         ["m(B)", "m(D)", "m(A)", "r(C)", "m(E)", "m(F)", "l(G)"]
     assert alignment.cost == 2
@@ -71,9 +71,7 @@ def test_one_optimal_second_running_trace():
 def test_one_optimal_empty_trace_all_rhide():
     net = parallel_merge_net()
     rg = remove_tau(build_rg(net))
-    log = make_log([()], net.table)
-    dafsa = build_dafsa(log)
-    alignment = align_one_optimal((), dafsa, rg)
+    alignment = align_one_optimal((), rg)
     assert all(m.op == OP_RHIDE for m in alignment.moves)
     assert alignment.cost == rg.min_visible_skips() == 3
     assert is_proper(alignment, (), rg)
@@ -172,10 +170,9 @@ def test_one_optimal_cost_equals_oracle_and_heuristic_admissible():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=3, max_trace_len=8)
-        dafsa = build_dafsa(log)
         for trace in log.traces:
             stats = {}
-            alignment = align_one_optimal(trace.labels, dafsa, rg, stats=stats)
+            alignment = align_one_optimal(trace.labels, rg, stats=stats)
             cost, _ = brute_force_optimal_cost(trace.labels, rg)
             assert alignment.cost == cost, "seed %d" % seed
             assert is_proper(alignment, trace.labels, rg)
@@ -187,7 +184,7 @@ def test_selected_alignment_maximizes_matches():
     net, log, rg, dafsa = loan_setup()
     psp = align_all_optimal(log, dafsa, rg)
     for trace in log.traces:
-        sel = align_one_optimal(trace.labels, dafsa, rg)
+        sel = align_one_optimal(trace.labels, rg)
         optima = psp.alignments_for(trace.labels)
         assert sel in optima
         best_matches = max(sum(1 for m in al.moves if m.op == OP_MATCH) for al in optima)
@@ -230,7 +227,7 @@ def test_search_budget_error():
     from logalign.errors import SearchBudgetError
 
     with _pytest.raises(SearchBudgetError):
-        align_one_optimal(trace, dafsa, rg, node_budget=3)
+        align_one_optimal(trace, rg, node_budget=3)
 
 
 def test_empty_trace_on_skippable_model():
@@ -248,7 +245,7 @@ def test_empty_trace_on_skippable_model():
     assert rg.m0 in rg.finals
     log = make_log([()], table)
     dafsa = build_dafsa(log)
-    alignment = align_one_optimal((), dafsa, rg)
+    alignment = align_one_optimal((), rg)
     assert alignment.cost == 0 and alignment.moves == ()
     psp = align_all_optimal(log, dafsa, rg)
     assert psp.cost(()) == 0
@@ -272,10 +269,7 @@ def reference_chain(node):
     keys = []
     while node.parent is not None:
         m = node.move
-        keys.append((m.op, node.lrank,
-                     -1 if m.rg_tgt is None else m.rg_tgt,
-                     -1 if m.dafsa_tgt is None else m.dafsa_tgt,
-                     m.trail))
+        keys.append((m.op, node.lrank, -1 if m.rg_tgt is None else m.rg_tgt, m.trail))
         node = node.parent
     keys.reverse()
     return keys
@@ -285,8 +279,8 @@ def reference_lt(a, b):
     return reference_chain(a) < reference_chain(b)
 
 
-def child(parent, op, label, rg_tgt=None, dafsa_tgt=None, trail=(), lrank=None):
-    move = Move(op, label, trail, None, dafsa_tgt, None, rg_tgt)
+def child(parent, op, label, rg_tgt=None, trail=(), lrank=None):
+    move = Move(op, label, trail, None, rg_tgt)
     return _Node(parent, move, 0, 0, 0, label if lrank is None else lrank)
 
 
@@ -299,12 +293,12 @@ def assert_same_order(nodes):
 
 def test_tie_compare_matches_chain_order_on_hand_trees():
     root = _Node(None, None, 0, 0, 0, 0)
-    s1 = child(root, OP_MATCH, 3, rg_tgt=1, dafsa_tgt=1)
+    s1 = child(root, OP_MATCH, 3, rg_tgt=1)
     s2 = child(root, OP_RHIDE, 1, rg_tgt=2)  # sibling of s1 with a larger op
-    s3 = child(root, OP_MATCH, 3, rg_tgt=1, dafsa_tgt=1)  # same move key as s1
-    s1a = child(s1, OP_LHIDE, 2, dafsa_tgt=2)  # s1 is its ancestor
-    s1b = child(s1, OP_LHIDE, 2, dafsa_tgt=2, trail=(5,))
-    s3a = child(s3, OP_LHIDE, 2, dafsa_tgt=2)  # same chain as s1a
+    s3 = child(root, OP_MATCH, 3, rg_tgt=1)  # same move key as s1
+    s1a = child(s1, OP_LHIDE, 2)  # s1 is its ancestor
+    s1b = child(s1, OP_LHIDE, 2, trail=(5,))
+    s3a = child(s3, OP_LHIDE, 2)  # same chain as s1a
     s3b = child(s3, OP_MATCH, 0, rg_tgt=4)  # equal keys at s1/s3, decided below
     s1aa = child(s1a, OP_RHIDE, 4, rg_tgt=7)
     s2a = child(s2, OP_MATCH, 1, rg_tgt=3)
@@ -338,8 +332,7 @@ def test_one_optimal_unchanged_under_chain_order(monkeypatch):
         except LogAlignError:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=10)
-        dafsa = build_dafsa(log)
-        cases.extend((trace.labels, dafsa, rg) for trace in log.traces)
+        cases.extend((trace.labels, rg) for trace in log.traces)
     assert len(cases) >= 100
     fast = [align_one_optimal(*case).moves for case in cases]
     monkeypatch.setattr(_Node, "__lt__", reference_lt)
@@ -389,7 +382,7 @@ def test_all_optimal_on_a_trace_longer_than_the_recursion_limit():
     log = make_log([trace], net.table)
     dafsa = build_dafsa(log)
     psp = align_all_optimal(log, dafsa, rg)
-    assert psp.cost(trace) == align_one_optimal(trace, dafsa, rg).cost
+    assert psp.cost(trace) == align_one_optimal(trace, rg).cost
     assert psp.count_optimal(trace) >= 1
     first, second = psp.alignments_for(trace, limit=2)
     assert first != second

@@ -122,6 +122,35 @@ def test_one_monolithic_build_per_run(monkeypatch):
     assert len(calls) == 1
 
 
+def test_log_automaton_built_only_for_all_optimal(monkeypatch):
+    # only the all-optimal sweeps read the log DAFSA; one-optimal searches,
+    # component lanes and fallbacks align the traces themselves
+    from logalign import recompose as recompose_module
+    from logalign.dafsa import build_dafsa
+
+    calls = []
+
+    def counting_build_dafsa(log):
+        calls.append(log)
+        return build_dafsa(log)
+
+    monkeypatch.setattr(report_module, "build_dafsa", counting_build_dafsa)
+    monkeypatch.setattr(recompose_module, "build_dafsa", counting_build_dafsa, raising=False)
+    net, log = loan_pair()
+    for strategy in ("auto", "scomponent", "monolithic"):
+        assert run_conformance(net, log, RunConfig(strategy=strategy)).exit_code == 0
+        assert calls == [], strategy
+    net = hidden_history_net()
+    log = make_log([tuple(net.table.lookup(x) for x in word) for word in ("ABCD", "ABD")],
+                   net.table)
+    result = run_conformance(net, log, RunConfig(strategy="scomponent"))
+    assert result.report["aggregates"]["fallbacks"] == 1
+    assert calls == []
+    result = run_conformance(net, log, RunConfig(strategy="monolithic", all_optimal=True))
+    assert result.exit_code == 0
+    assert calls == [log]
+
+
 def test_one_monolithic_build_per_capped_run(monkeypatch):
     # a build that hit the state cap is not retried for each conflicting trace
     net = hidden_history_net()
@@ -187,7 +216,7 @@ def test_all_optimal_stops_at_the_global_deadline():
 def test_global_deadline_crossed_inside_the_only_search(monkeypatch):
     # the deadline passes while the last trace is being searched: that trace
     # fails with the search's own error and the run still reports a timeout
-    def search_until_deadline(trace, dafsa, rg, *, node_budget, deadline):
+    def search_until_deadline(trace, rg, *, node_budget, deadline):
         while time.monotonic() <= deadline:
             time.sleep(0.005)
         raise SearchBudgetError("alignment search exceeded its deadline")

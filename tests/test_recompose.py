@@ -1,7 +1,6 @@
 import random
 
 from logalign.align import OP_LHIDE, OP_MATCH, OP_RHIDE, align_one_optimal
-from logalign.dafsa import build_dafsa
 from logalign.invariants import decompose
 from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
@@ -25,8 +24,8 @@ def as_text(net, alignment):
 
 
 def test_recompose_loan_trace_without_conflict():
-    net, log = loan_pair()
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    net, _ = loan_pair()
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(ids(net, "BDAEFG"))
     assert outcome.conflict is None
     assert not outcome.fallback_used
@@ -38,7 +37,7 @@ def test_recompose_loan_trace_without_conflict():
 
 def test_recompose_all_loan_traces_proper():
     net, log = loan_pair()
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     full = remove_tau(build_rg(net))
     for trace in log.traces:
         outcome = aligner.align_trace(trace.labels)
@@ -48,10 +47,37 @@ def test_recompose_all_loan_traces_proper():
         assert outcome.alignment.cost >= oracle_cost
 
 
+def test_aligner_takes_traces_it_was_never_built_with():
+    # the aligner is built from the net alone; any trace gets a proper
+    # alignment that never costs less than the optimum
+    cases = []
+    net, _ = loan_pair()
+    cases.append((net, [ids(net, "BDAEFG"), ids(net, "GFEDCBA"), ids(net, "AAB"), ()]))
+    rng = random.Random(43)
+    for seed in range(12):
+        rnet = random_workflow_net(seed, max_visible=6)
+        try:
+            remove_tau(build_rg(rnet))
+        except Exception:
+            continue
+        cases.append((rnet, [t.labels for t in
+                             random_log(rnet, rng, n_traces=4, max_trace_len=8).traces]))
+    checked = 0
+    for net, traces in cases:
+        full = remove_tau(build_rg(net))
+        aligner = SComponentAligner(net, full_rg=full)
+        for trace in traces:
+            outcome = aligner.align_trace(trace)
+            assert outcome.alignment is not None, outcome.error
+            assert replays_on_model(outcome.alignment, trace, full)
+            assert outcome.alignment.cost >= brute_force_optimal_cost(trace, full)[0]
+            checked += 1
+    assert checked >= 30
+
+
 def test_recompose_over_approximates_parallel_merge():
     net = parallel_merge_net()
-    log = make_log([ids(net, "CAB")], net.table)
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(ids(net, "CAB"))
     assert outcome.conflict is None and not outcome.fallback_used
     assert as_text(net, outcome.alignment) == ["r(A)", "r(B)", "m(C)", "l(A)", "l(B)"]
@@ -64,8 +90,7 @@ def test_recompose_over_approximates_parallel_merge():
 
 def test_recompose_extended_label_conflict_falls_back():
     net = skippable_parallel_net()
-    log = make_log([ids(net, "ABD")], net.table)
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(ids(net, "ABD"))
     assert outcome.conflict == EXTENDED_LABEL_CONFLICT
     assert outcome.fallback_used
@@ -80,17 +105,16 @@ def test_recompose_without_trails_would_be_improper():
     # which is exactly why extended labels exist
     net = skippable_parallel_net()
     rg = remove_tau(build_rg(net))
-    log = make_log([ids(net, "ABD")], net.table)
-    aligner = SComponentAligner(net, log, full_rg=rg)
+    aligner = SComponentAligner(net, full_rg=rg)
     lanes_ok = aligner.align_trace(ids(net, "ABD"))
     assert lanes_ok.fallback_used
     # m(A), m(B), m(D) does not correspond to any path of the full graph
     from logalign.align import Move, make_alignment
 
     fake = make_alignment([
-        Move(OP_MATCH, net.table.lookup("A"), (), None, None, None, None),
-        Move(OP_MATCH, net.table.lookup("B"), (), None, None, None, None),
-        Move(OP_MATCH, net.table.lookup("D"), (), None, None, None, None),
+        Move(OP_MATCH, net.table.lookup("A"), (), None, None),
+        Move(OP_MATCH, net.table.lookup("B"), (), None, None),
+        Move(OP_MATCH, net.table.lookup("D"), (), None, None),
     ])
     assert not replays_on_model(fake, ids(net, "ABD"), rg)
 
@@ -105,7 +129,7 @@ def test_recompose_random_instances_proper_and_bounded():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=8)
-        aligner = SComponentAligner(net, log, full_rg=full)
+        aligner = SComponentAligner(net, full_rg=full)
         decomposition = decompose(net)
         k = len(decomposition.components)
         for trace in log.traces:
@@ -134,7 +158,7 @@ def test_recompose_random_instances_proper_and_bounded():
 def test_hybrid_prefers_components_for_parallel_net():
     net = parallel_tasks_net(["T%d" % i for i in range(8)])
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, make_log([], net.table), full_rg=rg)
+    aligner = SComponentAligner(net, full_rg=rg)
     choice, info = hybrid_select(rg, aligner.component_rgs())
     assert choice == "s-component"
     assert info["component_rg_total"] < info["rg_size"]
@@ -144,7 +168,7 @@ def test_hybrid_prefers_components_for_parallel_net():
 def test_hybrid_prefers_monolithic_for_sequence():
     net = sequence_net(["A", "B", "C"])
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, make_log([], net.table), full_rg=rg)
+    aligner = SComponentAligner(net, full_rg=rg)
     choice, info = hybrid_select(rg, aligner.component_rgs())
     assert choice == "monolithic"
     assert info["component_rg_total"] == info["rg_size"]
@@ -163,8 +187,7 @@ def test_recompose_label_unknown_to_model_is_log_move():
     net, _ = loan_pair()
     trace = tuple(net.table.lookup(x) if net.table.lookup(x) is not None
                   else net.table.intern(x) for x in ["B", "D", "C", "ZZZ", "E", "G"])
-    log = make_log([trace], net.table)
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(trace)
     assert outcome.conflict is None
     assert not outcome.fallback_used
@@ -178,10 +201,8 @@ def test_monolithic_label_unknown_to_model():
     net, _ = loan_pair()
     trace = tuple(net.table.lookup(x) if net.table.lookup(x) is not None
                   else net.table.intern(x) for x in ["B", "D", "C", "ZZZ", "E", "G"])
-    log = make_log([trace], net.table)
     rg = remove_tau(build_rg(net))
-    dafsa = build_dafsa(log)
-    alignment = align_one_optimal(trace, dafsa, rg)
+    alignment = align_one_optimal(trace, rg)
     oracle_cost, _ = brute_force_optimal_cost(trace, rg)
     assert alignment.cost == oracle_cost == 2
 
@@ -190,8 +211,7 @@ def test_recompose_trace_with_only_foreign_labels():
     net, _ = loan_pair()
     zzz = net.table.intern("ZZZ")
     trace = (zzz,)
-    log = make_log([trace], net.table)
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     outcome = aligner.align_trace(trace)
     assert outcome.conflict is None and not outcome.fallback_used
     rg = remove_tau(build_rg(net))
@@ -211,7 +231,7 @@ def test_conflict_taxonomy_all_kinds_occur():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=9)
-        aligner = SComponentAligner(net, log, full_rg=full)
+        aligner = SComponentAligner(net, full_rg=full)
         for trace in log.traces:
             outcome = aligner.align_trace(trace.labels)
             if outcome.conflict:
@@ -226,7 +246,7 @@ def test_conflict_taxonomy_all_kinds_occur():
 def test_projected_alignment_cache_reuse():
     net = parallel_merge_net()
     log = make_log([ids(net, "ABC"), ids(net, "BAC")], net.table)
-    aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
     for trace in log.traces:
         outcome = aligner.align_trace(trace.labels)
         assert outcome.alignment.cost == 0
@@ -236,9 +256,8 @@ def test_projected_alignment_cache_reuse():
 
 def test_lane_owners_follow_the_alphabets():
     for net in (loan_pair()[0], random_workflow_net(5, max_visible=10)):
-        log = make_log([()], net.table)
-        aligner = SComponentAligner(net, log, full_rg=remove_tau(build_rg(net)))
-        alphabets = [comp.alphabet for comp, _, _ in aligner.components]
+        aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+        alphabets = [comp.alphabet for comp, _ in aligner.components]
         labels = {label for alphabet in alphabets for label in alphabet}
         assert set(aligner.owners) == labels
         for label in labels:
