@@ -73,9 +73,6 @@ class SystemNet:
     def place_consumers(self, p: int) -> tuple[int, ...]:
         return tuple(t for t in range(len(self.transitions)) if self.pre[t] >> p & 1)
 
-    def place_producers(self, p: int) -> tuple[int, ...]:
-        return tuple(t for t in range(len(self.transitions)) if self.post[t] >> p & 1)
-
     # -- construction helpers ------------------------------------------
 
     @classmethod

@@ -82,7 +82,7 @@ def test_c01_dafsa(loan):
     assert time.perf_counter() - start < 1.0
     assert language(built) == {t.labels for t in log.traces}
     assert log.total_events == 26
-    assert len(built.arcs) == 16
+    assert len(built.arcs) == 15
 
 
 @criterion(2, "tau-removal fidelity on running example")

@@ -1,7 +1,7 @@
 import random
 
 from logalign.dafsa import build_dafsa, common_affixes, language
-from logalign.logs import log_from_texts
+from logalign.logs import LabelTable, log_from_texts
 from logalign.sampledata import loan_log
 
 from gen import random_log, random_workflow_net
@@ -28,21 +28,18 @@ def brute_force_minimal_sizes(words):
     return len(classes), len(arcs)
 
 
-def trie_sizes(words):
-    prefixes = {w[:i] for w in set(words) for i in range(len(w) + 1)}
-    return len(prefixes), len(prefixes) - 1
-
-
 def test_running_example_compression():
     log = loan_log()
     dafsa = build_dafsa(log)
     assert language(dafsa) == {t.labels for t in log.traces}
-    # 26 events compressed into 16 arcs: the two shared-prefix chains of the
-    # trie plus two pairwise-folded suffix chains
+    # 26 events compressed into 15 arcs over 13 states: the shared prefixes
+    # of the trie, with every pair of states that accept the same suffixes
+    # merged, which is exactly the minimal automaton
     assert sum(t.frequency * len(t.labels) for t in log.traces) == 26
-    assert len(dafsa.arcs) == 16
-    assert len(dafsa) == 15
-    assert len(dafsa.finals) == 2
+    assert (len(dafsa), len(dafsa.arcs)) == brute_force_minimal_sizes(
+        {t.labels for t in log.traces}) == (13, 15)
+    # no loan trace is a prefix of another, so all end in the one state without arcs
+    assert len(dafsa.finals) == 1
 
 
 def test_single_trace_chain():
@@ -53,8 +50,7 @@ def test_single_trace_chain():
 
 
 def test_shared_suffix_two_traces():
-    # the C suffixes fold and so do the states they are read from, which is
-    # exactly the minimal automaton here
+    # the two C arcs merge into one, and so do the states they are read from
     log = log_from_texts([["A", "C"], ["B", "C"]])
     dafsa = build_dafsa(log)
     assert (len(dafsa), len(dafsa.arcs)) == brute_force_minimal_sizes(
@@ -77,7 +73,7 @@ def test_prefix_pair():
 
 
 def test_prefix_trace_inside_folded_suffix():
-    # one trace is a prefix of another and ends inside a foldable chain
+    # one trace is a prefix of another and ends inside a shared suffix chain
     log = log_from_texts([["A", "X", "Y"], ["A", "X", "Y", "Z"], ["B", "X", "Y"]])
     dafsa = build_dafsa(log)
     assert language(dafsa) == {t.labels for t in log.traces}
@@ -105,6 +101,34 @@ def test_common_affixes_branching_prefix():
     assert texts(log, prefixes) == {("A",)}
 
 
+def test_common_affixes_long_traces():
+    # 1,500-event traces branching at the end and at the front
+    body = ["E%d" % i for i in range(1500)]
+    log = log_from_texts([body + ["X"], body + ["Y"]])
+    prefixes, suffixes = common_affixes(build_dafsa(log))
+    assert texts(log, prefixes) == {tuple(body)} and suffixes == frozenset()
+    log = log_from_texts([["X"] + body, ["Y"] + body])
+    prefixes, suffixes = common_affixes(build_dafsa(log))
+    assert prefixes == frozenset() and texts(log, suffixes) == {tuple(body)}
+
+
+def test_common_affixes_on_random_logs():
+    # every path to a state is a prefix of some trace, every path from it a suffix
+    rng = random.Random(3)
+    for seed in range(15):
+        net = random_workflow_net(seed, max_visible=5)
+        log = random_log(net, rng, n_traces=8, max_trace_len=10)
+        dafsa = build_dafsa(log)
+        prefixes, suffixes = set(), set()
+        for word in language(dafsa):
+            for i, state in enumerate(dafsa.walk(word)):
+                if dafsa.out_degree[state] > 1 and i:
+                    prefixes.add(word[:i])
+                if dafsa.in_degree[state] > 1 and i < len(word):
+                    suffixes.add(word[i:])
+        assert common_affixes(dafsa) == (prefixes, suffixes), "seed %d" % seed
+
+
 def test_language_property_on_random_logs():
     rng = random.Random(0)
     for seed in range(30):
@@ -113,6 +137,11 @@ def test_language_property_on_random_logs():
         dafsa = build_dafsa(log)
         assert language(dafsa) == {t.labels for t in log.traces}, "seed %d" % seed
         assert len(dafsa.arcs) <= sum(len(t.labels) for t in log.traces)
+    # one 1,500-event trace next to a short one
+    log = log_from_texts([["E%d" % i for i in range(1500)], ["E0", "E1499"]])
+    dafsa = build_dafsa(log)
+    assert language(dafsa) == {t.labels for t in log.traces}
+    assert (len(dafsa), len(dafsa.arcs)) == (1501, 1501)
 
 
 def test_compression_between_minimal_and_trie():
@@ -120,12 +149,9 @@ def test_compression_between_minimal_and_trie():
     for seed in range(20):
         net = random_workflow_net(seed, max_visible=5)
         log = random_log(net, rng, n_traces=6, max_trace_len=8)
-        words = {t.labels for t in log.traces}
         dafsa = build_dafsa(log)
-        min_states, min_arcs = brute_force_minimal_sizes(words)
-        trie_states, trie_arcs = trie_sizes(words)
-        assert min_arcs <= len(dafsa.arcs) <= trie_arcs, "seed %d" % seed
-        assert min_states <= len(dafsa) <= trie_states, "seed %d" % seed
+        assert (len(dafsa), len(dafsa.arcs)) == brute_force_minimal_sizes(
+            {t.labels for t in log.traces}), "seed %d" % seed
 
 
 def test_determinism_and_degrees():
@@ -135,6 +161,25 @@ def test_determinism_and_degrees():
         labels = [l for (s, l, t) in dafsa.arcs if s == state]
         assert len(labels) == len(set(labels))
         assert dafsa.out_degree[state] == len(labels)
+
+
+def test_numbering_ignores_label_ids_and_trace_order():
+    rng = random.Random(2)
+    for seed in range(10):
+        net = random_workflow_net(seed, max_visible=5)
+        log = random_log(net, rng, n_traces=6, max_trace_len=8)
+        words = [log.texts(t) for t in log.traces]
+        # the same traces over label ids interned in the opposite order
+        table = LabelTable()
+        for text in sorted({x for w in words for x in w}, reverse=True):
+            table.intern(text)
+        other = log_from_texts(reversed(words), table)
+        shapes = []
+        for lg in (log, other):
+            dafsa = build_dafsa(lg)
+            shapes.append(([[(lg.table.text(l), t) for l, t in row.items()] for row in dafsa.out],
+                           dafsa.finals))
+        assert shapes[0] == shapes[1], "seed %d" % seed
 
 
 def test_every_state_on_an_accepting_path():
