@@ -23,8 +23,7 @@ reduced = remove_tau(rg)
 print("\nAfter silent-arc removal: %d markings, %d arcs, zero tau arcs"
       % (len(reduced.markings), len(reduced.arcs)))
 print("   initial successors are now the visible tasks directly:")
-for k in reduced.out[reduced.m0]:
-    a = reduced.arcs[k]
+for a in reduced.out[reduced.m0]:
     print("   [start] --%s--> %s" % (net.table.text(a.label), reduced.marking_name(a.tgt)))
 
 print("\nThe closing step absorbed a silent transition:")

@@ -19,7 +19,7 @@ from .heuristic import FutureLabelTable, precompute_future_labels
 from .invariants import (PlaceInvariant, SComponent, SComponentDecomposition,
                          decompose, minimal_place_invariants)
 from .logs import (EventLog, LabelTable, Trace, log_from_texts, parse_text_log,
-                   parse_xes, project_log, project_trace, write_xes)
+                   parse_xes, write_xes)
 from .oracle import brute_force_optimal_cost, enumerate_optimal_move_sequences
 from .petri import SystemNet, ValidationReport, parse_pnml, validate
 from .reachability import (ReachabilityGraph, build_rg, min_visible_skips_net,

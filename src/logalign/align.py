@@ -186,13 +186,11 @@ def _successors(trace, rg, pos, mid):
     out = []
     if pos < len(trace):
         label = trace[pos]
-        for k in rg.out[mid]:
-            a = rg.arcs[k]
+        for a in rg.out[mid]:
             if a.label == label:
                 out.append((Move(OP_MATCH, label, a.trail, a.src, a.tgt), pos + 1, a.tgt, 0))
         out.append((Move(OP_LHIDE, label, (), None, None), pos + 1, mid, 1))
-    for k in rg.out[mid]:
-        a = rg.arcs[k]
+    for a in rg.out[mid]:
         out.append((Move(OP_RHIDE, a.label, a.trail, a.src, a.tgt), pos, a.tgt, 1))
     return out
 
@@ -410,12 +408,11 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
         pos, mid = key
         if pos > 0:
             push_bwd((pos - 1, mid), d + 1)  # lhide into key
-            for k in rg.inn[mid]:
-                a = rg.arcs[k]
+            for a in rg.inn[mid]:
                 if a.label == trace[pos - 1]:
                     push_bwd((pos - 1, a.src), d)  # match into key
-        for k in rg.inn[mid]:
-            push_bwd((pos, rg.arcs[k].src), d + 1)  # rhide into key
+        for a in rg.inn[mid]:
+            push_bwd((pos, a.src), d + 1)  # rhide into key
 
     rank = rg.net.table.rank()
     edges: dict[tuple[int, int], tuple] = {}

@@ -13,6 +13,7 @@ strategy forced.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 
@@ -56,7 +57,7 @@ def _load_inputs(log_path: str, model_path: str):
     with open(model_path, "rb") as fh:
         net = parse_pnml(fh.read(), table)
     with open(log_path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     if data.lstrip()[:1] == b"<":
         log = parse_xes(data, table)
     else:
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         net, log = _load_inputs(args.log, args.model)
-    except (LogAlignError, OSError) as exc:
+    except (LogAlignError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -202,7 +202,7 @@ def _tarjan(n: int, rg: ReachabilityGraph) -> list[int]:
                 on_stack[v] = True
             advanced = False
             while pi < len(rg.out[v]):
-                w = rg.arcs[rg.out[v][pi]].tgt
+                w = rg.out[v][pi].tgt
                 pi += 1
                 if num[w] == -1:
                     work[-1] = (v, pi)

@@ -1,4 +1,4 @@
-"""Event logs: label interning, XES parsing/writing, trace projection.
+"""Event logs: label interning, XES parsing and writing.
 
 Only the ``concept:name`` attribute of each event is read; everything else
 in an XES document is ignored.  A plain-text fallback format (one trace per
@@ -45,9 +45,6 @@ class LabelTable:
 
     def __len__(self) -> int:
         return len(self._texts)
-
-    def is_tau(self, lid: int) -> bool:
-        return lid == TAU
 
     def rank(self) -> dict[int, int]:
         """Map label id -> position under lexicographic order of the texts.
@@ -183,13 +180,3 @@ def parse_text_log(data: str, table: Optional[LabelTable] = None) -> EventLog:
         sequences.append(tuple(table.intern(x.strip()) for x in line.split(",") if x.strip()))
     return make_log(sequences, table)
 
-
-def project_trace(trace: Trace, alphabet: frozenset[int] | set[int]) -> Trace:
-    """Subsequence of the trace keeping exactly the labels in ``alphabet``."""
-    return Trace(tuple(l for l in trace.labels if l in alphabet), trace.frequency)
-
-
-def project_log(log: EventLog, alphabet: frozenset[int] | set[int]) -> EventLog:
-    """Project every trace and re-deduplicate."""
-    return make_log([project_trace(t, alphabet).labels for t in log.traces],
-                    log.table, frequencies=[t.frequency for t in log.traces])

@@ -59,12 +59,10 @@ def brute_force_optimal_cost(trace, rg: ReachabilityGraph,
         succ = []
         if pos < n:
             succ.append(((pos + 1, mid), 1, (LHIDE, trace[pos])))
-            for k in rg.out[mid]:
-                a = rg.arcs[k]
+            for a in rg.out[mid]:
                 if a.label == trace[pos]:
                     succ.append(((pos + 1, a.tgt), 0, (MATCH, a.label)))
-        for k in rg.out[mid]:
-            a = rg.arcs[k]
+        for a in rg.out[mid]:
             succ.append(((pos, a.tgt), 1, (RHIDE, a.label)))
         for nstate, w, move in succ:
             nd = d + w
@@ -100,8 +98,7 @@ def enumerate_optimal_move_sequences(trace, rg: ReachabilityGraph,
         else:
             budget_left = cstar - cost
         if pos < n:
-            for k in rg.out[mid]:
-                a = rg.arcs[k]
+            for a in rg.out[mid]:
                 if a.label == trace[pos]:
                     acc.append((MATCH, a.label, a.trail, a.tgt))
                     rec(pos + 1, a.tgt, cost, acc)
@@ -111,8 +108,7 @@ def enumerate_optimal_move_sequences(trace, rg: ReachabilityGraph,
                 rec(pos + 1, mid, cost + 1, acc)
                 acc.pop()
         if budget_left > 0:
-            for k in rg.out[mid]:
-                a = rg.arcs[k]
+            for a in rg.out[mid]:
                 acc.append((RHIDE, a.label, a.trail, a.tgt))
                 rec(pos, a.tgt, cost + 1, acc)
                 acc.pop()

@@ -90,6 +90,9 @@ class SystemNet:
         pre = []
         post = []
         for name, label, ins, outs in transitions:
+            if len(set(ins)) < len(ins) or len(set(outs)) < len(outs):
+                raise NetStructureError("transition %s lists a place twice in its preset "
+                                        "or postset" % name)
             lid = TAU if label is None else table.intern(label)
             trans.append(Transition(name, lid))
             pre.append(sum(1 << index[p] for p in ins))
@@ -233,7 +236,7 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
     places: list[str] = []
     marked: list[str] = []
     trans_rows: list[tuple[str, Optional[str]]] = []
-    arcs: list[tuple[str, str]] = []
+    arcs: dict[tuple[str, str], None] = {}  # in document order
 
     def text_of(elem) -> Optional[str]:
         for child in elem:
@@ -274,7 +277,15 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
             src, tgt = elem.get("source"), elem.get("target")
             if src is None or tgt is None:
                 raise PnmlParseError("arc without source/target")
-            arcs.append((src, tgt))
+            if (src, tgt) in arcs:
+                raise PnmlParseError("arc %s -> %s is given twice" % (src, tgt))
+            for child in elem.iter():
+                if child.tag.rsplit("}", 1)[-1] == "inscription":
+                    weight = "".join(child.itertext()).strip()
+                    if weight not in ("", "1"):
+                        raise PnmlParseError("arc %s -> %s has weight %s; only weight 1 "
+                                             "is supported" % (src, tgt, weight))
+            arcs[src, tgt] = None
 
     place_set = set(places)
     trans_ids = {tid for tid, _ in trans_rows}
@@ -289,11 +300,7 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
             raise PnmlParseError("arc %s -> %s does not connect a place and a transition" % (src, tgt))
 
     rows = [(tid, label, pre_names[tid], post_names[tid]) for tid, label in trans_rows]
-    try:
-        net = SystemNet.build(places, rows, table,
-                              initial=marked[0] if len(marked) == 1 else None)
-    except NetStructureError:
-        raise
+    net = SystemNet.build(places, rows, table, initial=marked[0] if len(marked) == 1 else None)
     if len(marked) > 1:
         index = {p: i for i, p in enumerate(places)}
         net = SystemNet(net.places, net.transitions, net.pre, net.post,

@@ -6,6 +6,9 @@ carries the silent label while the visible trace language between the
 initial and final markings is preserved.  In extended mode every rewritten
 arc remembers which silent transitions it absorbed (its tau trail), which
 the recomposition stage uses to detect hidden label conflicts.
+
+A graph's ``out[m]`` and ``inn[m]`` rows hold the ``Arc`` objects of
+``arcs`` that leave and enter marking ``m``, in ``arcs`` order.
 """
 
 from __future__ import annotations
@@ -41,16 +44,16 @@ class ReachabilityGraph:
     arcs: tuple[Arc, ...]
     reduced: bool = False
     warnings: tuple[str, ...] = ()
-    out: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
-    inn: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    out: tuple[tuple[Arc, ...], ...] = field(default=(), repr=False)
+    inn: tuple[tuple[Arc, ...], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if not self.out:
-            o: list[list[int]] = [[] for _ in self.markings]
-            i: list[list[int]] = [[] for _ in self.markings]
-            for k, a in enumerate(self.arcs):
-                o[a.src].append(k)
-                i[a.tgt].append(k)
+            o: list[list[Arc]] = [[] for _ in self.markings]
+            i: list[list[Arc]] = [[] for _ in self.markings]
+            for a in self.arcs:
+                o[a.src].append(a)
+                i[a.tgt].append(a)
             self.out = tuple(tuple(x) for x in o)
             self.inn = tuple(tuple(x) for x in i)
 
@@ -75,8 +78,7 @@ class ReachabilityGraph:
         queue = deque([self.m0])
         while queue:
             u = queue.popleft()
-            for k in self.out[u]:
-                a = self.arcs[k]
+            for a in self.out[u]:
                 if a.tgt not in dist:
                     dist[a.tgt] = dist[u] + 1
                     if a.tgt in self.finals:
@@ -144,14 +146,11 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
     index = {net.m0: 0}
     markings = [net.m0]
     arcs: list[Arc] = []
-    out: list[tuple[int, ...]] = []
-    inn: list[list[int]] = [[]]
+    out: list[tuple[Arc, ...]] = []
+    inn: list[list[Arc]] = [[]]
     fired = [False] * len(firing)
     new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
-    # breadth-first, so each marking's arcs form one contiguous run.  Ints
-    # above 256 are objects, so every id is made once and shared: arcs take
-    # their source id from the queue of discovered ids, and out and inn
-    # share each arc id
+    # breadth-first, so each marking's arcs form one contiguous run
     queue = deque([0])
     while queue:
         mid = queue.popleft()
@@ -176,10 +175,10 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                 markings.append(m2)
                 inn.append([])
                 queue.append(tid)
-            k = len(arcs)
-            row.append(k)
-            inn[tid].append(k)
-            arcs.append(new(Arc, (mid, label, (), tid, t)))
+            a = new(Arc, (mid, label, (), tid, t))
+            row.append(a)
+            inn[tid].append(a)
+        arcs += row
         out.append(tuple(row))
     finals = frozenset(index[f] for f in net.finals if f in index)
     warnings = ["transition %s is dead" % net.transitions[t].name
@@ -215,7 +214,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     """
     net = rg.net
     n = len(rg.markings)
-    raw, raw_out, raw_inn = rg.arcs, rg.out, rg.inn
+    raw_out, raw_inn = rg.out, rg.inn
     m0 = rg.m0
     finals = set(rg.finals)
 
@@ -227,7 +226,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         return a[:4]
 
     hot = set(finals)
-    for a in raw:
+    for a in rg.arcs:
         if a[1] == TAU:
             hot.add(a[0])
             hot.add(a[3])
@@ -236,10 +235,10 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         # ends hot keeps the cold counters exact (a net without shared
         # visible labels has no such arcs in its built or its reduced graph)
         for u in range(n):
-            ks = raw_out[u]
-            if len({work(raw[k]) for k in ks}) < len(ks):
+            row = raw_out[u]
+            if len({work(a) for a in row}) < len(row):
                 hot.add(u)
-                hot.update(raw[k][3] for k in ks)
+                hot.update(a[3] for a in row)
 
     alive = [True] * n
     out: list = [None] * n  # arc sets of hot markings, None while cold
@@ -249,8 +248,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     touched = list(range(n))  # markings prune() must look at
 
     def promote(u):
-        out[u] = {work(raw[k]) for k in raw_out[u] if alive[raw[k][3]]}
-        inn[u] = {work(raw[k]) for k in raw_inn[u] if alive[raw[k][0]]}
+        out[u] = {work(a) for a in raw_out[u] if alive[a[3]]}
+        inn[u] = {work(a) for a in raw_inn[u] if alive[a[0]]}
 
     def add(a):
         if out[a[0]] is None:
@@ -279,12 +278,12 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             for a in list(out[u]) + list(inn[u]):
                 discard(a)
             return
-        for k in raw_out[u]:
-            if alive[raw[k][3]]:
-                discard(work(raw[k]))
-        for k in raw_inn[u]:
-            if alive[raw[k][0]]:
-                discard(work(raw[k]))
+        for a in raw_out[u]:
+            if alive[a[3]]:
+                discard(work(a))
+        for a in raw_inn[u]:
+            if alive[a[0]]:
+                discard(work(a))
 
     def prune():
         # the greatest set of markings that have an incoming arc (or are m0)
@@ -367,7 +366,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     if candidates:
         def signature(u):
             if out[u] is None:
-                exits = frozenset(raw[k][1:4] for k in raw_out[u] if alive[raw[k][3]])
+                exits = frozenset(a[1:4] for a in raw_out[u] if alive[a[3]])
             else:
                 exits = frozenset(a[1:] for a in out[u])
             return (u in finals, exits)
@@ -430,8 +429,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     # each marking's arcs in (label rank, trail, target) order
     rank = net.table.rank()
     arcs: list[Arc] = []
-    new_out: list[tuple[int, ...]] = []
-    new_inn: list[list[int]] = [[] for _ in new_markings]
+    new_out: list[tuple[Arc, ...]] = []
+    new_inn: list[list[Arc]] = [[] for _ in new_markings]
     new = tuple.__new__
     for u in range(n):
         if not alive[u]:
@@ -439,18 +438,17 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         if out[u] is None:
             # a cold marking's arcs are its raw visible arcs into survivors
             items = [(rank[a[1]], a[2], a[3], a[1])
-                     for a in map(raw.__getitem__, raw_out[u]) if alive[a[3]]]
+                     for a in raw_out[u] if alive[a[3]]]
         else:
             items = [(rank[a[1]], a[2], a[3], a[1]) for a in out[u]]
             assert all(x[3] != TAU for x in items)
         items.sort()
         src = remap[u]
-        row_arcs = [new(Arc, (src, l, tr, remap[t], -1)) for _, tr, t, l in items]
-        row = tuple(range(len(arcs), len(arcs) + len(row_arcs)))
-        arcs += row_arcs
+        row = tuple([new(Arc, (src, l, tr, remap[t], -1)) for _, tr, t, l in items])
+        arcs += row
         new_out.append(row)
-        for k, a in zip(row, row_arcs):  # one int object per arc id, as in build_rg
-            new_inn[a[3]].append(k)
+        for a in row:
+            new_inn[a[3]].append(a)
     return ReachabilityGraph(net, tuple(new_markings), remap[m0],
                              frozenset(remap[f] for f in live_finals), tuple(arcs),
                              reduced=True, warnings=rg.warnings, out=tuple(new_out),

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment,
-                    Move, align_one_optimal, make_alignment)
+from .align import (OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment, Move, align_one_optimal,
+                    make_alignment)
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import SComponentDecomposition, decompose
 from .logs import TAU
@@ -62,11 +62,9 @@ class SComponentAligner:
     """
 
     def __init__(self, net, decomposition: Optional[SComponentDecomposition] = None,
-                 *, full_rg: ReachabilityGraph | StateSpaceCapError,
-                 node_budget: int = DEFAULT_NODE_BUDGET):
+                 *, full_rg: ReachabilityGraph | StateSpaceCapError):
         self.net = net
         self.decomposition = decomposition if decomposition is not None else decompose(net)
-        self.node_budget = node_budget
         self.full_rg = full_rg
         self.rank = net.table.rank()
         self.components = [(comp, remove_tau_extended(build_rg(comp.net)))
@@ -89,8 +87,7 @@ class SComponentAligner:
         if hit is not None:
             return hit
         comp, rg = self.components[idx]
-        alignment = align_one_optimal(projected, rg=rg,
-                                      node_budget=self.node_budget, deadline=deadline)
+        alignment = align_one_optimal(projected, rg=rg, deadline=deadline)
         moves = tuple(
             (m.op, m.label, tuple(comp.transition_ids[x] for x in m.trail), m.rg_tgt)
             for m in alignment.moves)
@@ -122,8 +119,7 @@ class SComponentAligner:
         if isinstance(self.full_rg, StateSpaceCapError):
             return RecompositionOutcome(trace, None, conflict, True, str(self.full_rg))
         try:
-            alignment = align_one_optimal(trace, rg=self.full_rg,
-                                          node_budget=self.node_budget, deadline=deadline)
+            alignment = align_one_optimal(trace, rg=self.full_rg, deadline=deadline)
         except LogAlignError as exc:
             # the search may run out of budget; only this trace fails
             return RecompositionOutcome(trace, None, conflict, True, str(exc))
@@ -253,8 +249,7 @@ def replays_on_model(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool
         return False
     current = {rg.m0}
     for move in alignment.model_projection():
-        current = {rg.arcs[k].tgt for u in current for k in rg.out[u]
-                   if rg.arcs[k].label == move.label}
+        current = {a.tgt for u in current for a in rg.out[u] if a.label == move.label}
         if not current:
             return False
     return bool(current & rg.finals)

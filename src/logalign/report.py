@@ -46,7 +46,6 @@ class RunConfig:
     timeout_ms: Optional[int] = None  # per trace
     global_timeout_ms: Optional[int] = None
     state_cap: int = DEFAULT_MARKING_CAP
-    node_budget: int = DEFAULT_NODE_BUDGET
     emit_alignments: bool = False
     dot_dir: Optional[str] = None
 
@@ -110,8 +109,7 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
     decomposition_error = None
     if config.strategy in ("auto", "scomponent") and vreport.decomposable:
         try:
-            aligner = SComponentAligner(net, node_budget=config.node_budget,
-                                        full_rg=rg if rg is not None else cap_error)
+            aligner = SComponentAligner(net, full_rg=rg if rg is not None else cap_error)
         except LogAlignError as exc:  # decomposition or component reduction failed
             decomposition_error = str(exc)
     elif config.strategy in ("auto", "scomponent"):
@@ -175,7 +173,7 @@ def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
     def align(labels, deadline):
         if all_optimal:
             psp = align_all_optimal(make_log([labels], log.table), dafsa, rg, memo=memo,
-                                    node_budget=config.node_budget, deadline=deadline)
+                                    node_budget=DEFAULT_NODE_BUDGET, deadline=deadline)
             cost = psp.cost(labels)
             if cost is None:
                 return {"cost": None, "error": psp.error(labels)}
@@ -185,7 +183,7 @@ def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
             return entry
         if chosen == "monolithic":
             try:
-                alignment = align_one_optimal(labels, rg=rg, node_budget=config.node_budget,
+                alignment = align_one_optimal(labels, rg=rg, node_budget=DEFAULT_NODE_BUDGET,
                                               deadline=deadline)
             except SearchBudgetError as exc:
                 return {"cost": None, "error": str(exc)}

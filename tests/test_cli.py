@@ -102,6 +102,53 @@ def test_check_text_log_fallback(tmp_path):
     assert report["traces"][0]["cost"] == 1
 
 
+def test_check_bom_prefixed_xes_matches_golden_report(tmp_path):
+    log = tmp_path / "loan.xes"
+    log.write_bytes(b"\xef\xbb\xbf" + (DATA / "loan.xes").read_bytes())
+    out = tmp_path / "r.json"
+    proc = run_cli("check", "--log", str(log), "--model", str(DATA / "loan.pnml"),
+                   "--strategy", "auto", "--emit-alignments", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    report.pop("timings_ms")
+    assert report == json.loads((DATA / "loan_report.json").read_text())
+
+
+def test_check_bom_prefixed_text_log(tmp_path):
+    text_log = tmp_path / "log.txt"
+    text_log.write_bytes("\ufeffB,D,C,E,G\n".encode("utf-8"))
+    out = tmp_path / "r.json"
+    proc = run_cli("check", "--log", str(text_log), "--model", str(DATA / "loan.pnml"),
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads(out.read_text())["traces"]
+    assert row["labels"] == list("BDCEG")
+    assert row["cost"] == 1
+
+
+def test_exit_code_on_a_log_that_is_not_utf8(tmp_path):
+    text_log = tmp_path / "log.txt"
+    text_log.write_bytes(b"\xff\xfeB\x00,\x00D\x00\n\x00")
+    proc = run_cli("check", "--log", str(text_log), "--model", str(DATA / "loan.pnml"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_exit_code_on_a_repeated_or_weighted_pnml_arc(tmp_path):
+    pnml = (DATA / "loan.pnml").read_text()
+    arc = '<arc id="a0" source="start" target="t0"/>'
+    assert arc in pnml
+    for message, replacement in (("given twice", arc + arc.replace("a0", "a0b")),
+                                 ("weight 2", arc.replace("/>", "><inscription><text>2</text>"
+                                                                "</inscription></arc>"))):
+        model = tmp_path / "model.pnml"
+        model.write_text(pnml.replace(arc, replacement))
+        proc = run_cli("check", "--log", str(DATA / "loan.xes"), "--model", str(model))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_check_dot_dir(tmp_path):
     dots = tmp_path / "dots"
     args, _ = check_args(tmp_path, "--strategy", "scomponent", "--dot-dir", str(dots))

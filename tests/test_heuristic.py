@@ -102,8 +102,7 @@ def test_loan_estimates_after_first_move():
     net = loan_net()
     rg = remove_tau(build_rg(net))
     ftable = precompute_future_labels(rg)
-    after_b = next(a.tgt for k in rg.out[rg.m0]
-                   for a in [rg.arcs[k]] if net.table.text(a.label) == "B")
+    after_b = next(a.tgt for a in rg.out[rg.m0] if net.table.text(a.label) == "B")
     # matched B on (B,D,C,E,G): remaining (C,D,E,G) is one skip away (A)
     assert ftable.h(counts(net.table, "CDEG"), after_b) == 1
     # hid B instead: the whole trace remains, two moves of mismatch

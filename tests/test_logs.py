@@ -1,8 +1,7 @@
 import pytest
 
 from logalign.errors import XesParseError, XesValidationError
-from logalign.logs import (LabelTable, Trace, log_from_texts, parse_text_log,
-                           parse_xes, project_log, project_trace, write_xes)
+from logalign.logs import LabelTable, parse_text_log, parse_xes, write_xes
 from logalign.sampledata import LOAN_TRACES, loan_log
 
 XES_LOAN = """<?xml version="1.0" encoding="UTF-8"?>
@@ -82,40 +81,4 @@ def test_interning_is_bijective():
     b = table.intern("B")
     assert a != b
     assert table.text(a) == "A" and table.text(b) == "B"
-    assert not table.is_tau(a)
-    assert table.is_tau(0)
 
-
-def test_projection_onto_component_alphabet():
-    log = loan_log()
-    table = log.table
-    trace = next(t for t in log.traces if log.texts(t) == tuple("BDAEFG"))
-    alpha = frozenset(table.intern(x) for x in "BEFGHI")
-    assert log.texts(project_trace(trace, alpha)) == tuple("BEFG")
-
-
-def test_projection_identity_empty_idempotent():
-    log = log_from_texts([list("ABAC")])
-    trace = log.traces[0]
-    assert project_trace(trace, frozenset()) == Trace((), 1)
-    assert project_trace(trace, log.alphabet) == trace
-    alpha = frozenset([trace.labels[0]])
-    once = project_trace(trace, alpha)
-    assert project_trace(once, alpha) == once
-
-
-def test_projection_commutes_with_concatenation():
-    log = log_from_texts([list("ABC"), list("CBA")])
-    t1, t2 = log.traces
-    alpha = frozenset([t1.labels[0], t1.labels[2]])
-    joined = Trace(t1.labels + t2.labels, 1)
-    assert project_trace(joined, alpha).labels == \
-        project_trace(t1, alpha).labels + project_trace(t2, alpha).labels
-
-
-def test_project_log_deduplicates():
-    log = log_from_texts([list("AB"), list("AXB")])
-    alpha = frozenset(log.table.intern(x) for x in "AB")
-    projected = project_log(log, alpha)
-    assert len(projected.traces) == 1
-    assert projected.traces[0].frequency == 2

@@ -61,6 +61,33 @@ def test_parse_pnml_minimal_net():
     assert report.workflow_ok and report.free_choice and report.uniquely_labelled
 
 
+MINIMAL_PNML = ('<pnml><net><place id="i"><initialMarking><text>1</text></initialMarking></place>'
+                '<place id="o"/><transition id="t"><name><text>A</text></name></transition>'
+                '<arc id="a1" source="i" target="t">%s</arc><arc id="a2" source="t" target="o"/>'
+                '%s</net></pnml>')
+
+
+def test_parse_pnml_rejects_a_repeated_arc():
+    # summed as bits, a repeated arc would carry into the next place's bit
+    doc = MINIMAL_PNML % ("", '<arc id="a3" source="i" target="t"/>')
+    with pytest.raises(PnmlParseError, match="i -> t is given twice"):
+        parse_pnml(doc)
+
+
+def test_parse_pnml_arc_weights():
+    plain = parse_pnml(MINIMAL_PNML % ("", ""))
+    weighted = parse_pnml(MINIMAL_PNML % ("<inscription><text> 1 </text></inscription>", ""))
+    assert (weighted.pre, weighted.post) == (plain.pre, plain.post)
+    with pytest.raises(PnmlParseError, match="weight 2"):
+        parse_pnml(MINIMAL_PNML % ("<inscription><text>2</text></inscription>", ""))
+
+
+def test_build_rejects_a_place_repeated_in_a_preset_or_postset():
+    for pre, post in ((["i", "i"], ["o"]), (["i"], ["o", "o"])):
+        with pytest.raises(NetStructureError, match="lists a place twice"):
+            SystemNet.build(["i", "o"], [("t", "A", pre, post)])
+
+
 def test_parse_pnml_two_sinks_rejected():
     doc = ('<pnml><net><place id="i"/><place id="o1"/><place id="o2"/>'
            '<transition id="t"><name><text>A</text></name></transition>'

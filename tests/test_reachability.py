@@ -28,7 +28,7 @@ def test_build_rg_loan_shape():
     assert len(rg.markings) == 22
     assert marking_by_places(rg, ["p1", "p2", "p3", "p4"]) is not None
     assert marking_by_places(rg, ["p5", "p6", "p7", "p8"]) is not None
-    first = rg.arcs[rg.out[rg.m0][0]]
+    first = rg.out[rg.m0][0]
     assert first.label == TAU
     assert rg.markings[first.tgt] == sum(rg.net.place_bit(p) for p in ["p1", "p2", "p3", "p4"])
 
@@ -75,7 +75,7 @@ def test_remove_tau_loan_matches_worked_reduction():
     g = net.table.lookup("G")
     assert any(a.src == p10 and a.tgt == end and a.label == g for a in rg.arcs)
     # initial successors are now the four parallel tasks directly
-    succ = sorted(net.table.text(rg.arcs[k].label) for k in rg.out[rg.m0])
+    succ = sorted(net.table.text(a.label) for a in rg.out[rg.m0])
     assert succ == ["A", "B", "C", "D"]
     assert all(a.label != TAU for a in rg.arcs)
 
@@ -131,8 +131,7 @@ def visible_language(rg, max_len):
         mid, word = queue.popleft()
         if mid in rg.finals:
             out.add(word)
-        for k in rg.out[mid]:
-            a = rg.arcs[k]
+        for a in rg.out[mid]:
             if a.label == TAU:
                 nxt = (a.tgt, word)
             elif len(word) < max_len:
@@ -635,3 +634,35 @@ def test_transient_fold_revisits_a_candidate_that_gains_a_match():
     reduced = remove_tau(rg)
     assert arcs_by_name(reduced) == [(0, "X", 2), (0, "Y", 2), (2, "A", 4), (4, "B", 6)]
     assert_same_outcome((reduced, None), outcome(reference_reduce, rg, False), "plain")
+
+
+def assert_rows_hold_the_arcs(rg, what):
+    """Each ``out``/``inn`` entry is an arc object of ``rg.arcs``, each arc
+    sits in exactly one row of each, and every row keeps ``arcs`` order."""
+    position = {id(a): k for k, a in enumerate(rg.arcs)}
+    for rows, end in ((rg.out, "src"), (rg.inn, "tgt")):
+        assert len(rows) == len(rg.markings), what
+        seen = []
+        for mid, row in enumerate(rows):
+            for a in row:
+                assert id(a) in position and rg.arcs[position[id(a)]] is a, what
+                assert getattr(a, end) == mid, what
+            ks = [position[id(a)] for a in row]
+            assert ks == sorted(ks), what
+            seen += ks
+        assert sorted(seen) == list(range(len(rg.arcs))), what
+
+
+def test_adjacency_rows_hold_the_arc_objects():
+    nets = {"loan": loan_net()}
+    for k in range(1, 7):
+        nets["parallel %d" % k] = parallel_tasks_net(["T%d" % i for i in range(k)])
+    for seed in range(40):
+        nets["seed %d" % seed] = random_workflow_net(seed, max_visible=8)
+    for what, net in nets.items():
+        raw = build_rg(net)
+        graphs = {"raw": raw, "plain": remove_tau(raw), "extended": remove_tau_extended(raw),
+                  "rows from arcs": ReachabilityGraph(net, raw.markings, raw.m0, raw.finals,
+                                                      raw.arcs)}
+        for name, rg in graphs.items():
+            assert_rows_hold_the_arcs(rg, "%s, %s" % (what, name))
