@@ -11,7 +11,9 @@ simply the number of hides.
 proper alignment and breaks ties deterministically: lowest estimated total
 cost first, then the longer candidate, then the operation precedence
 match > rhide > lhide of the last move, then the lexicographic order of its
-label, and finally the full move sequence.
+label, and finally the full move sequence.  A push costs one heap tuple: a
+search node is made only when an entry is popped and settles its state, and
+``Move`` objects only along the returned path.
 
 ``align_all_optimal`` computes every cost-minimal proper alignment of each
 trace of a log DAFSA with a bounded forward/backward shortest-distance sweep
@@ -101,33 +103,30 @@ def is_proper(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:
 
 
 class _Node:
-    """A* search node; the heap breaks full ties by the node's move keys.
+    """A settled A* search state and the move that reached it.
 
-    ``key`` is the node's own move key, so ``chain()`` (the keys from the
-    root) orders two nodes lexicographically, a prefix first.  ``__lt__``
-    gives the same order without building chains: two paths agree up to
-    their lowest common ancestor, so it brings both nodes to equal depth,
-    walks up to that ancestor and compares the keys of its two children on
-    the paths.  When one node is an ancestor of the other, the shorter path
-    sorts first; when the two child keys are equal, the full chains decide.
+    ``move`` is ``(op, arc)`` for a match or rhide and ``(OP_LHIDE, label)``
+    for an lhide; ``moves()`` turns the path into ``Move`` objects.  ``key``
+    is the node's own move key ``(op, label rank, target marking or -1,
+    trail)``, so ``chain()`` (the keys from the root) orders two nodes
+    lexicographically, a prefix first.  ``__lt__`` gives the same order
+    without building chains: two paths agree up to their lowest common
+    ancestor, so it brings both nodes to equal depth, walks up to that
+    ancestor and compares the keys of its two children on the paths.  When
+    one node is an ancestor of the other, the shorter path sorts first; when
+    the two child keys are equal, the full chains decide.
     """
 
-    __slots__ = ("parent", "move", "key", "pos", "mid", "g", "length", "lrank")
+    __slots__ = ("parent", "move", "pos", "mid", "g", "key", "length")
 
-    def __init__(self, parent, move, pos, mid, g, lrank):
+    def __init__(self, parent, move, pos, mid, g, key):
         self.parent = parent
         self.move = move
         self.pos = pos
         self.mid = mid
         self.g = g
-        self.lrank = lrank
-        if parent is None:
-            self.length = 0
-            self.key = None
-        else:
-            self.length = parent.length + 1
-            self.key = (move.op, lrank,
-                        -1 if move.rg_tgt is None else move.rg_tgt, move.trail)
+        self.key = key
+        self.length = 0 if parent is None else parent.length + 1
 
     def chain(self):
         keys = []
@@ -157,7 +156,11 @@ class _Node:
         out = []
         node = self
         while node.parent is not None:
-            out.append(node.move)
+            op, x = node.move
+            if op == OP_LHIDE:
+                out.append(Move(OP_LHIDE, x, (), None, None))
+            else:
+                out.append(Move(op, x.label, x.trail, x.src, x.tgt))
             node = node.parent
         out.reverse()
         return out
@@ -225,55 +228,96 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       deadline: Optional[float] = None,
                       stats: Optional[dict] = None) -> Alignment:
-    """Single cheapest proper alignment of a trace against the graph."""
+    """Single cheapest proper alignment of a trace against the graph.
+
+    A heap entry is ``(rho, -length, op, label rank, parent, target marking
+    or -1, trail, arc or label, pos, mid, g)``; a ``_Node`` is made only when
+    an entry settles its search state.  Entries that tie on the first four
+    fields and share a parent compare by the rest of their move key; with
+    different parents (of equal length) they compare by the parents' chain
+    order, which is the order of their own chains: no two nodes share a
+    chain, as a state settles only at a strictly lower ``g``.  Search states
+    ``(pos, mid)`` are keyed as ``pos * len(rg.markings) + mid``.
+    """
     trace = tuple(trace)
-    ftable = _future_table(rg)
+    n = len(trace)
+    h = _future_table(rg).h
     rem = _remaining_counts(trace)
     rank = rg.net.table.rank()
+    out = rg.out
+    finals = rg.finals
+    width = len(rg.markings)
     budget = _Budget(node_budget, deadline)
-    hcache: dict[tuple[int, int], int] = {}
+    push = heapq.heappush
+    hcache: dict[int, int] = {}
+    settled: dict[int, int] = {}
 
-    def h(pos, mid):
-        key = (pos, mid)
-        v = hcache.get(key)
-        if v is None:
-            v = ftable.h(rem[pos], mid)
-            hcache[key] = v
-        return v
-
-    rho_max = len(trace) + rg.min_visible_skips()
-    root = _Node(None, None, 0, rg.m0, 0, 0)
-    heap = [(h(0, rg.m0), 0, 0, 0, root)]
-    settled: dict[tuple[int, int], int] = {}
+    rho_max = n + rg.min_visible_skips()
+    h0 = hcache[rg.m0] = h(rem[0], rg.m0)
+    heap = [(h0, 0, OP_MATCH, 0, None, -1, (), None, 0, rg.m0, 0)]
     max_rho = 0
     pops = 0
     while heap:
-        rho, _, _, _, node = heapq.heappop(heap)
-        key = (node.pos, node.mid)
-        prior = settled.get(key)
-        if prior is not None and prior <= node.g:
+        rho, _, op, lrank, parent, tgt, trail, x, pos, mid, g = heapq.heappop(heap)
+        skey = pos * width + mid
+        prior = settled.get(skey)
+        if prior is not None and prior <= g:
             continue
-        settled[key] = node.g
+        settled[skey] = g
         pops += 1
         budget.spend()
         if rho > max_rho:
             max_rho = rho
-        if node.pos == len(trace) and node.mid in rg.finals:
+        if parent is None:
+            node = _Node(None, None, pos, mid, g, None)
+        else:
+            node = _Node(parent, (op, x), pos, mid, g, (op, lrank, tgt, trail))
+        if pos == n and mid in finals:
             if stats is not None:
                 stats["pops"] = pops
                 stats["max_rho_popped"] = max_rho
             return make_alignment(node.moves())
-        for move, npos, nmid, w in _successors(trace, rg, node.pos, node.mid):
-            ng = node.g + w
-            nkey = (npos, nmid)
-            prior = settled.get(nkey)
+        depth = -node.length - 1
+        ng = g + 1
+        row = out[mid]
+        if pos < n:
+            label = trace[pos]
+            lr = rank[label]
+            npos = pos + 1
+            base = npos * width
+            for a in row:
+                if a.label != label:
+                    continue
+                nmid = a.tgt
+                k = base + nmid
+                prior = settled.get(k)
+                if prior is not None and prior <= g:
+                    continue
+                hv = hcache.get(k)
+                if hv is None:
+                    hv = hcache[k] = h(rem[npos], nmid)
+                if g + hv <= rho_max:
+                    push(heap, (g + hv, depth, OP_MATCH, lr, node, nmid, a.trail, a, npos, nmid, g))
+            k = base + mid
+            prior = settled.get(k)
+            if prior is None or prior > ng:
+                hv = hcache.get(k)
+                if hv is None:
+                    hv = hcache[k] = h(rem[npos], mid)
+                if ng + hv <= rho_max:
+                    push(heap, (ng + hv, depth, OP_LHIDE, lr, node, -1, (), label, npos, mid, ng))
+        base = pos * width
+        for a in row:
+            nmid = a.tgt
+            k = base + nmid
+            prior = settled.get(k)
             if prior is not None and prior <= ng:
                 continue
-            nrho = ng + h(npos, nmid)
-            if nrho > rho_max:
-                continue
-            child = _Node(node, move, npos, nmid, ng, rank[move.label])
-            heapq.heappush(heap, (nrho, -child.length, move.op, child.lrank, child))
+            hv = hcache.get(k)
+            if hv is None:
+                hv = hcache[k] = h(rem[pos], nmid)
+            if ng + hv <= rho_max:
+                push(heap, (ng + hv, depth, OP_RHIDE, rank[a.label], node, nmid, a.trail, a, pos, nmid, ng))
     raise LogAlignError("no proper alignment exists for the trace")
 
 
@@ -379,8 +423,16 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
         if key in goals:
             bound = min(bound, g)
             continue
-        for move, npos, nmid, w in _successors(trace, rg, key[0], key[1]):
-            push_fwd((npos, nmid), g + w)
+        pos, mid = key
+        row = rg.out[mid]
+        if pos < len(trace):
+            label = trace[pos]
+            for a in row:
+                if a.label == label:
+                    push_fwd((pos + 1, a.tgt), g)  # match
+            push_fwd((pos + 1, mid), g + 1)  # lhide
+        for a in row:
+            push_fwd((pos, a.tgt), g + 1)  # rhide
 
     cstar = min((dist[k] for k in goals if k in dist), default=None)
     if cstar is None:

@@ -24,6 +24,16 @@ from .reachability import DEFAULT_MARKING_CAP, build_rg, remove_tau
 from .report import (EXIT_INPUT_ERROR, RunConfig, report_to_csv, run_conformance)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("%d is below the minimum %d" % (value, low))
+        return value
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="logalign")
     sub = parser.add_subparsers(dest="command", required=True, metavar="check")
@@ -35,10 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="auto")
     check.add_argument("--all-optimal", action="store_true",
                        help="enumerate all optimal alignments (monolithic only)")
-    check.add_argument("--timeout-ms", type=int, default=None,
+    check.add_argument("--timeout-ms", type=_int_at_least(0), default=None,
                        help="per-trace alignment deadline")
-    check.add_argument("--global-timeout-ms", type=int, default=None)
-    check.add_argument("--state-cap", type=int, default=DEFAULT_MARKING_CAP,
+    check.add_argument("--global-timeout-ms", type=_int_at_least(0), default=None)
+    check.add_argument("--state-cap", type=_int_at_least(1), default=DEFAULT_MARKING_CAP,
                        help="maximum number of reachable markings to expand")
     check.add_argument("--out", default=None, help="write the JSON report here")
     check.add_argument("--csv", default=None, help="write the per-trace CSV here")

@@ -224,8 +224,9 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
 
     Transitions without a name, named tau/invisible, or flagged invisible in
     a toolspecific element become silent.  The initial marking comes from
-    initialMarking annotations, defaulting to one token on the unique source
-    place; the final marking is one token on the unique sink place.
+    initialMarking annotations of 0 or 1 tokens, defaulting to one token on
+    the unique source place; the final marking is one token on the unique
+    sink place.
     """
     table = table if table is not None else LabelTable()
     try:
@@ -256,7 +257,13 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
             for child in elem.iter():
                 if child.tag.rsplit("}", 1)[-1] == "initialMarking":
                     for sub in child.iter():
-                        if sub.tag.rsplit("}", 1)[-1] == "text" and (sub.text or "").strip() not in ("", "0"):
+                        if sub.tag.rsplit("}", 1)[-1] != "text":
+                            continue
+                        tokens = (sub.text or "").strip()
+                        if tokens not in ("", "0", "1"):
+                            raise PnmlParseError("place %s: initial marking %r is not 0 or 1"
+                                                 % (pid, tokens))
+                        if tokens == "1":
                             marked.append(pid)
         elif tag == "transition":
             tid = elem.get("id")

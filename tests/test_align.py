@@ -1,17 +1,22 @@
+import heapq
 import random
 
-from logalign.align import (OP_LHIDE, OP_MATCH, OP_RHIDE, MemoTables, align_all_optimal,
-                            align_one_optimal, alignment_cost, is_proper, make_alignment, Move,
-                            _Node)
+import pytest
+
+from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, MemoTables,
+                            align_all_optimal, align_one_optimal, alignment_cost, is_proper,
+                            make_alignment, Move, _Budget, _future_table, _Node,
+                            _remaining_counts, _successors)
 from logalign.dafsa import build_dafsa
-from logalign.errors import LogAlignError
+from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
+from logalign.invariants import decompose
 from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
-from logalign.reachability import build_rg, remove_tau
+from logalign.reachability import Arc, build_rg, remove_tau, remove_tau_extended
 from logalign.sampledata import loan_pair
 
 from gen import random_log, random_workflow_net
-from nets import parallel_merge_net
+from nets import parallel_merge_net, parallel_tasks_net
 
 
 def loan_setup():
@@ -265,11 +270,14 @@ def test_psp_structure_running_example():
 
 
 def reference_chain(node):
-    """Move keys from the root, rebuilt from each node's move."""
+    """Move keys from the root, rebuilt from each node's move and label rank."""
     keys = []
     while node.parent is not None:
-        m = node.move
-        keys.append((m.op, node.lrank, -1 if m.rg_tgt is None else m.rg_tgt, m.trail))
+        op, x = node.move
+        if isinstance(x, Arc):
+            keys.append((op, node.key[1], x.tgt, x.trail))
+        else:  # an lhide carries only its label
+            keys.append((op, node.key[1], -1, ()))
         node = node.parent
     keys.reverse()
     return keys
@@ -280,8 +288,9 @@ def reference_lt(a, b):
 
 
 def child(parent, op, label, rg_tgt=None, trail=(), lrank=None):
-    move = Move(op, label, trail, None, rg_tgt)
-    return _Node(parent, move, 0, 0, 0, label if lrank is None else lrank)
+    tgt = -1 if rg_tgt is None else rg_tgt
+    move = (op, label) if tgt == -1 and not trail else (op, Arc(0, label, trail, tgt, -1))
+    return _Node(parent, move, 0, 0, 0, (op, label if lrank is None else lrank, tgt, trail))
 
 
 def assert_same_order(nodes):
@@ -389,3 +398,169 @@ def test_all_optimal_on_a_trace_longer_than_the_recursion_limit():
     for al in (first, second):
         assert al.cost == psp.cost(trace)
         assert is_proper(al, trace, rg)
+
+
+class ReferenceNode:
+    """The search node of the exact reference: one per push, keyed on its Move."""
+
+    __slots__ = ("parent", "move", "key", "pos", "mid", "g", "length", "lrank")
+
+    def __init__(self, parent, move, pos, mid, g, lrank):
+        self.parent = parent
+        self.move = move
+        self.pos = pos
+        self.mid = mid
+        self.g = g
+        self.lrank = lrank
+        if parent is None:
+            self.length = 0
+            self.key = None
+        else:
+            self.length = parent.length + 1
+            self.key = (move.op, lrank,
+                        -1 if move.rg_tgt is None else move.rg_tgt, move.trail)
+
+    def chain(self):
+        keys = []
+        node = self
+        while node.parent is not None:
+            keys.append(node.key)
+            node = node.parent
+        keys.reverse()
+        return keys
+
+    def __lt__(self, other):
+        a, b = self, other
+        while a.length > b.length:
+            a = a.parent
+        while b.length > a.length:
+            b = b.parent
+        if a is b:
+            return self.length < other.length
+        while a.parent is not b.parent:
+            a = a.parent
+            b = b.parent
+        if a.key != b.key:
+            return a.key < b.key
+        return self.chain() < other.chain()
+
+    def moves(self):
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append(node.move)
+            node = node.parent
+        out.reverse()
+        return out
+
+
+def reference_align_one_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET, stats=None):
+    """The straightforward A*: a Move per candidate and a node per push."""
+    trace = tuple(trace)
+    ftable = _future_table(rg)
+    rem = _remaining_counts(trace)
+    rank = rg.net.table.rank()
+    budget = _Budget(node_budget, None)
+    hcache = {}
+
+    def h(pos, mid):
+        key = (pos, mid)
+        v = hcache.get(key)
+        if v is None:
+            v = ftable.h(rem[pos], mid)
+            hcache[key] = v
+        return v
+
+    rho_max = len(trace) + rg.min_visible_skips()
+    root = ReferenceNode(None, None, 0, rg.m0, 0, 0)
+    heap = [(h(0, rg.m0), 0, 0, 0, root)]
+    settled = {}
+    max_rho = 0
+    pops = 0
+    while heap:
+        rho, _, _, _, node = heapq.heappop(heap)
+        key = (node.pos, node.mid)
+        prior = settled.get(key)
+        if prior is not None and prior <= node.g:
+            continue
+        settled[key] = node.g
+        pops += 1
+        budget.spend()
+        if rho > max_rho:
+            max_rho = rho
+        if node.pos == len(trace) and node.mid in rg.finals:
+            if stats is not None:
+                stats["pops"] = pops
+                stats["max_rho_popped"] = max_rho
+            return make_alignment(node.moves())
+        for move, npos, nmid, w in _successors(trace, rg, node.pos, node.mid):
+            ng = node.g + w
+            prior = settled.get((npos, nmid))
+            if prior is not None and prior <= ng:
+                continue
+            nrho = ng + h(npos, nmid)
+            if nrho > rho_max:
+                continue
+            child = ReferenceNode(node, move, npos, nmid, ng, rank[move.label])
+            heapq.heappush(heap, (nrho, -child.length, move.op, child.lrank, child))
+    raise LogAlignError("no proper alignment exists for the trace")
+
+
+def exactness_cases():
+    """(trace, graph) pairs: loan, parallel tasks, random nets and their
+    extended-label S-component graphs, whose arcs carry trails."""
+    rng = random.Random(43)
+    net, log = loan_pair()
+    nets = [(net, log)]
+    for k in range(1, 7):
+        par = parallel_tasks_net(["T%d" % i for i in range(k)])
+        nets.append((par, random_log(par, rng, n_traces=4, max_trace_len=10)))
+    for seed in range(40):
+        gnet = random_workflow_net(seed, max_visible=8)
+        nets.append((gnet, random_log(gnet, rng, n_traces=4, max_trace_len=10)))
+    cases = []
+    for net, log in nets:
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        # the empty trace aligns by model moves alone
+        traces = [()] + [trace.labels for trace in log.traces]
+        cases.extend((trace, rg) for trace in traces)
+        try:
+            components = decompose(net).components
+        except DecompositionError:
+            continue
+        for comp in components:
+            crg = remove_tau_extended(build_rg(comp.net))
+            cases.extend((tuple(l for l in trace if l in comp.alphabet), crg)
+                         for trace in traces)
+    return cases
+
+
+def test_one_optimal_matches_the_reference_search():
+    cases = exactness_cases()
+    assert len(cases) >= 400
+    with_trail = 0
+    for trace, rg in cases:
+        fast_stats, ref_stats = {}, {}
+        expected = reference_align_one_optimal(trace, rg, stats=ref_stats)
+        got = align_one_optimal(trace, rg, stats=fast_stats)
+        assert got.moves == expected.moves
+        assert fast_stats == ref_stats
+        with_trail += any(m.trail for m in got.moves)
+    assert with_trail >= 20  # extended labels are exercised
+
+
+def test_one_optimal_and_the_reference_share_the_node_budget():
+    cases = [case for case in exactness_cases() if len(case[0]) >= 4][:30]
+    for trace, rg in cases:
+        stats = {}
+        reference_align_one_optimal(trace, rg, stats=stats)
+        for budget in (1, stats["pops"] - 1):
+            with pytest.raises(SearchBudgetError):
+                reference_align_one_optimal(trace, rg, node_budget=budget)
+            with pytest.raises(SearchBudgetError):
+                align_one_optimal(trace, rg, node_budget=budget)
+        assert align_one_optimal(trace, rg, node_budget=stats["pops"]).moves == \
+            reference_align_one_optimal(trace, rg, node_budget=stats["pops"]).moves

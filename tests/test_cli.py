@@ -149,6 +149,29 @@ def test_exit_code_on_a_repeated_or_weighted_pnml_arc(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_exit_code_on_an_initial_marking_above_one(tmp_path):
+    pnml = (DATA / "loan.pnml").read_text()
+    marking = "<initialMarking><text>1</text></initialMarking>"
+    assert marking in pnml
+    for tokens in ("2", "two"):
+        model = tmp_path / "model.pnml"
+        model.write_text(pnml.replace(marking, marking.replace(">1<", ">%s<" % tokens)))
+        proc = run_cli("check", "--log", str(DATA / "loan.xes"), "--model", str(model))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "initial marking" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_impossible_limits_are_rejected(tmp_path):
+    for flag, value in (("--timeout-ms", "-1"), ("--global-timeout-ms", "-1"),
+                        ("--state-cap", "0"), ("--state-cap", "-1")):
+        args, out = check_args(tmp_path, flag, value)
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (flag, value)
+        assert "argument %s: %s is below the minimum" % (flag, value) in proc.stderr
+        assert not out.exists()
+
+
 def test_check_dot_dir(tmp_path):
     dots = tmp_path / "dots"
     args, _ = check_args(tmp_path, "--strategy", "scomponent", "--dot-dir", str(dots))

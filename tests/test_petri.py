@@ -115,6 +115,15 @@ def test_parse_pnml_rejects_multi_token_initial_marking():
         parse_pnml(doc)
 
 
+def test_parse_pnml_initial_marking_is_zero_or_one():
+    marked = '<initialMarking><text>%s</text></initialMarking>'
+    one = MINIMAL_PNML.replace(marked % "1", marked % " 1 ")
+    assert parse_pnml(one % ("", "")).m0 == parse_pnml(MINIMAL_PNML % ("", "")).m0
+    for tokens in ("2", "two", "-1", "1.0"):
+        with pytest.raises(PnmlParseError, match="initial marking %r" % tokens):
+            parse_pnml(MINIMAL_PNML.replace(marked % "1", marked % tokens) % ("", ""))
+
+
 def test_validate_loan_all_flags():
     report = validate(loan_net())
     assert report.workflow_ok
