@@ -15,6 +15,12 @@ label, and finally the full move sequence.  A push costs one heap tuple: a
 search node is made only when an entry is popped and settles its state, and
 ``Move`` objects only along the returned path.
 
+Both searches cache the future-label estimate per trace, keyed on the trace
+position and the marking's future-label class (``FutureLabelTable.classes``)
+rather than the marking: markings of one class share every estimate, so a
+search evaluates ``h`` at most once per (position, class) and every state
+still gets the value it would get on its own.
+
 ``align_all_optimal`` computes every cost-minimal proper alignment of each
 trace of a log DAFSA with a bounded forward/backward shortest-distance sweep
 over search states, keeping exactly the moves on some cheapest path.  Given
@@ -206,17 +212,21 @@ def _dafsa_path(trace, dafsa: Dafsa) -> list[int]:
 
 
 class _Budget:
-    __slots__ = ("left", "deadline")
+    """Counts the pops of one search against its node budget, and reads the
+    clock against its deadline on the first pop and every 256 after it."""
+
+    __slots__ = ("budget", "spent", "deadline")
 
     def __init__(self, node_budget, deadline):
-        self.left = node_budget
+        self.budget = node_budget
+        self.spent = 0
         self.deadline = deadline
 
     def spend(self):
-        self.left -= 1
-        if self.left < 0:
+        self.spent += 1
+        if self.spent > self.budget:
             raise SearchBudgetError("alignment search exceeded its node budget")
-        if self.deadline is not None and self.left % 256 == 0 and time.monotonic() > self.deadline:
+        if self.deadline is not None and self.spent % 256 == 1 and time.monotonic() > self.deadline:
             raise SearchBudgetError("alignment search exceeded its deadline")
 
 
@@ -237,11 +247,16 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     different parents (of equal length) they compare by the parents' chain
     order, which is the order of their own chains: no two nodes share a
     chain, as a state settles only at a strictly lower ``g``.  Search states
-    ``(pos, mid)`` are keyed as ``pos * len(rg.markings) + mid``.
+    ``(pos, mid)`` are settled under ``pos * len(rg.markings) + mid``; their
+    estimates are cached under ``pos * n_classes + classes[mid]``, since
+    markings of one future-label class share every estimate.
     """
     trace = tuple(trace)
     n = len(trace)
-    h = _future_table(rg).h
+    ftable = _future_table(rg)
+    h = ftable.h
+    classes = ftable.classes
+    ncls = ftable.n_classes
     rem = _remaining_counts(trace)
     rank = rg.net.table.rank()
     out = rg.out
@@ -253,7 +268,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     settled: dict[int, int] = {}
 
     rho_max = n + rg.min_visible_skips()
-    h0 = hcache[rg.m0] = h(rem[0], rg.m0)
+    h0 = hcache[classes[rg.m0]] = h(rem[0], rg.m0)
     heap = [(h0, 0, OP_MATCH, 0, None, -1, (), None, 0, rg.m0, 0)]
     max_rho = 0
     pops = 0
@@ -285,34 +300,36 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
             lr = rank[label]
             npos = pos + 1
             base = npos * width
+            hbase = npos * ncls
             for a in row:
                 if a.label != label:
                     continue
                 nmid = a.tgt
-                k = base + nmid
-                prior = settled.get(k)
+                prior = settled.get(base + nmid)
                 if prior is not None and prior <= g:
                     continue
+                k = hbase + classes[nmid]
                 hv = hcache.get(k)
                 if hv is None:
                     hv = hcache[k] = h(rem[npos], nmid)
                 if g + hv <= rho_max:
                     push(heap, (g + hv, depth, OP_MATCH, lr, node, nmid, a.trail, a, npos, nmid, g))
-            k = base + mid
-            prior = settled.get(k)
+            prior = settled.get(base + mid)
             if prior is None or prior > ng:
+                k = hbase + classes[mid]
                 hv = hcache.get(k)
                 if hv is None:
                     hv = hcache[k] = h(rem[npos], mid)
                 if ng + hv <= rho_max:
                     push(heap, (ng + hv, depth, OP_LHIDE, lr, node, -1, (), label, npos, mid, ng))
         base = pos * width
+        hbase = pos * ncls
         for a in row:
             nmid = a.tgt
-            k = base + nmid
-            prior = settled.get(k)
+            prior = settled.get(base + nmid)
             if prior is not None and prior <= ng:
                 continue
+            k = hbase + classes[nmid]
             hv = hcache.get(k)
             if hv is None:
                 hv = hcache[k] = h(rem[pos], nmid)
@@ -386,16 +403,11 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
     trace = tuple(trace)
     dpath = _dafsa_path(trace, dafsa)
     ftable = _future_table(rg)
+    classes = ftable.classes
+    ncls = ftable.n_classes
     rem = _remaining_counts(trace)
     budget = _Budget(node_budget, deadline)
-    hcache: dict[tuple[int, int], int] = {}
-
-    def h(key):
-        v = hcache.get(key)
-        if v is None:
-            v = ftable.h(rem[key[0]], key[1])
-            hcache[key] = v
-        return v
+    hcache: dict[int, int] = {}  # keyed like the cache of align_one_optimal
 
     goals = {(len(trace), f) for f in rg.finals}
     bound = len(trace) + rg.min_visible_skips()
@@ -406,7 +418,12 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
 
     def push_fwd(key, g):
         if g < dist.get(key, _INF):
-            f = g + h(key)
+            pos, mid = key
+            k = pos * ncls + classes[mid]
+            hv = hcache.get(k)
+            if hv is None:
+                hv = hcache[k] = ftable.h(rem[pos], mid)
+            f = g + hv
             if f <= bound:
                 dist[key] = g
                 heapq.heappush(heap, (f, g, key))

@@ -34,6 +34,13 @@ minimum as a scan of every entry:
 - Since surplus >= sum(c) - |F|, an entry of total count T costs at least
   T - |F|.  Entries are scanned by ascending T and the scan stops once
   T - |F| reaches the best estimate found.
+
+``h(F, mid)`` reads nothing of the marking but its entry tuple, which every
+marking of one component shares, and every capped component shares the one
+degenerate tuple.  ``classes[mid]`` numbers the distinct tuples densely from
+0 (``n_classes`` of them): the marking's future-label class.  Markings of one
+class get the same estimate for every F, so a search caches ``h`` per
+(trace position, class) rather than per (trace position, marking).
 """
 
 from __future__ import annotations
@@ -53,18 +60,25 @@ ScanEntry = tuple[int, dict[int, int], frozenset[int]]  # (total count, counts, 
 class FutureLabelTable:
     rg: ReachabilityGraph
     entries: tuple[tuple[Entry, ...], ...]  # per marking id
+    classes: list[int] = field(init=False, repr=False, compare=False)  # per marking id
+    n_classes: int = field(init=False, repr=False, compare=False)
     _scan: list[tuple[ScanEntry, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # markings of one component share their entry tuple, so prune each once
-        by_id: dict[int, tuple[ScanEntry, ...]] = {}
-        scan = []
+        # markings of one component share their entry tuple: prune each tuple
+        # once and number the distinct tuples, by identity, as the classes
+        by_id: dict[int, int] = {}
+        pruned: list[tuple[ScanEntry, ...]] = []
+        classes = []
         for entries in self.entries:
-            pruned = by_id.get(id(entries))
-            if pruned is None:
-                pruned = by_id[id(entries)] = _prune(entries)
-            scan.append(pruned)
-        self._scan = scan
+            cls = by_id.get(id(entries))
+            if cls is None:
+                cls = by_id[id(entries)] = len(pruned)
+                pruned.append(_prune(entries))
+            classes.append(cls)
+        self.classes = classes
+        self.n_classes = len(pruned)
+        self._scan = [pruned[cls] for cls in classes]
 
     def h(self, remaining: dict[int, int], mid: int) -> int:
         scan = self._scan[mid]
@@ -144,7 +158,8 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
         else:
             crossing[c].append(a)
 
-    all_labels = frozenset(a.label for a in rg.arcs)
+    # one tuple for every capped component, so they all share one class
+    degenerate: tuple[Entry, ...] = (((), frozenset(a.label for a in rg.arcs)),)
     has_final = [False] * ncomp
     for f in rg.finals:
         has_final[comp[f]] = True
@@ -174,7 +189,7 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
             if len(acc) > entry_cap:
                 break
         if len(acc) > entry_cap:
-            futures[c] = (((), all_labels),)  # degenerate but still optimistic
+            futures[c] = degenerate  # no counts, every label repeatable: still optimistic
         else:
             futures[c] = tuple(sorted(acc))
     return FutureLabelTable(rg, tuple(futures[comp[mid]] for mid in range(n)))

@@ -1,5 +1,6 @@
 import heapq
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, M
                             _remaining_counts, _successors)
 from logalign.dafsa import build_dafsa
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
+from logalign.heuristic import FutureLabelTable
 from logalign.invariants import decompose
 from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
@@ -233,6 +235,37 @@ def test_search_budget_error():
 
     with _pytest.raises(SearchBudgetError):
         align_one_optimal(trace, rg, node_budget=3)
+
+
+def test_one_optimal_stops_at_a_deadline_already_passed():
+    net, log, rg, dafsa = loan_setup()
+    past = time.monotonic() - 1.0
+    for trace in log.traces:
+        with pytest.raises(SearchBudgetError, match="deadline"):
+            align_one_optimal(trace.labels, rg, deadline=past)
+
+
+def test_all_optimal_stops_at_a_deadline_already_passed():
+    net, log, rg, dafsa = loan_setup()
+    psp = align_all_optimal(log, dafsa, rg, deadline=time.monotonic() - 1.0)
+    for trace in log.traces:
+        assert psp.cost(trace.labels) is None
+        assert "deadline" in psp.error(trace.labels)
+
+
+def test_budget_reads_the_clock_on_the_first_pop_and_every_256_after():
+    budget = _Budget(1000, None)
+    reads = []
+
+    class Deadline:
+        def __lt__(self, now):  # reached through time.monotonic() > deadline
+            reads.append(budget.spent)
+            return False
+
+    budget.deadline = Deadline()
+    for _ in range(600):
+        budget.spend()
+    assert reads == [1, 257, 513]
 
 
 def test_empty_trace_on_skippable_model():
@@ -564,3 +597,33 @@ def test_one_optimal_and_the_reference_share_the_node_budget():
                 align_one_optimal(trace, rg, node_budget=budget)
         assert align_one_optimal(trace, rg, node_budget=stats["pops"]).moves == \
             reference_align_one_optimal(trace, rg, node_budget=stats["pops"]).moves
+
+
+def test_one_optimal_evaluates_h_once_per_position_and_class(monkeypatch):
+    net = random_workflow_net(0, max_visible=8)  # loops: 54 markings in 15 classes
+    rg = remove_tau(build_rg(net))
+    table = _future_table(rg)
+    assert table.n_classes < len(rg.markings)
+    log = random_log(net, random.Random(0), n_traces=6, max_trace_len=12)
+    h = FutureLabelTable.h
+    calls = []
+
+    def counted(self, remaining, mid):
+        # a search keeps one remaining-count dict per trace position
+        calls.append((id(remaining), self.classes[mid]))
+        return h(self, remaining, mid)
+
+    monkeypatch.setattr(FutureLabelTable, "h", counted)
+    fast_calls = reference_calls = 0
+    for trace in log.traces:
+        stats, ref_stats = {}, {}
+        calls.clear()
+        got = align_one_optimal(trace.labels, rg, stats=stats)
+        assert len(calls) == len(set(calls))
+        fast_calls += len(calls)
+        calls.clear()
+        expected = reference_align_one_optimal(trace.labels, rg, stats=ref_stats)
+        reference_calls += len(calls)
+        assert got.moves == expected.moves
+        assert stats == ref_stats
+    assert fast_calls < reference_calls

@@ -261,6 +261,16 @@ def test_global_timeout_exit_code(tmp_path):
     assert any(r["error"] == "global timeout" for r in report["traces"])
 
 
+def test_zero_per_trace_timeout_fails_every_trace(tmp_path):
+    args, out = check_args(tmp_path, "--strategy", "monolithic", "--timeout-ms", "0")
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())["traces"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["cost"] is None and "deadline" in row["error"], row
+
+
 def test_all_optimal_global_timeout_exit_code(tmp_path):
     args, out = check_args(tmp_path, "--strategy", "monolithic", "--all-optimal",
                            "--global-timeout-ms", "0")

@@ -1,14 +1,15 @@
 import random
 
 from logalign.errors import LogAlignError
-from logalign.heuristic import FutureLabelTable, _tarjan, precompute_future_labels
+from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _tarjan,
+                                precompute_future_labels)
 from logalign.logs import LabelTable
 from logalign.petri import SystemNet
 from logalign.reachability import build_rg, remove_tau
-from logalign.sampledata import loan_net
+from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
-from nets import sequence_net
+from nets import parallel_tasks_net, sequence_net
 
 
 def reference_h(table, remaining, mid):
@@ -212,3 +213,55 @@ def test_component_past_a_small_cap_stays_degenerate():
     z = table.intern("Z")
     for rem in ({}, {table.lookup("A"): 3}, {z: 2}):
         assert capped.h(rem, rg.m0) == reference_h(capped, rem, rg.m0)
+
+
+def class_cases():
+    """(graph, traces) pairs: loan, parallel tasks with k = 1..6 and random
+    nets, each with the empty trace."""
+    rng = random.Random(47)
+    nets = [loan_pair()]
+    for k in range(1, 7):
+        par = parallel_tasks_net(["T%d" % i for i in range(k)])
+        nets.append((par, random_log(par, rng, n_traces=4, max_trace_len=10)))
+    for seed in range(40):
+        net = random_workflow_net(seed, max_visible=10)
+        nets.append((net, random_log(net, rng, n_traces=6, max_trace_len=12)))
+    for net, log in nets:
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        yield rg, [()] + [trace.labels for trace in log.traces]
+
+
+def test_markings_of_one_class_share_every_estimate():
+    shared = 0
+    for rg, traces in class_cases():
+        remaining = [rem for trace in traces for rem in suffix_counts(trace)]
+        for cap in (2, DEFAULT_ENTRY_CAP):
+            table = precompute_future_labels(rg, cap)
+            assert len(table.classes) == len(rg.markings)
+            assert set(table.classes) == set(range(table.n_classes))  # dense from 0
+            members = {}
+            for mid, cls in enumerate(table.classes):
+                members.setdefault(cls, []).append(mid)
+            for mids in members.values():
+                assert all(table.entries[mid] is table.entries[mids[0]] for mid in mids)
+                for rem in remaining:
+                    assert len({table.h(rem, mid) for mid in mids}) == 1, (mids, rem)
+                shared += len(mids) > 1
+    assert shared >= 20  # classes do merge markings
+
+
+def test_capped_components_share_one_class():
+    spread = 0
+    for rg, _ in class_cases():
+        table = precompute_future_labels(rg, entry_cap=2)
+        uncapped = precompute_future_labels(rg, entry_cap=10 ** 6).entries
+        degenerate = (((), frozenset(a.label for a in rg.arcs)),)
+        capped = [mid for mid, entries in enumerate(table.entries)
+                  if entries == degenerate and uncapped[mid] != degenerate]
+        assert len({table.classes[mid] for mid in capped}) <= 1
+        comp = _tarjan(len(rg.markings), rg)
+        spread += len({comp[mid] for mid in capped}) > 1
+    assert spread >= 5  # several capped components share the class
