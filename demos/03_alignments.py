@@ -3,7 +3,7 @@
 Run with:  PYTHONPATH=src python3 demos/03_alignments.py
 """
 
-from logalign import (align_all_optimal, align_one_optimal, build_dafsa, build_rg,
+from logalign import (align_one_optimal, all_optimal_alignments, build_rg,
                       brute_force_optimal_cost, remove_tau)
 from logalign.align import OP_LHIDE, OP_MATCH, OP_RHIDE
 from logalign.sampledata import loan_pair
@@ -27,10 +27,10 @@ for trace in log.traces:
           % (",".join(log.texts(trace)), alignment.cost, pretty(alignment)))
 
 print("\nEvery optimal alignment of B,D,C,E,G (the missing A can be replayed")
-print("at four different points), computed over the log's DAFSA:")
-psp = align_all_optimal(log, build_dafsa(log), rg)
+print("at four different points), listed from the DAG of cheapest moves:")
 trace = next(t.labels for t in log.traces if log.texts(t) == tuple("BDCEG"))
-for alignment in psp.alignments_for(trace):
+optima = all_optimal_alignments(trace, rg)
+for alignment in optima.alignments():
     print("   %s" % pretty(alignment))
-print("PSP: %d nodes, %d arcs over the whole log"
-      % (len(psp.nodes), len(psp.arcs)))
+print("%d optimal alignments of cost %d; the DAG has %d states with outgoing moves"
+      % (optima.count(), optima.cost, len(optima.edges)))

@@ -4,12 +4,12 @@ The library aligns each log trace against a Petri-net process model with
 minimal cost, either monolithically (each trace against the model's
 tau-free reachability graph, searched with A*) or by decomposing the model
 into concurrency-free S-components, aligning projections, and recomposing.
-Every optimal alignment of a whole log is computed over its DAFSA, which
-lets traces share the work on common prefixes and suffixes.
+Every optimal alignment of a trace can be enumerated too, and a log's
+distinct traces can be compressed into their minimal DAFSA.
 """
 
-from .align import (Alignment, MemoTables, Move, Psp, align_all_optimal,
-                    align_one_optimal, alignment_cost, is_proper)
+from .align import (Alignment, Move, OptimalSet, align_one_optimal, alignment_cost,
+                    all_optimal_alignments, is_proper)
 from .dafsa import Dafsa, build_dafsa, common_affixes, language
 from .errors import (DecompositionError, LogAlignError, NetStructureError,
                      Not1BoundedError, OracleGuardError, PnmlParseError,

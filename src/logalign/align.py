@@ -15,34 +15,29 @@ label, and finally the full move sequence.  A push costs one heap tuple: a
 search node is made only when an entry is popped and settles its state, and
 ``Move`` objects only along the returned path.
 
+``all_optimal_alignments`` computes every cost-minimal proper alignment of
+one trace with a bounded forward/backward shortest-distance sweep over
+search states, keeping exactly the moves on some cheapest path; its
+``OptimalSet`` counts and lists the optima from that edge DAG.
+
 Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
 rather than the marking: markings of one class share every estimate, so a
 search evaluates ``h`` at most once per (position, class) and every state
 still gets the value it would get on its own.
-
-``align_all_optimal`` computes every cost-minimal proper alignment of each
-trace of a log DAFSA with a bounded forward/backward shortest-distance sweep
-over search states, keeping exactly the moves on some cheapest path.  Given
-memo tables, it seeds both sweeps with partial results recorded at the
-DAFSA's shared prefixes and suffixes; the sweeps stay exact, so memoization
-can speed the search up but never changes the optima.  The PSP collecting
-the results keys its nodes on DAFSA states; it is the only consumer of the
-log automaton.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .dafsa import Dafsa
 from .errors import LogAlignError, SearchBudgetError
 from .heuristic import FutureLabelTable, precompute_future_labels
-from .logs import EventLog, TAU
+from .logs import TAU
 from .reachability import ReachabilityGraph
 
 OP_MATCH = 0
@@ -60,9 +55,6 @@ class Move(NamedTuple):
     trail: tuple[int, ...]
     rg_src: Optional[int]
     rg_tgt: Optional[int]
-
-    def core(self):
-        return (self.op, self.label, self.trail)
 
 
 @dataclass(frozen=True)
@@ -204,13 +196,6 @@ def _successors(trace, rg, pos, mid):
     return out
 
 
-def _dafsa_path(trace, dafsa: Dafsa) -> list[int]:
-    dpath = dafsa.walk(tuple(trace))
-    if dpath is None or dpath[-1] not in dafsa.finals:
-        raise LogAlignError("trace is not in the language of the DAFSA")
-    return dpath
-
-
 class _Budget:
     """Counts the pops of one search against its node budget, and reads the
     clock against its deadline on the first pop and every 256 after it."""
@@ -342,66 +327,52 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
 # all optimal alignments (exact bounded shortest-distance sweeps)
 
 
-class MemoTables:
-    """Partial-alignment caches shared across the traces of one log.
+class OptimalSet(NamedTuple):
+    """Every cost-minimal proper alignment of one trace.
 
-    ``prefix`` maps a trace prefix ending at a branching DAFSA state to the
-    optimal-cost search states reached after consuming it; ``suffix`` maps
-    (merge DAFSA state, remaining suffix) to exact optimal completion costs
-    per marking.  Both only ever hold pieces of previously returned optimal
-    alignments, so seeding searches with them tightens bounds without
-    changing any optimum.
+    ``edges`` maps a search state ``(pos, mid)`` to its ordered
+    ``(Move, next state)`` pairs that lie on some cheapest path; they form a
+    DAG whose root-to-leaf paths from ``root`` are exactly the optima.
     """
 
-    def __init__(self):
-        self.prefix: dict[tuple, dict[tuple[int, int], int]] = {}
-        self.suffix: dict[tuple, dict[int, int]] = {}
+    cost: int
+    edges: dict
+    root: tuple
 
-    def prefix_seeds(self, trace) -> list[tuple[int, int, int]]:
-        trace = tuple(trace)
-        for i in range(len(trace), 0, -1):
-            hit = self.prefix.get(trace[:i])
-            if hit:
-                return [(pos, mid, g) for (pos, mid), g in sorted(hit.items())]
-        return []
-
-    def suffix_seeds(self, trace, dpath) -> list[tuple[int, int, int]]:
-        trace = tuple(trace)
-        seeds = []
-        for pos in range(len(trace) + 1):
-            hit = self.suffix.get((dpath[pos], trace[pos:]))
-            if hit:
-                seeds.extend((pos, mid, db) for mid, db in sorted(hit.items()))
-        return seeds
-
-    def record(self, trace, dpath, dafsa: Dafsa, dist, db, cstar):
-        trace = tuple(trace)
-        for (pos, mid), g in dist.items():
-            d = db.get((pos, mid))
-            if d is None or g + d != cstar or not 0 < pos < len(trace):
+    def count(self) -> int:
+        """Number of optimal alignments: root-to-leaf paths of the DAG."""
+        # paths to a leaf per key, children before parents
+        paths: dict = {}
+        stack = [self.root]
+        while stack:
+            key = stack[-1]
+            if key in paths:
+                stack.pop()
                 continue
-            if dafsa.out_degree[dpath[pos]] > 1:
-                slot = self.prefix.setdefault(trace[:pos], {})
-                if g < slot.get((pos, mid), _INF):
-                    slot[(pos, mid)] = g
-            if dafsa.in_degree[dpath[pos]] > 1:
-                slot = self.suffix.setdefault((dpath[pos], trace[pos:]), {})
-                if d < slot.get(mid, _INF):
-                    slot[mid] = d
+            nexts = self.edges.get(key, ())
+            todo = [nkey for _, nkey in nexts if nkey not in paths]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            paths[key] = 1 if not nexts else sum(paths[nkey] for _, nkey in nexts)
+        return paths[self.root]
+
+    def alignments(self, limit: Optional[int] = None) -> tuple[Alignment, ...]:
+        """The first ``limit`` optima (all of them by default), depth first
+        in edge order."""
+        return tuple(islice(_optimal_paths(self.edges, self.root), limit))
 
 
-class TraceResult(NamedTuple):
-    cost: Optional[int]
-    edges: Optional[dict]
-    dpath: Optional[list]
-    root: Optional[tuple]
-    error: Optional[str]
+def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
+                           node_budget: int = DEFAULT_NODE_BUDGET,
+                           deadline: Optional[float] = None) -> OptimalSet:
+    """Every cost-minimal proper alignment of a trace against the graph.
 
-
-def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
-                       node_budget, deadline):
+    Raises ``SearchBudgetError`` when the sweeps exceed the node budget or
+    the deadline, as ``align_one_optimal`` does.
+    """
     trace = tuple(trace)
-    dpath = _dafsa_path(trace, dafsa)
     ftable = _future_table(rg)
     classes = ftable.classes
     ncls = ftable.n_classes
@@ -428,10 +399,8 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
                 dist[key] = g
                 heapq.heappush(heap, (f, g, key))
 
-    push_fwd((0, rg.m0), 0)
-    if memo is not None:
-        for pos, mid, g in memo.prefix_seeds(trace):
-            push_fwd((pos, mid), g)
+    root = (0, rg.m0)
+    push_fwd(root, 0)
     while heap:
         f, g, key = heapq.heappop(heap)
         if g > dist.get(key, _INF) or f > bound:
@@ -466,9 +435,6 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
 
     for goal in goals:
         push_bwd(goal, 0)
-    if memo is not None:
-        for pos, mid, d in memo.suffix_seeds(trace, dpath):
-            push_bwd((pos, mid), d)
     while bheap:
         d, key = heapq.heappop(bheap)
         if d > db.get(key, _INF):
@@ -496,98 +462,7 @@ def _all_optimal_trace(trace, dafsa, rg, memo: Optional[MemoTables],
         if nexts:
             nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
             edges[key] = tuple(nexts)
-
-    if memo is not None:
-        memo.record(trace, dpath, dafsa, dist, db, cstar)
-    return cstar, edges, dpath
-
-
-@dataclass
-class Psp:
-    """Product automaton collecting the computed alignments per log trace.
-
-    Node keys pair a DAFSA state and a marking with the number of trace
-    events consumed so far; arcs carry synchronization moves.  Every path
-    from the initial node to a final node is a proper alignment of the
-    trace it spells.
-    """
-
-    initial_key: tuple
-    nodes: dict = field(default_factory=dict)
-    arcs: set = field(default_factory=set)
-    finals: set = field(default_factory=set)
-    results: dict = field(default_factory=dict)
-    _alignments: dict = field(default_factory=dict)
-
-    def _node(self, key) -> int:
-        nid = self.nodes.get(key)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes[key] = nid
-        return nid
-
-    def add_optimal_set(self, trace, cost, edges, dpath, m0):
-        trace = tuple(trace)
-        root = (0, m0)
-        self.results[trace] = TraceResult(cost, edges, dpath, root, None)
-        keys = {root}
-        for key, nexts in edges.items():
-            keys.add(key)
-            keys.update(nkey for _, nkey in nexts)
-        with_out = set(edges)
-        for pos, mid in sorted(keys):
-            nid = self._node((dpath[pos], mid, pos))
-            if (pos, mid) not in with_out:
-                self.finals.add(nid)
-        for (pos, mid), nexts in edges.items():
-            src = self._node((dpath[pos], mid, pos))
-            for move, (npos, nmid) in nexts:
-                self.arcs.add((src, move.core(), self._node((dpath[npos], nmid, npos))))
-
-    def add_failure(self, trace, message: str):
-        self.results[tuple(trace)] = TraceResult(None, None, None, None, message)
-
-    def cost(self, trace) -> Optional[int]:
-        res = self.results.get(tuple(trace))
-        return None if res is None else res.cost
-
-    def error(self, trace) -> Optional[str]:
-        res = self.results.get(tuple(trace))
-        return None if res is None else res.error
-
-    def alignments_for(self, trace, limit: Optional[int] = None) -> tuple[Alignment, ...]:
-        trace = tuple(trace)
-        cached = self._alignments.get(trace)
-        if cached is None:
-            res = self.results.get(trace)
-            if res is None or res.edges is None:
-                return ()
-            cached = tuple(islice(_optimal_paths(res.edges, res.root), limit))
-            if limit is None:
-                self._alignments[trace] = cached
-        return cached if limit is None else cached[:limit]
-
-    def count_optimal(self, trace) -> int:
-        trace = tuple(trace)
-        res = self.results.get(trace)
-        if res is None or res.edges is None:
-            return 0
-        # paths to a leaf per key, children before parents (the edges form a DAG)
-        paths: dict = {}
-        stack = [res.root]
-        while stack:
-            key = stack[-1]
-            if key in paths:
-                stack.pop()
-                continue
-            nexts = res.edges.get(key, ())
-            todo = [nkey for _, nkey in nexts if nkey not in paths]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            paths[key] = 1 if not nexts else sum(paths[nkey] for _, nkey in nexts)
-        return paths[res.root]
+    return OptimalSet(cstar, edges, root)
 
 
 def _optimal_paths(edges, root):
@@ -612,26 +487,3 @@ def _optimal_paths(edges, root):
         else:
             yield make_alignment(moves)
             moves.pop()
-
-
-def align_all_optimal(log: EventLog, dafsa: Dafsa, rg: ReachabilityGraph, *,
-                      memo: Optional[MemoTables] = None,
-                      node_budget: int = DEFAULT_NODE_BUDGET,
-                      deadline: Optional[float] = None) -> Psp:
-    """PSP holding every optimal proper alignment of every distinct trace.
-
-    With ``memo``, partial alignments recorded at shared prefixes and
-    suffixes seed the sweeps of later traces; the optima stay the same.
-    A trace whose sweep exceeds the node budget or the deadline is recorded
-    as a failure and the remaining traces are still attempted.
-    """
-    psp = Psp((dafsa.initial, rg.m0, 0))
-    for trace in log.traces:
-        try:
-            cost, edges, dpath = _all_optimal_trace(trace.labels, dafsa, rg, memo,
-                                                    node_budget, deadline)
-        except SearchBudgetError as exc:
-            psp.add_failure(trace.labels, str(exc))
-            continue
-        psp.add_optimal_set(trace.labels, cost, edges, dpath, rg.m0)
-    return psp

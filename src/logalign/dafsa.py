@@ -8,8 +8,9 @@ children, and a state whose signature is already registered is replaced by
 the registered one.  Two states merge exactly when
 they accept the same suffixes, so the result is the unique minimal
 automaton of the log, numbered breadth-first along label-ranked arcs.  Its
-branching and merging states are where the all-optimal sweeps share work
-between traces.
+branching and merging states mark the log's common prefixes and suffixes
+(``common_affixes``).  No alignment search reads it: a conformance run
+builds it only to write ``dafsa.dot``.
 """
 
 from __future__ import annotations

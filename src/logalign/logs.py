@@ -117,6 +117,9 @@ def _localname(tag: str) -> str:
 def parse_xes(data: bytes | str, table: Optional[LabelTable] = None) -> EventLog:
     """Parse an XES document into a deduplicated EventLog.
 
+    Traces are the root's ``trace`` children and events their ``event``
+    children; an event's name is the ``concept:name`` attribute among its
+    own children, so attributes nested in containers or lists are ignored.
     Duplicate trace sequences are merged and their frequencies summed.
     Raises XesParseError on malformed XML and XesValidationError when a
     trace contains an event without a concept:name attribute.
@@ -128,7 +131,7 @@ def parse_xes(data: bytes | str, table: Optional[LabelTable] = None) -> EventLog
         raise XesParseError("malformed XES document: %s" % exc) from exc
     sequences = []
     trace_index = 0
-    for elem in root.iter():
+    for elem in root:
         if _localname(elem.tag) != "trace":
             continue
         labels = []
@@ -136,7 +139,7 @@ def parse_xes(data: bytes | str, table: Optional[LabelTable] = None) -> EventLog
             if _localname(ev.tag) != "event":
                 continue
             name = None
-            for attr in ev.iter():
+            for attr in ev:
                 if attr.get("key") == "concept:name":
                     name = attr.get("value")
                     break

@@ -4,10 +4,10 @@ The pipeline parses nothing itself; it takes an already built net and log
 sharing one label table and produces a machine-readable report:
 
     parse -> validate -> build graph -> remove tau -> (decompose?)
-          -> choose strategy -> (build DAFSA?) -> align -> report
+          -> choose strategy -> align -> report
 
-Only the all-optimal sweeps read the log DAFSA, so it is built only for
-``all_optimal`` runs (and for ``dafsa.dot`` when dot files are asked for).
+Every route aligns one trace at a time, so no run builds the log DAFSA;
+it is built only for ``dafsa.dot`` when dot files are asked for.
 
 Per-trace fitness is 1 - cost / (|trace| + minModelSkips), clamped to
 [0, 1]; minModelSkips is the length of the shortest visible model run, so
@@ -21,11 +21,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .align import (DEFAULT_NODE_BUDGET, MemoTables, OP_NAMES, Alignment,
-                    align_all_optimal, align_one_optimal)
+from .align import (DEFAULT_NODE_BUDGET, OP_NAMES, Alignment, align_one_optimal,
+                    all_optimal_alignments)
 from .dafsa import build_dafsa, dafsa_to_dot
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError, TauReductionError
-from .logs import EventLog, make_log
+from .logs import EventLog
 from .petri import SystemNet, net_to_dot, validate
 from .reachability import (DEFAULT_MARKING_CAP, build_rg, min_visible_skips_net,
                            remove_tau, rg_to_dot)
@@ -141,57 +141,47 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         skips = None
 
     t = time.perf_counter()
-    dafsa = build_dafsa(log) if chosen == "monolithic" and config.all_optimal else None
-    t = mark("build_dafsa", t)
-
-    results, timed_out = _align_all_traces(log, dafsa, rg, aligner, chosen, config,
-                                           global_deadline)
+    results, timed_out = _align_all_traces(log, rg, aligner, chosen, config, global_deadline)
     rows = _rows(net, log, results, chosen, skips, config)
     mark("align", t)
     timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
 
     if config.dot_dir:
-        _write_dots(net, log, rg, aligner, dafsa, config.dot_dir)
+        _write_dots(net, log, rg, aligner, config.dot_dir)
 
     report = _base_report(net, log, vreport, report_strategy, skips, timings, rows)
     exit_code = EXIT_GLOBAL_TIMEOUT if timed_out else EXIT_OK
     return RunResult(report, exit_code)
 
 
-def _align_all_traces(log, dafsa, rg, aligner, chosen, config, global_deadline):
+def _align_all_traces(log, rg, aligner, chosen, config, global_deadline):
     """One result per distinct trace, aligned in log order, and whether the
-    global deadline cut the run short.  ``dafsa`` is the log's automaton on
-    all-optimal runs and None otherwise.
+    global deadline cut the run short.  On all-optimal runs an entry also
+    counts the trace's optima, and its alignment is the first of them.
 
     Each trace's search gets the earlier of its own timeout and the global
     deadline.  Once the global deadline has passed, the remaining traces are
     not attempted and are marked ``"global timeout"``.
     """
-    all_optimal = dafsa is not None
-    memo = MemoTables() if all_optimal else None
+    all_optimal = chosen == "monolithic" and config.all_optimal
 
     def align(labels, deadline):
-        if all_optimal:
-            psp = align_all_optimal(make_log([labels], log.table), dafsa, rg, memo=memo,
-                                    node_budget=DEFAULT_NODE_BUDGET, deadline=deadline)
-            cost = psp.cost(labels)
-            if cost is None:
-                return {"cost": None, "error": psp.error(labels)}
-            entry = {"cost": cost, "n_optimal": psp.count_optimal(labels)}
-            if config.emit_alignments:
-                entry["alignment"] = psp.alignments_for(labels, limit=1)[0]
-            return entry
-        if chosen == "monolithic":
-            try:
-                alignment = align_one_optimal(labels, rg=rg, node_budget=DEFAULT_NODE_BUDGET,
-                                              deadline=deadline)
-            except SearchBudgetError as exc:
-                return {"cost": None, "error": str(exc)}
-            return {"cost": alignment.cost, "alignment": alignment}
-        outcome = aligner.align_trace(labels, deadline)
-        return {"cost": None if outcome.alignment is None else outcome.alignment.cost,
-                "conflict": outcome.conflict, "fallback": outcome.fallback_used,
-                "error": outcome.error, "alignment": outcome.alignment}
+        if chosen != "monolithic":
+            outcome = aligner.align_trace(labels, deadline)
+            return {"cost": None if outcome.alignment is None else outcome.alignment.cost,
+                    "conflict": outcome.conflict, "fallback": outcome.fallback_used,
+                    "error": outcome.error, "alignment": outcome.alignment}
+        search = all_optimal_alignments if all_optimal else align_one_optimal
+        try:
+            found = search(labels, rg=rg, node_budget=DEFAULT_NODE_BUDGET, deadline=deadline)
+        except SearchBudgetError as exc:
+            return {"cost": None, "error": str(exc)}
+        if not all_optimal:
+            return {"cost": found.cost, "alignment": found}
+        entry = {"cost": found.cost, "n_optimal": found.count()}
+        if config.emit_alignments:
+            entry["alignment"] = found.alignments(limit=1)[0]
+        return entry
 
     results: list[dict] = []
     timed_out = False
@@ -290,7 +280,7 @@ def report_to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_dots(net, log, rg, aligner, dafsa, dot_dir):
+def _write_dots(net, log, rg, aligner, dot_dir):
     import os
 
     os.makedirs(dot_dir, exist_ok=True)
@@ -300,7 +290,7 @@ def _write_dots(net, log, rg, aligner, dafsa, dot_dir):
             fh.write(text)
 
     put("net.dot", net_to_dot(net))
-    put("dafsa.dot", dafsa_to_dot(dafsa if dafsa is not None else build_dafsa(log)))
+    put("dafsa.dot", dafsa_to_dot(build_dafsa(log)))
     if rg is not None:
         put("rg.dot", rg_to_dot(rg))
     if aligner is not None:

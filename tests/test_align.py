@@ -4,15 +4,13 @@ import time
 
 import pytest
 
-from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, MemoTables,
-                            align_all_optimal, align_one_optimal, alignment_cost, is_proper,
+from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE,
+                            align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
                             make_alignment, Move, _Budget, _future_table, _Node,
                             _remaining_counts, _successors)
-from logalign.dafsa import build_dafsa
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
 from logalign.heuristic import FutureLabelTable
 from logalign.invariants import decompose
-from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
 from logalign.reachability import Arc, build_rg, remove_tau, remove_tau_extended
 from logalign.sampledata import loan_pair
@@ -24,8 +22,7 @@ from nets import parallel_merge_net, parallel_tasks_net
 def loan_setup():
     net, log = loan_pair()
     rg = remove_tau(build_rg(net))
-    dafsa = build_dafsa(log)
-    return net, log, rg, dafsa
+    return net, log, rg
 
 
 def moves_as_text(net, alignment):
@@ -51,7 +48,7 @@ def test_alignment_cost_function():
 
 
 def test_one_optimal_running_example_selected_alignment():
-    net, log, rg, dafsa = loan_setup()
+    net, log, rg = loan_setup()
     alignment = align_one_optimal(ids(net, "BDCEG"), rg)
     assert alignment.cost == 1
     assert moves_as_text(net, alignment) == ["m(B)", "m(D)", "m(C)", "r(A)", "m(E)", "m(G)"]
@@ -61,14 +58,14 @@ def test_one_optimal_running_example_selected_alignment():
 def test_one_optimal_is_deterministic_across_runs():
     outputs = set()
     for _ in range(10):
-        net, log, rg, dafsa = loan_setup()
+        net, log, rg = loan_setup()
         alignment = align_one_optimal(ids(net, "BDCEG"), rg)
         outputs.add(tuple(moves_as_text(net, alignment)))
     assert len(outputs) == 1
 
 
 def test_one_optimal_second_running_trace():
-    net, log, rg, dafsa = loan_setup()
+    net, log, rg = loan_setup()
     alignment = align_one_optimal(ids(net, "BDAEFG"), rg)
     assert moves_as_text(net, alignment) == \
         ["m(B)", "m(D)", "m(A)", "r(C)", "m(E)", "m(F)", "l(G)"]
@@ -85,12 +82,12 @@ def test_one_optimal_empty_trace_all_rhide():
 
 
 def test_all_optimal_running_example_exactly_four():
-    net, log, rg, dafsa = loan_setup()
-    psp = align_all_optimal(log, dafsa, rg)
+    net, log, rg = loan_setup()
     trace = ids(net, "BDCEG")
-    assert psp.cost(trace) == 1
-    assert psp.count_optimal(trace) == 4
-    alignments = psp.alignments_for(trace)
+    optima = all_optimal_alignments(trace, rg)
+    assert optima.cost == 1
+    assert optima.count() == 4
+    alignments = optima.alignments()
     assert len(alignments) == 4
     positions = set()
     for al in alignments:
@@ -103,14 +100,11 @@ def test_all_optimal_running_example_exactly_four():
 
 
 def test_all_optimal_perfect_fit_single_alignment():
-    net, log, rg, dafsa = loan_setup()
-    log2 = make_log([ids(net, "BDCAEG")], net.table)
-    dafsa2 = build_dafsa(log2)
-    psp = align_all_optimal(log2, dafsa2, rg)
-    trace = ids(net, "BDCAEG")
-    assert psp.cost(trace) == 0
-    assert psp.count_optimal(trace) == 1
-    (al,) = psp.alignments_for(trace)
+    net, log, rg = loan_setup()
+    optima = all_optimal_alignments(ids(net, "BDCAEG"), rg)
+    assert optima.cost == 0
+    assert optima.count() == 1
+    (al,) = optima.alignments()
     assert all(m.op == OP_MATCH for m in al.moves)
 
 
@@ -126,46 +120,14 @@ def test_all_optimal_matches_oracle_on_random_instances():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=6)
-        dafsa = build_dafsa(log)
-        psp = align_all_optimal(log, dafsa, rg)
         for trace in log.traces:
+            optima = all_optimal_alignments(trace.labels, rg)
             cost, seqs = enumerate_optimal_move_sequences(trace.labels, rg)
-            assert psp.cost(trace.labels) == cost, "seed %d" % seed
-            assert psp.count_optimal(trace.labels) == len(seqs), \
+            assert optima.cost == cost, "seed %d" % seed
+            assert optima.count() == len(seqs), \
                 "seed %d trace %s" % (seed, trace.labels)
             checked += 1
     assert checked > 30
-
-
-def test_memoization_changes_nothing_on_running_example():
-    net, log, rg, dafsa = loan_setup()
-    plain = align_all_optimal(log, dafsa, rg)
-    memo = align_all_optimal(log, dafsa, rg, memo=MemoTables())
-    for trace in log.traces:
-        assert plain.cost(trace.labels) == memo.cost(trace.labels)
-        assert plain.count_optimal(trace.labels) == memo.count_optimal(trace.labels)
-        assert set(plain.alignments_for(trace.labels)) == set(memo.alignments_for(trace.labels))
-
-
-def test_memoization_neutral_on_random_logs():
-    rng = random.Random(23)
-    logs_checked = 0
-    for seed in range(40):
-        net = random_workflow_net(seed, max_visible=6)
-        try:
-            rg = remove_tau(build_rg(net))
-        except Exception:
-            continue
-        log = random_log(net, rng, n_traces=8, max_trace_len=8)
-        dafsa = build_dafsa(log)
-        plain = align_all_optimal(log, dafsa, rg)
-        shared = MemoTables()
-        memo = align_all_optimal(log, dafsa, rg, memo=shared)
-        for trace in log.traces:
-            assert plain.cost(trace.labels) == memo.cost(trace.labels), "seed %d" % seed
-            assert plain.count_optimal(trace.labels) == memo.count_optimal(trace.labels)
-        logs_checked += 1
-    assert logs_checked >= 30
 
 
 def test_one_optimal_cost_equals_oracle_and_heuristic_admissible():
@@ -188,11 +150,10 @@ def test_one_optimal_cost_equals_oracle_and_heuristic_admissible():
 
 def test_selected_alignment_maximizes_matches():
     # among the optima, the deterministic pick maximizes matches
-    net, log, rg, dafsa = loan_setup()
-    psp = align_all_optimal(log, dafsa, rg)
+    net, log, rg = loan_setup()
     for trace in log.traces:
         sel = align_one_optimal(trace.labels, rg)
-        optima = psp.alignments_for(trace.labels)
+        optima = all_optimal_alignments(trace.labels, rg).alignments()
         assert sel in optima
         best_matches = max(sum(1 for m in al.moves if m.op == OP_MATCH) for al in optima)
         assert sum(1 for m in sel.moves if m.op == OP_MATCH) == best_matches
@@ -201,35 +162,20 @@ def test_selected_alignment_maximizes_matches():
 def test_all_optimal_through_model_loop():
     from logalign.oracle import enumerate_optimal_move_sequences
 
-    net, log, rg, dafsa = loan_setup()
+    net, log, rg = loan_setup()
     trace = ids(net, "CABEHIEFG")  # runs through the request-more-info loop
-    psp = align_all_optimal(log, dafsa, rg)
+    optima = all_optimal_alignments(trace, rg)
     cost, seqs = enumerate_optimal_move_sequences(trace, rg)
-    assert psp.cost(trace) == cost == 3
-    assert psp.count_optimal(trace) == len(seqs)
-    for al in psp.alignments_for(trace):
+    assert optima.cost == cost == 3
+    assert optima.count() == len(seqs)
+    for al in optima.alignments():
         assert is_proper(al, trace, rg)
-
-
-def test_memo_tables_populate_and_hit():
-    net, log, rg, dafsa = loan_setup()
-    memo = MemoTables()
-    align_all_optimal(log, dafsa, rg, memo=memo)
-    # the two branching prefixes and the two merge suffixes got recorded
-    prefix_keys = {tuple(net.table.text(l) for l in k) for k in memo.prefix}
-    assert tuple("BD") in prefix_keys
-    assert tuple("CABE") in prefix_keys
-    suffix_words = {tuple(net.table.text(l) for l in labels) for _, labels in memo.suffix}
-    assert ("G",) in suffix_words or tuple("EFG") in suffix_words
-    # a fresh trace sharing the B,D prefix seeds from the table
-    trace = tuple(net.table.lookup(x) for x in "BD")
-    assert memo.prefix_seeds(trace + (net.table.lookup("C"),))
 
 
 def test_search_budget_error():
     import pytest as _pytest
 
-    net, log, rg, dafsa = loan_setup()
+    net, log, rg = loan_setup()
     trace = tuple(net.table.lookup(x) for x in "CABEHIEFG")
     from logalign.errors import SearchBudgetError
 
@@ -238,7 +184,7 @@ def test_search_budget_error():
 
 
 def test_one_optimal_stops_at_a_deadline_already_passed():
-    net, log, rg, dafsa = loan_setup()
+    net, log, rg = loan_setup()
     past = time.monotonic() - 1.0
     for trace in log.traces:
         with pytest.raises(SearchBudgetError, match="deadline"):
@@ -246,11 +192,18 @@ def test_one_optimal_stops_at_a_deadline_already_passed():
 
 
 def test_all_optimal_stops_at_a_deadline_already_passed():
-    net, log, rg, dafsa = loan_setup()
-    psp = align_all_optimal(log, dafsa, rg, deadline=time.monotonic() - 1.0)
+    net, log, rg = loan_setup()
+    past = time.monotonic() - 1.0
     for trace in log.traces:
-        assert psp.cost(trace.labels) is None
-        assert "deadline" in psp.error(trace.labels)
+        with pytest.raises(SearchBudgetError, match="deadline"):
+            all_optimal_alignments(trace.labels, rg, deadline=past)
+
+
+def test_all_optimal_stops_at_its_node_budget():
+    net, log, rg = loan_setup()
+    for trace in log.traces:
+        with pytest.raises(SearchBudgetError, match="node budget"):
+            all_optimal_alignments(trace.labels, rg, node_budget=1)
 
 
 def test_budget_reads_the_clock_on_the_first_pop_and_every_256_after():
@@ -281,25 +234,12 @@ def test_empty_trace_on_skippable_model():
         table)
     rg = remove_tau(build_rg(net))
     assert rg.m0 in rg.finals
-    log = make_log([()], table)
-    dafsa = build_dafsa(log)
     alignment = align_one_optimal((), rg)
     assert alignment.cost == 0 and alignment.moves == ()
-    psp = align_all_optimal(log, dafsa, rg)
-    assert psp.cost(()) == 0
-    assert psp.count_optimal(()) == 1
-    assert psp.alignments_for(()) == (alignment,)
-
-
-def test_psp_structure_running_example():
-    net, log, rg, dafsa = loan_setup()
-    psp = align_all_optimal(log, dafsa, rg)
-    # merged product: every final has no outgoing arcs
-    sources = {src for src, _, _ in psp.arcs}
-    assert psp.finals
-    assert not (psp.finals & sources)
-    assert psp.nodes[psp.initial_key] == 0
-
+    optima = all_optimal_alignments((), rg)
+    assert optima.cost == 0
+    assert optima.count() == 1
+    assert optima.alignments() == (alignment,)
 
 
 def reference_chain(node):
@@ -407,29 +347,26 @@ def test_optimal_alignments_listed_in_recursive_order():
         except LogAlignError:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=8)
-        psp = align_all_optimal(log, build_dafsa(log), rg)
         for trace in log.traces:
-            res = psp.results[trace.labels]
-            expected = reference_alignments(res.edges, res.root)
-            assert psp.count_optimal(trace.labels) == len(expected)
-            assert psp.alignments_for(trace.labels, limit=2) == expected[:2]
-            assert psp.alignments_for(trace.labels) == expected
+            optima = all_optimal_alignments(trace.labels, rg)
+            expected = reference_alignments(optima.edges, optima.root)
+            assert optima.count() == len(expected)
+            assert optima.alignments(limit=2) == expected[:2]
+            assert optima.alignments() == expected
             checked += 1
     assert checked > 30
 
 
 def test_all_optimal_on_a_trace_longer_than_the_recursion_limit():
-    net, _, rg, _ = loan_setup()
+    net, _, rg = loan_setup()
     trace = ids(net, "A" * 1200)
-    log = make_log([trace], net.table)
-    dafsa = build_dafsa(log)
-    psp = align_all_optimal(log, dafsa, rg)
-    assert psp.cost(trace) == align_one_optimal(trace, rg).cost
-    assert psp.count_optimal(trace) >= 1
-    first, second = psp.alignments_for(trace, limit=2)
+    optima = all_optimal_alignments(trace, rg)
+    assert optima.cost == align_one_optimal(trace, rg).cost
+    assert optima.count() >= 1
+    first, second = optima.alignments(limit=2)
     assert first != second
     for al in (first, second):
-        assert al.cost == psp.cost(trace)
+        assert al.cost == optima.cost
         assert is_proper(al, trace, rg)
 
 

@@ -53,6 +53,29 @@ def test_parse_xes_event_without_name_names_trace():
         parse_xes(doc)
 
 
+def test_event_name_read_from_its_own_attributes_only():
+    doc = ('<log><trace><event>'
+           '<container key="meta"><string key="concept:name" value="nested"/></container>'
+           '<string key="concept:name" value="real"/></event></trace></log>')
+    log = parse_xes(doc)
+    assert [log.texts(t) for t in log.traces] == [("real",)]
+    # a name only inside a container leaves the event unnamed
+    doc = ('<log><trace><event>'
+           '<container key="meta"><string key="concept:name" value="nested"/></container>'
+           '</event></trace></log>')
+    with pytest.raises(XesValidationError, match="trace 0: event 0"):
+        parse_xes(doc)
+
+
+def test_traces_read_from_the_root_children_only():
+    doc = ('<log><trace><event><string key="concept:name" value="A"/>'
+           '<container key="meta"><trace><event><string key="concept:name" value="X"/>'
+           '</event></trace></container></event></trace></log>')
+    log = parse_xes(doc)
+    assert [log.texts(t) for t in log.traces] == [("A",)]
+    assert log.total_traces == 1
+
+
 def test_xes_round_trip():
     log = loan_log()
     again = parse_xes(write_xes(log))

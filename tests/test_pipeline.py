@@ -122,9 +122,9 @@ def test_one_monolithic_build_per_run(monkeypatch):
     assert len(calls) == 1
 
 
-def test_log_automaton_built_only_for_all_optimal(monkeypatch):
-    # only the all-optimal sweeps read the log DAFSA; one-optimal searches,
-    # component lanes and fallbacks align the traces themselves
+def test_log_automaton_built_only_for_all_optimal(monkeypatch, tmp_path):
+    # every route, all-optimal included, aligns one trace at a time: a run
+    # builds the log DAFSA only to write dafsa.dot
     from logalign import recompose as recompose_module
     from logalign.dafsa import build_dafsa
 
@@ -138,17 +138,22 @@ def test_log_automaton_built_only_for_all_optimal(monkeypatch):
     monkeypatch.setattr(recompose_module, "build_dafsa", counting_build_dafsa, raising=False)
     net, log = loan_pair()
     for strategy in ("auto", "scomponent", "monolithic"):
-        assert run_conformance(net, log, RunConfig(strategy=strategy)).exit_code == 0
-        assert calls == [], strategy
+        for all_optimal in (False, True):
+            config = RunConfig(strategy=strategy, all_optimal=all_optimal)
+            assert run_conformance(net, log, config).exit_code == 0
+            assert calls == [], (strategy, all_optimal)
     net = hidden_history_net()
     log = make_log([tuple(net.table.lookup(x) for x in word) for word in ("ABCD", "ABD")],
                    net.table)
     result = run_conformance(net, log, RunConfig(strategy="scomponent"))
     assert result.report["aggregates"]["fallbacks"] == 1
-    assert calls == []
     result = run_conformance(net, log, RunConfig(strategy="monolithic", all_optimal=True))
     assert result.exit_code == 0
-    assert calls == [log]
+    assert "build_dafsa" not in result.report["timings_ms"]
+    assert calls == []
+    config = RunConfig(strategy="monolithic", all_optimal=True, dot_dir=str(tmp_path))
+    assert run_conformance(net, log, config).exit_code == 0
+    assert calls == [log] and (tmp_path / "dafsa.dot").is_file()
 
 
 def test_one_monolithic_build_per_capped_run(monkeypatch):
