@@ -16,7 +16,7 @@ builds it only to write ``dafsa.dot``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .logs import EventLog, LabelTable
 
@@ -47,16 +47,6 @@ class Dafsa:
 
     def __len__(self) -> int:
         return len(self.out)
-
-    def walk(self, labels: tuple[int, ...]) -> Optional[list[int]]:
-        """State path for a label sequence, or None if it leaves the automaton."""
-        path = [self.initial]
-        for l in labels:
-            nxt = self.out[path[-1]].get(l)
-            if nxt is None:
-                return None
-            path.append(nxt)
-        return path
 
     def language(self) -> Iterator[tuple[int, ...]]:
         """All initial-to-final label sequences, lexicographic by label text."""

@@ -1,14 +1,17 @@
 """Divide-and-conquer alignment along S-components and its recomposition.
 
-Each trace is projected onto every component's alphabet and aligned against
-that component's (extended-label, tau-free) reachability graph.  No log
-automaton is involved, so the aligner takes any trace over the net's labels.
-The projected alignments are then replayed in parallel over the original trace:
-a log event composes when every component owning its label proposes the
-same operation for it, and components catch up beforehand through jointly
-agreed model skips.  Disagreements (on order, on operation, or on the tau
-history hidden inside an extended label) abort the replay and the trace
-falls back to a monolithic search on the full reachability graph.
+One pass over a trace hands each event to the components owning its label,
+and each projection is aligned against its component's (extended-label,
+tau-free) reachability graph; no log automaton is involved.  The projected
+alignments are then replayed in parallel over the original trace: a log
+event composes when every component owning its label proposes the same
+operation for it, and components catch up beforehand through jointly agreed
+model skips.  The replay keeps each lane's next move and, per model skip,
+the lanes proposing it, and changes them only when a lane advances, so a
+trace costs time linear in its length plus the number of lanes.
+Disagreements (on order, on operation, or on the tau history hidden inside
+an extended label) abort the replay and the trace falls back to a
+monolithic search on the full reachability graph.
 
 Recomposed alignments are proper but not necessarily optimal; they never
 cost less than a monolithic optimum.
@@ -19,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .align import (OP_LHIDE, OP_MATCH, OP_RHIDE, Alignment, Move, align_one_optimal,
-                    make_alignment)
+from .align import OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import SComponentDecomposition, decompose
 from .logs import TAU
@@ -38,19 +40,6 @@ class RecompositionOutcome:
     conflict: Optional[str]
     fallback_used: bool
     error: Optional[str] = None
-
-
-class _Lane:
-    """Per-component replay cursor over a projected alignment."""
-
-    __slots__ = ("moves", "pos")
-
-    def __init__(self, moves):
-        self.moves = moves
-        self.pos = 0
-
-    def peek(self):
-        return self.moves[self.pos] if self.pos < len(self.moves) else None
 
 
 class SComponentAligner:
@@ -81,28 +70,32 @@ class SComponentAligner:
 
     # -- per-component projected alignments ------------------------------
 
-    def _lane_moves(self, idx: int, projected: tuple[int, ...], deadline) -> tuple:
-        key = (idx, projected)
-        hit = self._proj_cache.get(key)
+    def _lane_moves(self, idx: int, projected: tuple[int, ...], deadline) -> tuple[Move, ...]:
+        hit = self._proj_cache.get((idx, projected))
         if hit is not None:
             return hit
         comp, rg = self.components[idx]
         alignment = align_one_optimal(projected, rg=rg, deadline=deadline)
+        # trails in net transition ids and no marking ids, so agreeing lanes
+        # hold equal moves and the replay composes the lanes' own objects
         moves = tuple(
-            (m.op, m.label, tuple(comp.transition_ids[x] for x in m.trail), m.rg_tgt)
+            Move(m.op, m.label, tuple(comp.transition_ids[x] for x in m.trail), None, None)
             for m in alignment.moves)
-        self._proj_cache[key] = moves
+        self._proj_cache[idx, projected] = moves
         return moves
 
     # -- the replay itself ------------------------------------------------
 
     def align_trace(self, trace, deadline: Optional[float] = None) -> RecompositionOutcome:
         trace = tuple(trace)
+        projections: list[list[int]] = [[] for _ in self.components]
+        for label in trace:
+            for idx in self.owners.get(label, ()):
+                projections[idx].append(label)
         try:
-            lanes = []
-            for idx, (comp, _) in enumerate(self.components):
-                projected = tuple(l for l in trace if l in comp.alphabet)
-                lanes.append(_Lane(self._lane_moves(idx, projected, deadline)))
+            # in lane order, so the first lane to fail names the error
+            lanes = [self._lane_moves(idx, tuple(projected), deadline)
+                     for idx, projected in enumerate(projections)]
         except SearchBudgetError as exc:
             return RecompositionOutcome(trace, None, None, False, str(exc))
 
@@ -126,67 +119,72 @@ class SComponentAligner:
         return RecompositionOutcome(trace, alignment, conflict, True)
 
     def _replay(self, trace, lanes):
+        """``(composed moves, None)``, or ``(None, the first conflict)``."""
+        owners, rank = self.owners, self.rank
         composed: list[Move] = []
-        for pos_c in range(len(trace) + 1):
-            label = trace[pos_c] if pos_c < len(trace) else None
-            conflict = self._catch_up(label, lanes, composed)
-            if conflict:
-                return None, conflict
-            if label is None:
-                break
-            owners = self.owners.get(label, ())
-            nexts = [lanes[i].peek() for i in owners]
-            if any(n is None or n[1] != label for n in nexts):
-                return None, OPERATION_CONFLICT
-            ops = {n[0] for n in nexts}
-            if not owners or ops == {OP_LHIDE}:
+        cursors = [iter(moves) for moves in lanes]
+        heads: list[Optional[Move]] = [None] * len(lanes)  # each lane's next move
+        # model move -> the lanes whose head it is; as a lane proposes labels of
+        # its own alphabet only, the move is agreed once every owner holds it
+        skips: dict[Move, set[int]] = {}
+        agreed: list[Move] = []
+
+        def advance(i):
+            head = heads[i] = next(cursors[i], None)
+            if head is not None and head.op == OP_RHIDE:
+                members = skips.setdefault(head, set())
+                members.add(i)
+                if len(members) == len(owners[head.label]):
+                    agreed.append(head)
+
+        def compose_skip():
+            """Compose the least agreed model skip, or name the conflict."""
+            if not agreed:
+                # all owners of a label skip it, yet along different trails
+                held: dict[int, int] = {}
+                for skip, members in skips.items():
+                    held[skip.label] = held.get(skip.label, 0) + len(members)
+                split = any(n == len(owners[x]) for x, n in held.items())
+                return EXTENDED_LABEL_CONFLICT if split else ORDER_CONFLICT
+            skip = min(agreed, key=lambda m: (rank[m.label], m.trail))
+            agreed.remove(skip)
+            composed.append(skip)
+            for i in skips.pop(skip):
+                advance(i)
+
+        for i in range(len(lanes)):
+            advance(i)
+        for label in trace:
+            own = owners.get(label)
+            if own is None:
                 # log-only move; with no owner the model knows nothing of the event
                 composed.append(Move(OP_LHIDE, label, (), None, None))
-            elif ops == {OP_MATCH}:
-                trails = {n[2] for n in nexts}
-                if len(trails) > 1:
-                    return None, EXTENDED_LABEL_CONFLICT
-                composed.append(Move(OP_MATCH, label, trails.pop(), None, None))
-            else:
+                continue
+            # while an owner lags, no skip of this label is agreed, so owners
+            # already at the event stay there
+            for i in own:
+                while heads[i] is not None and heads[i].label != label:
+                    conflict = compose_skip()
+                    if conflict:
+                        return None, conflict
+            first = heads[own[0]]
+            if first is None or first.op == OP_RHIDE:
                 return None, OPERATION_CONFLICT
-            for i in owners:
-                lanes[i].pos += 1
+            if len(own) > 1:
+                nexts = [heads[i] for i in own]
+                if any(n is None or n.op != first.op for n in nexts):
+                    return None, OPERATION_CONFLICT
+                if any(n != first for n in nexts):  # matches along different trails
+                    return None, EXTENDED_LABEL_CONFLICT
+            composed.append(first)
+            for i in own:
+                advance(i)
+        for i in range(len(lanes)):  # at the end of the trace, every lane finishes
+            while heads[i] is not None:
+                conflict = compose_skip()
+                if conflict:
+                    return None, conflict
         return composed, None
-
-    def _catch_up(self, label, lanes, composed):
-        """Compose agreed model skips until every owner of ``label`` is at it."""
-        while True:
-            if label is None:
-                waiting = any(lane.peek() is not None for lane in lanes)
-            else:
-                waiting = any(nxt is not None and nxt[1] != label
-                              for nxt in (lanes[i].peek() for i in self.owners.get(label, ())))
-            if not waiting:
-                return None
-            proposals: dict = {}
-            for i, lane in enumerate(lanes):
-                nxt = lane.peek()
-                if nxt is not None and nxt[0] == OP_RHIDE:
-                    proposals.setdefault((nxt[1], nxt[2]), set()).add(i)
-            chosen = None
-            for (x, trail), members in sorted(
-                    proposals.items(), key=lambda kv: (self.rank[kv[0][0]], kv[0][1])):
-                if members == set(self.owners.get(x, ())):
-                    chosen = (x, trail, members)
-                    break
-            if chosen is None:
-                by_label: dict = {}
-                for (x, trail), members in proposals.items():
-                    by_label.setdefault(x, set()).update(members)
-                for x, members in by_label.items():
-                    if members == set(self.owners.get(x, ())) and \
-                            len({t for (y, t) in proposals if y == x}) > 1:
-                        return EXTENDED_LABEL_CONFLICT
-                return ORDER_CONFLICT
-            x, trail, members = chosen
-            composed.append(Move(OP_RHIDE, x, trail, None, None))
-            for i in members:
-                lanes[i].pos += 1
 
 
 def visible_run_realizable(net, labels) -> bool:
@@ -196,17 +194,21 @@ def visible_run_realizable(net, labels) -> bool:
     silent, by_label = _firing_tables(net)
 
     def closure(markings):
+        # the silent successors; with none, the set is closed already
+        stack = []
+        for m in markings:
+            for pre, post in silent:
+                if (m & pre) == pre and not m & ~pre & post:
+                    stack.append((m & ~pre) | post)
+        if not stack:
+            return markings
         seen = set(markings)
-        stack = list(markings)
         while stack:
             m = stack.pop()
-            for pre, post in silent:
-                rest = m & ~pre
-                if (m & pre) == pre and not rest & post:
-                    m2 = rest | post
-                    if m2 not in seen:
-                        seen.add(m2)
-                        stack.append(m2)
+            if m not in seen:
+                seen.add(m)
+                stack.extend((m & ~pre) | post for pre, post in silent
+                             if (m & pre) == pre and not m & ~pre & post)
         return seen
 
     current = closure({net.m0})
@@ -214,9 +216,8 @@ def visible_run_realizable(net, labels) -> bool:
         nxt = set()
         for pre, post in by_label.get(label, ()):
             for m in current:
-                rest = m & ~pre
-                if (m & pre) == pre and not rest & post:
-                    nxt.add(rest | post)
+                if (m & pre) == pre and not m & ~pre & post:
+                    nxt.add((m & ~pre) | post)
         if not nxt:
             return False
         current = closure(nxt)
@@ -264,12 +265,11 @@ def hybrid_select(rg: Optional[ReachabilityGraph],
     size.  When the monolithic graph could not be built at all, the
     decomposed route is the only option left.
     """
+    sizes = None if component_rgs is None else [c.size() for c in component_rgs]
     info = {
         "rg_size": None if rg is None else rg.size(),
-        "component_rg_sizes": None if component_rgs is None
-        else [c.size() for c in component_rgs],
-        "component_rg_total": None if component_rgs is None
-        else sum(c.size() for c in component_rgs),
+        "component_rg_sizes": sizes,
+        "component_rg_total": None if sizes is None else sum(sizes),
     }
     if component_rgs is None:
         return "monolithic", info

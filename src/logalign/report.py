@@ -17,6 +17,7 @@ The raw fitness cost aggregate is the frequency-weighted total cost.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -141,8 +142,18 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         skips = None
 
     t = time.perf_counter()
-    results, timed_out = _align_all_traces(log, rg, aligner, chosen, config, global_deadline)
-    rows = _rows(net, log, results, chosen, skips, config)
+    # setup's graphs, log and aligners outlive the loop; frozen, the cyclic
+    # collector stops walking them on every full collection.  Objects the
+    # caller froze stay frozen: gc.unfreeze() would thaw them too
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        results, timed_out = _align_all_traces(log, rg, aligner, chosen, config, global_deadline)
+        rows = _rows(net, log, results, chosen, skips, config)
+    finally:
+        if freeze:
+            gc.unfreeze()
     mark("align", t)
     timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
 

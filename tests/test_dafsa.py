@@ -121,7 +121,10 @@ def test_common_affixes_on_random_logs():
         dafsa = build_dafsa(log)
         prefixes, suffixes = set(), set()
         for word in language(dafsa):
-            for i, state in enumerate(dafsa.walk(word)):
+            path = [dafsa.initial]
+            for label in word:
+                path.append(dafsa.out[path[-1]][label])
+            for i, state in enumerate(path):
                 if dafsa.out_degree[state] > 1 and i:
                     prefixes.add(word[:i])
                 if dafsa.in_degree[state] > 1 and i < len(word):

@@ -1,14 +1,18 @@
 """Library-level pipeline behavior: determinism, long inputs, strategy parity."""
 
+import gc
 import json
 import random
 import time
+
+import pytest
 
 from logalign import report as report_module
 from logalign.errors import SearchBudgetError
 from logalign.logs import make_log
 from logalign.reachability import build_rg, remove_tau
-from logalign.report import EXIT_GLOBAL_TIMEOUT, RunConfig, run_conformance
+from logalign.recompose import SComponentAligner
+from logalign.report import EXIT_GLOBAL_TIMEOUT, EXIT_OK, RunConfig, run_conformance
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
@@ -235,3 +239,45 @@ def test_global_deadline_crossed_inside_the_only_search(monkeypatch):
     (row,) = result.report["traces"]
     assert row["cost"] is None
     assert row["error"] == "alignment search exceeded its deadline"
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+def test_run_leaves_the_collector_as_it_found_it():
+    net, log = loan_pair()
+    before = collector_state()
+    assert run_conformance(net, log, RunConfig()).exit_code == EXIT_OK
+    assert collector_state() == before
+    result = run_conformance(net, log, RunConfig(global_timeout_ms=0))
+    assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+    assert collector_state() == before
+
+
+def test_align_loop_runs_frozen_and_unfreezes_when_it_raises(monkeypatch):
+    counts = []
+
+    def fail(self, trace, deadline=None):
+        counts.append(gc.get_freeze_count())
+        raise RuntimeError("aligner failed")
+
+    monkeypatch.setattr(SComponentAligner, "align_trace", fail)
+    net, log = loan_pair()
+    before = collector_state()
+    with pytest.raises(RuntimeError):
+        run_conformance(net, log, RunConfig(strategy="scomponent"))
+    assert collector_state() == before
+    assert counts[0] > before[1]  # setup's objects were frozen for the loop
+
+
+def test_objects_the_caller_froze_stay_frozen():
+    net, log = loan_pair()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert run_conformance(net, log, RunConfig()).exit_code == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

@@ -1,15 +1,17 @@
 import random
 
-from logalign.align import OP_LHIDE, OP_MATCH, OP_RHIDE, align_one_optimal
+from logalign.align import OP_LHIDE, OP_MATCH, OP_RHIDE, Move, align_one_optimal, make_alignment
+from logalign.errors import LogAlignError, SearchBudgetError
 from logalign.invariants import decompose
 from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
 from logalign.reachability import build_rg, remove_tau
-from logalign.recompose import (EXTENDED_LABEL_CONFLICT, SComponentAligner, hybrid_select,
+from logalign.recompose import (EXTENDED_LABEL_CONFLICT, OPERATION_CONFLICT, ORDER_CONFLICT,
+                                RecompositionOutcome, SComponentAligner, hybrid_select,
                                 replays_on_model, visible_run_realizable)
 from logalign.sampledata import loan_pair
 
-from gen import random_log, random_workflow_net
+from gen import noised_trace, random_log, random_model_run, random_workflow_net
 from nets import parallel_merge_net, parallel_tasks_net, sequence_net, skippable_parallel_net
 
 
@@ -109,8 +111,6 @@ def test_recompose_without_trails_would_be_improper():
     lanes_ok = aligner.align_trace(ids(net, "ABD"))
     assert lanes_ok.fallback_used
     # m(A), m(B), m(D) does not correspond to any path of the full graph
-    from logalign.align import Move, make_alignment
-
     fake = make_alignment([
         Move(OP_MATCH, net.table.lookup("A"), (), None, None),
         Move(OP_MATCH, net.table.lookup("B"), (), None, None),
@@ -272,3 +272,163 @@ def test_visible_run_realizable_builds_its_tables_once_per_net():
     assert not visible_run_realizable(net, ids(net, "BDACG"))
     net.transitions = ()  # rebuilt tables would hold no transition at all
     assert visible_run_realizable(net, run)
+
+
+# -- the exact reference: the replay as it was before it kept incremental state
+
+
+class ReferenceLane:
+    """Per-component replay cursor over a projected alignment."""
+
+    __slots__ = ("moves", "pos")
+
+    def __init__(self, moves):
+        self.moves = moves
+        self.pos = 0
+
+    def peek(self):
+        return self.moves[self.pos] if self.pos < len(self.moves) else None
+
+
+def reference_align_trace(aligner, trace, deadline=None):
+    """``align_trace`` with one projection pass per component and a replay
+    that rescans every lane each round."""
+    trace = tuple(trace)
+    try:
+        lanes = []
+        for idx, (comp, _) in enumerate(aligner.components):
+            projected = tuple(l for l in trace if l in comp.alphabet)
+            lanes.append(ReferenceLane(aligner._lane_moves(idx, projected, deadline)))
+    except SearchBudgetError as exc:
+        return RecompositionOutcome(trace, None, None, False, str(exc))
+    composed, conflict = reference_replay(aligner, trace, lanes)
+    if conflict is None:
+        visible = [m.label for m in composed if m.op != OP_LHIDE]
+        if not visible_run_realizable(aligner.net, visible):
+            conflict = EXTENDED_LABEL_CONFLICT
+    if conflict is None:
+        return RecompositionOutcome(trace, make_alignment(composed), None, False)
+    try:
+        alignment = align_one_optimal(trace, rg=aligner.full_rg, deadline=deadline)
+    except LogAlignError as exc:
+        return RecompositionOutcome(trace, None, conflict, True, str(exc))
+    return RecompositionOutcome(trace, alignment, conflict, True)
+
+
+def reference_replay(aligner, trace, lanes):
+    composed = []
+    for pos_c in range(len(trace) + 1):
+        label = trace[pos_c] if pos_c < len(trace) else None
+        conflict = reference_catch_up(aligner, label, lanes, composed)
+        if conflict:
+            return None, conflict
+        if label is None:
+            break
+        owners = aligner.owners.get(label, ())
+        nexts = [lanes[i].peek() for i in owners]
+        if any(n is None or n[1] != label for n in nexts):
+            return None, OPERATION_CONFLICT
+        ops = {n[0] for n in nexts}
+        if not owners or ops == {OP_LHIDE}:
+            composed.append(Move(OP_LHIDE, label, (), None, None))
+        elif ops == {OP_MATCH}:
+            trails = {n[2] for n in nexts}
+            if len(trails) > 1:
+                return None, EXTENDED_LABEL_CONFLICT
+            composed.append(Move(OP_MATCH, label, trails.pop(), None, None))
+        else:
+            return None, OPERATION_CONFLICT
+        for i in owners:
+            lanes[i].pos += 1
+    return composed, None
+
+
+def reference_catch_up(aligner, label, lanes, composed):
+    while True:
+        if label is None:
+            waiting = any(lane.peek() is not None for lane in lanes)
+        else:
+            waiting = any(nxt is not None and nxt[1] != label
+                          for nxt in (lanes[i].peek() for i in aligner.owners.get(label, ())))
+        if not waiting:
+            return None
+        proposals = {}
+        for i, lane in enumerate(lanes):
+            nxt = lane.peek()
+            if nxt is not None and nxt[0] == OP_RHIDE:
+                proposals.setdefault((nxt[1], nxt[2]), set()).add(i)
+        chosen = None
+        for (x, trail), members in sorted(
+                proposals.items(), key=lambda kv: (aligner.rank[kv[0][0]], kv[0][1])):
+            if members == set(aligner.owners.get(x, ())):
+                chosen = (x, trail, members)
+                break
+        if chosen is None:
+            by_label = {}
+            for (x, trail), members in proposals.items():
+                by_label.setdefault(x, set()).update(members)
+            for x, members in by_label.items():
+                if members == set(aligner.owners.get(x, ())) and \
+                        len({t for (y, t) in proposals if y == x}) > 1:
+                    return EXTENDED_LABEL_CONFLICT
+            return ORDER_CONFLICT
+        x, trail, members = chosen
+        composed.append(Move(OP_RHIDE, x, trail, None, None))
+        for i in members:
+            lanes[i].pos += 1
+
+
+def test_align_trace_matches_the_reference_replay():
+    rng = random.Random(12)
+    nets = 0
+    kinds = {}
+    for seed in range(200):
+        net = random_workflow_net(seed, max_visible=8)
+        try:
+            full = remove_tau(build_rg(net))
+            aligner = SComponentAligner(net, full_rg=full)
+        except LogAlignError:
+            continue
+        nets += 1
+        log = random_log(net, rng, n_traces=10, max_trace_len=10)
+        for trace in log.traces:
+            # a passed deadline fails the first lane search that misses the cache
+            for deadline in (0.0, None):
+                got = aligner.align_trace(trace.labels, deadline)
+                expected = reference_align_trace(aligner, trace.labels, deadline)
+                assert (got.conflict, got.fallback_used, got.error) == \
+                    (expected.conflict, expected.fallback_used, expected.error), "seed %d" % seed
+                assert (got.alignment and got.alignment.moves) == \
+                    (expected.alignment and expected.alignment.moves), "seed %d" % seed
+            kinds[got.conflict] = kinds.get(got.conflict, 0) + 1
+    assert nets >= 200
+    assert {ORDER_CONFLICT, OPERATION_CONFLICT, EXTENDED_LABEL_CONFLICT} <= set(kinds)
+
+
+def graph_accepts(rg, labels):
+    """Whether a walk over the tau-free graph's label sets spells ``labels``
+    from the initial marking and ends in a final one."""
+    current = {rg.m0}
+    for label in labels:
+        current = {a.tgt for u in current for a in rg.out[u] if a.label == label}
+        if not current:
+            return False
+    return bool(current & rg.finals)
+
+
+def test_visible_run_realizable_agrees_with_the_graph():
+    rng = random.Random(23)
+    nets = [loan_pair()[0]]
+    nets += [parallel_tasks_net(["T%d" % i for i in range(k)]) for k in range(1, 7)]
+    nets += [random_workflow_net(seed, max_visible=8) for seed in range(40)]
+    answers = []
+    for net in nets:
+        rg = remove_tau(build_rg(net))
+        for _ in range(8):
+            run = random_model_run(net, rng)
+            for labels in (run, noised_trace(run, net, rng, edits=1),
+                           noised_trace(run, net, rng, edits=3)):
+                expected = graph_accepts(rg, labels)
+                assert visible_run_realizable(net, labels) == expected, labels
+                answers.append(expected)
+    assert answers.count(True) >= 100 and answers.count(False) >= 100
