@@ -33,4 +33,4 @@ optima = all_optimal_alignments(trace, rg)
 for alignment in optima.alignments():
     print("   %s" % pretty(alignment))
 print("%d optimal alignments of cost %d; the DAG has %d states with outgoing moves"
-      % (optima.count(), optima.cost, len(optima.edges)))
+      % (optima.n_optimal, optima.cost, len(optima.edges)))

@@ -16,9 +16,11 @@ search node is made only when an entry is popped and settles its state, and
 ``Move`` objects only along the returned path.
 
 ``all_optimal_alignments`` computes every cost-minimal proper alignment of
-one trace with a bounded forward/backward shortest-distance sweep over
-search states, keeping exactly the moves on some cheapest path; its
-``OptimalSet`` counts and lists the optima from that edge DAG.
+one trace.  One bounded A* sweep settles each state on a cheapest path at
+its exact distance; a walk back from the cheapest goals along tight moves
+(the distance grows by exactly the move's cost) finds those states, and one
+pass over them in decreasing (distance, position) order keeps the moves
+between them and counts the optima of the resulting edge DAG.
 
 Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
@@ -324,7 +326,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
 
 
 # ---------------------------------------------------------------------------
-# all optimal alignments (exact bounded shortest-distance sweeps)
+# all optimal alignments (one bounded sweep and a walk back)
 
 
 class OptimalSet(NamedTuple):
@@ -332,31 +334,14 @@ class OptimalSet(NamedTuple):
 
     ``edges`` maps a search state ``(pos, mid)`` to its ordered
     ``(Move, next state)`` pairs that lie on some cheapest path; they form a
-    DAG whose root-to-leaf paths from ``root`` are exactly the optima.
+    DAG whose root-to-leaf paths from ``root`` are exactly the optima, and
+    ``n_optimal`` is their number.
     """
 
     cost: int
     edges: dict
     root: tuple
-
-    def count(self) -> int:
-        """Number of optimal alignments: root-to-leaf paths of the DAG."""
-        # paths to a leaf per key, children before parents
-        paths: dict = {}
-        stack = [self.root]
-        while stack:
-            key = stack[-1]
-            if key in paths:
-                stack.pop()
-                continue
-            nexts = self.edges.get(key, ())
-            todo = [nkey for _, nkey in nexts if nkey not in paths]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            paths[key] = 1 if not nexts else sum(paths[nkey] for _, nkey in nexts)
-        return paths[self.root]
+    n_optimal: int
 
     def alignments(self, limit: Optional[int] = None) -> tuple[Alignment, ...]:
         """The first ``limit`` optima (all of them by default), depth first
@@ -369,8 +354,8 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
                            deadline: Optional[float] = None) -> OptimalSet:
     """Every cost-minimal proper alignment of a trace against the graph.
 
-    Raises ``SearchBudgetError`` when the sweeps exceed the node budget or
-    the deadline, as ``align_one_optimal`` does.
+    Raises ``SearchBudgetError`` when the sweep and the walk back exceed the
+    node budget or the deadline, as ``align_one_optimal`` does.
     """
     trace = tuple(trace)
     ftable = _future_table(rg)
@@ -407,7 +392,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             continue
         budget.spend()
         if key in goals:
-            bound = min(bound, g)
+            bound = g  # the first goal popped is a cheapest one
             continue
         pos, mid = key
         row = rg.out[mid]
@@ -420,49 +405,43 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
         for a in row:
             push_fwd((pos, a.tgt), g + 1)  # rhide
 
-    cstar = min((dist[k] for k in goals if k in dist), default=None)
-    if cstar is None:
+    # walk back from the cheapest goals along tight moves, one spend per state
+    stack = [k for k in goals if dist.get(k) == bound]
+    if not stack:
         raise LogAlignError("no proper alignment exists for the trace")
-
-    # backward sweep: exact completion cost for states on some optimal path
-    db: dict[tuple[int, int], int] = {}
-    bheap: list = []
-
-    def push_bwd(key, d):
-        if d < db.get(key, _INF) and dist.get(key, _INF) + d <= cstar:
-            db[key] = d
-            heapq.heappush(bheap, (d, key))
-
-    for goal in goals:
-        push_bwd(goal, 0)
-    while bheap:
-        d, key = heapq.heappop(bheap)
-        if d > db.get(key, _INF):
-            continue
+    on_path = set(stack)
+    while stack:
+        pos, mid = key = stack.pop()
         budget.spend()
-        pos, mid = key
+        g = dist[key]
+        preds = [((pos, a.src), 1) for a in rg.inn[mid]]  # rhide into key
         if pos > 0:
-            push_bwd((pos - 1, mid), d + 1)  # lhide into key
-            for a in rg.inn[mid]:
-                if a.label == trace[pos - 1]:
-                    push_bwd((pos - 1, a.src), d)  # match into key
-        for a in rg.inn[mid]:
-            push_bwd((pos, a.src), d + 1)  # rhide into key
+            preds.append(((pos - 1, mid), 1))  # lhide into key
+            label = trace[pos - 1]
+            preds.extend(((pos - 1, a.src), 0) for a in rg.inn[mid] if a.label == label)
+        for pkey, w in preds:
+            if pkey not in on_path and dist.get(pkey) == g - w:
+                on_path.add(pkey)
+                stack.append(pkey)
 
+    # every move raises (dist, pos), so successors come first in this order
     rank = rg.net.table.rank()
     edges: dict[tuple[int, int], tuple] = {}
-    for key in sorted(dist):
-        if key in goals or dist[key] + db.get(key, _INF) != cstar:
+    paths: dict[tuple[int, int], int] = {}
+    for key in sorted(on_path, key=lambda k: (dist[k], k[0]), reverse=True):
+        if key in goals:
+            paths[key] = 1
             continue
+        g = dist[key]
         nexts = []
         for move, npos, nmid, w in _successors(trace, rg, key[0], key[1]):
             nkey = (npos, nmid)
-            if dist[key] + w + db.get(nkey, _INF) == cstar:
+            if nkey in on_path and dist[nkey] == g + w:
                 nexts.append((move, nkey))
-        if nexts:
-            nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
-            edges[key] = tuple(nexts)
-    return OptimalSet(cstar, edges, root)
+        nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
+        edges[key] = tuple(nexts)
+        paths[key] = sum(paths[nkey] for _, nkey in nexts)
+    return OptimalSet(bound, dict(sorted(edges.items())), root, paths[root])
 
 
 def _optimal_paths(edges, root):

@@ -72,28 +72,25 @@ def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
 
 
 def _drop_support_dominated(rows):
-    """Remove duplicate rows and rows whose annotation support strictly
-    contains another row's; minimal semiflows are support-minimal."""
+    """Remove duplicate rows and rows whose annotation support contains a
+    kept row's; minimal semiflows are support-minimal.  Rows are visited by
+    support size, ties in row order, so a row's dominators are kept first;
+    the kept rows come back in their original order."""
     items = []
     seen = set()
     for eff, ann in rows:
         key = (tuple(eff), tuple(ann))
         if key not in seen:
             seen.add(key)
-            items.append((eff, ann, frozenset(p for p, w in enumerate(ann) if w)))
+            items.append((eff, ann, sum(1 << p for p, w in enumerate(ann) if w)))
+    kept_supports = []
     kept = []
-    for i, (eff, ann, sup) in enumerate(items):
-        dominated = False
-        for j, (_, ann2, sup2) in enumerate(items):
-            if i != j and sup2 < sup:
-                dominated = True
-                break
-            if i > j and sup2 == sup:
-                dominated = True
-                break
-        if not dominated:
-            kept.append((eff, ann))
-    return kept
+    for i in sorted(range(len(items)), key=lambda i: items[i][2].bit_count()):
+        sup = items[i][2]
+        if not any(k & sup == k for k in kept_supports):
+            kept_supports.append(sup)
+            kept.append(i)
+    return [items[i][:2] for i in sorted(kept)]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .align import OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
-from .invariants import SComponentDecomposition, decompose
+from .invariants import decompose
 from .logs import TAU
 from .reachability import ReachabilityGraph, build_rg, remove_tau_extended
 
@@ -35,7 +35,6 @@ EXTENDED_LABEL_CONFLICT = "extended-label-conflict"
 
 @dataclass(frozen=True)
 class RecompositionOutcome:
-    trace: tuple[int, ...]
     alignment: Optional[Alignment]
     conflict: Optional[str]
     fallback_used: bool
@@ -50,14 +49,12 @@ class SComponentAligner:
     in that case only the conflicting traces fail.
     """
 
-    def __init__(self, net, decomposition: Optional[SComponentDecomposition] = None,
-                 *, full_rg: ReachabilityGraph | StateSpaceCapError):
+    def __init__(self, net, *, full_rg: ReachabilityGraph | StateSpaceCapError):
         self.net = net
-        self.decomposition = decomposition if decomposition is not None else decompose(net)
         self.full_rg = full_rg
         self.rank = net.table.rank()
         self.components = [(comp, remove_tau_extended(build_rg(comp.net)))
-                           for comp in self.decomposition.components]
+                           for comp in decompose(net).components]
         # label -> indices of the lanes whose alphabet holds it, ascending
         self.owners: dict[int, tuple[int, ...]] = {}
         for idx, (comp, _) in enumerate(self.components):
@@ -97,7 +94,7 @@ class SComponentAligner:
             lanes = [self._lane_moves(idx, tuple(projected), deadline)
                      for idx, projected in enumerate(projections)]
         except SearchBudgetError as exc:
-            return RecompositionOutcome(trace, None, None, False, str(exc))
+            return RecompositionOutcome(None, None, False, str(exc))
 
         composed, conflict = self._replay(trace, lanes)
         if conflict is None:
@@ -108,15 +105,15 @@ class SComponentAligner:
             if not visible_run_realizable(self.net, visible):
                 conflict = EXTENDED_LABEL_CONFLICT
         if conflict is None:
-            return RecompositionOutcome(trace, make_alignment(composed), None, False)
+            return RecompositionOutcome(make_alignment(composed), None, False)
         if isinstance(self.full_rg, StateSpaceCapError):
-            return RecompositionOutcome(trace, None, conflict, True, str(self.full_rg))
+            return RecompositionOutcome(None, conflict, True, str(self.full_rg))
         try:
             alignment = align_one_optimal(trace, rg=self.full_rg, deadline=deadline)
         except LogAlignError as exc:
             # the search may run out of budget; only this trace fails
-            return RecompositionOutcome(trace, None, conflict, True, str(exc))
-        return RecompositionOutcome(trace, alignment, conflict, True)
+            return RecompositionOutcome(None, conflict, True, str(exc))
+        return RecompositionOutcome(alignment, conflict, True)
 
     def _replay(self, trace, lanes):
         """``(composed moves, None)``, or ``(None, the first conflict)``."""

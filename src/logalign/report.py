@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .align import (DEFAULT_NODE_BUDGET, OP_NAMES, Alignment, align_one_optimal,
-                    all_optimal_alignments)
+from .align import OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments
 from .dafsa import build_dafsa, dafsa_to_dot
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError, TauReductionError
 from .logs import EventLog
@@ -184,12 +183,12 @@ def _align_all_traces(log, rg, aligner, chosen, config, global_deadline):
                     "error": outcome.error, "alignment": outcome.alignment}
         search = all_optimal_alignments if all_optimal else align_one_optimal
         try:
-            found = search(labels, rg=rg, node_budget=DEFAULT_NODE_BUDGET, deadline=deadline)
+            found = search(labels, rg=rg, deadline=deadline)
         except SearchBudgetError as exc:
             return {"cost": None, "error": str(exc)}
         if not all_optimal:
             return {"cost": found.cost, "alignment": found}
-        entry = {"cost": found.cost, "n_optimal": found.count()}
+        entry = {"cost": found.cost, "n_optimal": found.n_optimal}
         if config.emit_alignments:
             entry["alignment"] = found.alignments(limit=1)[0]
         return entry

@@ -54,3 +54,20 @@ def parallel_tasks_net(labels, table=None):
         rows.append(("t_%s" % label, label, ["a%d" % k], ["b%d" % k]))
     rows.append(("t_join", None, ["b%d" % k for k in range(len(labels))], ["o"]))
     return SystemNet.build(places, rows, table)
+
+
+def and_blocks_net(k, width=3, table=None):
+    """k AND blocks in sequence, each a silent split into ``width`` parallel
+    tasks and a silent join; the net has width**k S-components."""
+    table = table if table is not None else LabelTable()
+    places = ["p0"]
+    rows = []
+    for b in range(k):
+        ins = ["a%d_%d" % (b, j) for j in range(width)]
+        outs = ["b%d_%d" % (b, j) for j in range(width)]
+        places += ins + outs + ["p%d" % (b + 1)]
+        rows.append(("split%d" % b, None, ["p%d" % b], ins))
+        for j in range(width):
+            rows.append(("t%d_%d" % (b, j), "T%d_%d" % (b, j), [ins[j]], [outs[j]]))
+        rows.append(("join%d" % b, None, outs, ["p%d" % (b + 1)]))
+    return SystemNet.build(places, rows, table)

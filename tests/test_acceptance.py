@@ -130,7 +130,7 @@ def test_c04_all_optimal(loan):
     trace = tuple(net.table.lookup(x) for x in "BDCEG")
     optima = all_optimal_alignments(trace, rg)
     assert optima.cost == 1
-    assert optima.count() == 4
+    assert optima.n_optimal == 4
     alignments = optima.alignments()
     assert len(alignments) == 4
     assert all(a.cost == 1 for a in alignments)
@@ -235,8 +235,7 @@ def test_c10_over_approximation_bound(instance_corpus):
             break
         if id(net) not in aligners:
             decomposition = decompose(net)
-            aligners[id(net)] = (SComponentAligner(net, decomposition, full_rg=rg),
-                                 decomposition)
+            aligners[id(net)] = (SComponentAligner(net, full_rg=rg), decomposition)
         aligner, decomposition = aligners[id(net)]
         outcome = aligner.align_trace(trace)
         if outcome.alignment is None or outcome.fallback_used:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE,
+from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, OptimalSet,
                             align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
                             make_alignment, Move, _Budget, _future_table, _Node,
                             _remaining_counts, _successors)
@@ -86,7 +86,7 @@ def test_all_optimal_running_example_exactly_four():
     trace = ids(net, "BDCEG")
     optima = all_optimal_alignments(trace, rg)
     assert optima.cost == 1
-    assert optima.count() == 4
+    assert optima.n_optimal == 4
     alignments = optima.alignments()
     assert len(alignments) == 4
     positions = set()
@@ -103,7 +103,7 @@ def test_all_optimal_perfect_fit_single_alignment():
     net, log, rg = loan_setup()
     optima = all_optimal_alignments(ids(net, "BDCAEG"), rg)
     assert optima.cost == 0
-    assert optima.count() == 1
+    assert optima.n_optimal == 1
     (al,) = optima.alignments()
     assert all(m.op == OP_MATCH for m in al.moves)
 
@@ -124,7 +124,7 @@ def test_all_optimal_matches_oracle_on_random_instances():
             optima = all_optimal_alignments(trace.labels, rg)
             cost, seqs = enumerate_optimal_move_sequences(trace.labels, rg)
             assert optima.cost == cost, "seed %d" % seed
-            assert optima.count() == len(seqs), \
+            assert optima.n_optimal == len(seqs), \
                 "seed %d trace %s" % (seed, trace.labels)
             checked += 1
     assert checked > 30
@@ -167,7 +167,7 @@ def test_all_optimal_through_model_loop():
     optima = all_optimal_alignments(trace, rg)
     cost, seqs = enumerate_optimal_move_sequences(trace, rg)
     assert optima.cost == cost == 3
-    assert optima.count() == len(seqs)
+    assert optima.n_optimal == len(seqs)
     for al in optima.alignments():
         assert is_proper(al, trace, rg)
 
@@ -238,7 +238,7 @@ def test_empty_trace_on_skippable_model():
     assert alignment.cost == 0 and alignment.moves == ()
     optima = all_optimal_alignments((), rg)
     assert optima.cost == 0
-    assert optima.count() == 1
+    assert optima.n_optimal == 1
     assert optima.alignments() == (alignment,)
 
 
@@ -350,7 +350,7 @@ def test_optimal_alignments_listed_in_recursive_order():
         for trace in log.traces:
             optima = all_optimal_alignments(trace.labels, rg)
             expected = reference_alignments(optima.edges, optima.root)
-            assert optima.count() == len(expected)
+            assert optima.n_optimal == len(expected)
             assert optima.alignments(limit=2) == expected[:2]
             assert optima.alignments() == expected
             checked += 1
@@ -362,7 +362,7 @@ def test_all_optimal_on_a_trace_longer_than_the_recursion_limit():
     trace = ids(net, "A" * 1200)
     optima = all_optimal_alignments(trace, rg)
     assert optima.cost == align_one_optimal(trace, rg).cost
-    assert optima.count() >= 1
+    assert optima.n_optimal >= 1
     first, second = optima.alignments(limit=2)
     assert first != second
     for al in (first, second):
@@ -564,3 +564,186 @@ def test_one_optimal_evaluates_h_once_per_position_and_class(monkeypatch):
         assert got.moves == expected.moves
         assert stats == ref_stats
     assert fast_calls < reference_calls
+
+
+def reference_count(edges, root):
+    """Number of root-to-leaf paths of the optimal edge DAG, by a depth-first
+    walk that counts children before parents."""
+    paths = {}
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in paths:
+            stack.pop()
+            continue
+        nexts = edges.get(key, ())
+        todo = [nkey for _, nkey in nexts if nkey not in paths]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        paths[key] = 1 if not nexts else sum(paths[nkey] for _, nkey in nexts)
+    return paths[root]
+
+
+def reference_all_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
+    """The two-sweep search: a forward A* sweep, a backward Dijkstra sweep
+    for every state's exact completion cost, and a separate count."""
+    inf = float("inf")
+    trace = tuple(trace)
+    ftable = _future_table(rg)
+    classes = ftable.classes
+    ncls = ftable.n_classes
+    rem = _remaining_counts(trace)
+    budget = _Budget(node_budget, None)
+    hcache = {}
+
+    goals = {(len(trace), f) for f in rg.finals}
+    bound = len(trace) + rg.min_visible_skips()
+
+    dist = {}
+    heap = []
+
+    def push_fwd(key, g):
+        if g < dist.get(key, inf):
+            pos, mid = key
+            k = pos * ncls + classes[mid]
+            hv = hcache.get(k)
+            if hv is None:
+                hv = hcache[k] = ftable.h(rem[pos], mid)
+            f = g + hv
+            if f <= bound:
+                dist[key] = g
+                heapq.heappush(heap, (f, g, key))
+
+    root = (0, rg.m0)
+    push_fwd(root, 0)
+    while heap:
+        f, g, key = heapq.heappop(heap)
+        if g > dist.get(key, inf) or f > bound:
+            continue
+        budget.spend()
+        if key in goals:
+            bound = min(bound, g)
+            continue
+        pos, mid = key
+        row = rg.out[mid]
+        if pos < len(trace):
+            label = trace[pos]
+            for a in row:
+                if a.label == label:
+                    push_fwd((pos + 1, a.tgt), g)
+            push_fwd((pos + 1, mid), g + 1)
+        for a in row:
+            push_fwd((pos, a.tgt), g + 1)
+
+    cstar = min((dist[k] for k in goals if k in dist), default=None)
+    if cstar is None:
+        raise LogAlignError("no proper alignment exists for the trace")
+
+    db = {}
+    bheap = []
+
+    def push_bwd(key, d):
+        if d < db.get(key, inf) and dist.get(key, inf) + d <= cstar:
+            db[key] = d
+            heapq.heappush(bheap, (d, key))
+
+    for goal in goals:
+        push_bwd(goal, 0)
+    while bheap:
+        d, key = heapq.heappop(bheap)
+        if d > db.get(key, inf):
+            continue
+        budget.spend()
+        pos, mid = key
+        if pos > 0:
+            push_bwd((pos - 1, mid), d + 1)
+            for a in rg.inn[mid]:
+                if a.label == trace[pos - 1]:
+                    push_bwd((pos - 1, a.src), d)
+        for a in rg.inn[mid]:
+            push_bwd((pos, a.src), d + 1)
+
+    rank = rg.net.table.rank()
+    edges = {}
+    for key in sorted(dist):
+        if key in goals or dist[key] + db.get(key, inf) != cstar:
+            continue
+        nexts = []
+        for move, npos, nmid, w in _successors(trace, rg, key[0], key[1]):
+            nkey = (npos, nmid)
+            if dist[key] + w + db.get(nkey, inf) == cstar:
+                nexts.append((move, nkey))
+        if nexts:
+            nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
+            edges[key] = tuple(nexts)
+    return OptimalSet(cstar, edges, root, reference_count(edges, root))
+
+
+def all_optimal_cases():
+    """(trace, graph) pairs: loan with its log, a trace through its loop and
+    the empty trace, then noisy traces on 200 random nets."""
+    rng = random.Random(47)
+    net, log, rg = loan_setup()
+    cases = [(trace.labels, rg) for trace in log.traces]
+    cases += [(ids(net, "CABEHIEFG"), rg), ((), rg)]
+    for seed in range(200):
+        gnet = random_workflow_net(seed, max_visible=8)
+        try:
+            grg = remove_tau(build_rg(gnet))
+        except LogAlignError:
+            continue
+        glog = random_log(gnet, rng, n_traces=3, max_trace_len=8)
+        cases.extend((trace.labels, grg) for trace in glog.traces)
+    return cases
+
+
+def counting_spends(monkeypatch):
+    spends = []
+    spend = _Budget.spend
+
+    def counted(self):
+        spends.append(None)
+        return spend(self)
+
+    monkeypatch.setattr(_Budget, "spend", counted)
+    return spends
+
+
+def test_all_optimal_matches_the_two_sweep_reference(monkeypatch):
+    cases = all_optimal_cases()
+    assert len(cases) >= 400
+    spends = counting_spends(monkeypatch)
+    several = 0
+    for trace, rg in cases:
+        spends.clear()
+        expected = reference_all_optimal(trace, rg)
+        ref_spends = len(spends)
+        spends.clear()
+        got = all_optimal_alignments(trace, rg)
+        assert len(spends) == ref_spends
+        assert got.cost == expected.cost
+        assert got.root == expected.root
+        assert list(got.edges) == list(expected.edges)
+        assert got.edges == expected.edges  # per-state move order included
+        assert got.n_optimal == expected.n_optimal
+        assert got.alignments(limit=5) == expected.alignments(limit=5)
+        several += got.n_optimal > 1
+    assert several >= 100  # ties between optima are exercised
+
+
+def test_all_optimal_and_the_reference_share_the_node_budget(monkeypatch):
+    spends = counting_spends(monkeypatch)
+    cases = [case for case in all_optimal_cases() if len(case[0]) >= 4][:30]
+    for trace, rg in cases:
+        spends.clear()
+        reference_all_optimal(trace, rg)
+        needed = len(spends)
+        for budget in (1, needed - 1):
+            with pytest.raises(SearchBudgetError, match="node budget"):
+                reference_all_optimal(trace, rg, node_budget=budget)
+            with pytest.raises(SearchBudgetError, match="node budget"):
+                all_optimal_alignments(trace, rg, node_budget=budget)
+        assert all_optimal_alignments(trace, rg, node_budget=needed) == \
+            reference_all_optimal(trace, rg, node_budget=needed)

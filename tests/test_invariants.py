@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from logalign.errors import DecompositionError
+from logalign import invariants
 from logalign.invariants import decompose, minimal_place_invariants
 from logalign.reachability import build_rg
 from logalign.sampledata import loan_net
 
 from gen import random_workflow_net
 from matrices import incidence, marking_vector
-from nets import parallel_merge_net, sequence_net
+from nets import and_blocks_net, parallel_merge_net, sequence_net
 
 
 def brute_force_01_invariants(net):
@@ -168,3 +169,65 @@ def test_decompose_random_nets_cover_and_single_token():
         for comp in decomposition.components:
             rg = build_rg(comp.net)
             assert all(bin(m).count("1") == 1 for m in rg.markings), "seed %d" % seed
+
+
+def reference_drop_support_dominated(rows):
+    """The all-pairs scan: drop duplicates, rows whose support strictly
+    contains another row's, and later rows with an equal support."""
+    items = []
+    seen = set()
+    for eff, ann in rows:
+        key = (tuple(eff), tuple(ann))
+        if key not in seen:
+            seen.add(key)
+            items.append((eff, ann, frozenset(p for p, w in enumerate(ann) if w)))
+    kept = []
+    for i, (eff, ann, sup) in enumerate(items):
+        dominated = False
+        for j, (_, ann2, sup2) in enumerate(items):
+            if i != j and sup2 < sup:
+                dominated = True
+                break
+            if i > j and sup2 == sup:
+                dominated = True
+                break
+        if not dominated:
+            kept.append((eff, ann))
+    return kept
+
+
+def test_support_minimal_rows_match_the_all_pairs_scan(monkeypatch):
+    drop = invariants._drop_support_dominated
+    rounds = []
+
+    def checked(rows):
+        kept = drop(rows)
+        assert kept == reference_drop_support_dominated(rows)
+        rounds.append(len(rows))
+        return kept
+
+    monkeypatch.setattr(invariants, "_drop_support_dominated", checked)
+    nets = [random_workflow_net(seed) for seed in range(300)]
+    nets += [and_blocks_net(k) for k in (3, 4, 5)]
+    for net in nets:
+        minimal_place_invariants(net)
+    assert len(rounds) > 3000
+    assert len(minimal_place_invariants(and_blocks_net(4))) == 3 ** 4
+
+
+def test_support_minimal_rows_match_the_all_pairs_scan_on_random_rows():
+    # the tableau of a structured net drops no row, so dominated and
+    # repeated rows come from here
+    rng = random.Random(17)
+    dropped = 0
+    for _ in range(500):
+        rows = []
+        for _ in range(rng.randint(1, 25)):
+            ann = [rng.choice((0, 0, 1, 2)) for _ in range(6)]
+            rows.append(([rng.randint(-1, 1) for _ in range(3)], ann))
+            if rng.random() < 0.2:
+                rows.append(rng.choice(rows))
+        kept = invariants._drop_support_dominated(rows)
+        assert kept == reference_drop_support_dominated(rows)
+        dropped += len(rows) - len(kept)
+    assert dropped > 1000

@@ -225,7 +225,7 @@ def test_all_optimal_stops_at_the_global_deadline():
 def test_global_deadline_crossed_inside_the_only_search(monkeypatch):
     # the deadline passes while the last trace is being searched: that trace
     # fails with the search's own error and the run still reports a timeout
-    def search_until_deadline(trace, rg, *, node_budget, deadline):
+    def search_until_deadline(trace, rg, *, deadline):
         while time.monotonic() <= deadline:
             time.sleep(0.005)
         raise SearchBudgetError("alignment search exceeded its deadline")

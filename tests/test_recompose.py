@@ -300,19 +300,19 @@ def reference_align_trace(aligner, trace, deadline=None):
             projected = tuple(l for l in trace if l in comp.alphabet)
             lanes.append(ReferenceLane(aligner._lane_moves(idx, projected, deadline)))
     except SearchBudgetError as exc:
-        return RecompositionOutcome(trace, None, None, False, str(exc))
+        return RecompositionOutcome(None, None, False, str(exc))
     composed, conflict = reference_replay(aligner, trace, lanes)
     if conflict is None:
         visible = [m.label for m in composed if m.op != OP_LHIDE]
         if not visible_run_realizable(aligner.net, visible):
             conflict = EXTENDED_LABEL_CONFLICT
     if conflict is None:
-        return RecompositionOutcome(trace, make_alignment(composed), None, False)
+        return RecompositionOutcome(make_alignment(composed), None, False)
     try:
         alignment = align_one_optimal(trace, rg=aligner.full_rg, deadline=deadline)
     except LogAlignError as exc:
-        return RecompositionOutcome(trace, None, conflict, True, str(exc))
-    return RecompositionOutcome(trace, alignment, conflict, True)
+        return RecompositionOutcome(None, conflict, True, str(exc))
+    return RecompositionOutcome(alignment, conflict, True)
 
 
 def reference_replay(aligner, trace, lanes):
