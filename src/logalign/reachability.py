@@ -3,9 +3,11 @@
 ``build_rg`` expands a net breadth-first into its marking graph.
 ``remove_tau`` / ``remove_tau_extended`` rewrite the graph so that no arc
 carries the silent label while the visible trace language between the
-initial and final markings is preserved.  In extended mode every rewritten
-arc remembers which silent transitions it absorbed (its tau trail), which
-the recomposition stage uses to detect hidden label conflicts.
+initial and final markings is preserved.  An arc's trail lists the silent
+transitions it stands for: a raw silent arc's trail is its own transition,
+a raw visible arc's is empty.  In extended mode every rewritten arc keeps
+the trails it absorbed (its tau trail), which the recomposition stage uses
+to detect hidden label conflicts; plain tau removal drops them.
 
 A graph's ``out[m]`` and ``inn[m]`` rows hold the ``Arc`` objects of
 ``arcs`` that leave and enter marking ``m``, in ``arcs`` order.
@@ -13,8 +15,6 @@ A graph's ``out[m]`` and ``inn[m]`` rows hold the ``Arc`` objects of
 
 from __future__ import annotations
 
-import functools
-import gc
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,9 +30,8 @@ DEFAULT_MARKING_CAP = 5_000_000
 class Arc(NamedTuple):
     src: int
     label: int
-    trail: tuple[int, ...]  # indices of absorbed silent transitions
+    trail: tuple[int, ...]  # silent transitions: a raw silent arc's own, or those absorbed
     tgt: int
-    transition: int  # firing transition in a raw graph, -1 once rewritten
 
 
 @dataclass
@@ -114,35 +113,15 @@ def min_visible_skips_net(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> int
     raise TauReductionError("no final marking reachable from the initial marking")
 
 
-def _gc_paused(fn):
-    """Run ``fn`` with the cyclic garbage collector paused.
-
-    The graph code allocates a tuple per arc, none of them part of a
-    reference cycle.  Left on, the collector would walk the growing graph
-    again and again while it is built; paused, it walks the new tuples once,
-    at its next run.
-    """
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return run
-
-
-@_gc_paused
 def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGraph:
     """Breadth-first expansion of all reachable markings.
 
     Raises Not1BoundedError when a firing stacks a second token on a place
     and StateSpaceCapError when more than ``cap`` markings are discovered.
     """
-    firing = [(t, pre, ~pre, net.post[t], net.transitions[t].label)
-              for t, pre in enumerate(net.pre)]
+    # a silent arc's trail is its own transition
+    firing = [(t, pre, ~pre, net.post[t], tr.label, (t,) if tr.label == TAU else ())
+              for t, (pre, tr) in enumerate(zip(net.pre, net.transitions))]
     index = {net.m0: 0}
     markings = [net.m0]
     arcs: list[Arc] = []
@@ -156,7 +135,7 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
         mid = queue.popleft()
         m = markings[mid]
         row = []
-        for t, pre, keep, post, label in firing:
+        for t, pre, keep, post, label, trail in firing:
             if (m & pre) != pre:
                 continue
             rest = m & keep
@@ -175,7 +154,7 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                 markings.append(m2)
                 inn.append([])
                 queue.append(tid)
-            a = new(Arc, (mid, label, (), tid, t))
+            a = new(Arc, (mid, label, trail, tid))
             row.append(a)
             inn[tid].append(a)
         arcs += row
@@ -199,7 +178,6 @@ def remove_tau_extended(rg: ReachabilityGraph) -> ReachabilityGraph:
     return _reduce(rg, extended=True)
 
 
-@_gc_paused
 def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     """Rewrite ``rg`` without silent arcs.
 
@@ -219,11 +197,10 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     finals = set(rg.finals)
 
     def work(a):
-        # raw tau arcs seed their trail with the silent transition's index so
-        # extended labels stay traceable
-        if extended and a[1] == TAU and a[4] >= 0:
-            return (a[0], TAU, (a[4],), a[3])
-        return a[:4]
+        # plain removal drops the silent transitions' trails
+        if extended or a[1] != TAU:
+            return a
+        return (a[0], TAU, (), a[3])
 
     hot = set(finals)
     for a in rg.arcs:
@@ -365,11 +342,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     candidates = sorted(s for s in transient if alive[s] and s != m0 and s not in finals)
     if candidates:
         def signature(u):
-            if out[u] is None:
-                exits = frozenset(a[1:4] for a in raw_out[u] if alive[a[3]])
-            else:
-                exits = frozenset(a[1:] for a in out[u])
-            return (u in finals, exits)
+            exits = out[u] if out[u] is not None else [a for a in raw_out[u] if alive[a[3]]]
+            return (u in finals, frozenset(a[1:] for a in exits))
 
         sig = {u: signature(u) for u in range(n) if alive[u]}
         groups: dict = {}
@@ -444,7 +418,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             assert all(x[3] != TAU for x in items)
         items.sort()
         src = remap[u]
-        row = tuple([new(Arc, (src, l, tr, remap[t], -1)) for _, tr, t, l in items])
+        row = tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items])
         arcs += row
         new_out.append(row)
         for a in row:

@@ -77,165 +77,155 @@ def fitness_of(cost: int, length: int, skips: Optional[int]) -> Optional[float]:
 
 
 def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResult:
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    # searches check their deadlines against time.monotonic()
-    global_deadline = None
-    if config.global_timeout_ms is not None:
-        global_deadline = time.monotonic() + config.global_timeout_ms / 1000.0
+    """Validate, build the graphs, choose a strategy, align every trace and
+    assemble the report.
 
-    def mark(name, since):
-        timings[name] = round((time.perf_counter() - since) * 1000.0, 3)
-        return time.perf_counter()
-
-    t = time.perf_counter()
-    vreport = validate(net)
-    t = mark("validate", t)
-
-    # the monolithic graph, built once: compared by the hybrid rule, searched
-    # by the monolithic route and by the decomposed route's fallbacks
-    rg = None
-    cap_error = None
+    The cyclic garbage collector stays off for the whole run and is left as
+    the caller had it.  The run's only reference cycles are the searched
+    graphs and their heuristic tables, which live as long as the run, so a
+    collection during it would only walk them again and free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        rg = build_rg(net, cap=config.state_cap)
-    except StateSpaceCapError as exc:
-        cap_error = exc
-    t = mark("build_rg", t)
-    if rg is not None:
-        rg = remove_tau(rg)
-    t = mark("remove_tau", t)
+        timings: dict[str, float] = {}
+        t0 = time.perf_counter()
+        # searches check their deadlines against time.monotonic()
+        global_deadline = None
+        if config.global_timeout_ms is not None:
+            global_deadline = time.monotonic() + config.global_timeout_ms / 1000.0
 
-    aligner = None
-    decomposition_error = None
-    if config.strategy in ("auto", "scomponent") and vreport.decomposable:
+        def mark(name, since):
+            timings[name] = round((time.perf_counter() - since) * 1000.0, 3)
+            return time.perf_counter()
+
+        t = time.perf_counter()
+        vreport = validate(net)
+        t = mark("validate", t)
+
+        # the monolithic graph, built once: compared by the hybrid rule, searched
+        # by the monolithic route and by the decomposed route's fallbacks
+        rg = None
+        cap_error = None
         try:
-            aligner = SComponentAligner(net, full_rg=rg if rg is not None else cap_error)
-        except LogAlignError as exc:  # decomposition or component reduction failed
-            decomposition_error = str(exc)
-    elif config.strategy in ("auto", "scomponent"):
-        decomposition_error = "net is not decomposable: %s" % "; ".join(vreport.problems)
-    t = mark("decompose", t)
+            rg = build_rg(net, cap=config.state_cap)
+        except StateSpaceCapError as exc:
+            cap_error = exc
+        t = mark("build_rg", t)
+        if rg is not None:
+            rg = remove_tau(rg)
+        t = mark("remove_tau", t)
 
-    # one decision; a requested strategy overrides only its outcome
-    chosen, info = hybrid_select(rg, None if aligner is None else aligner.component_rgs())
-    if config.strategy == "monolithic":
-        chosen, reason = "monolithic", "requested"
-    elif aligner is None:
-        reason = decomposition_error
-    elif config.strategy == "scomponent":
-        chosen, reason = "s-component", "requested"
-    else:
-        reason = "state-space comparison"
-    report_strategy = {"requested": config.strategy, "chosen": chosen, "reason": reason, **info}
+        aligner = None
+        decomposition_error = None
+        if config.strategy in ("auto", "scomponent") and vreport.decomposable:
+            try:
+                aligner = SComponentAligner(net, full_rg=rg if rg is not None else cap_error)
+            except LogAlignError as exc:  # decomposition or component reduction failed
+                decomposition_error = str(exc)
+        elif config.strategy in ("auto", "scomponent"):
+            decomposition_error = "net is not decomposable: %s" % "; ".join(vreport.problems)
+        t = mark("decompose", t)
 
-    if chosen == "monolithic" and rg is None:
-        report = _base_report(net, log, vreport, report_strategy, None, timings, [])
-        report["error"] = str(cap_error)
-        return RunResult(report, EXIT_STATE_CAP)
+        # one decision; a requested strategy overrides only its outcome
+        chosen, info = hybrid_select(rg, None if aligner is None else aligner.component_rgs())
+        if config.strategy == "monolithic":
+            chosen, reason = "monolithic", "requested"
+        elif aligner is None:
+            reason = decomposition_error
+        elif config.strategy == "scomponent":
+            chosen, reason = "s-component", "requested"
+        else:
+            reason = "state-space comparison"
+        report_strategy = {"requested": config.strategy, "chosen": chosen, "reason": reason, **info}
 
-    # minimum visible model run, for the fitness denominator
-    try:
-        skips = rg.min_visible_skips() if rg is not None \
-            else min_visible_skips_net(net, cap=config.state_cap)
-    except (StateSpaceCapError, TauReductionError):
-        skips = None
+        if chosen == "monolithic" and rg is None:
+            report = _base_report(net, log, vreport, report_strategy, None, timings, [])
+            report["error"] = str(cap_error)
+            return RunResult(report, EXIT_STATE_CAP)
 
-    t = time.perf_counter()
-    # setup's graphs, log and aligners outlive the loop; frozen, the cyclic
-    # collector stops walking them on every full collection.  Objects the
-    # caller froze stay frozen: gc.unfreeze() would thaw them too
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    try:
-        results, timed_out = _align_all_traces(log, rg, aligner, chosen, config, global_deadline)
-        rows = _rows(net, log, results, chosen, skips, config)
+        # minimum visible model run, for the fitness denominator
+        try:
+            skips = rg.min_visible_skips() if rg is not None \
+                else min_visible_skips_net(net, cap=config.state_cap)
+        except (StateSpaceCapError, TauReductionError):
+            skips = None
+
+        t = time.perf_counter()
+        rows, timed_out = _align_traces(net, log, rg, aligner, chosen, skips, config,
+                                        global_deadline)
+        mark("align", t)
+        timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
+
+        if config.dot_dir:
+            _write_dots(net, log, rg, aligner, config.dot_dir)
+
+        report = _base_report(net, log, vreport, report_strategy, skips, timings, rows)
+        return RunResult(report, EXIT_GLOBAL_TIMEOUT if timed_out else EXIT_OK)
     finally:
-        if freeze:
-            gc.unfreeze()
-    mark("align", t)
-    timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
-
-    if config.dot_dir:
-        _write_dots(net, log, rg, aligner, config.dot_dir)
-
-    report = _base_report(net, log, vreport, report_strategy, skips, timings, rows)
-    exit_code = EXIT_GLOBAL_TIMEOUT if timed_out else EXIT_OK
-    return RunResult(report, exit_code)
+        if enabled:
+            gc.enable()
 
 
-def _align_all_traces(log, rg, aligner, chosen, config, global_deadline):
-    """One result per distinct trace, aligned in log order, and whether the
-    global deadline cut the run short.  On all-optimal runs an entry also
-    counts the trace's optima, and its alignment is the first of them.
+def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline):
+    """One report row per distinct trace, filled in as the trace is aligned
+    in log order, and whether the global deadline cut the run short.  On
+    all-optimal runs a row also counts the trace's optima, and its moves are
+    the first of them.
 
     Each trace's search gets the earlier of its own timeout and the global
     deadline.  Once the global deadline has passed, the remaining traces are
     not attempted and are marked ``"global timeout"``.
     """
     all_optimal = chosen == "monolithic" and config.all_optimal
-
-    def align(labels, deadline):
-        if chosen != "monolithic":
-            outcome = aligner.align_trace(labels, deadline)
-            return {"cost": None if outcome.alignment is None else outcome.alignment.cost,
-                    "conflict": outcome.conflict, "fallback": outcome.fallback_used,
-                    "error": outcome.error, "alignment": outcome.alignment}
-        search = all_optimal_alignments if all_optimal else align_one_optimal
-        try:
-            found = search(labels, rg=rg, deadline=deadline)
-        except SearchBudgetError as exc:
-            return {"cost": None, "error": str(exc)}
-        if not all_optimal:
-            return {"cost": found.cost, "alignment": found}
-        entry = {"cost": found.cost, "n_optimal": found.n_optimal}
-        if config.emit_alignments:
-            entry["alignment"] = found.alignments(limit=1)[0]
-        return entry
-
-    results: list[dict] = []
+    search = all_optimal_alignments if all_optimal else align_one_optimal
+    rows = []
     timed_out = False
-    for trace in log.traces:
+    for idx, trace in enumerate(log.traces):
+        labels = trace.labels
+        row = {"trace_id": idx, "labels": list(log.texts(trace)), "frequency": trace.frequency,
+               "length": len(labels), "cost": None, "fitness": None, "strategy": chosen,
+               "conflict": None, "error": None}
+        if all_optimal:
+            row["n_optimal"] = 0
+        rows.append(row)
         now = time.monotonic()
         if global_deadline is not None and now > global_deadline:
             timed_out = True
-            entry = {"cost": None, "error": "global timeout"}
+            row["error"] = "global timeout"
+            continue
+        deadline = global_deadline
+        if config.timeout_ms is not None:
+            own = now + config.timeout_ms / 1000.0
+            deadline = own if deadline is None else min(own, deadline)
+        alignment = None
+        if chosen != "monolithic":
+            outcome = aligner.align_trace(labels, deadline)
+            alignment = outcome.alignment
+            row["cost"] = None if alignment is None else alignment.cost
+            row["conflict"], row["error"] = outcome.conflict, outcome.error
+            if outcome.fallback_used:
+                row["strategy"] = "s-component+fallback"
         else:
-            deadline = global_deadline
-            if config.timeout_ms is not None:
-                own = now + config.timeout_ms / 1000.0
-                deadline = own if deadline is None else min(own, deadline)
-            entry = align(trace.labels, deadline)
-            if (entry["cost"] is None and global_deadline is not None
-                    and time.monotonic() > global_deadline):
-                timed_out = True
-        if all_optimal:
-            entry.setdefault("n_optimal", 0)
-        results.append(entry)
-    return results, timed_out
-
-
-def _rows(net, log, results, chosen, skips, config):
-    rows = []
-    for idx, (trace, res) in enumerate(zip(log.traces, results)):
-        row = {
-            "trace_id": idx,
-            "labels": list(log.texts(trace)),
-            "frequency": trace.frequency,
-            "length": len(trace.labels),
-            "cost": res["cost"],
-            "fitness": None if res["cost"] is None
-            else fitness_of(res["cost"], len(trace.labels), skips),
-            "strategy": chosen if not res.get("fallback") else "s-component+fallback",
-            "conflict": res.get("conflict"),
-            "error": res.get("error"),
-        }
-        if "n_optimal" in res:
-            row["n_optimal"] = res["n_optimal"]
-        if config.emit_alignments and res.get("alignment") is not None:
-            row["moves"] = moves_to_dicts(net, res["alignment"])
-        rows.append(row)
-    return rows
+            try:
+                found = search(labels, rg=rg, deadline=deadline)
+            except SearchBudgetError as exc:
+                row["error"] = str(exc)
+            else:
+                row["cost"] = found.cost
+                if all_optimal:
+                    row["n_optimal"] = found.n_optimal
+                    if config.emit_alignments:
+                        alignment = found.alignments(limit=1)[0]
+                else:
+                    alignment = found
+        if row["cost"] is not None:
+            row["fitness"] = fitness_of(row["cost"], len(labels), skips)
+        elif global_deadline is not None and time.monotonic() > global_deadline:
+            timed_out = True
+        if config.emit_alignments and alignment is not None:
+            row["moves"] = moves_to_dicts(net, alignment)
+    return rows, timed_out
 
 
 def _base_report(net, log, vreport, strategy, skips, timings, rows):

@@ -262,7 +262,7 @@ def reference_lt(a, b):
 
 def child(parent, op, label, rg_tgt=None, trail=(), lrank=None):
     tgt = -1 if rg_tgt is None else rg_tgt
-    move = (op, label) if tgt == -1 and not trail else (op, Arc(0, label, trail, tgt, -1))
+    move = (op, label) if tgt == -1 and not trail else (op, Arc(0, label, trail, tgt))
     return _Node(parent, move, 0, 0, 0, (op, label if lrank is None else lrank, tgt, trail))
 
 

@@ -75,7 +75,7 @@ def test_oracle_reversal_invariance():
 
 def _reverse(rg: ReachabilityGraph) -> ReachabilityGraph:
     (final,) = rg.finals
-    arcs = tuple(Arc(a.tgt, a.label, a.trail, a.src, -1) for a in rg.arcs)
+    arcs = tuple(Arc(a.tgt, a.label, a.trail, a.src) for a in rg.arcs)
     return ReachabilityGraph(rg.net, rg.markings, final, frozenset({rg.m0}), arcs,
                              reduced=True)
 

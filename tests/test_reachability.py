@@ -268,7 +268,8 @@ def reference_build_rg(net, cap=DEFAULT_MARKING_CAP):
                 index[m2] = tid
                 markings.append(m2)
                 queue.append(tid)
-            arcs.append(Arc(mid, net.transitions[t].label, (), tid, t))
+            label = net.transitions[t].label
+            arcs.append(Arc(mid, label, (t,) if label == TAU else (), tid))
     finals = frozenset(index[f] for f in net.finals if f in index)
     warnings = []
     for t in range(ntrans):
@@ -285,8 +286,8 @@ def reference_reduce(rg, extended):
     a signature of every marking on each merge pass and one final sort."""
     net = rg.net
     n = len(rg.markings)
-    # working arc = (src, label, trail, tgt); raw tau arcs seed their trail
-    # with the silent transition's index so extended labels stay traceable
+    # working arc = (src, label, trail, tgt); plain removal drops the raw tau
+    # arcs' trails, extended removal keeps them so extended labels stay traceable
     out: list[set] = [set() for _ in range(n)]
     inn: list[set] = [set() for _ in range(n)]
     transient = [False] * n
@@ -300,8 +301,7 @@ def reference_reduce(rg, extended):
         inn[a[3]].discard(a)
 
     for a in rg.arcs:
-        trail = (a.transition,) if (extended and a.label == TAU and a.transition >= 0) else a.trail
-        add((a.src, a.label, trail, a.tgt))
+        add((a.src, a.label, a.trail if extended or a.label != TAU else (), a.tgt))
     for mid in range(n):
         if out[mid] and all(a[1] == TAU for a in out[mid]):
             transient[mid] = True
@@ -424,7 +424,7 @@ def reference_reduce(rg, extended):
     flat = sorted(
         {(remap[a[0]], a[1], a[2], remap[a[3]]) for mid in range(n) if alive[mid] for a in out[mid]},
         key=lambda a: (a[0], rank[a[1]], a[2], a[3]))
-    new_arcs = tuple(Arc(s, l, tr, t, -1) for s, l, tr, t in flat)
+    new_arcs = tuple(Arc(s, l, tr, t) for s, l, tr, t in flat)
     assert all(a.label != TAU for a in new_arcs)
     return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
                              frozenset(remap[f] for f in live_finals), new_arcs,
@@ -602,7 +602,8 @@ def hand_graph(n, rows, finals):
     (source, label or None for silent, target), each by its own transition."""
     net = SystemNet.build(["i", "o"], [("t%d" % k, label, ["i"], ["o"])
                                        for k, (_, label, _) in enumerate(rows)], LabelTable())
-    arcs = tuple(Arc(src, TAU if label is None else net.table.lookup(label), (), tgt, k)
+    arcs = tuple(Arc(src, TAU, (k,), tgt) if label is None
+                 else Arc(src, net.table.lookup(label), (), tgt)
                  for k, (src, label, tgt) in enumerate(rows))
     return ReachabilityGraph(net, tuple(1 << mid for mid in range(n)), 0, frozenset(finals), arcs)
 
@@ -666,3 +667,25 @@ def test_adjacency_rows_hold_the_arc_objects():
                                                       raw.arcs)}
         for name, rg in graphs.items():
             assert_rows_hold_the_arcs(rg, "%s, %s" % (what, name))
+
+
+def test_a_raw_silent_arc_carries_its_own_transition():
+    nets = {"loan": loan_net()}
+    for k in range(1, 7):
+        nets["parallel %d" % k] = parallel_tasks_net(["T%d" % i for i in range(k)])
+    for seed in range(40):
+        nets["seed %d" % seed] = random_workflow_net(seed, max_visible=8)
+    silent = 0
+    for what, net in nets.items():
+        raw = build_rg(net)
+        for a in raw.arcs:
+            if a.label != TAU:
+                assert a.trail == (), what
+                continue
+            (t,) = a.trail
+            m = raw.markings[a.src]
+            assert net.transitions[t].label == TAU and net.enabled(m, t), what
+            assert net.fire(m, t) == raw.markings[a.tgt], what
+            silent += 1
+        assert all(a.trail == () for a in remove_tau(raw).arcs), what
+    assert silent > 100
