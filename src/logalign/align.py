@@ -17,10 +17,13 @@ search node is made only when an entry is popped and settles its state, and
 
 ``all_optimal_alignments`` computes every cost-minimal proper alignment of
 one trace.  One bounded A* sweep settles each state on a cheapest path at
-its exact distance; a walk back from the cheapest goals along tight moves
-(the distance grows by exactly the move's cost) finds those states, and one
-pass over them in decreasing (distance, position) order keeps the moves
-between them and counts the optima of the resulting edge DAG.
+its exact distance and records the tight moves into it (the distance grows
+by exactly the move's cost); a closure over those moves from the cheapest
+goals finds the states on a cheapest path and the moves between them, and
+one pass over the states in decreasing (distance, position) order orders
+each state's moves and counts the optima of the resulting edge DAG.  Both
+searches keep a move unbuilt, as ``(op, arc)`` or ``(OP_LHIDE, label)``,
+and make a ``Move`` only for a move they return.
 
 Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
@@ -117,14 +120,11 @@ class _Node:
     the two child keys are equal, the full chains decide.
     """
 
-    __slots__ = ("parent", "move", "pos", "mid", "g", "key", "length")
+    __slots__ = ("parent", "move", "key", "length")
 
-    def __init__(self, parent, move, pos, mid, g, key):
+    def __init__(self, parent, move, key):
         self.parent = parent
         self.move = move
-        self.pos = pos
-        self.mid = mid
-        self.g = g
         self.key = key
         self.length = 0 if parent is None else parent.length + 1
 
@@ -156,14 +156,17 @@ class _Node:
         out = []
         node = self
         while node.parent is not None:
-            op, x = node.move
-            if op == OP_LHIDE:
-                out.append(Move(OP_LHIDE, x, (), None, None))
-            else:
-                out.append(Move(op, x.label, x.trail, x.src, x.tgt))
+            out.append(_move(*node.move))
             node = node.parent
         out.reverse()
         return out
+
+
+def _move(op, x):
+    """The ``Move`` of an unbuilt move ``(op, arc)`` or ``(OP_LHIDE, label)``."""
+    if op == OP_LHIDE:
+        return Move(OP_LHIDE, x, (), None, None)
+    return Move(op, x.label, x.trail, x.src, x.tgt)
 
 
 def _future_table(rg: ReachabilityGraph) -> FutureLabelTable:
@@ -182,20 +185,6 @@ def _remaining_counts(trace) -> list[dict[int, int]]:
         acc[trace[i]] = acc.get(trace[i], 0) + 1
         rem[i] = acc
     return rem
-
-
-def _successors(trace, rg, pos, mid):
-    """Deterministically ordered (move, npos, nmid, weight) expansions."""
-    out = []
-    if pos < len(trace):
-        label = trace[pos]
-        for a in rg.out[mid]:
-            if a.label == label:
-                out.append((Move(OP_MATCH, label, a.trail, a.src, a.tgt), pos + 1, a.tgt, 0))
-        out.append((Move(OP_LHIDE, label, (), None, None), pos + 1, mid, 1))
-    for a in rg.out[mid]:
-        out.append((Move(OP_RHIDE, a.label, a.trail, a.src, a.tgt), pos, a.tgt, 1))
-    return out
 
 
 class _Budget:
@@ -271,9 +260,9 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
         if rho > max_rho:
             max_rho = rho
         if parent is None:
-            node = _Node(None, None, pos, mid, g, None)
+            node = _Node(None, None, None)
         else:
-            node = _Node(parent, (op, x), pos, mid, g, (op, lrank, tgt, trail))
+            node = _Node(parent, (op, x), (op, lrank, tgt, trail))
         if pos == n and mid in finals:
             if stats is not None:
                 stats["pops"] = pops
@@ -326,7 +315,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
 
 
 # ---------------------------------------------------------------------------
-# all optimal alignments (one bounded sweep and a walk back)
+# all optimal alignments (one bounded sweep that keeps its tight moves)
 
 
 class OptimalSet(NamedTuple):
@@ -354,8 +343,9 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
                            deadline: Optional[float] = None) -> OptimalSet:
     """Every cost-minimal proper alignment of a trace against the graph.
 
-    Raises ``SearchBudgetError`` when the sweep and the walk back exceed the
-    node budget or the deadline, as ``align_one_optimal`` does.
+    Raises ``SearchBudgetError`` when the sweep and the closure over its
+    tight moves exceed the node budget or the deadline, as
+    ``align_one_optimal`` does.
     """
     trace = tuple(trace)
     ftable = _future_table(rg)
@@ -368,12 +358,15 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     goals = {(len(trace), f) for f in rg.finals}
     bound = len(trace) + rg.min_visible_skips()
 
-    # forward sweep: exact cheapest cost to every state on some optimal path
+    # forward sweep: exact cheapest cost to every state on some optimal path,
+    # and the steps (parent state, op, arc or label) that reach it at that cost
     dist: dict[tuple[int, int], int] = {}
+    tight: dict[tuple[int, int], list] = {}
     heap: list = []
 
-    def push_fwd(key, g):
-        if g < dist.get(key, _INF):
+    def push_fwd(key, g, step):
+        d = dist.get(key, _INF)
+        if g < d:
             pos, mid = key
             k = pos * ncls + classes[mid]
             hv = hcache.get(k)
@@ -382,13 +375,18 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             f = g + hv
             if f <= bound:
                 dist[key] = g
+                tight[key] = [step]
                 heapq.heappush(heap, (f, g, key))
+        elif g == d:
+            tight[key].append(step)
 
     root = (0, rg.m0)
-    push_fwd(root, 0)
+    push_fwd(root, 0, None)
+    if root in tight:
+        tight[root] = []  # the root has no step
     while heap:
         f, g, key = heapq.heappop(heap)
-        if g > dist.get(key, _INF) or f > bound:
+        if g > dist[key] or f > bound:
             continue
         budget.spend()
         if key in goals:
@@ -400,44 +398,33 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             label = trace[pos]
             for a in row:
                 if a.label == label:
-                    push_fwd((pos + 1, a.tgt), g)  # match
-            push_fwd((pos + 1, mid), g + 1)  # lhide
+                    push_fwd((pos + 1, a.tgt), g, (key, OP_MATCH, a))
+            push_fwd((pos + 1, mid), g + 1, (key, OP_LHIDE, label))
         for a in row:
-            push_fwd((pos, a.tgt), g + 1)  # rhide
+            push_fwd((pos, a.tgt), g + 1, (key, OP_RHIDE, a))
 
-    # walk back from the cheapest goals along tight moves, one spend per state
-    stack = [k for k in goals if dist.get(k) == bound]
-    if not stack:
+    # closure over the steps from the cheapest goals, one spend per state:
+    # each step becomes an edge of its parent
+    ends = [k for k in goals if dist.get(k) == bound]
+    if not ends:
         raise LogAlignError("no proper alignment exists for the trace")
-    on_path = set(stack)
+    edges: dict[tuple[int, int], list] = {}
+    stack = list(ends)
     while stack:
-        pos, mid = key = stack.pop()
+        key = stack.pop()
         budget.spend()
-        g = dist[key]
-        preds = [((pos, a.src), 1) for a in rg.inn[mid]]  # rhide into key
-        if pos > 0:
-            preds.append(((pos - 1, mid), 1))  # lhide into key
-            label = trace[pos - 1]
-            preds.extend(((pos - 1, a.src), 0) for a in rg.inn[mid] if a.label == label)
-        for pkey, w in preds:
-            if pkey not in on_path and dist.get(pkey) == g - w:
-                on_path.add(pkey)
+        for pkey, op, x in tight[key]:
+            nexts = edges.get(pkey)
+            if nexts is None:
+                nexts = edges[pkey] = []
                 stack.append(pkey)
+            nexts.append((_move(op, x), key))
 
     # every move raises (dist, pos), so successors come first in this order
     rank = rg.net.table.rank()
-    edges: dict[tuple[int, int], tuple] = {}
-    paths: dict[tuple[int, int], int] = {}
-    for key in sorted(on_path, key=lambda k: (dist[k], k[0]), reverse=True):
-        if key in goals:
-            paths[key] = 1
-            continue
-        g = dist[key]
-        nexts = []
-        for move, npos, nmid, w in _successors(trace, rg, key[0], key[1]):
-            nkey = (npos, nmid)
-            if nkey in on_path and dist[nkey] == g + w:
-                nexts.append((move, nkey))
+    paths = dict.fromkeys(ends, 1)
+    for key in sorted(edges, key=lambda k: (dist[k], k[0]), reverse=True):
+        nexts = edges[key]
         nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
         edges[key] = tuple(nexts)
         paths[key] = sum(paths[nkey] for _, nkey in nexts)

@@ -6,8 +6,8 @@ reads an event log (XES, or the one-trace-per-line text fallback) and a
 PNML workflow net, runs conformance checking and writes a JSON report plus
 an optional per-trace CSV.  Exit codes: 0 success, 2 unusable input
 (including a model that is not 1-bounded or whose silent steps cannot be
-removed), 3 global timeout, 4 state-space cap hit with the monolithic
-strategy forced.
+removed) or an output path that cannot be written, 3 global timeout, 4
+state-space cap hit with the monolithic strategy forced.
 """
 
 from __future__ import annotations
@@ -97,18 +97,20 @@ def main(argv=None) -> int:
     )
     try:
         result = run_conformance(net, log, config)
-    except LogAlignError as exc:  # a model that is not 1-bounded or not tau-reducible
+        text = json.dumps(result.report, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        if args.csv:
+            with open(args.csv, "w") as fh:
+                fh.write(report_to_csv(result.report))
+    except (LogAlignError, OSError) as exc:
+        # a model that is not 1-bounded or not tau-reducible, or an output
+        # path that cannot be written
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    text = json.dumps(result.report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report_to_csv(result.report))
     return result.exit_code
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import random
 import time
@@ -7,7 +8,7 @@ import pytest
 from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, OptimalSet,
                             align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
                             make_alignment, Move, _Budget, _future_table, _Node,
-                            _remaining_counts, _successors)
+                            _remaining_counts)
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
 from logalign.heuristic import FutureLabelTable
 from logalign.invariants import decompose
@@ -263,7 +264,7 @@ def reference_lt(a, b):
 def child(parent, op, label, rg_tgt=None, trail=(), lrank=None):
     tgt = -1 if rg_tgt is None else rg_tgt
     move = (op, label) if tgt == -1 and not trail else (op, Arc(0, label, trail, tgt))
-    return _Node(parent, move, 0, 0, 0, (op, label if lrank is None else lrank, tgt, trail))
+    return _Node(parent, move, (op, label if lrank is None else lrank, tgt, trail))
 
 
 def assert_same_order(nodes):
@@ -274,7 +275,7 @@ def assert_same_order(nodes):
 
 
 def test_tie_compare_matches_chain_order_on_hand_trees():
-    root = _Node(None, None, 0, 0, 0, 0)
+    root = _Node(None, None, 0)
     s1 = child(root, OP_MATCH, 3, rg_tgt=1)
     s2 = child(root, OP_RHIDE, 1, rg_tgt=2)  # sibling of s1 with a larger op
     s3 = child(root, OP_MATCH, 3, rg_tgt=1)  # same move key as s1
@@ -295,7 +296,7 @@ def test_tie_compare_matches_chain_order_on_hand_trees():
 def test_tie_compare_matches_chain_order_on_random_trees():
     rng = random.Random(17)
     for _ in range(20):
-        nodes = [_Node(None, None, 0, 0, 0, 0)]
+        nodes = [_Node(None, None, 0)]
         for _ in range(40):
             parent = rng.choice(nodes)
             # few distinct moves, so siblings and cousins often share keys
@@ -422,6 +423,20 @@ class ReferenceNode:
             node = node.parent
         out.reverse()
         return out
+
+
+def _successors(trace, rg, pos, mid):
+    """Deterministically ordered (move, npos, nmid, weight) expansions."""
+    out = []
+    if pos < len(trace):
+        label = trace[pos]
+        for a in rg.out[mid]:
+            if a.label == label:
+                out.append((Move(OP_MATCH, label, a.trail, a.src, a.tgt), pos + 1, a.tgt, 0))
+        out.append((Move(OP_LHIDE, label, (), None, None), pos + 1, mid, 1))
+    for a in rg.out[mid]:
+        out.append((Move(OP_RHIDE, a.label, a.trail, a.src, a.tgt), pos, a.tgt, 1))
+    return out
 
 
 def reference_align_one_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET, stats=None):
@@ -747,3 +762,11 @@ def test_all_optimal_and_the_reference_share_the_node_budget(monkeypatch):
                 all_optimal_alignments(trace, rg, node_budget=budget)
         assert all_optimal_alignments(trace, rg, node_budget=needed) == \
             reference_all_optimal(trace, rg, node_budget=needed)
+
+
+def test_all_optimal_reads_only_successor_rows():
+    cases = all_optimal_cases()[::10][:40]
+    assert len(cases) == 40
+    for trace, rg in cases:
+        no_inn = dataclasses.replace(rg, inn=tuple(() for _ in rg.markings))
+        assert all_optimal_alignments(trace, no_inn) == all_optimal_alignments(trace, rg)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -190,6 +192,18 @@ def test_check_dot_dir(tmp_path):
     names = sorted(p.name for p in dots.iterdir())
     assert "net.dot" in names and "rg.dot" in names and "dafsa.dot" in names
     assert "component_0.dot" in names
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv", "--dot-dir"])
+def test_exit_code_on_an_output_path_that_cannot_be_written(tmp_path, flag):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path = afile / "out"  # below a regular file
+    proc = run_cli("check", "--log", str(DATA / "loan.xes"), "--model", str(DATA / "loan.pnml"),
+                   flag, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_on_bad_model(tmp_path):
