@@ -130,21 +130,23 @@ def decompose(net: SystemNet) -> SComponentDecomposition:
     for idx, inv in enumerate(invariants):
         if any(w not in (0, 1) for w in inv.weights):
             raise DecompositionError("invariant %d is not a 0/1 vector" % idx)
-        pset = set(inv.support)
-        if source not in pset or sink not in pset:
+        place_ids = inv.support
+        support = sum(1 << p for p in place_ids)
+        if not (support >> source & 1 and support >> sink & 1):
             raise DecompositionError("invariant %d misses the source or sink place" % idx)
         tset = []
         for t in range(len(net.transitions)):
-            npre = sum(1 for p in net.preset_places(t) if p in pset)
-            npost = sum(1 for p in net.postset_places(t) if p in pset)
+            npre = (net.pre[t] & support).bit_count()
+            npost = (net.post[t] & support).bit_count()
             if npre == 1 and npost == 1:
                 tset.append(t)
             elif npre or npost:
+                # so a transition's components are exactly those its preset
+                # meets, and exactly those its postset meets
                 raise DecompositionError(
                     "transition %s is unbalanced on invariant %d"
                     % (net.transitions[t].name, idx))
-        place_ids = tuple(sorted(pset))
-        sub = _subnet(net, place_ids, tuple(tset), source, sink)
+        sub = _subnet(net, place_ids, support, tuple(tset), source, sink)
         sub_report = validate(sub)
         if not sub_report.workflow_ok:
             raise DecompositionError("component %d is not a workflow net: %s"
@@ -158,20 +160,15 @@ def decompose(net: SystemNet) -> SComponentDecomposition:
 
     if any(not v for v in place_cover.values()) or any(not v for v in transition_cover.values()):
         raise DecompositionError("components do not cover the net")
-    for t in range(len(net.transitions)):
-        owners = set(transition_cover[t])
-        pre_cover = set().union(*(place_cover[p] for p in net.preset_places(t)))
-        post_cover = set().union(*(place_cover[p] for p in net.postset_places(t)))
-        if not (pre_cover == owners == post_cover):
-            raise DecompositionError("pre/post cover mismatch at transition %s"
-                                     % net.transitions[t].name)
     return SComponentDecomposition(
         net, tuple(invariants), tuple(components),
         {p: tuple(v) for p, v in place_cover.items()},
         {t: tuple(v) for t, v in transition_cover.items()})
 
 
-def _subnet(net: SystemNet, place_ids, transition_ids, source, sink) -> SystemNet:
+def _subnet(net: SystemNet, place_ids, support, transition_ids, source, sink) -> SystemNet:
+    """The component on the places of ``support``, a mask that each of
+    ``transition_ids`` meets in exactly one pre- and one post-place."""
     pos = {p: i for i, p in enumerate(place_ids)}
     places = tuple(net.places[p] for p in place_ids)
     transitions = []
@@ -179,7 +176,7 @@ def _subnet(net: SystemNet, place_ids, transition_ids, source, sink) -> SystemNe
     post = []
     for t in transition_ids:
         transitions.append(Transition(net.transitions[t].name, net.transitions[t].label))
-        pre.append(sum(1 << pos[p] for p in net.preset_places(t) if p in pos))
-        post.append(sum(1 << pos[p] for p in net.postset_places(t) if p in pos))
+        pre.append(1 << pos[(net.pre[t] & support).bit_length() - 1])
+        post.append(1 << pos[(net.post[t] & support).bit_length() - 1])
     return SystemNet(places, tuple(transitions), tuple(pre), tuple(post),
                      1 << pos[source], frozenset({1 << pos[sink]}), net.table)

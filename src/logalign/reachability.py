@@ -9,8 +9,8 @@ a raw visible arc's is empty.  In extended mode every rewritten arc keeps
 the trails it absorbed (its tau trail), which the recomposition stage uses
 to detect hidden label conflicts; plain tau removal drops them.
 
-A graph's ``out[m]`` and ``inn[m]`` rows hold the ``Arc`` objects of
-``arcs`` that leave and enter marking ``m``, in ``arcs`` order.
+A graph's ``out[m]`` row holds the ``Arc`` objects of ``arcs`` that leave
+marking ``m``, in ``arcs`` order.
 """
 
 from __future__ import annotations
@@ -42,19 +42,14 @@ class ReachabilityGraph:
     finals: frozenset[int]  # marking ids
     arcs: tuple[Arc, ...]
     reduced: bool = False
-    warnings: tuple[str, ...] = ()
     out: tuple[tuple[Arc, ...], ...] = field(default=(), repr=False)
-    inn: tuple[tuple[Arc, ...], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if not self.out:
             o: list[list[Arc]] = [[] for _ in self.markings]
-            i: list[list[Arc]] = [[] for _ in self.markings]
             for a in self.arcs:
                 o[a.src].append(a)
-                i[a.tgt].append(a)
             self.out = tuple(tuple(x) for x in o)
-            self.inn = tuple(tuple(x) for x in i)
 
     def size(self) -> int:
         return len(self.markings) + len(self.arcs)
@@ -126,8 +121,6 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
     markings = [net.m0]
     arcs: list[Arc] = []
     out: list[tuple[Arc, ...]] = []
-    inn: list[list[Arc]] = [[]]
-    fired = [False] * len(firing)
     new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
     # breadth-first, so each marking's arcs form one contiguous run
     queue = deque([0])
@@ -143,7 +136,6 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                 raise Not1BoundedError(
                     "firing %s at %s exceeds one token on a place"
                     % (net.transitions[t].name, net.marking_name(m)))
-            fired[t] = True
             m2 = rest | post
             tid = index.get(m2)
             if tid is None:
@@ -152,21 +144,12 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                     raise StateSpaceCapError("marking cap %d exceeded" % cap)
                 index[m2] = tid
                 markings.append(m2)
-                inn.append([])
                 queue.append(tid)
-            a = new(Arc, (mid, label, trail, tid))
-            row.append(a)
-            inn[tid].append(a)
+            row.append(new(Arc, (mid, label, trail, tid)))
         arcs += row
         out.append(tuple(row))
     finals = frozenset(index[f] for f in net.finals if f in index)
-    warnings = ["transition %s is dead" % net.transitions[t].name
-                for t in range(len(firing)) if not fired[t]]
-    if not finals:
-        warnings.append("final marking unreachable")
-    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs),
-                             warnings=tuple(warnings), out=tuple(out),
-                             inn=tuple(map(tuple, inn)))
+    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs), out=tuple(out))
 
 
 def remove_tau(rg: ReachabilityGraph) -> ReachabilityGraph:
@@ -188,11 +171,15 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     arc is added.  Every other marking is "cold": its arcs are its raw arcs
     whose other end is still alive, so it only keeps two counters.  Phases,
     orders and tie-breaks are those of a rewrite with arc sets for every
-    marking, so the result is the same graph.
+    marking, so the result is the same graph.  The raw graph's predecessor
+    rows are derived here from ``rg.arcs``; no graph carries them.
     """
     net = rg.net
     n = len(rg.markings)
-    raw_out, raw_inn = rg.out, rg.inn
+    raw_out = rg.out
+    raw_inn: list[list[Arc]] = [[] for _ in range(n)]
+    for a in rg.arcs:
+        raw_inn[a[3]].append(a)
     m0 = rg.m0
     finals = set(rg.finals)
 
@@ -404,7 +391,6 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     rank = net.table.rank()
     arcs: list[Arc] = []
     new_out: list[tuple[Arc, ...]] = []
-    new_inn: list[list[Arc]] = [[] for _ in new_markings]
     new = tuple.__new__
     for u in range(n):
         if not alive[u]:
@@ -421,12 +407,9 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         row = tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items])
         arcs += row
         new_out.append(row)
-        for a in row:
-            new_inn[a[3]].append(a)
     return ReachabilityGraph(net, tuple(new_markings), remap[m0],
                              frozenset(remap[f] for f in live_finals), tuple(arcs),
-                             reduced=True, warnings=rg.warnings, out=tuple(new_out),
-                             inn=tuple(map(tuple, new_inn)))
+                             reduced=True, out=tuple(new_out))
 
 
 def _shares_a_visible_label(net: SystemNet) -> bool:

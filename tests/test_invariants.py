@@ -162,6 +162,22 @@ def test_decompose_rejects_duplicate_labels():
         decompose(net)
 
 
+def test_decompose_rejects_a_component_that_is_not_a_workflow_net():
+    # the only minimal invariant {s, a, f, b, c} is a valid 0/1 cover, but
+    # its b/c cycle cannot be reached from s once x is projected away
+    from logalign.petri import SystemNet, validate
+
+    net = SystemNet.build(
+        ["s", "a", "f", "b", "c", "x"],
+        [("t1", "A", ["s"], ["a", "x"]), ("t2", "B", ["a"], ["f"]),
+         ("t3", "C", ["b"], ["a"]), ("t4", "D", ["b"], ["c"]),
+         ("t5", "E", ["c", "x"], ["b"])])
+    assert validate(net).decomposable
+    assert [inv.support for inv in minimal_place_invariants(net)] == [(0, 1, 2, 3, 4)]
+    with pytest.raises(DecompositionError, match="not strongly connected"):
+        decompose(net)
+
+
 def test_decompose_random_nets_cover_and_single_token():
     for seed in range(20):
         net = random_workflow_net(seed, max_visible=6)

@@ -155,9 +155,10 @@ def test_remove_tau_preserves_visible_language_on_random_nets():
         assert visible_language(rg, 8) == visible_language(reduced, 8), "seed %d" % seed
         assert all(a.label != TAU for a in reduced.arcs)
         # structural postconditions
+        entered = {a.tgt for a in reduced.arcs}
         for mid in range(len(reduced.markings)):
             if mid != reduced.m0:
-                assert reduced.inn[mid], "orphan marking"
+                assert mid in entered, "orphan marking"
             if mid not in reduced.finals:
                 assert reduced.out[mid], "dead-end marking"
 
@@ -245,7 +246,6 @@ def reference_build_rg(net, cap=DEFAULT_MARKING_CAP):
     index = {net.m0: 0}
     markings = [net.m0]
     arcs: list[Arc] = []
-    fired = set()
     queue = deque([0])
     ntrans = len(net.transitions)
     while queue:
@@ -258,7 +258,6 @@ def reference_build_rg(net, cap=DEFAULT_MARKING_CAP):
                 raise Not1BoundedError(
                     "firing %s at %s exceeds one token on a place"
                     % (net.transitions[t].name, net.marking_name(m)))
-            fired.add(t)
             m2 = (m & ~net.pre[t]) | net.post[t]
             tid = index.get(m2)
             if tid is None:
@@ -271,14 +270,7 @@ def reference_build_rg(net, cap=DEFAULT_MARKING_CAP):
             label = net.transitions[t].label
             arcs.append(Arc(mid, label, (t,) if label == TAU else (), tid))
     finals = frozenset(index[f] for f in net.finals if f in index)
-    warnings = []
-    for t in range(ntrans):
-        if t not in fired:
-            warnings.append("transition %s is dead" % net.transitions[t].name)
-    if not finals:
-        warnings.append("final marking unreachable")
-    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs),
-                             warnings=tuple(warnings))
+    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs))
 
 
 def reference_reduce(rg, extended):
@@ -428,10 +420,10 @@ def reference_reduce(rg, extended):
     assert all(a.label != TAU for a in new_arcs)
     return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
                              frozenset(remap[f] for f in live_finals), new_arcs,
-                             reduced=True, warnings=rg.warnings)
+                             reduced=True)
 
 
-GRAPH_FIELDS = ("markings", "m0", "finals", "arcs", "warnings", "out", "inn", "reduced")
+GRAPH_FIELDS = ("markings", "m0", "finals", "arcs", "out", "reduced")
 
 
 def outcome(fn, *args, **kwargs):
@@ -638,20 +630,19 @@ def test_transient_fold_revisits_a_candidate_that_gains_a_match():
 
 
 def assert_rows_hold_the_arcs(rg, what):
-    """Each ``out``/``inn`` entry is an arc object of ``rg.arcs``, each arc
-    sits in exactly one row of each, and every row keeps ``arcs`` order."""
+    """Each ``out`` entry is an arc object of ``rg.arcs``, each arc sits in
+    exactly one row, and every row keeps ``arcs`` order."""
     position = {id(a): k for k, a in enumerate(rg.arcs)}
-    for rows, end in ((rg.out, "src"), (rg.inn, "tgt")):
-        assert len(rows) == len(rg.markings), what
-        seen = []
-        for mid, row in enumerate(rows):
-            for a in row:
-                assert id(a) in position and rg.arcs[position[id(a)]] is a, what
-                assert getattr(a, end) == mid, what
-            ks = [position[id(a)] for a in row]
-            assert ks == sorted(ks), what
-            seen += ks
-        assert sorted(seen) == list(range(len(rg.arcs))), what
+    assert len(rg.out) == len(rg.markings), what
+    seen = []
+    for mid, row in enumerate(rg.out):
+        for a in row:
+            assert id(a) in position and rg.arcs[position[id(a)]] is a, what
+            assert a.src == mid, what
+        ks = [position[id(a)] for a in row]
+        assert ks == sorted(ks), what
+        seen += ks
+    assert sorted(seen) == list(range(len(rg.arcs))), what
 
 
 def test_adjacency_rows_hold_the_arc_objects():
