@@ -10,7 +10,9 @@ components.
 The invariant solver runs the classic non-negative annihilator tableau in
 exact integer arithmetic: one elimination round per transition column,
 combining rows of opposite sign, normalizing by gcd, and finally keeping
-only support-minimal rows.
+only support-minimal rows.  Each row carries its annotation's support as a
+place mask: positive multiples of non-negative annotations cannot cancel,
+so a combined row's support is the union of its two parents'.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 
 from .errors import DecompositionError
 from .logs import TAU
-from .petri import SystemNet, Transition, validate
+from .petri import SystemNet, validate
 
 
 @dataclass(frozen=True)
@@ -37,18 +39,18 @@ def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
     nplaces = len(net.places)
     ntrans = len(net.transitions)
     # rows of [N | I]: effect vector per place plus its unit annotation
-    rows: list[tuple[list[int], list[int]]] = []
+    rows: list[tuple[list[int], list[int], int]] = []
     for p in range(nplaces):
         unit = [0] * nplaces
         unit[p] = 1
         effect = [(net.post[t] >> p & 1) - (net.pre[t] >> p & 1) for t in range(ntrans)]
-        rows.append((effect, unit))
+        rows.append((effect, unit, 1 << p))
     for t in range(ntrans):
         keep = [r for r in rows if r[0][t] == 0]
         pos = [r for r in rows if r[0][t] > 0]
         neg = [r for r in rows if r[0][t] < 0]
-        for eff_p, ann_p in pos:
-            for eff_n, ann_n in neg:
+        for eff_p, ann_p, sup_p in pos:
+            for eff_n, ann_n, sup_n in neg:
                 cp, cn = -eff_n[t], eff_p[t]
                 eff = [cp * a + cn * b for a, b in zip(eff_p, eff_n)]
                 ann = [cp * a + cn * b for a, b in zip(ann_p, ann_n)]
@@ -58,13 +60,11 @@ def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
                 if g > 1:
                     eff = [v // g for v in eff]
                     ann = [v // g for v in ann]
-                keep.append((eff, ann))
+                keep.append((eff, ann, sup_p | sup_n))
         rows = _drop_support_dominated(keep)
     result = {}
-    for eff, ann in rows:
+    for eff, ann, _ in rows:
         if any(eff):
-            continue
-        if not any(ann):
             continue
         result[tuple(p for p, w in enumerate(ann) if w)] = PlaceInvariant(tuple(ann))
     inv = [result[s] for s in sorted(result)]
@@ -72,25 +72,19 @@ def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
 
 
 def _drop_support_dominated(rows):
-    """Remove duplicate rows and rows whose annotation support contains a
-    kept row's; minimal semiflows are support-minimal.  Rows are visited by
-    support size, ties in row order, so a row's dominators are kept first;
-    the kept rows come back in their original order."""
-    items = []
-    seen = set()
-    for eff, ann in rows:
-        key = (tuple(eff), tuple(ann))
-        if key not in seen:
-            seen.add(key)
-            items.append((eff, ann, sum(1 << p for p, w in enumerate(ann) if w)))
+    """Remove rows whose support mask contains a kept row's; minimal
+    semiflows are support-minimal.  Rows are visited by support size, ties
+    in row order, so a row's dominators are kept first and of two rows with
+    an equal support (identical rows among them) the first stays; the kept
+    rows come back in their original order."""
     kept_supports = []
     kept = []
-    for i in sorted(range(len(items)), key=lambda i: items[i][2].bit_count()):
-        sup = items[i][2]
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][2].bit_count()):
+        sup = rows[i][2]
         if not any(k & sup == k for k in kept_supports):
             kept_supports.append(sup)
             kept.append(i)
-    return [items[i][:2] for i in sorted(kept)]
+    return [rows[i] for i in sorted(kept)]
 
 
 @dataclass(frozen=True)
@@ -120,9 +114,9 @@ def decompose(net: SystemNet) -> SComponentDecomposition:
     invariants = minimal_place_invariants(net)
     if not invariants:
         raise DecompositionError("no place invariants found")
-    source = next(p for p in range(len(net.places)) if net.m0 >> p & 1)
+    source = net.m0.bit_length() - 1
     (final_marking,) = net.finals
-    sink = next(p for p in range(len(net.places)) if final_marking >> p & 1)
+    sink = final_marking.bit_length() - 1
 
     components = []
     place_cover: dict[int, list[int]] = {p: [] for p in range(len(net.places))}
@@ -171,12 +165,10 @@ def _subnet(net: SystemNet, place_ids, support, transition_ids, source, sink) ->
     ``transition_ids`` meets in exactly one pre- and one post-place."""
     pos = {p: i for i, p in enumerate(place_ids)}
     places = tuple(net.places[p] for p in place_ids)
-    transitions = []
     pre = []
     post = []
     for t in transition_ids:
-        transitions.append(Transition(net.transitions[t].name, net.transitions[t].label))
         pre.append(1 << pos[(net.pre[t] & support).bit_length() - 1])
         post.append(1 << pos[(net.post[t] & support).bit_length() - 1])
-    return SystemNet(places, tuple(transitions), tuple(pre), tuple(post),
-                     1 << pos[source], frozenset({1 << pos[sink]}), net.table)
+    return SystemNet(places, tuple(net.transitions[t] for t in transition_ids),
+                     tuple(pre), tuple(post), 1 << pos[source], frozenset({1 << pos[sink]}), net.table)

@@ -6,11 +6,11 @@ Markings of 1-bounded nets are integer bitmasks over a fixed place order.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NetStructureError, PnmlParseError
-from .logs import TAU, LabelTable
+from .logs import TAU, LabelTable, _localname
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,11 @@ class SystemNet:
     m0: int
     finals: frozenset[int]
     table: LabelTable
-    _place_index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._place_index = {p: i for i, p in enumerate(self.places)}
 
     # -- queries -------------------------------------------------------
 
     def place_bit(self, name: str) -> int:
-        return 1 << self._place_index[name]
+        return 1 << self.places.index(name)
 
     def marking_places(self, m: int) -> tuple[str, ...]:
         return tuple(p for i, p in enumerate(self.places) if m >> i & 1)
@@ -69,9 +65,6 @@ class SystemNet:
 
     def postset_places(self, t: int) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.places)) if self.post[t] >> i & 1)
-
-    def place_consumers(self, p: int) -> tuple[int, ...]:
-        return tuple(t for t in range(len(self.transitions)) if self.pre[t] >> p & 1)
 
     # -- construction helpers ------------------------------------------
 
@@ -133,9 +126,9 @@ def validate(net: SystemNet) -> ValidationReport:
     """Check workflow shape, free-choiceness and unique labelling."""
     problems = []
     nplaces = len(net.places)
-    all_pre = 0
-    all_post = 0
+    all_pre = all_post = shared = 0  # shared: places with two or more consumers
     for t in range(len(net.transitions)):
+        shared |= all_pre & net.pre[t]
         all_pre |= net.pre[t]
         all_post |= net.post[t]
         if net.pre[t] == 0 or net.post[t] == 0:
@@ -159,16 +152,17 @@ def validate(net: SystemNet) -> ValidationReport:
         workflow_ok = False
         problems.append("net is not strongly connected after adding a reset transition")
 
-    free_choice = True
+    # a shared place breaks free choice when one of its consumers also
+    # consumes from another place
+    unfree = 0
+    for b in net.pre:
+        if b & (b - 1):
+            unfree |= b & shared
+    free_choice = not unfree
     for p in range(nplaces):
-        consumers = net.place_consumers(p)
-        if len(consumers) > 1:
-            for t in consumers:
-                if net.pre[t] != 1 << p:
-                    free_choice = False
-                    problems.append("place %s is shared by transitions with non-singleton presets"
-                                    % net.places[p])
-                    break
+        if unfree >> p & 1:
+            problems.append("place %s is shared by transitions with non-singleton presets"
+                            % net.places[p])
 
     seen: dict[int, str] = {}
     uniquely_labelled = True
@@ -185,35 +179,36 @@ def validate(net: SystemNet) -> ValidationReport:
 
 
 def _strongly_connected_with_reset(net: SystemNet, source: int, sink: int) -> bool:
-    """Single SCC over places+transitions once sink->source is added."""
-    nplaces = len(net.places)
-    ntrans = len(net.transitions)
-    n = nplaces + ntrans
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for t in range(ntrans):
-        for p in net.preset_places(t):
-            succ[p].append(nplaces + t)
-        for p in net.postset_places(t):
-            succ[nplaces + t].append(p)
-    succ[sink].append(source)
+    """Single SCC over places+transitions once a reset transition sink->source is added.
 
-    def reach(start: int, adjacency: list[list[int]]) -> int:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for v in adjacency[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen)
+    The source place has no producer, so the reset is its only way in: it
+    adds nothing to what the source reaches, and a node reaches the source
+    exactly when it reaches the sink.  The net is therefore strongly
+    connected with the reset exactly when every place and transition is
+    reached forward from the source and backward from the sink.
+    """
+    everything = (1 << len(net.places)) - 1
+    return (_reaches_everything(net.pre, net.post, 1 << source, everything)
+            and _reaches_everything(net.post, net.pre, 1 << sink, everything))
 
-    if reach(source, succ) != n:
-        return False
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            pred[v].append(u)
-    return reach(source, pred) == n
+
+def _reaches_everything(ins, outs, start: int, everything: int) -> bool:
+    """Close the place mask ``start`` under "a transition whose ``ins`` meet
+    the reached places adds its ``outs``" and check that the closure holds
+    every place and meets every transition's ``ins``.  The sweeps over the
+    transitions alternate direction, so a chain listed in either order
+    settles in a few sweeps."""
+    order = list(zip(ins, outs))
+    reached = start
+    grown = True
+    while grown:
+        grown = False
+        for i, o in order:
+            if i & reached and o & ~reached:
+                reached |= o
+                grown = True
+        order.reverse()
+    return reached == everything and all(i & reached for i in ins)
 
 
 _TAU_NAMES = {"tau", "τ", "invisible", "none"}
@@ -241,45 +236,47 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
 
     def text_of(elem) -> Optional[str]:
         for child in elem:
-            if child.tag.rsplit("}", 1)[-1] == "name":
+            if _localname(child.tag) == "name":
                 for sub in child.iter():
-                    if sub.tag.rsplit("}", 1)[-1] == "text":
+                    if _localname(sub.tag) == "text":
                         return (sub.text or "").strip()
         return None
 
+    ids: set[str] = set()
     for elem in root.iter():
-        tag = elem.tag.rsplit("}", 1)[-1]
+        tag = _localname(elem.tag)
+        if tag in ("place", "transition"):
+            nid = elem.get("id")
+            if nid is None:
+                raise PnmlParseError("%s without id" % tag)
+            if nid in ids:
+                raise PnmlParseError("place or transition id %s is given twice" % nid)
+            ids.add(nid)
         if tag == "place":
-            pid = elem.get("id")
-            if pid is None:
-                raise PnmlParseError("place without id")
-            places.append(pid)
+            places.append(nid)
             for child in elem.iter():
-                if child.tag.rsplit("}", 1)[-1] == "initialMarking":
+                if _localname(child.tag) == "initialMarking":
                     for sub in child.iter():
-                        if sub.tag.rsplit("}", 1)[-1] != "text":
+                        if _localname(sub.tag) != "text":
                             continue
                         tokens = (sub.text or "").strip()
                         if tokens not in ("", "0", "1"):
                             raise PnmlParseError("place %s: initial marking %r is not 0 or 1"
-                                                 % (pid, tokens))
+                                                 % (nid, tokens))
                         if tokens == "1":
-                            marked.append(pid)
+                            marked.append(nid)
         elif tag == "transition":
-            tid = elem.get("id")
-            if tid is None:
-                raise PnmlParseError("transition without id")
             name = text_of(elem)
             invisible = False
             for child in elem.iter():
-                if child.tag.rsplit("}", 1)[-1] == "toolspecific":
+                if _localname(child.tag) == "toolspecific":
                     activity = child.get("activity", "")
                     if activity == "$invisible$" or child.get("invisible", "").lower() == "true":
                         invisible = True
             if invisible or name is None or name == "" or name.lower() in _TAU_NAMES:
-                trans_rows.append((tid, None))
+                trans_rows.append((nid, None))
             else:
-                trans_rows.append((tid, name))
+                trans_rows.append((nid, name))
         elif tag == "arc":
             src, tgt = elem.get("source"), elem.get("target")
             if src is None or tgt is None:
@@ -287,7 +284,7 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
             if (src, tgt) in arcs:
                 raise PnmlParseError("arc %s -> %s is given twice" % (src, tgt))
             for child in elem.iter():
-                if child.tag.rsplit("}", 1)[-1] == "inscription":
+                if _localname(child.tag) == "inscription":
                     weight = "".join(child.itertext()).strip()
                     if weight not in ("", "1"):
                         raise PnmlParseError("arc %s -> %s has weight %s; only weight 1 "

@@ -25,7 +25,7 @@ from typing import Optional
 from .align import OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments
 from .dafsa import build_dafsa, dafsa_to_dot
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError, TauReductionError
-from .logs import EventLog
+from .logs import TAU, EventLog
 from .petri import SystemNet, net_to_dot, validate
 from .reachability import (DEFAULT_MARKING_CAP, build_rg, min_visible_skips_net,
                            remove_tau, rg_to_dot)
@@ -243,7 +243,7 @@ def _base_report(net, log, vreport, strategy, skips, timings, rows):
         "model": {
             "places": len(net.places),
             "transitions": len(net.transitions),
-            "silent_transitions": sum(1 for t in net.transitions if t.label == 0),
+            "silent_transitions": sum(1 for t in net.transitions if t.label == TAU),
             "workflow_ok": vreport.workflow_ok,
             "free_choice": vreport.free_choice,
             "uniquely_labelled": vreport.uniquely_labelled,

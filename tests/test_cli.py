@@ -161,6 +161,18 @@ def test_exit_code_on_a_repeated_or_weighted_pnml_arc(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_exit_code_on_a_repeated_pnml_id(tmp_path):
+    pnml = (DATA / "loan.pnml").read_text()
+    transition = '<transition id="tA"><name><text>A</text></name></transition>'
+    assert transition in pnml
+    model = tmp_path / "model.pnml"
+    model.write_text(pnml.replace(transition, transition + transition.replace(">A<", ">Z<")))
+    proc = run_cli("check", "--log", str(DATA / "loan.xes"), "--model", str(model))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "id tA is given twice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_on_an_initial_marking_above_one(tmp_path):
     pnml = (DATA / "loan.pnml").read_text()
     marking = "<initialMarking><text>1</text></initialMarking>"

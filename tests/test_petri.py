@@ -1,9 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from logalign.errors import NetStructureError, PnmlParseError
 from logalign.logs import TAU, LabelTable
-from logalign.petri import SystemNet, parse_pnml, validate
+from logalign.petri import SystemNet, Transition, parse_pnml, validate
 from logalign.sampledata import loan_net
 
 from matrices import incidence, marking_vector
@@ -72,6 +74,18 @@ def test_parse_pnml_rejects_a_repeated_arc():
     doc = MINIMAL_PNML % ("", '<arc id="a3" source="i" target="t"/>')
     with pytest.raises(PnmlParseError, match="i -> t is given twice"):
         parse_pnml(doc)
+
+
+def test_parse_pnml_rejects_a_repeated_id():
+    cases = (
+        # a second transition t would take the first one's arcs
+        ("t", '<transition id="t"><name><text>C</text></name></transition>'),
+        ("o", '<place id="o"/>'),
+        ("i", '<transition id="i"><name><text>C</text></name></transition>'),
+    )
+    for nid, extra in cases:
+        with pytest.raises(PnmlParseError, match="id %s is given twice" % nid):
+            parse_pnml(MINIMAL_PNML % ("", extra))
 
 
 def test_parse_pnml_arc_weights():
@@ -210,3 +224,142 @@ def test_free_choice_agrees_with_pairwise_definition():
                     if not (net.pre[t1] == net.pre[t2] and bin(net.pre[t1]).count("1") == 1):
                         brute = False
         assert validate(net).free_choice == brute
+
+
+def reference_strongly_connected_with_reset(net, source, sink):
+    """Single SCC over places+transitions once sink->source is added, by
+    depth-first search over adjacency lists."""
+    nplaces = len(net.places)
+    ntrans = len(net.transitions)
+    n = nplaces + ntrans
+    succ = [[] for _ in range(n)]
+    for t in range(ntrans):
+        for p in net.preset_places(t):
+            succ[p].append(nplaces + t)
+        for p in net.postset_places(t):
+            succ[nplaces + t].append(p)
+    succ[sink].append(source)
+
+    def reach(start, adjacency):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen)
+
+    if reach(source, succ) != n:
+        return False
+    pred = [[] for _ in range(n)]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    return reach(source, pred) == n
+
+
+def reference_connectivity(net):
+    """None unless the net passes every workflow check before connectivity,
+    else whether it is strongly connected with the reset."""
+    consumed = produced = 0
+    for t in range(len(net.transitions)):
+        consumed |= net.pre[t]
+        produced |= net.post[t]
+    sources = [p for p in range(len(net.places)) if not produced >> p & 1]
+    sinks = [p for p in range(len(net.places)) if not consumed >> p & 1]
+    if len(sources) != 1 or len(sinks) != 1:
+        return None
+    if net.m0 != 1 << sources[0] or net.finals != {1 << sinks[0]}:
+        return None
+    return reference_strongly_connected_with_reset(net, sources[0], sinks[0])
+
+
+def pairwise_free_choice(net):
+    """A shared pre-place forces identical singleton presets."""
+    for t1 in range(len(net.transitions)):
+        for t2 in range(t1 + 1, len(net.transitions)):
+            if net.pre[t1] & net.pre[t2]:
+                if not (net.pre[t1] == net.pre[t2] and bin(net.pre[t1]).count("1") == 1):
+                    return False
+    return True
+
+
+def random_arbitrary_net(rng, table):
+    """1-8 places, 0-8 transitions with mostly single-place arcs, marked on
+    the source and sink places when they are unique, most of the time."""
+    nplaces = rng.randint(1, 8)
+    everything = (1 << nplaces) - 1
+
+    def mask():
+        r = rng.random()
+        if r < 0.05:
+            return 0
+        if r < 0.6:
+            return 1 << rng.randrange(nplaces)
+        return rng.randint(1, everything)
+
+    ntrans = rng.randint(0, 8)
+    pre = tuple(mask() for _ in range(ntrans))
+    post = tuple(mask() for _ in range(ntrans))
+    transitions = tuple(Transition("t%d" % t, table.intern(rng.choice("ABCDEF")))
+                        for t in range(ntrans))
+    consumed = produced = 0
+    for t in range(ntrans):
+        consumed |= pre[t]
+        produced |= post[t]
+    sources = [p for p in range(nplaces) if not produced >> p & 1]
+    sinks = [p for p in range(nplaces) if not consumed >> p & 1]
+    m0 = 1 << sources[0] if sources and rng.random() < 0.9 else rng.randint(1, everything)
+    final = 1 << sinks[-1] if sinks and rng.random() < 0.9 else rng.randint(1, everything)
+    return SystemNet(tuple("p%d" % p for p in range(nplaces)), transitions, pre, post,
+                     m0, frozenset({final}), table)
+
+
+def test_validate_agrees_with_references_on_random_nets():
+    rng = random.Random(5)
+    table = LabelTable()
+    counts = {"workflow": 0, "disconnected": 0, "not free-choice": 0}
+    for _ in range(4000):
+        net = random_arbitrary_net(rng, table)
+        report = validate(net)
+        connected = reference_connectivity(net)
+        assert report.workflow_ok == bool(connected)
+        assert (("net is not strongly connected after adding a reset transition"
+                 in report.problems) == (connected is False))
+        assert report.free_choice == pairwise_free_choice(net)
+        counts["workflow"] += report.workflow_ok
+        counts["disconnected"] += connected is False
+        counts["not free-choice"] += not report.free_choice
+    assert counts["workflow"] > 50 and counts["disconnected"] > 50, counts
+    assert counts["not free-choice"] > 1000, counts
+
+
+def connectivity_pnml(extra_places, arcs):
+    """i -A-> o plus the given places and transitions B, C, D."""
+    return ('<pnml><net><place id="i"><initialMarking><text>1</text></initialMarking></place>'
+            '<place id="o"/>%s<transition id="tA"><name><text>A</text></name></transition>'
+            '<transition id="tB"><name><text>B</text></name></transition>'
+            '<transition id="tC"><name><text>C</text></name></transition>%s</net></pnml>'
+            % ("".join('<place id="%s"/>' % p for p in extra_places),
+               "".join('<arc id="a%d" source="%s" target="%s"/>' % (k, s, t)
+                       for k, (s, t) in enumerate([("i", "tA"), ("tA", "o")] + arcs))))
+
+
+def test_parse_pnml_rejects_nets_that_are_not_strongly_connected():
+    unreachable_cycle = connectivity_pnml(["c1", "c2"], [("c1", "tB"), ("tB", "c2"),
+                                                         ("c2", "tC"), ("tC", "c1")])
+    trap = connectivity_pnml(["q"], [("i", "tB"), ("tB", "q"), ("q", "tC"), ("tC", "q")])
+    for doc in (unreachable_cycle, trap):
+        with pytest.raises(NetStructureError) as info:
+            parse_pnml(doc)
+        assert str(info.value) == ("not a workflow net: net is not strongly connected "
+                                   "after adding a reset transition")
+
+
+def test_a_long_sequence_is_a_workflow_net_in_either_transition_order():
+    net = sequence_net(["L%d" % k for k in range(2000)])
+    backwards = SystemNet(net.places, net.transitions[::-1], net.pre[::-1], net.post[::-1],
+                          net.m0, net.finals, net.table)
+    for candidate in (net, backwards):
+        assert validate(candidate).workflow_ok
