@@ -9,16 +9,26 @@ a raw visible arc's is empty.  In extended mode every rewritten arc keeps
 the trails it absorbed (its tau trail), which the recomposition stage uses
 to detect hidden label conflicts; plain tau removal drops them.
 
-A graph's ``out[m]`` row holds the ``Arc`` objects of ``arcs`` that leave
-marking ``m``, in ``arcs`` order.
+A graph holds its arcs in a compact form of plain ints: for each marking
+of the built graph, the transitions it fires and the markings they reach
+(``_Rows``).  Tau removal keeps those rows and records what it left of
+them: the surviving markings, the rewritten rows of the markings that
+silent arcs touch, and each marking's count of arcs into survivors.
+``size()`` and ``min_visible_skips()`` read this form.  The ``Arc`` objects, ``arcs``
+and the ``out`` rows (``out[m]`` holds the arcs of ``arcs`` that leave
+marking ``m``, in ``arcs`` order), are built once, when a search or a dot
+file first reads them, so a graph that is only compared by size never
+builds them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple, Optional
 
 from .errors import Not1BoundedError, StateSpaceCapError, TauReductionError
 from .logs import TAU
@@ -34,25 +44,126 @@ class Arc(NamedTuple):
     tgt: int
 
 
-@dataclass
-class ReachabilityGraph:
-    net: SystemNet
-    markings: tuple[int, ...]  # bitmasks, indexed by marking id
-    m0: int  # marking id
-    finals: frozenset[int]  # marking ids
-    arcs: tuple[Arc, ...]
-    reduced: bool = False
-    out: tuple[tuple[Arc, ...], ...] = field(default=(), repr=False)
+@dataclass(eq=False)
+class _Rows:
+    """A graph's arcs as plain ints.
 
-    def __post_init__(self):
-        if not self.out:
-            o: list[list[Arc]] = [[] for _ in self.markings]
+    ``kind[u]`` and ``tgt[u]`` hold the arcs of row ``u``: each arc's kind,
+    an index into ``labels`` and ``trails`` (the kinds of a built graph are
+    its net's transitions), and its target row.  Rows that tau removal
+    rewrote also record what it left: ``keep`` lists the surviving rows in
+    the graph's marking order, ``remap`` gives each row's marking id (-1
+    once removed), and ``nout[u]`` counts a surviving row's arcs into
+    surviving rows, the only arcs of ``u`` the graph has.
+    """
+
+    labels: list[int]
+    trails: list[tuple[int, ...]]
+    kind: list[list[int]]
+    tgt: list[list[int]]
+    keep: Optional[list[int]] = None  # None: rows not rewritten, one per marking
+    remap: Optional[list[int]] = None
+    nout: Optional[list[int]] = None
+
+    @classmethod
+    def of_out(cls, out) -> _Rows:
+        """The rows of ``Arc`` rows, with one kind per (label, trail) pair."""
+        kinds: dict = {}
+        kind = [[kinds.setdefault((a.label, a.trail), len(kinds)) for a in row] for row in out]
+        return cls([label for label, _ in kinds], [trail for _, trail in kinds], kind,
+                   [[a.tgt for a in row] for row in out])
+
+    def arc_count(self) -> int:
+        if self.keep is None:
+            return sum(map(len, self.tgt))
+        nout = self.nout
+        return sum([nout[u] for u in self.keep])
+
+    def distance(self, m0: int, finals: frozenset[int]) -> int:
+        """Arc length of the shortest path from marking ``m0`` to one of ``finals``."""
+        start, goals = m0, finals
+        if self.keep is not None:
+            start, goals = self.keep[m0], {self.keep[f] for f in finals}
+        if start in goals:
+            return 0
+        tgt = self.tgt
+        # breadth-first, one level at a time; removed rows count as seen
+        seen = bytearray(len(tgt)) if self.remap is None else bytearray(r < 0 for r in self.remap)
+        seen[start] = 1
+        level = [start]
+        d = 0
+        while level:
+            d += 1
+            reached = []
+            for u in level:
+                for v in tgt[u]:
+                    if not seen[v]:
+                        if v in goals:
+                            return d
+                        seen[v] = 1
+                        reached.append(v)
+            level = reached
+        raise TauReductionError("no final marking reachable from the initial marking")
+
+    def out(self, rank: dict[int, int]) -> tuple[tuple[Arc, ...], ...]:
+        """The ``Arc`` rows: in row order, or, for rewritten rows, each
+        marking's arcs in (label rank, trail, target) order."""
+        labels, trails, kind, tgt = self.labels, self.trails, self.kind, self.tgt
+        new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
+        if self.keep is None:
+            return tuple([tuple([new(Arc, (u, labels[k], trails[k], v)) for k, v in zip(ks, vs)])
+                          for u, (ks, vs) in enumerate(zip(kind, tgt))])
+        remap = self.remap
+        rows = []
+        for src, u in enumerate(self.keep):
+            items = [(rank[labels[k]], trails[k], v, labels[k])
+                     for k, v in zip(kind[u], tgt[u]) if remap[v] >= 0]
+            items.sort()
+            rows.append(tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items]))
+        return tuple(rows)
+
+
+class ReachabilityGraph:
+    """A marking graph: ``markings`` (bitmasks) by marking id, the initial
+    marking ``m0`` and the ``finals`` as ids, and its arcs.
+
+    A graph is given either by its compact ``rows`` (``build_rg`` and tau
+    removal) or by its ``arcs``, whose rows are then read off them.
+    """
+
+    net: SystemNet
+    markings: tuple[int, ...]
+    m0: int
+    finals: frozenset[int]
+    reduced: bool
+
+    def __init__(self, net: SystemNet, markings: tuple[int, ...], m0: int,
+                 finals: frozenset[int], arcs: Optional[tuple[Arc, ...]] = None,
+                 reduced: bool = False, *, rows: Optional[_Rows] = None):
+        self.net = net
+        self.markings = markings
+        self.m0 = m0
+        self.finals = finals
+        self.reduced = reduced
+        if rows is None:
+            self.arcs = tuple(arcs)
+            out: list[list[Arc]] = [[] for _ in markings]
             for a in self.arcs:
-                o[a.src].append(a)
-            self.out = tuple(tuple(x) for x in o)
+                out[a.src].append(a)
+            self.out = tuple(tuple(x) for x in out)
+            rows = _Rows.of_out(self.out)
+        self._rows = rows
+
+    @cached_property
+    def out(self) -> tuple[tuple[Arc, ...], ...]:
+        return self._rows.out(self.net.table.rank())
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(chain.from_iterable(self.out))
 
     def size(self) -> int:
-        return len(self.markings) + len(self.arcs)
+        return len(self.markings) + self._rows.arc_count()
 
     def marking_name(self, mid: int) -> str:
         return self.net.marking_name(self.markings[mid])
@@ -62,23 +173,8 @@ class ReachabilityGraph:
         searched once per graph."""
         skips = getattr(self, "_min_visible_skips", None)
         if skips is None:
-            skips = self._min_visible_skips = self._shortest_final_distance()
+            skips = self._min_visible_skips = self._rows.distance(self.m0, self.finals)
         return skips
-
-    def _shortest_final_distance(self) -> int:
-        if self.m0 in self.finals:
-            return 0
-        dist = {self.m0: 0}
-        queue = deque([self.m0])
-        while queue:
-            u = queue.popleft()
-            for a in self.out[u]:
-                if a.tgt not in dist:
-                    dist[a.tgt] = dist[u] + 1
-                    if a.tgt in self.finals:
-                        return dist[a.tgt]
-                    queue.append(a.tgt)
-        raise TauReductionError("no final marking reachable from the initial marking")
 
 
 def min_visible_skips_net(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> int:
@@ -114,21 +210,16 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
     Raises Not1BoundedError when a firing stacks a second token on a place
     and StateSpaceCapError when more than ``cap`` markings are discovered.
     """
-    # a silent arc's trail is its own transition
-    firing = [(t, pre, ~pre, net.post[t], tr.label, (t,) if tr.label == TAU else ())
-              for t, (pre, tr) in enumerate(zip(net.pre, net.transitions))]
+    firing = [(t, pre, ~pre, post) for t, (pre, post) in enumerate(zip(net.pre, net.post))]
     index = {net.m0: 0}
     markings = [net.m0]
-    arcs: list[Arc] = []
-    out: list[tuple[Arc, ...]] = []
-    new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
-    # breadth-first, so each marking's arcs form one contiguous run
-    queue = deque([0])
-    while queue:
-        mid = queue.popleft()
-        m = markings[mid]
-        row = []
-        for t, pre, keep, post, label, trail in firing:
+    kind: list[list[int]] = []  # per marking: the transitions it fires
+    tgt: list[list[int]] = []  # per marking: the markings they reach
+    # breadth-first: markings are expanded in id order while the list grows
+    for m in markings:
+        ts: list[int] = []
+        vs: list[int] = []
+        for t, pre, keep, post in firing:
             if (m & pre) != pre:
                 continue
             rest = m & keep
@@ -144,12 +235,16 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                     raise StateSpaceCapError("marking cap %d exceeded" % cap)
                 index[m2] = tid
                 markings.append(m2)
-                queue.append(tid)
-            row.append(new(Arc, (mid, label, trail, tid)))
-        arcs += row
-        out.append(tuple(row))
+            ts.append(t)
+            vs.append(tid)
+        kind.append(ts)
+        tgt.append(vs)
     finals = frozenset(index[f] for f in net.finals if f in index)
-    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs), out=tuple(out))
+    labels = [tr.label for tr in net.transitions]
+    # a silent arc's trail is its own transition
+    trails = [(t,) if label == TAU else () for t, label in enumerate(labels)]
+    return ReachabilityGraph(net, tuple(markings), 0, finals,
+                             rows=_Rows(labels, trails, kind, tgt))
 
 
 def remove_tau(rg: ReachabilityGraph) -> ReachabilityGraph:
@@ -172,48 +267,59 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     whose other end is still alive, so it only keeps two counters.  Phases,
     orders and tie-breaks are those of a rewrite with arc sets for every
     marking, so the result is the same graph.  The raw graph's predecessor
-    rows are derived here from ``rg.arcs``; no graph carries them.
+    rows are derived here from its rows; no graph carries them.  The result
+    keeps the raw rows, with each surviving hot marking's arc set written as
+    its row, and the out counters as its compact form.
     """
     net = rg.net
-    n = len(rg.markings)
-    raw_out = rg.out
-    raw_inn: list[list[Arc]] = [[] for _ in range(n)]
-    for a in rg.arcs:
-        raw_inn[a[3]].append(a)
+    rows = rg._rows
+    if rows.keep is not None:  # a rewritten graph is rewritten again from its own arcs
+        rows = _Rows.of_out(rg.out)
+    labels, kind, tgt = rows.labels, rows.kind, rows.tgt
+    # plain removal drops the silent transitions' trails
+    trails = [tr if extended or label != TAU else () for label, tr in zip(labels, rows.trails)]
+    n = len(tgt)
+    srcs: list[list[int]] = [[] for _ in range(n)]  # each raw arc's source, by target
+    for u, vs in enumerate(tgt):
+        for v in vs:
+            srcs[v].append(u)
     m0 = rg.m0
     finals = set(rg.finals)
 
-    def work(a):
-        # plain removal drops the silent transitions' trails
-        if extended or a[1] != TAU:
-            return a
-        return (a[0], TAU, (), a[3])
+    def raw_out(u):
+        return [(u, labels[k], trails[k], v) for k, v in zip(kind[u], tgt[u])]
+
+    def raw_inn(v):
+        return [(u, labels[k], trails[k], v) for u in dict.fromkeys(srcs[v])
+                for k, w in zip(kind[u], tgt[u]) if w == v]
 
     hot = set(finals)
-    for a in rg.arcs:
-        if a[1] == TAU:
-            hot.add(a[0])
-            hot.add(a[3])
+    silent = {k for k, label in enumerate(labels) if label == TAU}
+    for u, ks in enumerate(kind):
+        if not silent.isdisjoint(ks):
+            for k, v in zip(ks, tgt[u]):
+                if k in silent:
+                    hot.add(u)
+                    hot.add(v)
     if _shares_a_visible_label(net):
         # raw arcs equal in working form collapse into one; keeping their
         # ends hot keeps the cold counters exact (a net without shared
         # visible labels has no such arcs in its built or its reduced graph)
         for u in range(n):
-            row = raw_out[u]
-            if len({work(a) for a in row}) < len(row):
+            if len(set(raw_out(u))) < len(kind[u]):
                 hot.add(u)
-                hot.update(a[3] for a in row)
+                hot.update(tgt[u])
 
     alive = [True] * n
     out: list = [None] * n  # arc sets of hot markings, None while cold
     inn: list = [None] * n
-    nout = [len(x) for x in raw_out]  # arc counts of cold markings
-    nin = [len(x) for x in raw_inn]
+    nout = [len(x) for x in kind]  # arc counts of cold markings
+    nin = [len(x) for x in srcs]
     touched = list(range(n))  # markings prune() must look at
 
     def promote(u):
-        out[u] = {work(a) for a in raw_out[u] if alive[a[3]]}
-        inn[u] = {work(a) for a in raw_inn[u] if alive[a[0]]}
+        out[u] = {a for a in raw_out(u) if alive[a[3]]}
+        inn[u] = {a for a in raw_inn(u) if alive[a[0]]}
 
     def add(a):
         if out[a[0]] is None:
@@ -242,12 +348,12 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             for a in list(out[u]) + list(inn[u]):
                 discard(a)
             return
-        for a in raw_out[u]:
+        for a in raw_out(u):
             if alive[a[3]]:
-                discard(work(a))
-        for a in raw_inn[u]:
+                discard(a)
+        for a in raw_inn(u):
             if alive[a[0]]:
-                discard(work(a))
+                discard(a)
 
     def prune():
         # the greatest set of markings that have an incoming arc (or are m0)
@@ -329,7 +435,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     candidates = sorted(s for s in transient if alive[s] and s != m0 and s not in finals)
     if candidates:
         def signature(u):
-            exits = out[u] if out[u] is not None else [a for a in raw_out[u] if alive[a[3]]]
+            exits = out[u] if out[u] is not None else [a for a in raw_out(u) if alive[a[3]]]
             return (u in finals, frozenset(a[1:] for a in exits))
 
         sig = {u: signature(u) for u in range(n) if alive[u]}
@@ -375,41 +481,33 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
 
     prune()
 
+    if not rg.finals:  # the cause of either failure below
+        raise TauReductionError("no final marking reachable from the initial marking")
     if not alive[m0]:
         raise TauReductionError("initial marking has no behavior after reduction")
     live_finals = {f for f in finals if alive[f]}
     if not live_finals:
         raise TauReductionError("no final marking survives reduction")
 
+    keep = [u for u in range(n) if alive[u]]
     remap = [-1] * n
-    new_markings = []
-    for mid in range(n):
-        if alive[mid]:
-            remap[mid] = len(new_markings)
-            new_markings.append(rg.markings[mid])
-    # each marking's arcs in (label rank, trail, target) order
-    rank = net.table.rank()
-    arcs: list[Arc] = []
-    new_out: list[tuple[Arc, ...]] = []
-    new = tuple.__new__
-    for u in range(n):
-        if not alive[u]:
-            continue
-        if out[u] is None:
-            # a cold marking's arcs are its raw visible arcs into survivors
-            items = [(rank[a[1]], a[2], a[3], a[1])
-                     for a in raw_out[u] if alive[a[3]]]
-        else:
-            items = [(rank[a[1]], a[2], a[3], a[1]) for a in out[u]]
-            assert all(x[3] != TAU for x in items)
-        items.sort()
-        src = remap[u]
-        row = tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items])
-        arcs += row
-        new_out.append(row)
-    return ReachabilityGraph(net, tuple(new_markings), remap[m0],
-                             frozenset(remap[f] for f in live_finals), tuple(arcs),
-                             reduced=True, out=tuple(new_out))
+    for mid, u in enumerate(keep):
+        remap[u] = mid
+    # a hot marking's arc set becomes its row, with kinds numbered after the
+    # raw ones; a cold marking keeps its raw row, which has no silent arc
+    kind, tgt = list(kind), list(tgt)  # the raw graph keeps its own rows
+    extra: dict = {}  # (label, trail) -> kind
+    for u in keep:
+        if out[u] is not None:
+            arcs = list(out[u])
+            assert all(a[1] != TAU for a in arcs)
+            kind[u] = [extra.setdefault(a[1:3], len(labels) + len(extra)) for a in arcs]
+            tgt[u] = [a[3] for a in arcs]
+            nout[u] = len(arcs)
+    rows = _Rows(labels + [label for label, _ in extra],
+                 rows.trails + [trail for _, trail in extra], kind, tgt, keep, remap, nout)
+    return ReachabilityGraph(net, tuple([rg.markings[u] for u in keep]), remap[m0],
+                             frozenset(remap[f] for f in live_finals), reduced=True, rows=rows)
 
 
 def _shares_a_visible_label(net: SystemNet) -> bool:

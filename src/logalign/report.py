@@ -103,8 +103,9 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         vreport = validate(net)
         t = mark("validate", t)
 
-        # the monolithic graph, built once: compared by the hybrid rule, searched
-        # by the monolithic route and by the decomposed route's fallbacks
+        # the monolithic graph, built once: compared by the hybrid rule and
+        # giving the fitness denominator from its compact form; its Arc rows
+        # are built only when the monolithic route or a fallback searches it
         rg = None
         cap_error = None
         try:

@@ -206,6 +206,20 @@ def test_check_dot_dir(tmp_path):
     assert "component_0.dot" in names
 
 
+def test_check_dot_dir_matches_golden_graphs(tmp_path):
+    # the dot files read every built arc and trail of the monolithic graph
+    # and of each component graph
+    dots = tmp_path / "dots"
+    args, _ = check_args(tmp_path, "--strategy", "scomponent", "--dot-dir", str(dots))
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    golden = DATA / "loan_scomponent_dot"
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == ["component_%d.dot" % k for k in range(4)] + ["rg.dot"]
+    for name in names:
+        assert (dots / name).read_text() == (golden / name).read_text(), name
+
+
 @pytest.mark.parametrize("flag", ["--out", "--csv", "--dot-dir"])
 def test_exit_code_on_an_output_path_that_cannot_be_written(tmp_path, flag):
     afile = tmp_path / "afile"
@@ -271,6 +285,19 @@ def test_exit_code_on_tau_into_a_dead_end(tmp_path):
                 ("tau", None, ["p1"], ["p2"]),
                 ("tC", "C", ["p2", "p3"], ["o"])])
     assert_input_error_on_every_strategy(tmp_path, model, "no visible continuation")
+
+
+def test_exit_code_on_an_unreachable_final_marking(tmp_path):
+    # x is still marked whenever f is, so the final marking [f] is never reached
+    model = tmp_path / "no_final.pnml"
+    write_pnml(model, ["s", "a", "f", "b", "c", "x"],
+               [("t1", "A", ["s"], ["a", "x"]),
+                ("t2", "B", ["a"], ["f"]),
+                ("t3", "C", ["b"], ["a"]),
+                ("t4", "D", ["b"], ["c"]),
+                ("t5", "E", ["c", "x"], ["b"])])
+    assert_input_error_on_every_strategy(
+        tmp_path, model, "no final marking reachable from the initial marking")
 
 
 def test_exit_code_on_state_cap(tmp_path):

@@ -206,6 +206,82 @@ def test_auto_strategy_on_parallel_net_end_to_end():
         result.report["aggregates"]["raw_fitness_cost"]
 
 
+def capture_monolithic_graph(monkeypatch, net):
+    graphs = []
+
+    def capturing_remove_tau(rg):
+        reduced = remove_tau(rg)
+        if rg.net is net:
+            graphs.append(reduced)
+        return reduced
+
+    monkeypatch.setattr(report_module, "remove_tau", capturing_remove_tau)
+    return graphs
+
+
+def rows_built(rg):
+    return "out" in vars(rg) or "arcs" in vars(rg)
+
+
+def test_decomposed_route_never_builds_the_monolithic_rows(monkeypatch):
+    # the hybrid rule reads the graph's size and the fitness denominator its
+    # skip distance, both from the compact form; no trace falls back
+    net = parallel_tasks_net(["T%d" % i for i in range(8)])
+    log = random_log(net, random.Random(5), n_traces=40, max_trace_len=10)
+    graphs = capture_monolithic_graph(monkeypatch, net)
+    report = run_conformance(net, log, RunConfig(strategy="auto")).report
+    (rg,) = graphs
+    assert report["strategy"]["chosen"] == "s-component"
+    assert report["aggregates"]["fallbacks"] == 0 and report["aggregates"]["failed_traces"] == 0
+    assert not rows_built(rg)
+    built = remove_tau(build_rg(net))
+    size = len(built.markings) + len(built.arcs)
+    assert report["strategy"]["rg_size"] == size == 2 ** 8 + 8 * 2 ** 7
+    assert report["min_model_skips"] == 8 == rg.min_visible_skips()
+    assert not rows_built(rg)
+
+
+def hidden_history_parallel_net():
+    """Eight parallel branches; the first is A, then B||C or a silent skip of
+    both, then D, so its trace T1..T7,A,B,D conflicts (a plain parallel net
+    has no conflicting trace)."""
+    from logalign.logs import LabelTable
+    from logalign.petri import SystemNet
+
+    branches = ["s%d" % k for k in range(8)]
+    ends = ["e%d" % k for k in range(8)]
+    rows = [("t_split", None, ["i"], branches),
+            ("t_A", "A", ["s0"], ["p1"]),
+            ("t_split0", None, ["p1"], ["p2", "p4"]),
+            ("t_B", "B", ["p2"], ["p3"]),
+            ("t_C", "C", ["p4"], ["p5"]),
+            ("t_join0", None, ["p3", "p5"], ["p6"]),
+            ("t_skip", None, ["p1"], ["p6"]),
+            ("t_D", "D", ["p6"], ["e0"]),
+            ("t_join", None, ends, ["o"])]
+    rows += [("t_T%d" % k, "T%d" % k, ["s%d" % k], ["e%d" % k]) for k in range(1, 8)]
+    places = ["i"] + branches + ends + ["p%d" % k for k in range(1, 7)] + ["o"]
+    return SystemNet.build(places, rows, LabelTable())
+
+
+def test_a_fallback_builds_the_monolithic_rows_and_keeps_its_cost(monkeypatch):
+    net = hidden_history_parallel_net()
+    table = net.table
+    tasks = ["T%d" % k for k in range(1, 8)]
+    fitting = [table.lookup(x) for x in tasks + ["A", "B", "C", "D"]]
+    conflicting = [table.lookup(x) for x in tasks + ["A", "B", "D"]]
+    graphs = capture_monolithic_graph(monkeypatch, net)
+    report = run_conformance(net, make_log([fitting], table), RunConfig()).report
+    assert report["strategy"]["chosen"] == "s-component"
+    assert report["aggregates"]["fallbacks"] == 0 and not rows_built(graphs[-1])
+    log = make_log([fitting, conflicting], table)
+    report = run_conformance(net, log, RunConfig()).report
+    assert report["strategy"]["chosen"] == "s-component"
+    assert report["aggregates"]["fallbacks"] == 1 and rows_built(graphs[-1])
+    mono = run_conformance(net, log, RunConfig(strategy="monolithic")).report
+    assert [r["cost"] for r in report["traces"]] == [r["cost"] for r in mono["traces"]] == [0, 1]
+
+
 def test_all_optimal_stops_at_the_global_deadline():
     rng = random.Random(79)
     net = parallel_tasks_net(["T%d" % i for i in range(8)])

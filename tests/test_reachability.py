@@ -1,3 +1,4 @@
+import heapq
 from collections import deque
 
 import pytest
@@ -400,6 +401,8 @@ def reference_reduce(rg, extended):
 
     prune()
 
+    if not rg.finals:
+        raise TauReductionError("no final marking reachable from the initial marking")
     if not alive[rg.m0]:
         raise TauReductionError("initial marking has no behavior after reduction")
     live_finals = {f for f in finals if alive[f]}
@@ -421,6 +424,258 @@ def reference_reduce(rg, extended):
     return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
                              frozenset(remap[f] for f in live_finals), new_arcs,
                              reduced=True)
+
+
+def eager_reduce(rg, extended):
+    """Tau removal on ``Arc`` rows: hot and cold markings as in ``_reduce``,
+    reading ``rg.out`` and ``rg.arcs``, and every surviving marking's row
+    built and sorted on the spot.  The reference for the rows a reduced
+    graph builds on first read."""
+    net = rg.net
+    n = len(rg.markings)
+    raw_out = rg.out
+    raw_inn: list[list[Arc]] = [[] for _ in range(n)]
+    for a in rg.arcs:
+        raw_inn[a[3]].append(a)
+    m0 = rg.m0
+    finals = set(rg.finals)
+
+    def work(a):
+        # plain removal drops the silent transitions' trails
+        if extended or a[1] != TAU:
+            return a
+        return (a[0], TAU, (), a[3])
+
+    hot = set(finals)
+    for a in rg.arcs:
+        if a[1] == TAU:
+            hot.add(a[0])
+            hot.add(a[3])
+    if shares_a_visible_label(net):
+        # raw arcs equal in working form collapse into one; keeping their
+        # ends hot keeps the cold counters exact (a net without shared
+        # visible labels has no such arcs in its built or its reduced graph)
+        for u in range(n):
+            row = raw_out[u]
+            if len({work(a) for a in row}) < len(row):
+                hot.add(u)
+                hot.update(a[3] for a in row)
+
+    alive = [True] * n
+    out: list = [None] * n  # arc sets of hot markings, None while cold
+    inn: list = [None] * n
+    nout = [len(x) for x in raw_out]  # arc counts of cold markings
+    nin = [len(x) for x in raw_inn]
+    touched = list(range(n))  # markings prune() must look at
+
+    def promote(u):
+        out[u] = {work(a) for a in raw_out[u] if alive[a[3]]}
+        inn[u] = {work(a) for a in raw_inn[u] if alive[a[0]]}
+
+    def add(a):
+        if out[a[0]] is None:
+            promote(a[0])
+        if out[a[3]] is None:
+            promote(a[3])
+        out[a[0]].add(a)
+        inn[a[3]].add(a)
+
+    def discard(a):
+        u, v = a[0], a[3]
+        if out[u] is None:
+            nout[u] -= 1
+        else:
+            out[u].discard(a)
+        if inn[v] is None:
+            nin[v] -= 1
+        else:
+            inn[v].discard(a)
+        touched.append(u)
+        touched.append(v)
+
+    def kill(u):
+        alive[u] = False
+        if out[u] is not None:
+            for a in list(out[u]) + list(inn[u]):
+                discard(a)
+            return
+        for a in raw_out[u]:
+            if alive[a[3]]:
+                discard(work(a))
+        for a in raw_inn[u]:
+            if alive[a[0]]:
+                discard(work(a))
+
+    def prune():
+        # the greatest set of markings that have an incoming arc (or are m0)
+        # and an outgoing arc (or are final) is unique, so any order finds it
+        while touched:
+            u = touched.pop()
+            if not alive[u]:
+                continue
+            if out[u] is None:
+                no_in, no_out = nin[u] == 0, nout[u] == 0
+            else:
+                no_in, no_out = not inn[u], not out[u]
+            if (no_in and u != m0) or (no_out and u not in finals):
+                kill(u)
+
+    for u in hot:
+        promote(u)
+    transient = {u for u in hot if out[u] and all(a[1] == TAU for a in out[u])}
+
+    # forward replacement: incoming tau arcs of each non-final marking are
+    # re-sourced onto the visible successors found along tau chains
+    for mid in sorted({a[3] for u in hot for a in out[u] if a[1] == TAU}):
+        if mid in finals:
+            continue
+        for a in sorted(x for x in inn[mid] if x[1] == TAU):
+            m1, _, trail_a, _ = a
+            additions = []
+            seen = {mid}
+            stack = [(mid, ())]
+            while stack:
+                mt, acc = stack.pop()
+                for b in sorted(out[mt]):
+                    _, l, trail_b, m2 = b
+                    if b == a:
+                        continue
+                    if l != TAU or m2 in finals:
+                        additions.append((m1, l, trail_a + acc + trail_b, m2))
+                    elif m2 not in seen:
+                        seen.add(m2)
+                        stack.append((m2, acc + trail_b))
+            if not additions:
+                raise TauReductionError(
+                    "no visible continuation after tau into %s (tau cycle or dead end)"
+                    % rg.marking_name(mid))
+            discard(a)
+            for new in additions:
+                add(new)
+
+    prune()
+
+    # backwards replacement: remaining tau arcs all target final markings;
+    # their sources' visible predecessors gain direct arcs into the final
+    while True:
+        taus = sorted(a for f in finals for a in inn[f] if a[1] == TAU)
+        if not taus:
+            break
+        progressed = False
+        for a in taus:
+            m1, _, trail, f = a
+            if any(b[1] == TAU for b in inn[m1]):
+                continue  # resolve chains source-first
+            if m1 == m0:
+                finals.add(m0)  # the model can reach a final silently
+            for b in sorted(inn[m1]):
+                m2, l, trail2, _ = b
+                add((m2, l, trail2 + trail, f))
+            discard(a)
+            progressed = True
+        if not progressed:
+            raise TauReductionError("tau cycle through final markings")
+
+    prune()
+
+    # fold markings whose only original exits were silent into an identically
+    # behaving survivor, so chains like AND-join -> tau -> join-place collapse:
+    # repeatedly merge the lowest candidate that has a match into
+    # min(matches, key=(transient, id)), where a match is any other live
+    # marking with the same signature (final or not, and its set of arcs)
+    candidates = sorted(s for s in transient if alive[s] and s != m0 and s not in finals)
+    if candidates:
+        def signature(u):
+            exits = out[u] if out[u] is not None else [a for a in raw_out[u] if alive[a[3]]]
+            return (u in finals, frozenset(a[1:] for a in exits))
+
+        sig = {u: signature(u) for u in range(n) if alive[u]}
+        groups: dict = {}
+        for u, key in sig.items():
+            groups.setdefault(key, set()).add(u)
+        is_candidate = set(candidates)
+        heap = candidates  # sorted, so already a heap
+        while heap:
+            s = heapq.heappop(heap)
+            if not alive[s] or any(x[2] == s for x in sig[s][1]):
+                continue
+            group = groups[sig[s]]
+            if len(group) < 2:
+                continue
+            rep = min((m for m in group if m != s), key=lambda m: (m in transient, m))
+            redirected = sorted(inn[s])
+            for a in redirected:
+                if out[a[0]] is None:
+                    promote(a[0])  # before its counter changes
+            for a in redirected:
+                discard(a)
+                add((a[0], a[1], a[2], rep))
+            for a in list(out[s]):
+                discard(a)
+            alive[s] = False
+            is_candidate.discard(s)
+            group.discard(s)
+            del sig[s]
+            # only the redirected arcs' sources changed their signatures; the
+            # candidates in a group that gained one of them (itself included)
+            # may have a match now, so they are looked at again
+            for u in {a[0] for a in redirected}:
+                key = signature(u)
+                if key != sig[u]:
+                    groups[sig[u]].discard(u)
+                    sig[u] = key
+                    group = groups.setdefault(key, set())
+                    group.add(u)
+                    for m in group:
+                        if m in is_candidate:
+                            heapq.heappush(heap, m)
+
+    prune()
+
+    if not rg.finals:
+        raise TauReductionError("no final marking reachable from the initial marking")
+    if not alive[m0]:
+        raise TauReductionError("initial marking has no behavior after reduction")
+    live_finals = {f for f in finals if alive[f]}
+    if not live_finals:
+        raise TauReductionError("no final marking survives reduction")
+
+    remap = [-1] * n
+    new_markings = []
+    for mid in range(n):
+        if alive[mid]:
+            remap[mid] = len(new_markings)
+            new_markings.append(rg.markings[mid])
+    # each marking's arcs in (label rank, trail, target) order
+    rank = net.table.rank()
+    arcs: list[Arc] = []
+    new_out: list[tuple[Arc, ...]] = []
+    new = tuple.__new__
+    for u in range(n):
+        if not alive[u]:
+            continue
+        if out[u] is None:
+            # a cold marking's arcs are its raw visible arcs into survivors
+            items = [(rank[a[1]], a[2], a[3], a[1])
+                     for a in raw_out[u] if alive[a[3]]]
+        else:
+            items = [(rank[a[1]], a[2], a[3], a[1]) for a in out[u]]
+            assert all(x[3] != TAU for x in items)
+        items.sort()
+        src = remap[u]
+        row = tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items])
+        arcs += row
+        new_out.append(row)
+    rebuilt = ReachabilityGraph(net, tuple(new_markings), remap[m0],
+                                frozenset(remap[f] for f in live_finals), tuple(arcs),
+                                reduced=True)
+    assert rebuilt.out == tuple(new_out)
+    return rebuilt
+
+
+def shares_a_visible_label(net):
+    labels = [t.label for t in net.transitions if t.label != TAU]
+    return len(set(labels)) < len(labels)
 
 
 GRAPH_FIELDS = ("markings", "m0", "finals", "arcs", "out", "reduced")
@@ -537,7 +792,7 @@ def test_graph_code_exact_on_random_nets():
     assert count >= 150
 
 
-def test_graph_code_exact_on_failing_inputs():
+def failing_nets():
     table = LabelTable()
     tau_cycle = SystemNet.build(
         ["i", "q1", "q2", "o"],
@@ -558,17 +813,20 @@ def test_graph_code_exact_on_failing_inputs():
         LabelTable(), initial="i", final="o")
     stuck = SystemNet.build(
         ["i", "p", "o"], [("t1", "A", ["i"], ["p"])], LabelTable(), initial="i", final="o")
+    return {"tau cycle": tau_cycle, "dead end": dead_end, "not 1-bounded": not_1_bounded,
+            "silent final loop": silent_final_loop, "no final": no_final, "stuck": stuck}
+
+
+def test_graph_code_exact_on_failing_inputs():
     expected = {
         "tau cycle": "tau cycle or dead end",
         "dead end": "tau cycle or dead end",
         "not 1-bounded": "exceeds one token",
         "silent final loop": "tau cycle through final markings",
-        "no final": "no final marking survives reduction",
-        "stuck": "initial marking has no behavior",
+        "no final": "no final marking reachable from the initial marking",
+        "stuck": "no final marking reachable from the initial marking",
     }
-    nets = {"tau cycle": tau_cycle, "dead end": dead_end, "not 1-bounded": not_1_bounded,
-            "silent final loop": silent_final_loop, "no final": no_final, "stuck": stuck}
-    for what, net in nets.items():
+    for what, net in failing_nets().items():
         assert_graph_code_exact(net, what)
         try:
             remove_tau(build_rg(net))
@@ -576,6 +834,83 @@ def test_graph_code_exact_on_failing_inputs():
             assert expected[what] in str(exc), what
         else:
             raise AssertionError("%s did not fail" % what)
+
+
+# -- the compact form against the eager emission ------------------------------
+
+
+def counted_skips(rg):
+    """Breadth-first skip distance counted on the built ``out`` rows."""
+    if rg.m0 in rg.finals:
+        return 0
+    dist = {rg.m0: 0}
+    queue = deque([rg.m0])
+    while queue:
+        u = queue.popleft()
+        for a in rg.out[u]:
+            if a.tgt not in dist:
+                dist[a.tgt] = dist[u] + 1
+                if a.tgt in rg.finals:
+                    return dist[a.tgt]
+                queue.append(a.tgt)
+    raise TauReductionError("no final marking reachable from the initial marking")
+
+
+def assert_compact_form_matches_rows(rg, what):
+    """``size()`` and ``min_visible_skips()`` answer before any ``Arc`` row
+    exists, with the values counted on the rows built afterwards."""
+    size, skips = rg.size(), outcome(rg.min_visible_skips)
+    assert "out" not in vars(rg) and "arcs" not in vars(rg), what
+    assert size == len(rg.markings) + sum(len(row) for row in rg.out) == \
+        len(rg.markings) + len(rg.arcs), what
+    assert skips == outcome(counted_skips, rg), what
+
+
+def assert_lazy_rows_match_eager(net, what):
+    raw = outcome(build_rg, net)[0]
+    if raw is None:
+        return
+    assert_compact_form_matches_rows(raw, what + ", raw")
+    for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
+        label = "%s, extended=%s" % (what, extended)
+        got, got_err = outcome(reduce, build_rg(net))
+        want, want_err = outcome(eager_reduce, reference_build_rg(net), extended)
+        assert got_err == want_err, label
+        if want is None:
+            continue
+        assert_compact_form_matches_rows(got, label)
+        assert len(got.out) == len(want.out), label
+        for row, want_row in zip(got.out, want.out):
+            assert list(row) == list(want_row), label
+        assert list(got.arcs) == list(want.arcs), label
+        assert all(type(a) is Arc for a in got.arcs), label
+        for name in ("markings", "m0", "finals", "reduced"):
+            assert getattr(got, name) == getattr(want, name), "%s: %s" % (label, name)
+
+
+def test_lazy_rows_match_the_eager_emission_on_hand_nets():
+    nets = {"loan": loan_net(), "sequence": sequence_net(["A", "B", "C"]),
+            "parallel merge": parallel_merge_net(),
+            "skippable parallel": skippable_parallel_net(),
+            "shared label": shared_label_net(), "folding": folding_net(), **failing_nets()}
+    for k in range(1, 9):
+        nets["parallel %d" % k] = parallel_tasks_net(["T%d" % i for i in range(k)])
+    for what, net in nets.items():
+        assert_lazy_rows_match_eager(net, what)
+
+
+def test_lazy_rows_match_the_eager_emission_on_random_nets():
+    for seed in range(40):
+        for max_visible in (5, 8):
+            assert_lazy_rows_match_eager(random_workflow_net(seed, max_visible=max_visible),
+                                         "seed %d, max_visible %d" % (seed, max_visible))
+
+
+def test_a_graph_given_by_arcs_answers_from_its_rows():
+    rg = hand_graph(4, [(0, "A", 1), (1, "B", 3), (0, "C", 2), (2, None, 3)], {3})
+    assert rg.size() == 4 + 4 and rg.min_visible_skips() == 2
+    reduced = remove_tau(rg)
+    assert_compact_form_matches_rows(reduced, "hand graph")
 
 
 def test_build_rg_exact_at_the_cap():
