@@ -29,7 +29,10 @@ Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
 rather than the marking: markings of one class share every estimate, so a
 search evaluates ``h`` at most once per (position, class) and every state
-still gets the value it would get on its own.
+still gets the value it would get on its own.  The cache pays where classes
+merge many markings, as on looping nets; where each marking is its own class
+(a parallel block) it seldom hits, and each estimate is a closed form over
+the entry's own labels, given the remaining size ``len(trace) - pos``.
 """
 
 from __future__ import annotations
@@ -169,7 +172,9 @@ def _move(op, x):
     return Move(op, x.label, x.trail, x.src, x.tgt)
 
 
-def _future_table(rg: ReachabilityGraph) -> FutureLabelTable:
+def future_table(rg: ReachabilityGraph) -> FutureLabelTable:
+    """The graph's future-label table, built on the first call and kept on
+    the graph; both searches read it."""
     table = getattr(rg, "_future_table", None)
     if table is None:
         table = precompute_future_labels(rg)
@@ -229,7 +234,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     """
     trace = tuple(trace)
     n = len(trace)
-    ftable = _future_table(rg)
+    ftable = future_table(rg)
     h = ftable.h
     classes = ftable.classes
     ncls = ftable.n_classes
@@ -244,7 +249,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     settled: dict[int, int] = {}
 
     rho_max = n + rg.min_visible_skips()
-    h0 = hcache[classes[rg.m0]] = h(rem[0], rg.m0)
+    h0 = hcache[classes[rg.m0]] = h(rem[0], rg.m0, n)
     heap = [(h0, 0, OP_MATCH, 0, None, -1, (), None, 0, rg.m0, 0)]
     max_rho = 0
     pops = 0
@@ -287,7 +292,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
                 k = hbase + classes[nmid]
                 hv = hcache.get(k)
                 if hv is None:
-                    hv = hcache[k] = h(rem[npos], nmid)
+                    hv = hcache[k] = h(rem[npos], nmid, n - npos)
                 if g + hv <= rho_max:
                     push(heap, (g + hv, depth, OP_MATCH, lr, node, nmid, a.trail, a, npos, nmid, g))
             prior = settled.get(base + mid)
@@ -295,7 +300,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
                 k = hbase + classes[mid]
                 hv = hcache.get(k)
                 if hv is None:
-                    hv = hcache[k] = h(rem[npos], mid)
+                    hv = hcache[k] = h(rem[npos], mid, n - npos)
                 if ng + hv <= rho_max:
                     push(heap, (ng + hv, depth, OP_LHIDE, lr, node, -1, (), label, npos, mid, ng))
         base = pos * width
@@ -308,7 +313,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
             k = hbase + classes[nmid]
             hv = hcache.get(k)
             if hv is None:
-                hv = hcache[k] = h(rem[pos], nmid)
+                hv = hcache[k] = h(rem[pos], nmid, n - pos)
             if ng + hv <= rho_max:
                 push(heap, (ng + hv, depth, OP_RHIDE, rank[a.label], node, nmid, a.trail, a, pos, nmid, ng))
     raise LogAlignError("no proper alignment exists for the trace")
@@ -348,15 +353,16 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     ``align_one_optimal`` does.
     """
     trace = tuple(trace)
-    ftable = _future_table(rg)
+    n = len(trace)
+    ftable = future_table(rg)
     classes = ftable.classes
     ncls = ftable.n_classes
     rem = _remaining_counts(trace)
     budget = _Budget(node_budget, deadline)
     hcache: dict[int, int] = {}  # keyed like the cache of align_one_optimal
 
-    goals = {(len(trace), f) for f in rg.finals}
-    bound = len(trace) + rg.min_visible_skips()
+    goals = {(n, f) for f in rg.finals}
+    bound = n + rg.min_visible_skips()
 
     # forward sweep: exact cheapest cost to every state on some optimal path,
     # and the steps (parent state, op, arc or label) that reach it at that cost
@@ -371,7 +377,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             k = pos * ncls + classes[mid]
             hv = hcache.get(k)
             if hv is None:
-                hv = hcache[k] = ftable.h(rem[pos], mid)
+                hv = hcache[k] = ftable.h(rem[pos], mid, n - pos)
             f = g + hv
             if f <= bound:
                 dist[key] = g
@@ -394,7 +400,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             continue
         pos, mid = key
         row = rg.out[mid]
-        if pos < len(trace):
+        if pos < n:
             label = trace[pos]
             for a in row:
                 if a.label == label:

@@ -17,7 +17,7 @@ import codecs
 import json
 import sys
 
-from .errors import LogAlignError
+from .errors import LogAlignError, OracleGuardError
 from .logs import LabelTable, parse_text_log, parse_xes
 from .petri import parse_pnml
 from .reachability import DEFAULT_MARKING_CAP, build_rg, remove_tau
@@ -115,6 +115,9 @@ def main(argv=None) -> int:
 
 
 def _run_oracle(net, log) -> int:
+    """Print each trace's brute-force optimal cost, or ``-`` for a trace
+    above the oracle's size guard; such a trace makes the exit code 2 once
+    every trace is printed."""
     from .oracle import brute_force_optimal_cost
 
     try:
@@ -122,10 +125,15 @@ def _run_oracle(net, log) -> int:
     except LogAlignError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
+    status = 0
     for idx, trace in enumerate(log.traces):
-        cost, _ = brute_force_optimal_cost(trace.labels, rg)
-        print("%d\t%d\t%s" % (idx, cost, ",".join(log.texts(trace))))
-    return 0
+        try:
+            cost, _ = brute_force_optimal_cost(trace.labels, rg)
+        except OracleGuardError as exc:
+            print("error: trace %d: %s" % (idx, exc), file=sys.stderr)
+            cost, status = "-", EXIT_INPUT_ERROR
+        print("%d\t%s\t%s" % (idx, cost, ",".join(log.texts(trace))))
+    return status
 
 
 if __name__ == "__main__":

@@ -7,6 +7,10 @@ finals; labels on arcs inside a nontrivial component are recorded with an
 unbounded-repetition flag instead of a count.  A component whose set grows
 past ``entry_cap`` entries gets the single degenerate entry (no counts, every
 label repeatable), so its merging stops as soon as the cap is passed.
+Every component that crosses into one successor component on one label
+bumps that successor's entries the same way, so such a step's bumped list
+is built once, shared by the components that take it, and freed once the
+last of them is done; a step taken by one component is not kept.
 
 The estimate for a search state compares the multiset of remaining trace
 labels F against each future multiset (counts c, repeatable labels omega):
@@ -16,7 +20,19 @@ labels F against each future multiset (counts c, repeatable labels omega):
 
 and takes the minimum of missing + surplus over all entries.  Repeatable
 labels absorb any number of trace occurrences and never demand a skip
-themselves, which keeps the estimate optimistic.
+themselves, which keeps the estimate optimistic.  With T the entry's total
+count and max(0, x - y) = x - min(x, y), the sum has the closed form
+
+    missing + surplus = |F| + T - sum over l in omega of F[l]
+                        - sum over counted l of w_l * min(F[l], c[l])
+
+with w_l = 1 for l in omega and 2 otherwise.  ``h`` evaluates this form: it
+visits the entry's own counted labels, stored with their weights, and for
+the omega term walks the smaller of omega and F (from F's side it adds the
+labels outside omega to T instead).  An entry so costs one step per counted
+label plus one per element of the smaller of omega and F's distinct
+labels; with an empty omega, its counted labels alone.  A search passes |F|
+in, as it knows the trace position; ``h`` sums F only when it is left out.
 
 ``h`` scans a pruned, sorted form of each entry set and returns the same
 minimum as a scan of every entry:
@@ -46,14 +62,18 @@ class get the same estimate for every F, so a search caches ``h`` per
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .reachability import ReachabilityGraph
 
 DEFAULT_ENTRY_CAP = 256
 
 Entry = tuple[tuple[tuple[int, int], ...], frozenset[int]]  # (sorted counts, repeatable)
-ScanEntry = tuple[int, dict[int, int], frozenset[int]]  # (total count, counts, repeatable)
+# (total count, repeatable, ((label, count, weight), ...)): weight 1 for a
+# repeatable label, 2 for any other
+ScanEntry = tuple[int, frozenset[int], tuple[tuple[int, int, int], ...]]
 
 
 @dataclass
@@ -80,25 +100,37 @@ class FutureLabelTable:
         self.n_classes = len(pruned)
         self._scan = [pruned[cls] for cls in classes]
 
-    def h(self, remaining: dict[int, int], mid: int) -> int:
+    def h(self, remaining: dict[int, int], mid: int, size: Optional[int] = None) -> int:
+        """The estimate for remaining trace labels ``remaining`` (of total
+        ``size``, summed here when not given) at marking ``mid``."""
         scan = self._scan[mid]
         if not scan:
             return 0
-        size = sum(remaining.values())
+        if size is None:
+            size = sum(remaining.values())
+        get = remaining.get
         best = scan[0][0] + size + 1  # above the first entry's estimate
-        for total, cdict, omega in scan:
+        for total, omega, labels in scan:
             if total - size >= best:
                 break
-            v = 0
-            for l, f in remaining.items():
-                if l not in omega:
-                    d = f - cdict.get(l, 0)
-                    if d > 0:
-                        v += d
-            for l, c in cdict.items():
-                d = c - remaining.get(l, 0)
-                if d > 0:
-                    v += d
+            # |F| + T less F's repeatable labels, summed from the smaller side
+            if not omega:
+                v = size + total
+            elif len(omega) < len(remaining):
+                v = size + total
+                for l in omega:
+                    f = get(l)
+                    if f:
+                        v -= f
+            else:
+                v = total
+                for l, f in remaining.items():
+                    if l not in omega:
+                        v += f
+            for l, c, w in labels:
+                f = get(l)
+                if f:
+                    v -= w * (f if f < c else c)
             if v < best:
                 best = v
                 if v == 0:
@@ -107,19 +139,23 @@ class FutureLabelTable:
 
 
 def _prune(entries: tuple[Entry, ...]) -> tuple[ScanEntry, ...]:
-    """The entries no other entry dominates, by ascending total count."""
+    """The entries no other entry dominates, by ascending total count, in
+    scan form."""
     order = sorted(((sum(c for _, c in counts), counts, omega) for counts, omega in entries),
                    key=lambda e: (e[0], -len(e[2])))
-    kept: list[ScanEntry] = []
+    kept: list[tuple[int, dict[int, int], frozenset[int]]] = []
     for total, counts, omega in order:
         cdict = dict(counts)
         if not any(_dominates(x, cdict, omega) for x in kept):
             kept.append((total, cdict, omega))
-    return tuple(kept)
+    return tuple((total, omega, tuple((l, c, 1 if l in omega else 2) for l, c in cdict.items()))
+                 for total, cdict, omega in kept)
 
 
-def _dominates(x: ScanEntry, cdict: dict[int, int], omega: frozenset[int]) -> bool:
-    """Whether x's estimate is at most that of entry (cdict, omega) for every F."""
+def _dominates(x: tuple[int, dict[int, int], frozenset[int]], cdict: dict[int, int],
+               omega: frozenset[int]) -> bool:
+    """Whether the estimate of entry x = (total, counts, repeatable) is at
+    most that of entry (cdict, omega) for every F."""
     _, xdict, xomega = x
     if not omega <= xomega:
         return False
@@ -164,6 +200,13 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     for f in rg.finals:
         has_final[comp[f]] = True
 
+    # a step (successor component, label) bumps the same entries for every
+    # component that takes it: its bumped list is kept while components that
+    # have not yet taken it remain, and freed after the last of them
+    steps = [tuple(dict.fromkeys((comp[a.tgt], a.label) for a in arcs)) for arcs in crossing]
+    takers = Counter(step for taken in steps for step in taken)  # still to come
+    shared: dict[tuple[int, int], list[Entry]] = {}
+
     # Tarjan emits components in reverse topological order, so successors of
     # a component are always finished before it
     futures: list[tuple[Entry, ...]] = [()] * ncomp
@@ -173,25 +216,31 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
         acc: dict[Entry, None] = {}
         if has_final[c]:
             acc[((), omega_base)] = None
-        seen: set[tuple[int, int]] = set()
-        for a in crossing[c]:
-            step = (comp[a.tgt], a.label)
-            if step in seen:
-                continue  # same candidates as an earlier arc
-            seen.add(step)
-            for counts, omega in futures[step[0]]:
-                if omega_base:
+        for step in steps[c]:
+            bumped = shared.get(step)
+            if bumped is None:
+                succ, label = step
+                bumped = [(_bump(counts, label), omega) for counts, omega in futures[succ]]
+                if takers[step] > 1:
+                    shared[step] = bumped
+            if omega_base:
+                for counts, omega in bumped:
                     merged = unions.get(omega)
                     if merged is None:
                         merged = unions[omega] = omega | omega_base
-                    omega = merged
-                acc[(_bump(counts, a.label), omega)] = None
+                    acc[(counts, merged)] = None
+            else:
+                acc.update(dict.fromkeys(bumped))
             if len(acc) > entry_cap:
                 break
         if len(acc) > entry_cap:
             futures[c] = degenerate  # no counts, every label repeatable: still optimistic
         else:
             futures[c] = tuple(sorted(acc))
+        for step in steps[c]:
+            takers[step] -= 1
+            if not takers[step]:
+                shared.pop(step, None)  # absent unless an earlier taker built it
     return FutureLabelTable(rg, tuple(futures[comp[mid]] for mid in range(n)))
 
 

@@ -19,10 +19,12 @@ cost less than a monolithic optimum.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .align import OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment
+from .align import (OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, future_table,
+                    make_alignment)
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import decompose
 from .logs import TAU
@@ -83,7 +85,16 @@ class SComponentAligner:
 
     # -- the replay itself ------------------------------------------------
 
-    def align_trace(self, trace, deadline: Optional[float] = None) -> RecompositionOutcome:
+    def align_trace(self, trace, deadline: Optional[float] = None, *,
+                    global_deadline: Optional[float] = None) -> RecompositionOutcome:
+        """Align one trace through the components, falling back to the full
+        graph on a conflict.
+
+        ``deadline`` bounds the trace's searches.  The first fallback builds
+        the full graph's heuristic table and moves ``deadline`` on by the
+        time that took, but not past ``global_deadline``, so the trace's own
+        timeout does not pay for the one-time build.
+        """
         trace = tuple(trace)
         projections: list[list[int]] = [[] for _ in self.components]
         for label in trace:
@@ -108,6 +119,12 @@ class SComponentAligner:
             return RecompositionOutcome(make_alignment(composed), None, False)
         if isinstance(self.full_rg, StateSpaceCapError):
             return RecompositionOutcome(None, conflict, True, str(self.full_rg))
+        if deadline is not None:
+            start = time.monotonic()
+            future_table(self.full_rg)
+            deadline += time.monotonic() - start
+            if global_deadline is not None:
+                deadline = min(deadline, global_deadline)
         try:
             alignment = align_one_optimal(trace, rg=self.full_rg, deadline=deadline)
         except LogAlignError as exc:

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .align import OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments
+from .align import OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments, future_table
 from .dafsa import build_dafsa, dafsa_to_dot
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError, TauReductionError
 from .logs import TAU, EventLog
@@ -176,10 +176,14 @@ def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline)
 
     Each trace's search gets the earlier of its own timeout and the global
     deadline.  Once the global deadline has passed, the remaining traces are
-    not attempted and are marked ``"global timeout"``.
+    not attempted and are marked ``"global timeout"``.  The monolithic
+    graph's heuristic table is built before the first trace's clock starts,
+    so no trace's own timeout pays for it; the global deadline does.
     """
     all_optimal = chosen == "monolithic" and config.all_optimal
     search = all_optimal_alignments if all_optimal else align_one_optimal
+    if chosen == "monolithic" and log.traces:
+        future_table(rg)
     rows = []
     timed_out = False
     for idx, trace in enumerate(log.traces):
@@ -201,7 +205,7 @@ def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline)
             deadline = own if deadline is None else min(own, deadline)
         alignment = None
         if chosen != "monolithic":
-            outcome = aligner.align_trace(labels, deadline)
+            outcome = aligner.align_trace(labels, deadline, global_deadline=global_deadline)
             alignment = outcome.alignment
             row["cost"] = None if alignment is None else alignment.cost
             row["conflict"], row["error"] = outcome.conflict, outcome.error

@@ -6,7 +6,7 @@ import pytest
 
 from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, OptimalSet,
                             align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
-                            make_alignment, Move, _Budget, _future_table, _Node,
+                            make_alignment, Move, _Budget, future_table, _Node,
                             _remaining_counts)
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
 from logalign.heuristic import FutureLabelTable
@@ -441,7 +441,7 @@ def _successors(trace, rg, pos, mid):
 def reference_align_one_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET, stats=None):
     """The straightforward A*: a Move per candidate and a node per push."""
     trace = tuple(trace)
-    ftable = _future_table(rg)
+    ftable = future_table(rg)
     rem = _remaining_counts(trace)
     rank = rg.net.table.rank()
     budget = _Budget(node_budget, None)
@@ -553,16 +553,16 @@ def test_one_optimal_and_the_reference_share_the_node_budget():
 def test_one_optimal_evaluates_h_once_per_position_and_class(monkeypatch):
     net = random_workflow_net(0, max_visible=8)  # loops: 54 markings in 15 classes
     rg = remove_tau(build_rg(net))
-    table = _future_table(rg)
+    table = future_table(rg)
     assert table.n_classes < len(rg.markings)
     log = random_log(net, random.Random(0), n_traces=6, max_trace_len=12)
     h = FutureLabelTable.h
     calls = []
 
-    def counted(self, remaining, mid):
+    def counted(self, remaining, mid, *size):
         # a search keeps one remaining-count dict per trace position
         calls.append((id(remaining), self.classes[mid]))
-        return h(self, remaining, mid)
+        return h(self, remaining, mid, *size)
 
     monkeypatch.setattr(FutureLabelTable, "h", counted)
     fast_calls = reference_calls = 0
@@ -605,7 +605,7 @@ def reference_all_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
     for every state's exact completion cost, and a separate count."""
     inf = float("inf")
     trace = tuple(trace)
-    ftable = _future_table(rg)
+    ftable = future_table(rg)
     classes = ftable.classes
     ncls = ftable.n_classes
     rem = _remaining_counts(trace)

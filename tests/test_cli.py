@@ -376,3 +376,23 @@ def test_oracle_subcommand():
     costs = {line.split("\t")[2]: int(line.split("\t")[1]) for line in lines}
     assert costs["B,D,C,E,G"] == 1
     assert costs["C,A,B,E,H,I,E,F,G"] == 3
+
+
+def test_oracle_reports_a_trace_above_its_guard_and_goes_on(tmp_path):
+    # twelve parallel tasks: 4,096 tau-free markings, so a 252-event trace
+    # is above the oracle's guard of 10**6 product states
+    tasks = ["T%d" % k for k in range(12)]
+    model = tmp_path / "parallel.pnml"
+    write_pnml(model, ["i", "o"] + ["a%d" % k for k in range(12)] + ["b%d" % k for k in range(12)],
+               [("split", None, ["i"], ["a%d" % k for k in range(12)]),
+                ("join", None, ["b%d" % k for k in range(12)], ["o"])]
+               + [("t%d" % k, tasks[k], ["a%d" % k], ["b%d" % k]) for k in range(12)])
+    log = tmp_path / "log.txt"
+    log.write_text("\n".join([",".join(tasks), ",".join(tasks * 21), ",".join(tasks[1:])]) + "\n")
+    proc = run_cli("oracle", "--log", str(log), "--model", str(model))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: trace 1: instance above oracle size guard"]
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [["0", "0"], ["1", "-"], ["2", "1"]]
+    assert rows[1][2] == ",".join(tasks * 21)

@@ -149,7 +149,9 @@ def assert_matches_reference(rg, traces, entry_cap=256):
     remaining = [rem for trace in traces for rem in suffix_counts(trace)]
     for mid in range(len(rg.markings)):
         for rem in remaining:
-            assert table.h(rem, mid) == reference_h(table, rem, mid), (mid, rem)
+            expected = reference_h(table, rem, mid)
+            assert table.h(rem, mid) == expected, (mid, rem)
+            assert table.h(rem, mid, sum(rem.values())) == expected, (mid, rem)
 
 
 def test_pruned_estimate_equals_full_scan_on_loan():
@@ -189,12 +191,30 @@ def test_dominated_entry_is_dropped_without_changing_the_estimate():
     u = (((a, 1), (b, 2)), frozenset({d}))  # beats x on {d: 5}
     entries = tuple((x, y, z, w, u) for _ in rg.markings)
     table = FutureLabelTable(rg, entries)
-    assert [(counts, omega) for _, counts, omega in table._scan[rg.m0]] == [
+    assert [({l: c for l, c, _ in labels}, omega) for _, omega, labels in table._scan[rg.m0]] == [
         ({a: 1}, frozenset({b})), ({c: 1}, frozenset()), ({c: 2}, frozenset()),
         ({a: 1, b: 2}, frozenset({d}))]
     for rem in ({}, {a: 1}, {b: 2}, {a: 1, b: 2}, {b: 5}, {c: 1}, {c: 2}, {d: 5},
                 {a: 2, c: 3}, {a: 1, b: 2, d: 3}):
         assert table.h(rem, rg.m0) == reference_h(table, rem, rg.m0)
+
+
+def test_estimate_walks_the_smaller_of_omega_and_remaining():
+    rg = remove_tau(build_rg(sequence_net(["A", "B"])))
+    a, b, c, d, e, f = 1, 2, 3, 4, 5, 6
+    wide = (((a, 2), (f, 1)), frozenset({a, b, c, d, e}))  # omega above most F
+    narrow = (((b, 1), (c, 3)), frozenset({a}))  # omega below most F
+    plain = (((a, 1), (b, 1), (d, 2)), frozenset())
+    remainders = ({}, {a: 1}, {a: 4}, {b: 2, f: 1}, {e: 3}, {f: 2},
+                  {a: 1, b: 1, c: 1, d: 1, e: 1, f: 1}, {a: 3, c: 2, d: 2, e: 1, f: 4, 7: 2},
+                  {b: 1, c: 3}, {a: 1, b: 1, d: 2}, {c: 5, d: 1})
+    for chosen in ((wide,), (narrow,), (plain,), (wide, narrow), (narrow, plain),
+                   (wide, narrow, plain)):
+        table = FutureLabelTable(rg, tuple(chosen for _ in rg.markings))
+        for rem in remainders:
+            expected = reference_h(table, rem, rg.m0)
+            assert table.h(rem, rg.m0) == expected, (chosen, rem)
+            assert table.h(rem, rg.m0, sum(rem.values())) == expected, (chosen, rem)
 
 
 def test_component_past_a_small_cap_stays_degenerate():
@@ -211,8 +231,10 @@ def test_component_past_a_small_cap_stays_degenerate():
     assert capped.entries[rg.m0] == (((), labels),)
     assert capped.entries == reference_entries(rg, 2)
     z = table.intern("Z")
-    for rem in ({}, {table.lookup("A"): 3}, {z: 2}):
-        assert capped.h(rem, rg.m0) == reference_h(capped, rem, rg.m0)
+    for rem in ({}, {table.lookup("A"): 3}, {z: 2}, {z: 1, table.lookup("B"): 2}):
+        expected = reference_h(capped, rem, rg.m0)
+        assert capped.h(rem, rg.m0) == expected
+        assert capped.h(rem, rg.m0, sum(rem.values())) == expected
 
 
 def class_cases():
@@ -265,3 +287,24 @@ def test_capped_components_share_one_class():
         comp = _tarjan(len(rg.markings), rg)
         spread += len({comp[mid] for mid in capped}) > 1
     assert spread >= 5  # several capped components share the class
+
+
+def test_shared_bumped_lists_leave_entries_unchanged():
+    # components that cross into one successor component on one label share
+    # its bumped entries; every cap still gives the reference entries
+    sharing = 0
+    for seed in range(60):
+        net = random_workflow_net(seed, max_visible=10)
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        comp = _tarjan(len(rg.markings), rg)
+        takers = {}
+        for a in rg.arcs:
+            if comp[a.src] != comp[a.tgt]:
+                takers.setdefault((comp[a.tgt], a.label), set()).add(comp[a.src])
+        sharing += any(len(srcs) > 1 for srcs in takers.values())
+        for cap in (1, 2, 8, 256):
+            assert precompute_future_labels(rg, cap).entries == reference_entries(rg, cap), (seed, cap)
+    assert sharing >= 20

@@ -317,6 +317,59 @@ def test_global_deadline_crossed_inside_the_only_search(monkeypatch):
     assert row["error"] == "alignment search exceeded its deadline"
 
 
+def slow_precompute_for(monkeypatch, net):
+    """Make the heuristic precompute of ``net``'s own graph 0.2 s slower;
+    component graphs keep their speed."""
+    from logalign import align as align_module
+
+    precompute = align_module.precompute_future_labels
+
+    def slow(rg, *args, **kwargs):
+        if rg.net is net:
+            time.sleep(0.2)
+        return precompute(rg, *args, **kwargs)
+
+    monkeypatch.setattr(align_module, "precompute_future_labels", slow)
+
+
+def test_a_trace_timeout_does_not_pay_for_the_heuristic_precompute(monkeypatch):
+    net, log = loan_pair()
+    slow_precompute_for(monkeypatch, net)
+    result = run_conformance(net, log, RunConfig(strategy="monolithic", timeout_ms=100))
+    assert result.exit_code == EXIT_OK
+    for row in result.report["traces"]:
+        assert row["error"] is None and row["cost"] is not None, row
+    # the table is built inside the timed align phase
+    assert result.report["timings_ms"]["align"] >= 200
+
+
+def test_the_global_deadline_still_covers_the_heuristic_precompute(monkeypatch):
+    net, log = loan_pair()
+    slow_precompute_for(monkeypatch, net)
+    result = run_conformance(net, log, RunConfig(strategy="monolithic", timeout_ms=100,
+                                                 global_timeout_ms=100))
+    assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+    assert [r["error"] for r in result.report["traces"]] == ["global timeout"] * len(log.traces)
+
+
+def test_a_first_fallback_does_not_pay_for_the_heuristic_precompute(monkeypatch):
+    net = hidden_history_parallel_net()
+    table = net.table
+    tasks = ["T%d" % k for k in range(1, 8)]
+    conflicting = [table.lookup(x) for x in tasks + ["A", "B", "D"]]
+    log = make_log([conflicting], table)
+    slow_precompute_for(monkeypatch, net)
+    report = run_conformance(net, log, RunConfig(strategy="scomponent", timeout_ms=100)).report
+    (row,) = report["traces"]
+    assert row["strategy"] == "s-component+fallback"
+    assert row["error"] is None and row["cost"] == 1
+    # with a global deadline, the fallback's search still stops at it
+    report = run_conformance(net, log, RunConfig(strategy="scomponent", timeout_ms=1000,
+                                                 global_timeout_ms=100)).report
+    (row,) = report["traces"]
+    assert row["cost"] is None and "deadline" in row["error"]
+
+
 def collector_state():
     return gc.isenabled(), gc.get_freeze_count()
 
@@ -334,7 +387,7 @@ def test_run_leaves_the_collector_as_it_found_it():
 def test_align_loop_runs_with_the_collector_off_and_restores_it_when_it_raises(monkeypatch):
     seen = []
 
-    def fail(self, trace, deadline=None):
+    def fail(self, trace, deadline=None, *, global_deadline=None):
         seen.append(gc.isenabled())
         raise RuntimeError("aligner failed")
 
