@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -65,8 +64,7 @@ class Move(NamedTuple):
     rg_tgt: Optional[int]
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     moves: tuple[Move, ...]
     cost: int
 
@@ -174,12 +172,27 @@ def _move(op, x):
 
 def future_table(rg: ReachabilityGraph) -> FutureLabelTable:
     """The graph's future-label table, built on the first call and kept on
-    the graph; both searches read it."""
+    the graph (the table refers back to it weakly); both searches read it."""
     table = getattr(rg, "_future_table", None)
     if table is None:
         table = precompute_future_labels(rg)
         rg._future_table = table
     return table
+
+
+def table_off_the_clock(rg: ReachabilityGraph, deadline: Optional[float],
+                        global_deadline: Optional[float]) -> Optional[float]:
+    """``deadline`` for a search of ``rg``, after building the graph's
+    future-label table if it is not built yet: moved on by the time the
+    build took, but not past ``global_deadline``, so the one-time build is
+    not paid from one trace's own timeout.  Without a deadline the search
+    builds the table itself."""
+    if deadline is None or getattr(rg, "_future_table", None) is not None:
+        return deadline
+    start = time.monotonic()
+    future_table(rg)
+    deadline += time.monotonic() - start
+    return deadline if global_deadline is None else min(deadline, global_deadline)
 
 
 def _remaining_counts(trace) -> list[dict[int, int]]:

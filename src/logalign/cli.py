@@ -21,7 +21,7 @@ from .errors import LogAlignError, OracleGuardError
 from .logs import LabelTable, parse_text_log, parse_xes
 from .petri import parse_pnml
 from .reachability import DEFAULT_MARKING_CAP, build_rg, remove_tau
-from .report import (EXIT_INPUT_ERROR, RunConfig, report_to_csv, run_conformance)
+from .report import EXIT_INPUT_ERROR, RunConfig, collector_off, report_to_csv, run_conformance
 
 
 def _int_at_least(low: int):
@@ -76,6 +76,18 @@ def _load_inputs(log_path: str, model_path: str):
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector off.
+
+    The collector is left as it was found only once the command's own
+    objects are freed, so turning it back on walks none of them: the parsed
+    inputs and the report hold no reference cycles, and a collection while
+    they live would free nothing.
+    """
+    with collector_off():
+        return _command(argv)
+
+
+def _command(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         net, log = _load_inputs(args.log, args.model)

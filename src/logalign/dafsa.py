@@ -15,30 +15,26 @@ builds it only to write ``dafsa.dot``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .logs import EventLog, LabelTable
 
 
-@dataclass
 class Dafsa:
-    table: LabelTable
-    out: tuple[dict[int, int], ...]  # per state: label id -> target state
-    finals: frozenset[int]
-    initial: int = 0
-    # derived from ``out``: arcs in label order per state, and state degrees
-    arcs: tuple[tuple[int, int, int], ...] = field(init=False)
-    in_degree: tuple[int, ...] = field(init=False)
-    out_degree: tuple[int, ...] = field(init=False)
-    _rank: dict = field(init=False, repr=False)
+    __slots__ = ("table", "out", "finals", "initial", "arcs", "in_degree", "out_degree", "_rank")
 
-    def __post_init__(self):
-        self._rank = self.table.rank()
-        self.arcs = tuple((src, label, tgt) for src, row in enumerate(self.out)
-                          for label, tgt in sorted(row.items(), key=lambda it: self._rank[it[0]]))
-        indeg = [0] * len(self.out)
-        outdeg = [0] * len(self.out)
+    def __init__(self, table: LabelTable, out: tuple[dict[int, int], ...], finals: frozenset[int],
+                 initial: int = 0):
+        self.table = table
+        self.out = out  # per state: label id -> target state
+        self.finals = finals
+        self.initial = initial
+        # derived from ``out``: arcs in label order per state, and state degrees
+        self._rank = rank = table.rank()
+        self.arcs = tuple((src, label, tgt) for src, row in enumerate(out)
+                          for label, tgt in sorted(row.items(), key=lambda it: rank[it[0]]))
+        indeg = [0] * len(out)
+        outdeg = [0] * len(out)
         for src, _, tgt in self.arcs:
             outdeg[src] += 1
             indeg[tgt] += 1

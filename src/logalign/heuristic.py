@@ -63,8 +63,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
+from weakref import ref
 
 from .reachability import ReachabilityGraph
 
@@ -76,29 +76,38 @@ Entry = tuple[tuple[tuple[int, int], ...], frozenset[int]]  # (sorted counts, re
 ScanEntry = tuple[int, frozenset[int], tuple[tuple[int, int, int], ...]]
 
 
-@dataclass
 class FutureLabelTable:
-    rg: ReachabilityGraph
-    entries: tuple[tuple[Entry, ...], ...]  # per marking id
-    classes: list[int] = field(init=False, repr=False, compare=False)  # per marking id
-    n_classes: int = field(init=False, repr=False, compare=False)
-    _scan: list[tuple[ScanEntry, ...]] = field(init=False, repr=False, compare=False)
+    """The future-label entries of each marking of ``rg``, in scan form.
 
-    def __post_init__(self):
+    The searches keep a graph's table on the graph, so the table holds its
+    graph through a weak reference: a strong one would make each searched
+    graph and its table a reference cycle that only the cyclic collector
+    frees.  ``rg`` is the graph while it is alive, and None after.
+    """
+
+    __slots__ = ("_rg", "entries", "classes", "n_classes", "_scan")
+
+    def __init__(self, rg: ReachabilityGraph, entries: tuple[tuple[Entry, ...], ...]):
+        self._rg = ref(rg)
+        self.entries = entries  # per marking id
         # markings of one component share their entry tuple: prune each tuple
         # once and number the distinct tuples, by identity, as the classes
         by_id: dict[int, int] = {}
         pruned: list[tuple[ScanEntry, ...]] = []
         classes = []
-        for entries in self.entries:
-            cls = by_id.get(id(entries))
+        for own in entries:
+            cls = by_id.get(id(own))
             if cls is None:
-                cls = by_id[id(entries)] = len(pruned)
-                pruned.append(_prune(entries))
+                cls = by_id[id(own)] = len(pruned)
+                pruned.append(_prune(own))
             classes.append(cls)
-        self.classes = classes
+        self.classes = classes  # per marking id
         self.n_classes = len(pruned)
         self._scan = [pruned[cls] for cls in classes]
+
+    @property
+    def rg(self) -> Optional[ReachabilityGraph]:
+        return self._rg()
 
     def h(self, remaining: dict[int, int], mid: int, size: Optional[int] = None) -> int:
         """The estimate for remaining trace labels ``remaining`` (of total

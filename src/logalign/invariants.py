@@ -17,16 +17,15 @@ so a combined row's support is the union of its two parents'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DecompositionError
 from .logs import TAU
 from .petri import SystemNet, validate
 
 
-@dataclass(frozen=True)
-class PlaceInvariant:
+class PlaceInvariant(NamedTuple):
     weights: tuple[int, ...]
 
     @property
@@ -87,8 +86,7 @@ def _drop_support_dominated(rows):
     return [rows[i] for i in sorted(kept)]
 
 
-@dataclass(frozen=True)
-class SComponent:
+class SComponent(NamedTuple):
     index: int
     net: SystemNet  # concurrency-free sub-workflow-net
     place_ids: tuple[int, ...]  # indices into the parent net's places
@@ -96,8 +94,7 @@ class SComponent:
     alphabet: frozenset[int]  # visible label ids of the component
 
 
-@dataclass(frozen=True)
-class SComponentDecomposition:
+class SComponentDecomposition(NamedTuple):
     net: SystemNet
     invariants: tuple[PlaceInvariant, ...]
     components: tuple[SComponent, ...]

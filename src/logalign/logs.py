@@ -8,8 +8,7 @@ line, comma-separated labels) is supported for fixtures.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import XesParseError, XesValidationError
 
@@ -58,17 +57,31 @@ class LabelTable:
         return ranks
 
 
-@dataclass(frozen=True)
 class Trace:
-    labels: tuple[int, ...]
-    frequency: int = 1
+    """One distinct label sequence and the number of times it occurs."""
+
+    __slots__ = ("labels", "frequency")
+
+    def __init__(self, labels: tuple[int, ...], frequency: int = 1):
+        self.labels = labels
+        self.frequency = frequency
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.frequency == other.frequency
 
-@dataclass(frozen=True)
-class EventLog:
+    def __hash__(self) -> int:
+        return hash((self.labels, self.frequency))
+
+    def __repr__(self) -> str:
+        return "Trace(labels=%r, frequency=%r)" % (self.labels, self.frequency)
+
+
+class EventLog(NamedTuple):
     """Deduplicated event log over an interned alphabet.
 
     ``traces`` holds one entry per distinct label sequence, sorted by the

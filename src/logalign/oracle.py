@@ -7,9 +7,8 @@ tests.  Deliberately shares no code with the alignment module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import LogAlignError, OracleGuardError
 from .reachability import ReachabilityGraph
@@ -21,8 +20,7 @@ LHIDE = "lhide"
 RHIDE = "rhide"
 
 
-@dataclass(frozen=True)
-class OracleWitness:
+class OracleWitness(NamedTuple):
     moves: tuple[tuple[str, int], ...]  # (operation, label id)
     cost: int
 

@@ -6,34 +6,51 @@ Markings of 1-bounded nets are integer bitmasks over a fixed place order.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NetStructureError, PnmlParseError
 from .logs import TAU, LabelTable, _localname
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     name: str
     label: int  # interned label id, TAU for silent transitions
 
 
-@dataclass
 class SystemNet:
     """A labelled workflow net with an initial and a (set of) final marking(s).
 
     ``pre[t]`` / ``post[t]`` are place bitmasks of the consumed / produced
     tokens of transition ``t``.  Immutable after construction by convention.
+    Two nets are equal when all seven fields are; a net is not hashable.
     """
 
-    places: tuple[str, ...]
-    transitions: tuple[Transition, ...]
-    pre: tuple[int, ...]
-    post: tuple[int, ...]
-    m0: int
-    finals: frozenset[int]
-    table: LabelTable
+    __slots__ = ("places", "transitions", "pre", "post", "m0", "finals", "table",
+                 "_firing_tables")  # the last is kept by recompose, once built
+
+    def __init__(self, places: tuple[str, ...], transitions: tuple[Transition, ...],
+                 pre: tuple[int, ...], post: tuple[int, ...], m0: int, finals: frozenset[int],
+                 table: LabelTable):
+        self.places = places
+        self.transitions = transitions
+        self.pre = pre
+        self.post = post
+        self.m0 = m0
+        self.finals = finals
+        self.table = table
+
+    def _fields(self) -> tuple:
+        return (self.places, self.transitions, self.pre, self.post, self.m0, self.finals,
+                self.table)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("SystemNet(places=%r, transitions=%r, pre=%r, post=%r, m0=%r, finals=%r, table=%r)"
+                % self._fields())
 
     # -- queries -------------------------------------------------------
 
@@ -110,8 +127,7 @@ class SystemNet:
                    1 << index[initial], frozenset({1 << index[final]}), table)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     workflow_ok: bool
     free_choice: bool
     uniquely_labelled: bool

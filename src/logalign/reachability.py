@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -44,7 +43,6 @@ class Arc(NamedTuple):
     tgt: int
 
 
-@dataclass(eq=False)
 class _Rows:
     """A graph's arcs as plain ints.
 
@@ -57,13 +55,18 @@ class _Rows:
     surviving rows, the only arcs of ``u`` the graph has.
     """
 
-    labels: list[int]
-    trails: list[tuple[int, ...]]
-    kind: list[list[int]]
-    tgt: list[list[int]]
-    keep: Optional[list[int]] = None  # None: rows not rewritten, one per marking
-    remap: Optional[list[int]] = None
-    nout: Optional[list[int]] = None
+    __slots__ = ("labels", "trails", "kind", "tgt", "keep", "remap", "nout")
+
+    def __init__(self, labels: list[int], trails: list[tuple[int, ...]], kind: list[list[int]],
+                 tgt: list[list[int]], keep: Optional[list[int]] = None,
+                 remap: Optional[list[int]] = None, nout: Optional[list[int]] = None):
+        self.labels = labels
+        self.trails = trails
+        self.kind = kind
+        self.tgt = tgt
+        self.keep = keep  # None: rows not rewritten, one per marking
+        self.remap = remap
+        self.nout = nout
 
     @classmethod
     def of_out(cls, out) -> _Rows:

@@ -19,12 +19,10 @@ cost less than a monolithic optimum.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .align import (OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, future_table,
-                    make_alignment)
+from .align import (OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment,
+                    table_off_the_clock)
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
 from .invariants import decompose
 from .logs import TAU
@@ -35,8 +33,7 @@ OPERATION_CONFLICT = "operation-conflict"
 EXTENDED_LABEL_CONFLICT = "extended-label-conflict"
 
 
-@dataclass(frozen=True)
-class RecompositionOutcome:
+class RecompositionOutcome(NamedTuple):
     alignment: Optional[Alignment]
     conflict: Optional[str]
     fallback_used: bool
@@ -90,20 +87,29 @@ class SComponentAligner:
         """Align one trace through the components, falling back to the full
         graph on a conflict.
 
-        ``deadline`` bounds the trace's searches.  The first fallback builds
-        the full graph's heuristic table and moves ``deadline`` on by the
-        time that took, but not past ``global_deadline``, so the trace's own
-        timeout does not pay for the one-time build.
+        ``deadline`` bounds the trace's searches.  The first search of each
+        graph, a component's or the fallback's, builds the graph's heuristic
+        table first and moves ``deadline`` on by the time that took, but not
+        past ``global_deadline``, so the trace's own timeout does not pay for
+        the one-time build.
         """
         trace = tuple(trace)
         projections: list[list[int]] = [[] for _ in self.components]
         for label in trace:
             for idx in self.owners.get(label, ()):
                 projections[idx].append(label)
+        cache = self._proj_cache
+        lanes = []
         try:
             # in lane order, so the first lane to fail names the error
-            lanes = [self._lane_moves(idx, tuple(projected), deadline)
-                     for idx, projected in enumerate(projections)]
+            for idx, projected in enumerate(projections):
+                projected = tuple(projected)
+                moves = cache.get((idx, projected))
+                if moves is None:
+                    deadline = table_off_the_clock(self.components[idx][1], deadline,
+                                                   global_deadline)
+                    moves = self._lane_moves(idx, projected, deadline)
+                lanes.append(moves)
         except SearchBudgetError as exc:
             return RecompositionOutcome(None, None, False, str(exc))
 
@@ -119,12 +125,7 @@ class SComponentAligner:
             return RecompositionOutcome(make_alignment(composed), None, False)
         if isinstance(self.full_rg, StateSpaceCapError):
             return RecompositionOutcome(None, conflict, True, str(self.full_rg))
-        if deadline is not None:
-            start = time.monotonic()
-            future_table(self.full_rg)
-            deadline += time.monotonic() - start
-            if global_deadline is not None:
-                deadline = min(deadline, global_deadline)
+        deadline = table_off_the_clock(self.full_rg, deadline, global_deadline)
         try:
             alignment = align_one_optimal(trace, rg=self.full_rg, deadline=deadline)
         except LogAlignError as exc:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import contextmanager
+from typing import NamedTuple, Optional
 
 from .align import OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments, future_table
 from .dafsa import build_dafsa, dafsa_to_dot
@@ -39,8 +39,7 @@ EXIT_GLOBAL_TIMEOUT = 3
 EXIT_STATE_CAP = 4
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     strategy: str = "auto"  # auto | monolithic | scomponent
     all_optimal: bool = False
     timeout_ms: Optional[int] = None  # per trace
@@ -50,10 +49,22 @@ class RunConfig:
     dot_dir: Optional[str] = None
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     report: dict
     exit_code: int
+
+
+@contextmanager
+def collector_off():
+    """Keep the cyclic garbage collector off inside the block, and leave it
+    as it was found after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def moves_to_dicts(net: SystemNet, alignment: Alignment) -> list[dict]:
@@ -81,13 +92,10 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
     assemble the report.
 
     The cyclic garbage collector stays off for the whole run and is left as
-    the caller had it.  The run's only reference cycles are the searched
-    graphs and their heuristic tables, which live as long as the run, so a
-    collection during it would only walk them again and free nothing.
+    the caller had it.  A run builds no reference cycles, so a collection
+    during it would walk what the run holds and free nothing.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_off():
         timings: dict[str, float] = {}
         t0 = time.perf_counter()
         # searches check their deadlines against time.monotonic()
@@ -111,7 +119,8 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         try:
             rg = build_rg(net, cap=config.state_cap)
         except StateSpaceCapError as exc:
-            cap_error = exc
+            # kept without its traceback, whose frames would hold this one
+            cap_error = exc.with_traceback(None)
         t = mark("build_rg", t)
         if rg is not None:
             rg = remove_tau(rg)
@@ -163,9 +172,6 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
 
         report = _base_report(net, log, vreport, report_strategy, skips, timings, rows)
         return RunResult(report, EXIT_GLOBAL_TIMEOUT if timed_out else EXIT_OK)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline):

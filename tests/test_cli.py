@@ -347,9 +347,10 @@ def test_all_optimal_global_timeout_exit_code(tmp_path):
         assert row["n_optimal"] == 0
 
 
-def test_import_loads_neither_numpy_nor_a_thread_pool():
+def test_import_loads_neither_numpy_nor_a_thread_pool_nor_dataclasses():
     code = ("import sys, logalign, logalign.cli; "
-            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
+            "print(sorted(m for m in ('numpy', 'concurrent.futures', 'dataclasses', 'inspect')"
+            " if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 import pytest
 
 from logalign.errors import XesParseError, XesValidationError
-from logalign.logs import LabelTable, parse_text_log, parse_xes, write_xes
+from logalign.logs import LabelTable, Trace, parse_text_log, parse_xes, write_xes
 from logalign.sampledata import LOAN_TRACES, loan_log
 
 XES_LOAN = """<?xml version="1.0" encoding="UTF-8"?>
@@ -105,3 +105,13 @@ def test_interning_is_bijective():
     assert a != b
     assert table.text(a) == "A" and table.text(b) == "B"
 
+
+
+def test_traces_and_logs_compare_hash_and_print_by_value():
+    trace = Trace((1, 2), 3)
+    assert trace == Trace((1, 2), 3) and hash(trace) == hash(Trace((1, 2), 3))
+    assert trace != Trace((1, 2)) and trace != ((1, 2), 3)
+    assert repr(trace) == "Trace(labels=(1, 2), frequency=3)"
+    assert len(trace) == 2 and not Trace(())
+    table = LabelTable()
+    assert parse_xes(XES_LOAN, table) == parse_xes(XES_LOAN, table)

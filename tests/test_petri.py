@@ -363,3 +363,13 @@ def test_a_long_sequence_is_a_workflow_net_in_either_transition_order():
                           net.m0, net.finals, net.table)
     for candidate in (net, backwards):
         assert validate(candidate).workflow_ok
+
+
+def test_nets_compare_and_print_by_value_and_are_not_hashable():
+    table = LabelTable()
+    net, again = (sequence_net(["A", "B"], table) for _ in range(2))
+    assert net == again and net != sequence_net(["A", "C"], table)
+    assert net != sequence_net(["A", "B"])  # another label table
+    assert repr(net).startswith("SystemNet(places=(")
+    with pytest.raises(TypeError):
+        hash(net)

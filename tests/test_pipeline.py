@@ -4,10 +4,13 @@ import gc
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+from logalign import cli
 from logalign import report as report_module
+from logalign.align import future_table
 from logalign.errors import SearchBudgetError
 from logalign.logs import make_log
 from logalign.reachability import build_rg, remove_tau
@@ -17,6 +20,8 @@ from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
 from nets import parallel_tasks_net
+
+DATA = Path(__file__).parent / "data"
 
 
 def canonical(report):
@@ -317,15 +322,15 @@ def test_global_deadline_crossed_inside_the_only_search(monkeypatch):
     assert row["error"] == "alignment search exceeded its deadline"
 
 
-def slow_precompute_for(monkeypatch, net):
-    """Make the heuristic precompute of ``net``'s own graph 0.2 s slower;
-    component graphs keep their speed."""
+def slow_precompute_for(monkeypatch, net=None):
+    """Make the heuristic precompute 0.2 s slower: for ``net``'s own graph
+    only, or, with no ``net``, for every graph."""
     from logalign import align as align_module
 
     precompute = align_module.precompute_future_labels
 
     def slow(rg, *args, **kwargs):
-        if rg.net is net:
+        if net is None or rg.net is net:
             time.sleep(0.2)
         return precompute(rg, *args, **kwargs)
 
@@ -368,6 +373,15 @@ def test_a_first_fallback_does_not_pay_for_the_heuristic_precompute(monkeypatch)
                                                  global_timeout_ms=100)).report
     (row,) = report["traces"]
     assert row["cost"] is None and "deadline" in row["error"]
+
+
+def test_a_first_lane_search_does_not_pay_for_its_component_table(monkeypatch):
+    net, log = loan_pair()
+    slow_precompute_for(monkeypatch)
+    result = run_conformance(net, log, RunConfig(strategy="scomponent", timeout_ms=100))
+    assert result.exit_code == EXIT_OK
+    for row in result.report["traces"]:
+        assert row["error"] is None and row["cost"] is not None, row
 
 
 def collector_state():
@@ -423,8 +437,8 @@ def cyclic_garbage_after_a_run(net, log, config):
 
 
 def test_cyclic_garbage_of_a_run_does_not_grow_with_the_log():
-    # the graphs and their heuristic tables are the run's only cycles, so a
-    # run with the collector off leaves as much for it on 300 traces as on 30
+    # a run with the collector off leaves as much for it on 300 traces as on
+    # 30: nothing, as a run builds no reference cycles
     for seed in (3, 9, 12, 21):
         net = random_workflow_net(seed, max_visible=8)
         short, long = (random_log(net, random.Random(seed), n_traces=n, max_trace_len=10)
@@ -446,3 +460,67 @@ def test_objects_the_caller_froze_stay_frozen():
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
+
+
+def test_no_route_leaves_cyclic_garbage():
+    net = random_workflow_net(12, max_visible=8)
+    log = random_log(net, random.Random(12), n_traces=30, max_trace_len=10)
+    fallbacks = run_conformance(net, log, RunConfig(strategy="scomponent")).report
+    assert fallbacks["aggregates"]["fallbacks"] >= 1
+    for config in (RunConfig(strategy="monolithic"),
+                   RunConfig(strategy="monolithic", all_optimal=True),
+                   RunConfig(strategy="scomponent"),
+                   RunConfig(strategy="scomponent", state_cap=5)):  # fallbacks fail on the cap
+        assert cyclic_garbage_after_a_run(net, log, config) == 0, config
+
+
+def test_a_heuristic_table_refers_to_its_graph_while_the_graph_lives():
+    rg = remove_tau(build_rg(loan_net()))
+    table = future_table(rg)
+    assert table.rg is rg and future_table(rg) is table
+    del rg  # no cycle holds the graph, so it goes at once
+    assert table.rg is None
+
+
+def check_argv(tmp_path):
+    return ["check", "--log", str(DATA / "loan.xes"), "--model", str(DATA / "loan.pnml"),
+            "--out", str(tmp_path / "report.json"), "--csv", str(tmp_path / "report.csv")]
+
+
+def test_check_reads_and_writes_with_the_collector_off(monkeypatch, tmp_path):
+    seen = []
+    parse_xes, report_to_csv = cli.parse_xes, cli.report_to_csv
+
+    def reading(*args):
+        seen.append(("read", gc.isenabled()))
+        return parse_xes(*args)
+
+    def writing(report):
+        # the JSON report is written before the CSV
+        seen.append(("write", gc.isenabled(), (tmp_path / "report.json").exists()))
+        return report_to_csv(report)
+
+    monkeypatch.setattr(cli, "parse_xes", reading)
+    monkeypatch.setattr(cli, "report_to_csv", writing)
+    assert gc.isenabled()
+    assert cli.main(check_argv(tmp_path)) == EXIT_OK
+    assert seen == [("read", False), ("write", False, True)]
+    assert gc.isenabled()
+
+
+def test_check_leaves_the_collector_as_it_found_it(tmp_path):
+    missing = ["check", "--log", str(tmp_path / "missing.xes"), "--model", str(DATA / "loan.pnml")]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            before = collector_state()
+            assert cli.main(check_argv(tmp_path)) == EXIT_OK
+            assert collector_state() == before
+            assert cli.main(missing) == 2
+            assert collector_state() == before
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["check", "--log", str(DATA / "loan.xes")])  # no --model
+            assert exc.value.code == 2
+            assert collector_state() == before
+    finally:
+        gc.enable()
