@@ -12,8 +12,8 @@ to detect hidden label conflicts; plain tau removal drops them.
 A graph holds its arcs in a compact form of plain ints: for each marking
 of the built graph, the transitions it fires and the markings they reach
 (``_Rows``).  Tau removal keeps those rows and records what it left of
-them: the surviving markings, the rewritten rows of the markings that
-silent arcs touch, and each marking's count of arcs into survivors.
+them: the surviving markings and the rewritten rows of the markings whose
+arcs it changed.  A surviving row's arcs all lead to surviving rows.
 ``size()`` and ``min_visible_skips()`` read this form.  The ``Arc`` objects, ``arcs``
 and the ``out`` rows (``out[m]`` holds the arcs of ``arcs`` that leave
 marking ``m``, in ``arcs`` order), are built once, when a search or a dot
@@ -50,23 +50,21 @@ class _Rows:
     an index into ``labels`` and ``trails`` (the kinds of a built graph are
     its net's transitions), and its target row.  Rows that tau removal
     rewrote also record what it left: ``keep`` lists the surviving rows in
-    the graph's marking order, ``remap`` gives each row's marking id (-1
-    once removed), and ``nout[u]`` counts a surviving row's arcs into
-    surviving rows, the only arcs of ``u`` the graph has.
+    the graph's marking order and ``remap`` gives each row's marking id (-1
+    once removed).  A surviving row's arcs all lead to surviving rows.
     """
 
-    __slots__ = ("labels", "trails", "kind", "tgt", "keep", "remap", "nout")
+    __slots__ = ("labels", "trails", "kind", "tgt", "keep", "remap")
 
     def __init__(self, labels: list[int], trails: list[tuple[int, ...]], kind: list[list[int]],
                  tgt: list[list[int]], keep: Optional[list[int]] = None,
-                 remap: Optional[list[int]] = None, nout: Optional[list[int]] = None):
+                 remap: Optional[list[int]] = None):
         self.labels = labels
         self.trails = trails
         self.kind = kind
         self.tgt = tgt
         self.keep = keep  # None: rows not rewritten, one per marking
         self.remap = remap
-        self.nout = nout
 
     @classmethod
     def of_out(cls, out) -> _Rows:
@@ -77,10 +75,8 @@ class _Rows:
                    [[a.tgt for a in row] for row in out])
 
     def arc_count(self) -> int:
-        if self.keep is None:
-            return sum(map(len, self.tgt))
-        nout = self.nout
-        return sum([nout[u] for u in self.keep])
+        rows = self.tgt if self.keep is None else [self.tgt[u] for u in self.keep]
+        return sum(map(len, rows))
 
     def distance(self, m0: int, finals: frozenset[int]) -> int:
         """Arc length of the shortest path from marking ``m0`` to one of ``finals``."""
@@ -90,8 +86,8 @@ class _Rows:
         if start in goals:
             return 0
         tgt = self.tgt
-        # breadth-first, one level at a time; removed rows count as seen
-        seen = bytearray(len(tgt)) if self.remap is None else bytearray(r < 0 for r in self.remap)
+        # breadth-first, one level at a time
+        seen = bytearray(len(tgt))
         seen[start] = 1
         level = [start]
         d = 0
@@ -119,8 +115,7 @@ class _Rows:
         remap = self.remap
         rows = []
         for src, u in enumerate(self.keep):
-            items = [(rank[labels[k]], trails[k], v, labels[k])
-                     for k, v in zip(kind[u], tgt[u]) if remap[v] >= 0]
+            items = [(rank[labels[k]], trails[k], v, labels[k]) for k, v in zip(kind[u], tgt[u])]
             items.sort()
             rows.append(tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items]))
         return tuple(rows)
@@ -262,17 +257,16 @@ def remove_tau_extended(rg: ReachabilityGraph) -> ReachabilityGraph:
 def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     """Rewrite ``rg`` without silent arcs.
 
-    The rewrite works on arcs ``(src, label, trail, tgt)``.  Only the markings
-    the silent arcs touch get explicit arc sets ("hot" markings): the tau
-    arcs' sources and targets, the final markings, and every marking an
-    added or redirected arc starts or ends at, made hot just before that
-    arc is added.  Every other marking is "cold": its arcs are its raw arcs
-    whose other end is still alive, so it only keeps two counters.  Phases,
-    orders and tie-breaks are those of a rewrite with arc sets for every
-    marking, so the result is the same graph.  The raw graph's predecessor
-    rows are derived here from its rows; no graph carries them.  The result
-    keeps the raw rows, with each surviving hot marking's arc set written as
-    its row, and the out counters as its compact form.
+    The rewrite works on arcs ``(src, label, trail, tgt)``.  Only some
+    markings get explicit arc sets ("hot" markings): the tau arcs' sources
+    and targets, the final markings, and every marking one of whose arcs is
+    added or removed, made hot just before that change.  Every other marking
+    is "cold": its arcs are exactly its raw arcs.  Phases, orders and
+    tie-breaks are those of a rewrite with arc sets for every marking, so
+    the result is the same graph.  The raw graph's predecessor rows are
+    derived here from its rows; no graph carries them.  The result keeps
+    the raw rows, with each surviving hot marking's arc set written as its
+    row.
     """
     net = rg.net
     rows = rg._rows
@@ -305,58 +299,43 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
                     hot.add(u)
                     hot.add(v)
     if _shares_a_visible_label(net):
-        # raw arcs equal in working form collapse into one; keeping their
-        # ends hot keeps the cold counters exact (a net without shared
-        # visible labels has no such arcs in its built or its reduced graph)
+        # a cold row is emitted raw, so it must hold no two raw arcs that are
+        # equal in working form (a net without shared visible labels has no
+        # such arcs in its built or its reduced graph)
         for u in range(n):
             if len(set(raw_out(u))) < len(kind[u]):
                 hot.add(u)
-                hot.update(tgt[u])
 
     alive = [True] * n
     out: list = [None] * n  # arc sets of hot markings, None while cold
     inn: list = [None] * n
-    nout = [len(x) for x in kind]  # arc counts of cold markings
-    nin = [len(x) for x in srcs]
     touched = list(range(n))  # markings prune() must look at
 
     def promote(u):
-        out[u] = {a for a in raw_out(u) if alive[a[3]]}
-        inn[u] = {a for a in raw_inn(u) if alive[a[0]]}
+        if out[u] is None:
+            out[u] = set(raw_out(u))
+            inn[u] = set(raw_inn(u))
 
     def add(a):
-        if out[a[0]] is None:
-            promote(a[0])
-        if out[a[3]] is None:
-            promote(a[3])
+        promote(a[0])
+        promote(a[3])
         out[a[0]].add(a)
         inn[a[3]].add(a)
 
     def discard(a):
         u, v = a[0], a[3]
-        if out[u] is None:
-            nout[u] -= 1
-        else:
-            out[u].discard(a)
-        if inn[v] is None:
-            nin[v] -= 1
-        else:
-            inn[v].discard(a)
+        promote(u)
+        promote(v)
+        out[u].discard(a)
+        inn[v].discard(a)
         touched.append(u)
         touched.append(v)
 
     def kill(u):
         alive[u] = False
-        if out[u] is not None:
-            for a in list(out[u]) + list(inn[u]):
-                discard(a)
-            return
-        for a in raw_out(u):
-            if alive[a[3]]:
-                discard(a)
-        for a in raw_inn(u):
-            if alive[a[0]]:
-                discard(a)
+        promote(u)
+        for a in list(out[u]) + list(inn[u]):
+            discard(a)
 
     def prune():
         # the greatest set of markings that have an incoming arc (or are m0)
@@ -366,7 +345,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             if not alive[u]:
                 continue
             if out[u] is None:
-                no_in, no_out = nin[u] == 0, nout[u] == 0
+                no_in, no_out = not srcs[u], not kind[u]
             else:
                 no_in, no_out = not inn[u], not out[u]
             if (no_in and u != m0) or (no_out and u not in finals):
@@ -438,7 +417,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     candidates = sorted(s for s in transient if alive[s] and s != m0 and s not in finals)
     if candidates:
         def signature(u):
-            exits = out[u] if out[u] is not None else [a for a in raw_out(u) if alive[a[3]]]
+            exits = out[u] if out[u] is not None else raw_out(u)
             return (u in finals, frozenset(a[1:] for a in exits))
 
         sig = {u: signature(u) for u in range(n) if alive[u]}
@@ -456,9 +435,6 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
                 continue
             rep = min((m for m in group if m != s), key=lambda m: (m in transient, m))
             redirected = sorted(inn[s])
-            for a in redirected:
-                if out[a[0]] is None:
-                    promote(a[0])  # before its counter changes
             for a in redirected:
                 discard(a)
                 add((a[0], a[1], a[2], rep))
@@ -497,7 +473,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     for mid, u in enumerate(keep):
         remap[u] = mid
     # a hot marking's arc set becomes its row, with kinds numbered after the
-    # raw ones; a cold marking keeps its raw row, which has no silent arc
+    # raw ones; a cold marking keeps its raw row, which has no silent arc and
+    # no arc into a removed marking
     kind, tgt = list(kind), list(tgt)  # the raw graph keeps its own rows
     extra: dict = {}  # (label, trail) -> kind
     for u in keep:
@@ -506,9 +483,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             assert all(a[1] != TAU for a in arcs)
             kind[u] = [extra.setdefault(a[1:3], len(labels) + len(extra)) for a in arcs]
             tgt[u] = [a[3] for a in arcs]
-            nout[u] = len(arcs)
     rows = _Rows(labels + [label for label, _ in extra],
-                 rows.trails + [trail for _, trail in extra], kind, tgt, keep, remap, nout)
+                 rows.trails + [trail for _, trail in extra], kind, tgt, keep, remap)
     return ReachabilityGraph(net, tuple([rg.markings[u] for u in keep]), remap[m0],
                              frozenset(remap[f] for f in live_finals), reduced=True, rows=rows)
 

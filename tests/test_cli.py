@@ -78,6 +78,17 @@ def test_check_all_optimal_matches_golden_report(tmp_path):
     assert report == json.loads((DATA / "loan_allopt_report.json").read_text())
 
 
+def test_check_scomponent_matches_golden_report(tmp_path):
+    # pins the extended reduction through component_rg_sizes and the
+    # recomposed moves' tau trails
+    args, out = check_args(tmp_path, "--strategy", "scomponent", "--emit-alignments")
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    report.pop("timings_ms")
+    assert report == json.loads((DATA / "loan_scomponent_report.json").read_text())
+
+
 def test_all_optimal_on_a_long_trace(tmp_path):
     text_log = tmp_path / "long.txt"
     text_log.write_text(",".join(["A"] * 600) + "\n")

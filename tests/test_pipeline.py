@@ -131,7 +131,7 @@ def test_one_monolithic_build_per_run(monkeypatch):
     assert len(calls) == 1
 
 
-def test_log_automaton_built_only_for_all_optimal(monkeypatch, tmp_path):
+def test_log_automaton_built_only_for_dot_files(monkeypatch, tmp_path):
     # every route, all-optimal included, aligns one trace at a time: a run
     # builds the log DAFSA only to write dafsa.dot
     from logalign import recompose as recompose_module

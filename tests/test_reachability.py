@@ -427,10 +427,10 @@ def reference_reduce(rg, extended):
 
 
 def eager_reduce(rg, extended):
-    """Tau removal on ``Arc`` rows: hot and cold markings as in ``_reduce``,
-    reading ``rg.out`` and ``rg.arcs``, and every surviving marking's row
-    built and sorted on the spot.  The reference for the rows a reduced
-    graph builds on first read."""
+    """Tau removal on ``Arc`` rows, reading ``rg.out`` and ``rg.arcs``: arc
+    sets for hot markings, in and out arc counters for cold ones, and every
+    surviving marking's row built and sorted on the spot.  The reference for
+    the rows a reduced graph builds on first read."""
     net = rg.net
     n = len(rg.markings)
     raw_out = rg.out
@@ -858,7 +858,11 @@ def counted_skips(rg):
 
 def assert_compact_form_matches_rows(rg, what):
     """``size()`` and ``min_visible_skips()`` answer before any ``Arc`` row
-    exists, with the values counted on the rows built afterwards."""
+    exists, with the values counted on the rows built afterwards, and a
+    reduced graph's kept rows lead only to kept rows."""
+    rows = rg._rows
+    if rows.keep is not None:
+        assert all(rows.remap[v] >= 0 for u in rows.keep for v in rows.tgt[u]), what
     size, skips = rg.size(), outcome(rg.min_visible_skips)
     assert "out" not in vars(rg) and "arcs" not in vars(rg), what
     assert size == len(rg.markings) + sum(len(row) for row in rg.out) == \
@@ -911,6 +915,27 @@ def test_a_graph_given_by_arcs_answers_from_its_rows():
     assert rg.size() == 4 + 4 and rg.min_visible_skips() == 2
     reduced = remove_tau(rg)
     assert_compact_form_matches_rows(reduced, "hand graph")
+
+
+def test_markings_no_silent_arc_touches_die_exactly_in_graphs_given_by_arcs():
+    # no built graph has a marking other than m0 without an in-arc: here 5
+    # has none, so 5 and then 3 die; in the second graph the visible chain
+    # 3 -> 4 -> 5 ends in a deadlock and dies from its end
+    graphs = {
+        "no in-arc": (hand_graph(6, [(0, "A", 1), (1, "B", 2), (5, "C", 1), (5, "D", 3),
+                                     (3, "E", 2), (1, None, 4), (4, "F", 2)], {2}),
+                      [(0, "A", 1), (1, "B", 2), (1, "F", 2)]),
+        "deadlock": (hand_graph(7, [(0, "A", 1), (1, "B", 2), (0, "C", 3), (3, "D", 4),
+                                    (4, "E", 5), (1, None, 6), (6, "G", 2)], {2}),
+                     [(0, "A", 1), (1, "B", 2), (1, "G", 2)]),
+    }
+    for what, (rg, arcs) in graphs.items():
+        for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
+            label = "%s, extended=%s" % (what, extended)
+            assert_compact_form_matches_rows(reduce(rg), label)
+            reduced = outcome(reduce, rg)
+            assert_same_outcome(reduced, outcome(reference_reduce, rg, extended), label)
+            assert arcs_by_name(reduced[0]) == arcs, label
 
 
 def test_build_rg_exact_at_the_cap():
