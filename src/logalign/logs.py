@@ -15,6 +15,9 @@ from .errors import XesParseError, XesValidationError
 TAU = 0
 TAU_TEXT = "τ"
 
+# bytes or characters fed to the XES parser at a time
+_CHUNK = 1 << 16
+
 
 class LabelTable:
     """Bijective interning of activity names to small integer ids.
@@ -134,36 +137,79 @@ def parse_xes(data: bytes | str, table: Optional[LabelTable] = None) -> EventLog
     children; an event's name is the ``concept:name`` attribute among its
     own children, so attributes nested in containers or lists are ignored.
     Duplicate trace sequences are merged and their frequencies summed.
-    Raises XesParseError on malformed XML and XesValidationError when a
-    trace contains an event without a concept:name attribute.
+
+    The document is streamed: each root child is read once it is complete
+    and then dropped, so memory grows with the distinct traces and the
+    document's own bytes, not with its element tree.
+
+    Raises XesParseError on malformed XML, and otherwise XesValidationError
+    for the first event without a concept:name attribute or named by the
+    silent label; a malformed document raises XesParseError even when an
+    earlier trace is invalid.
     """
     table = table if table is not None else LabelTable()
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise XesParseError("malformed XES document: %s" % exc) from exc
-    sequences = []
+    counts: dict[tuple[int, ...], int] = {}
+    invalid = None
     trace_index = 0
-    for elem in root:
-        if _localname(elem.tag) != "trace":
+    for elem in _root_children(data):
+        if invalid is not None or _localname(elem.tag) != "trace":
             continue
         labels = []
-        for ev in elem:
-            if _localname(ev.tag) != "event":
-                continue
-            name = None
-            for attr in ev:
-                if attr.get("key") == "concept:name":
-                    name = attr.get("value")
-                    break
-            if name is None:
-                raise XesValidationError(
-                    "trace %d: event %d has no concept:name attribute" % (trace_index, len(labels))
-                )
-            labels.append(table.intern(name))
-        sequences.append(tuple(labels))
+        try:
+            for ev in elem:
+                if _localname(ev.tag) != "event":
+                    continue
+                name = None
+                for attr in ev:
+                    if attr.get("key") == "concept:name":
+                        name = attr.get("value")
+                        break
+                if name is None:
+                    raise XesValidationError(
+                        "trace %d: event %d has no concept:name attribute" % (trace_index, len(labels))
+                    )
+                labels.append(table.intern(name))
+        except XesValidationError as exc:
+            # raised only once the rest of the document proves well-formed
+            invalid = exc
+            continue
+        labels = tuple(labels)
+        counts[labels] = counts.get(labels, 0) + 1
         trace_index += 1
-    return make_log(sequences, table)
+    if invalid is not None:
+        raise invalid
+    return make_log(counts, table, frequencies=counts.values())
+
+
+def _root_children(data: bytes | str):
+    """Yield the document root's children in order, each once it is complete.
+
+    The parser is fed ``_CHUNK`` characters or bytes at a time.  Every child
+    but the last is complete once the parser has read past it, so after each
+    feed those children are yielded and deleted from the root; the rest are
+    yielded at the end.  Raises XesParseError on malformed XML, possibly
+    after yielding children that precede the fault.
+    """
+    parser = ET.XMLPullParser(("start",))
+    root = None
+    try:
+        for pos in range(0, len(data), _CHUNK):
+            parser.feed(data[pos:pos + _CHUNK])
+            # drained after every feed, or the queue would hold every element
+            for _event, elem in parser.read_events():
+                if root is None:
+                    root = elem
+            if root is not None:
+                n = len(root) - 1
+                yield from root[:n]
+                del root[:n]
+        parser.close()
+        for _event, elem in parser.read_events():
+            if root is None:
+                root = elem
+    except ET.ParseError as exc:
+        raise XesParseError("malformed XES document: %s" % exc) from exc
+    yield from root
 
 
 def write_xes(log: EventLog) -> str:

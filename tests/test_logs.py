@@ -1,8 +1,16 @@
+import random
+import tracemalloc
+import xml.etree.ElementTree as ET
+
 import pytest
 
+from logalign import logs
 from logalign.errors import XesParseError, XesValidationError
-from logalign.logs import LabelTable, Trace, parse_text_log, parse_xes, write_xes
+from logalign.logs import (LabelTable, Trace, make_log, parse_text_log, parse_xes,
+                           write_xes)
 from logalign.sampledata import LOAN_TRACES, loan_log
+
+from nets import parallel_tasks_net
 
 XES_LOAN = """<?xml version="1.0" encoding="UTF-8"?>
 <log xes.version="1.0">
@@ -115,3 +123,120 @@ def test_traces_and_logs_compare_hash_and_print_by_value():
     assert len(trace) == 2 and not Trace(())
     table = LabelTable()
     assert parse_xes(XES_LOAN, table) == parse_xes(XES_LOAN, table)
+
+
+def reference_parse_xes(data, table=None):
+    """The element-tree parser that ``parse_xes`` replaced, kept as its exact
+    reference: it builds the whole document tree, then reads the traces."""
+    table = table if table is not None else LabelTable()
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        raise XesParseError("malformed XES document: %s" % exc) from exc
+    sequences = []
+    trace_index = 0
+    for elem in root:
+        if logs._localname(elem.tag) != "trace":
+            continue
+        labels = []
+        for ev in elem:
+            if logs._localname(ev.tag) != "event":
+                continue
+            name = None
+            for attr in ev:
+                if attr.get("key") == "concept:name":
+                    name = attr.get("value")
+                    break
+            if name is None:
+                raise XesValidationError(
+                    "trace %d: event %d has no concept:name attribute" % (trace_index, len(labels))
+                )
+            labels.append(table.intern(name))
+        sequences.append(tuple(labels))
+        trace_index += 1
+    return make_log(sequences, table)
+
+
+def event(name):
+    return '<event><string key="concept:name" value="%s"/></event>' % name
+
+
+def test_malformed_tail_outranks_an_earlier_unnamed_event():
+    doc = ('<log><trace>%s</trace><trace><event><string key="other" value="A"/></event></trace>'
+           '<trace>%s</trace><trace>' % (event("A"), event("B")))
+    with pytest.raises(XesParseError, match="malformed XES document"):
+        parse_xes(doc)
+    with pytest.raises(XesValidationError, match="trace 1: event 0"):
+        parse_xes(doc + "</trace></log>")
+
+
+def test_malformed_tail_outranks_an_earlier_silent_label():
+    doc = '<log><trace>%s%s</trace><trace>%s</log>' % (event("A"), event(logs.TAU_TEXT), event("B"))
+    with pytest.raises(XesParseError, match="malformed XES document"):
+        parse_xes(doc)
+    with pytest.raises(XesValidationError, match="reserved"):
+        parse_xes(doc.replace("</log>", "</trace></log>"))
+
+
+# An XML declaration, a default namespace, log-level extension, global and
+# classifier children, a comment between traces, traces nested in a
+# container, and a label whose UTF-8 form is several bytes long.
+BOUNDARY_DOC = """<?xml version="1.0" encoding="UTF-8"?>
+<log xes.version="1.0" xmlns="http://www.xes-standard.org/">
+  <extension name="Concept" prefix="concept" uri="http://www.xes-standard.org/concept.xesext"/>
+  <global scope="event"><string key="concept:name" value="__INVALID__"/></global>
+  <classifier name="Activity" keys="concept:name"/>
+  <trace><string key="concept:name" value="case 1"/>
+    %(pruefung)s
+    <event><container key="meta"><string key="concept:name" value="nested"/></container>
+      <string key="concept:name" value="B"/></event>
+  </trace>
+  <!-- between traces -->
+  <container key="meta"><trace>%(hidden)s</trace></container>
+  <trace>%(pruefung)s%(a)s</trace>
+  <trace>%(pruefung)s</trace>
+  <trace>%(pruefung)s%(a)s</trace>
+</log>
+""" % {"pruefung": event("Prüfung ✓"), "hidden": event("hidden"), "a": event("A")}
+
+
+def parse_outcome(parse, data):
+    try:
+        log = parse(data)
+    except (XesParseError, XesValidationError) as exc:
+        return type(exc), str(exc)
+    return ([(log.texts(t), t.frequency) for t in log.traces],
+            [log.table.text(l) for l in range(len(log.table))],
+            log.total_traces, log.total_events)
+
+
+def test_streamed_parse_matches_the_tree_parse_at_every_chunk_size(monkeypatch):
+    unnamed = BOUNDARY_DOC.replace(event("A"), '<event><string key="other" value="A"/></event>', 1)
+    docs = [BOUNDARY_DOC, unnamed, BOUNDARY_DOC[:BOUNDARY_DOC.index("<!--") + 9]]
+    assert len("Prüfung ✓".encode()) > len("Prüfung ✓")  # chunk size 1 splits it
+    for doc in docs:
+        for data in (doc, doc.encode()):
+            expected = parse_outcome(reference_parse_xes, data)
+            for size in range(1, len(data) + 1):
+                monkeypatch.setattr(logs, "_CHUNK", size)
+                assert parse_outcome(parse_xes, data) == expected, (size, type(data))
+    assert parse_outcome(parse_xes, BOUNDARY_DOC)[0] == \
+        [(("Prüfung ✓",), 1), (("Prüfung ✓", "A"), 2), (("Prüfung ✓", "B"), 1)]
+
+
+def test_streamed_parse_holds_no_document_tree():
+    rng = random.Random(1)
+    net = parallel_tasks_net(["T%d" % i for i in range(14)])
+    visible = [t.label for t in net.transitions if t.label]
+    data = write_xes(make_log([rng.sample(visible, len(visible)) for _ in range(2000)],
+                              net.table)).encode()
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            parse(data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_xes) < peak(reference_parse_xes) / 4
