@@ -46,7 +46,17 @@ minimum as a scan of every entry:
   minimum unchanged.  A dominating entry has a total count at most y's, and
   a larger omega when the totals are equal, so one pass in
   (total, -|omega|) order, checking each entry against those kept so far,
-  drops every dominated entry.
+  drops every dominated entry; equal keys keep the order they are given in.
+- Dominance survives one more occurrence of a label in both entries and a
+  union of both omegas with one set.  So every undominated entry of a
+  component is the final entry or a successor's kept entry, bumped on the
+  step's label and unioned with the component's own repeatable labels.
+  These candidates are usually far fewer than the component's raw entries,
+  and the pass over them keeps the same entries.  They are fed to it in the
+  raw tuple's sorted order, so the kept order is the same too.  A
+  component whose candidates are not fewer than its raw entries (one raw
+  entry, as on every component of a net of parallel tasks) prunes the raw
+  entries instead.
 - Since surplus >= sum(c) - |F|, an entry of total count T costs at least
   T - |F|.  Entries are scanned by ascending T and the scan stops once
   T - |F| reaches the best estimate found.
@@ -63,7 +73,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Optional
+from typing import Optional, Sequence
 from weakref import ref
 
 from .reachability import ReachabilityGraph
@@ -74,6 +84,7 @@ Entry = tuple[tuple[tuple[int, int], ...], frozenset[int]]  # (sorted counts, re
 # (total count, repeatable, ((label, count, weight), ...)): weight 1 for a
 # repeatable label, 2 for any other
 ScanEntry = tuple[int, frozenset[int], tuple[tuple[int, int, int], ...]]
+KeptEntry = tuple[int, tuple[tuple[int, int], ...], frozenset[int]]  # (total count, counts, repeatable)
 
 
 class FutureLabelTable:
@@ -87,19 +98,21 @@ class FutureLabelTable:
 
     __slots__ = ("_rg", "entries", "classes", "n_classes", "_scan")
 
-    def __init__(self, rg: ReachabilityGraph, entries: tuple[tuple[Entry, ...], ...]):
+    def __init__(self, rg: ReachabilityGraph, entries: tuple[tuple[Entry, ...], ...],
+                 kept: Optional[tuple[tuple[KeptEntry, ...], ...]] = None):
         self._rg = ref(rg)
         self.entries = entries  # per marking id
         # markings of one component share their entry tuple: prune each tuple
-        # once and number the distinct tuples, by identity, as the classes
+        # once (or take its undominated entries from kept, per marking id)
+        # and number the distinct tuples, by identity, as the classes
         by_id: dict[int, int] = {}
         pruned: list[tuple[ScanEntry, ...]] = []
         classes = []
-        for own in entries:
+        for mid, own in enumerate(entries):
             cls = by_id.get(id(own))
             if cls is None:
                 cls = by_id[id(own)] = len(pruned)
-                pruned.append(_prune(own))
+                pruned.append(_scan_form(_prune(own) if kept is None else kept[mid]))
             classes.append(cls)
         self.classes = classes  # per marking id
         self.n_classes = len(pruned)
@@ -147,18 +160,27 @@ class FutureLabelTable:
         return best
 
 
-def _prune(entries: tuple[Entry, ...]) -> tuple[ScanEntry, ...]:
-    """The entries no other entry dominates, by ascending total count, in
-    scan form."""
-    order = sorted(((sum(c for _, c in counts), counts, omega) for counts, omega in entries),
-                   key=lambda e: (e[0], -len(e[2])))
+def _prune(entries: Sequence[Entry]) -> tuple[KeptEntry, ...]:
+    """The entries no other entry dominates, by ascending total count, as
+    (total, counts, repeatable)."""
+    # by total count, then larger omega first, then as given
+    order = sorted((sum(c for _, c in entry[0]), -len(entry[1]), i)
+                   for i, entry in enumerate(entries))
     kept: list[tuple[int, dict[int, int], frozenset[int]]] = []
-    for total, counts, omega in order:
+    out: list[KeptEntry] = []
+    for total, _, i in order:
+        counts, omega = entries[i]
         cdict = dict(counts)
-        if not any(_dominates(x, cdict, omega) for x in kept):
+        if not kept or not any(_dominates(x, cdict, omega) for x in kept):
             kept.append((total, cdict, omega))
-    return tuple((total, omega, tuple((l, c, 1 if l in omega else 2) for l, c in cdict.items()))
-                 for total, cdict, omega in kept)
+            out.append((total, counts, omega))
+    return tuple(out)
+
+
+def _scan_form(kept: tuple[KeptEntry, ...]) -> tuple[ScanEntry, ...]:
+    """Pruned entries in the form ``h`` scans."""
+    return tuple((total, omega, tuple((l, c, 1 if l in omega else 2) for l, c in counts))
+                 for total, counts, omega in kept)
 
 
 def _dominates(x: tuple[int, dict[int, int], frozenset[int]], cdict: dict[int, int],
@@ -188,13 +210,13 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     n = len(rg.markings)
     comp = _tarjan(n, rg)
     ncomp = max(comp) + 1 if n else 0
-    members: list[list[int]] = [[] for _ in range(ncomp)]
-    for mid in range(n):
-        members[comp[mid]].append(mid)
+    sizes = [0] * ncomp
+    for c in comp:
+        sizes[c] += 1
 
     internal: list[set[int]] = [set() for _ in range(ncomp)]
     crossing: list[list] = [[] for _ in range(ncomp)]
-    nontrivial = [len(m) > 1 for m in members]
+    nontrivial = [size > 1 for size in sizes]
     for a in rg.arcs:
         c = comp[a.src]
         if comp[a.tgt] == c:
@@ -205,6 +227,7 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
 
     # one tuple for every capped component, so they all share one class
     degenerate: tuple[Entry, ...] = (((), frozenset(a.label for a in rg.arcs)),)
+    degenerate_kept: tuple[KeptEntry, ...] = ((0,) + degenerate[0],)  # its one entry
     has_final = [False] * ncomp
     for f in rg.finals:
         has_final[comp[f]] = True
@@ -219,6 +242,7 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     # Tarjan emits components in reverse topological order, so successors of
     # a component are always finished before it
     futures: list[tuple[Entry, ...]] = [()] * ncomp
+    kept: list[tuple[KeptEntry, ...]] = [()] * ncomp  # each component's undominated entries
     for c in range(ncomp):
         omega_base = frozenset(internal[c]) if nontrivial[c] else frozenset()
         unions: dict[frozenset[int], frozenset[int]] = {}
@@ -244,13 +268,28 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
                 break
         if len(acc) > entry_cap:
             futures[c] = degenerate  # no counts, every label repeatable: still optimistic
+            kept[c] = degenerate_kept
         else:
-            futures[c] = tuple(sorted(acc))
+            pool = futures[c] = tuple(sorted(acc))
+            # every undominated entry is the final entry or a successor's kept
+            # entry bumped on the step's label: prune those when they are
+            # fewer (each successor keeps at least one, so check that first)
+            if (has_final[c] + len(steps[c]) < len(pool)
+                    and has_final[c] + sum(len(kept[succ]) for succ, _ in steps[c]) < len(pool)):
+                cand = {((), omega_base)} if has_final[c] else set()
+                for succ, label in steps[c]:
+                    for _, counts, omega in kept[succ]:
+                        merged = unions.get(omega)
+                        if merged is None:
+                            merged = unions[omega] = omega | omega_base
+                        cand.add((_bump(counts, label), merged))
+                pool = [e for e in pool if e in cand]  # in the raw order, which ties keep
+            kept[c] = _prune(pool)
         for step in steps[c]:
             takers[step] -= 1
             if not takers[step]:
                 shared.pop(step, None)  # absent unless an earlier taker built it
-    return FutureLabelTable(rg, tuple(futures[comp[mid]] for mid in range(n)))
+    return FutureLabelTable(rg, tuple([futures[c] for c in comp]), tuple([kept[c] for c in comp]))
 
 
 def _tarjan(n: int, rg: ReachabilityGraph) -> list[int]:

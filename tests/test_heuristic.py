@@ -1,11 +1,12 @@
 import random
 
+from logalign import heuristic
 from logalign.errors import LogAlignError
-from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _tarjan,
+from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _dominates, _tarjan,
                                 precompute_future_labels)
 from logalign.logs import LabelTable
 from logalign.petri import SystemNet
-from logalign.reachability import build_rg, remove_tau
+from logalign.reachability import Arc, ReachabilityGraph, build_rg, remove_tau
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
@@ -71,6 +72,31 @@ def reference_entries(rg, entry_cap):
                 acc[(tuple(sorted(merged.items())), omega | omega_base)] = True
         futures[c] = (((), all_labels),) if len(acc) > entry_cap else tuple(sorted(acc))
     return tuple(futures[comp[mid]] for mid in range(n))
+
+
+def reference_prune(entries):
+    """The entries no other entry dominates, by ascending total count, in
+    scan form: the pruning of every raw entry of a set that the precompute
+    replaced with its successors' kept entries."""
+    order = sorted(((sum(c for _, c in counts), counts, omega) for counts, omega in entries),
+                   key=lambda e: (e[0], -len(e[2])))
+    kept = []
+    for total, counts, omega in order:
+        cdict = dict(counts)
+        if not any(_dominates(x, cdict, omega) for x in kept):
+            kept.append((total, cdict, omega))
+    return tuple((total, omega, tuple((l, c, 1 if l in omega else 2) for l, c in cdict.items()))
+                 for total, cdict, omega in kept)
+
+
+def assert_scans_match_reference(table):
+    """Every class's scan tuple, order included, is the reference pruning of
+    its raw entry tuple."""
+    expected = {}
+    for mid, own in enumerate(table.entries):
+        if id(own) not in expected:
+            expected[id(own)] = reference_prune(own)
+        assert table._scan[mid] == expected[id(own)], mid
 
 
 def suffix_counts(trace):
@@ -291,7 +317,8 @@ def test_capped_components_share_one_class():
 
 def test_shared_bumped_lists_leave_entries_unchanged():
     # components that cross into one successor component on one label share
-    # its bumped entries; every cap still gives the reference entries
+    # its bumped entries; every cap still gives the reference entries, and
+    # the reference pruning of them
     sharing = 0
     for seed in range(60):
         net = random_workflow_net(seed, max_visible=10)
@@ -306,5 +333,125 @@ def test_shared_bumped_lists_leave_entries_unchanged():
                 takers.setdefault((comp[a.tgt], a.label), set()).add(comp[a.src])
         sharing += any(len(srcs) > 1 for srcs in takers.values())
         for cap in (1, 2, 8, 256):
-            assert precompute_future_labels(rg, cap).entries == reference_entries(rg, cap), (seed, cap)
+            table = precompute_future_labels(rg, cap)
+            assert table.entries == reference_entries(rg, cap), (seed, cap)
+            assert_scans_match_reference(table)
     assert sharing >= 20
+
+
+def record_prune_inputs(monkeypatch):
+    """The entry sequences the precompute prunes, in the order it prunes
+    them (the initial marking's component comes last): a component's raw
+    entry tuple itself, or a list of its candidates."""
+    inputs = []
+    prune = heuristic._prune
+
+    def recording(entries):
+        inputs.append(entries)
+        return prune(entries)
+
+    monkeypatch.setattr(heuristic, "_prune", recording)
+    return inputs
+
+
+def test_scans_equal_the_reference_pruning_of_the_raw_entries(monkeypatch):
+    inputs = record_prune_inputs(monkeypatch)
+    pruned = {}
+    # loan, and the nets of the mixed and loops benchmark workloads
+    for name, net in (("loan", loan_net()), ("mixed", random_workflow_net(12, max_visible=30)),
+                      ("loops", random_workflow_net(11, max_visible=30))):
+        rg = remove_tau(build_rg(net))
+        del inputs[:]
+        table = precompute_future_labels(rg)
+        assert_scans_match_reference(table)
+        raw = {id(own): len(own) for own in table.entries}
+        pruned[name] = (sum(map(len, inputs)), sum(raw.values()))
+        assert pruned[name][0] <= pruned[name][1]
+    # mixed's components prune their successors' kept entries, far fewer
+    # than their raw ones
+    assert pruned["mixed"][0] * 5 < pruned["mixed"][1]
+
+
+def test_scans_equal_the_reference_pruning_on_parallel_tasks(monkeypatch):
+    inputs = record_prune_inputs(monkeypatch)
+    rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(8)])))
+    table = precompute_future_labels(rg)
+    assert_scans_match_reference(table)
+    # one raw entry per component, so every component prunes its raw entries
+    assert all(len(own) == 1 for own in table.entries)
+    assert {id(own) for own in inputs} == {id(own) for own in table.entries}
+
+
+def arc_graph(n, arcs, finals):
+    """A tau-free graph of n markings given by (src, label, tgt) arcs."""
+    net = sequence_net(["A", "B"])
+    return ReachabilityGraph(net, tuple(range(n)), 0, frozenset(finals),
+                             tuple(Arc(src, label, (), tgt) for src, label, tgt in arcs),
+                             reduced=True)
+
+
+def test_a_capped_successors_degenerate_entry_is_bumped(monkeypatch):
+    inputs = record_prune_inputs(monkeypatch)
+    # 1 chooses among four labels to the final 2, past a cap of 3; 3 reaches
+    # 2 on label 5, or the final loop 4 on label 5, which dominates
+    rg = arc_graph(5, [(0, 6, 1), (0, 7, 3),
+                       (1, 1, 2), (1, 2, 2), (1, 3, 2), (1, 4, 2),
+                       (3, 5, 2), (3, 5, 4), (4, 5, 4)], [2, 4])
+    table = precompute_future_labels(rg, entry_cap=3)
+    everything = frozenset(range(1, 8))
+    assert table.entries[1] == (((), everything),)
+    assert (((6, 1),), everything) in table.entries[0]
+    assert len(table.entries[0]) == 3
+    assert len(inputs[-1]) == 2  # the bumped degenerate entry and 3's kept one
+    assert_scans_match_reference(table)
+    assert table.entries == reference_entries(rg, 3)
+
+
+def test_kept_entries_with_equal_counts_keep_the_raw_order(monkeypatch):
+    inputs = record_prune_inputs(monkeypatch)
+    # 1 reaches the final loops 3 (on 3) and 2 (on 2) and the plain final 4,
+    # all on label 1: ({1: 1}, {2}) and ({1: 1}, {3}) are kept and tie, and
+    # both dominate ({1: 1}, {}); 0 reaches 1 on label 4.  The tie keeps the
+    # raw tuple's order, which follows the arcs' order both ways round.
+    loops = [(1, 1, 3), (1, 1, 2)]
+    for arcs in (loops, loops[::-1]):
+        rg = arc_graph(5, [(0, 4, 1)] + arcs + [(1, 1, 4), (2, 2, 2), (3, 3, 3)], [2, 3, 4])
+        del inputs[:]
+        table = precompute_future_labels(rg)
+        kept = [omega for _, omega, _ in table._scan[0]]
+        assert kept == [frozenset({tgt}) for _, _, tgt in arcs]
+        assert kept == [omega for _, omega in table.entries[0] if omega]  # the raw order
+        assert len(table.entries[0]) == 3 and len(inputs[-1]) == 2
+        assert_scans_match_reference(table)
+
+
+def test_a_final_component_with_repeatable_labels_is_a_candidate(monkeypatch):
+    inputs = record_prune_inputs(monkeypatch)
+    # the final loop 0 on label 5 leaves on 6 to 1, which reaches the plain
+    # final 2 or the final loop 3 on label 7
+    rg = arc_graph(4, [(0, 5, 0), (0, 6, 1), (1, 7, 2), (1, 7, 3), (3, 7, 3)], [0, 2, 3])
+    table = precompute_future_labels(rg)
+    assert ((), frozenset({5})) in table.entries[0]
+    assert len(table.entries[0]) == 3 and len(inputs[-1]) == 2
+    assert table._scan[0][0] == (0, frozenset({5}), ())
+    assert_scans_match_reference(table)
+
+
+def test_a_component_without_fewer_candidates_prunes_its_raw_entries(monkeypatch):
+    inputs = record_prune_inputs(monkeypatch)
+    # 0 reaches the plain finals 1 and 2 on label 1 and the final loop 3 on
+    # label 1: three candidates for two raw entries, one dominated
+    rg = arc_graph(4, [(0, 1, 1), (0, 1, 2), (0, 1, 3), (3, 2, 3)], [1, 2, 3])
+    table = precompute_future_labels(rg)
+    assert len(table.entries[0]) == 2
+    assert inputs[-1] is table.entries[0]
+    assert len(table._scan[0]) == 1
+    assert_scans_match_reference(table)
+    # 0 reaches 1 on label 9, which reaches the final 2 on label 1 or 2:
+    # two candidates for two raw entries
+    del inputs[:]
+    rg = arc_graph(3, [(0, 9, 1), (1, 1, 2), (1, 2, 2)], [2])
+    table = precompute_future_labels(rg)
+    assert len(table.entries[0]) == len(table.entries[1]) == 2
+    assert inputs[-1] is table.entries[0]
+    assert_scans_match_reference(table)
