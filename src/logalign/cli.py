@@ -16,6 +16,7 @@ import argparse
 import codecs
 import json
 import sys
+from itertools import islice
 
 from .errors import LogAlignError, OracleGuardError
 from .logs import LabelTable, parse_text_log, parse_xes
@@ -109,12 +110,11 @@ def _command(argv) -> int:
     )
     try:
         result = run_conformance(net, log, config)
-        text = json.dumps(result.report, indent=2, sort_keys=True)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                _write_report(result.report, fh)
         else:
-            print(text)
+            _write_report(result.report, sys.stdout)
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write(report_to_csv(result.report))
@@ -124,6 +124,16 @@ def _command(argv) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
     return result.exit_code
+
+
+def _write_report(report: dict, fh) -> None:
+    """Write ``report`` as indented JSON and a newline, a few thousand
+    encoder pieces at a time: ``json.dumps`` would first hold every piece of
+    a large report in one list, several times the size of its text."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    while text := "".join(islice(pieces, 4096)):
+        fh.write(text)
+    fh.write("\n")
 
 
 def _run_oracle(net, log) -> int:

@@ -9,31 +9,36 @@ a raw visible arc's is empty.  In extended mode every rewritten arc keeps
 the trails it absorbed (its tau trail), which the recomposition stage uses
 to detect hidden label conflicts; plain tau removal drops them.
 
-A graph holds its arcs in a compact form of plain ints: for each marking
-of the built graph, the transitions it fires and the markings they reach
-(``_Rows``).  Tau removal keeps those rows and records what it left of
-them: the surviving markings and the rewritten rows of the markings whose
-arcs it changed.  A surviving row's arcs all lead to surviving rows.
-``size()`` and ``min_visible_skips()`` read this form.  The ``Arc`` objects, ``arcs``
-and the ``out`` rows (``out[m]`` holds the arcs of ``arcs`` that leave
-marking ``m``, in ``arcs`` order), are built once, when a search or a dot
-file first reads them, so a graph that is only compared by size never
-builds them.
+A graph holds its arcs in a compact form (``_Rows``): the transitions fired
+and the markings reached by all arcs, in flat sequences row after row, with
+one offset per marking where its row starts (compressed sparse rows).  Tau
+removal shares those sequences with the graph it reduces and records what
+it left of them: the surviving markings, and apart from the shared rows the
+rewritten rows of the markings whose arcs it changed.  A surviving row's
+arcs all lead to surviving rows.  ``size()`` and ``min_visible_skips()``
+read this form.  The ``Arc`` objects, ``arcs`` and the ``out`` rows
+(``out[m]`` holds the arcs of ``arcs`` that leave marking ``m``, in
+``arcs`` order), are built once, when a search or a dot file first reads
+them, so a graph that is only compared by size never builds them.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import chain
-from typing import NamedTuple, Optional
+from itertools import accumulate, chain, compress, islice
+from operator import sub
+from typing import Collection, NamedTuple, Optional
 
 from .errors import Not1BoundedError, StateSpaceCapError, TauReductionError
 from .logs import TAU
 from .petri import SystemNet
 
 DEFAULT_MARKING_CAP = 5_000_000
+_BATCH = 4096  # kinds build_rg gathers in a list before moving them into its array
 
 
 class Arc(NamedTuple):
@@ -44,58 +49,94 @@ class Arc(NamedTuple):
 
 
 class _Rows:
-    """A graph's arcs as plain ints.
+    """A graph's arcs in flat sequences, one offset per row (CSR).
 
-    ``kind[u]`` and ``tgt[u]`` hold the arcs of row ``u``: each arc's kind,
-    an index into ``labels`` and ``trails`` (the kinds of a built graph are
-    its net's transitions), and its target row.  Rows that tau removal
-    rewrote also record what it left: ``keep`` lists the surviving rows in
-    the graph's marking order and ``remap`` gives each row's marking id (-1
-    once removed).  A surviving row's arcs all lead to surviving rows.
+    Row ``u`` holds the arcs ``start[u]:start[u + 1]`` of ``kind`` and
+    ``tgt``: each arc's kind, an index into ``labels`` and ``trails`` (the
+    kinds of a built graph are its net's transitions), and its target row.
+    ``start`` and ``kind`` are ``array('i')``, 4 bytes an item.  ``tgt`` is
+    a list: its items are read without making an int object per read, and
+    all arcs into a row share one int object, 8 bytes an arc in all.
+    ``index``, kept by ``build_rg`` only, maps each marking to its row, so
+    that tau removal reads a row's raw in-arcs off the net.
+
+    Tau removal shares ``start``, ``kind`` and ``tgt`` with the graph it
+    reduces, which it leaves unchanged, and records what it left of them:
+    ``keep`` lists the surviving rows in the graph's marking order,
+    ``remap`` gives each row's marking id (-1 once removed), and ``moved``
+    maps each surviving row it rewrote to that row's own ``(kind, tgt)``
+    pair of lists, read instead of the shared slices.  A surviving row's
+    arcs all lead to surviving rows, so no read needs to filter them.
+    ``arc_count`` counts the arcs of the surviving rows.
     """
 
-    __slots__ = ("labels", "trails", "kind", "tgt", "keep", "remap")
+    __slots__ = ("labels", "trails", "start", "kind", "tgt", "keep", "remap", "moved",
+                 "arc_count", "index")
 
-    def __init__(self, labels: list[int], trails: list[tuple[int, ...]], kind: list[list[int]],
-                 tgt: list[list[int]], keep: Optional[list[int]] = None,
-                 remap: Optional[list[int]] = None):
+    def __init__(self, labels: list[int], trails: list[tuple[int, ...]], start: array,
+                 kind: array, tgt: list[int], keep: Optional[array] = None,
+                 remap: Optional[array] = None, moved: Optional[dict] = None,
+                 arc_count: Optional[int] = None, index: Optional[dict[int, int]] = None):
         self.labels = labels
         self.trails = trails
+        self.start = start
         self.kind = kind
         self.tgt = tgt
         self.keep = keep  # None: rows not rewritten, one per marking
         self.remap = remap
+        self.moved = {} if moved is None else moved
+        self.arc_count = len(tgt) if arc_count is None else arc_count
+        self.index = index
 
     @classmethod
     def of_out(cls, out) -> _Rows:
         """The rows of ``Arc`` rows, with one kind per (label, trail) pair."""
         kinds: dict = {}
-        kind = [[kinds.setdefault((a.label, a.trail), len(kinds)) for a in row] for row in out]
-        return cls([label for label, _ in kinds], [trail for _, trail in kinds], kind,
-                   [[a.tgt for a in row] for row in out])
+        kind = array("i", [kinds.setdefault((a.label, a.trail), len(kinds))
+                           for row in out for a in row])
+        return cls([label for label, _ in kinds], [trail for _, trail in kinds],
+                   array("i", accumulate(map(len, out), initial=0)), kind,
+                   [a.tgt for row in out for a in row])
 
-    def arc_count(self) -> int:
-        rows = self.tgt if self.keep is None else [self.tgt[u] for u in self.keep]
-        return sum(map(len, rows))
+    def row(self, u: int) -> tuple:
+        """The kinds and the targets of row ``u``."""
+        moved = self.moved.get(u)
+        if moved is not None:
+            return moved
+        lo, hi = self.start[u], self.start[u + 1]
+        return self.kind[lo:hi], self.tgt[lo:hi]
+
+    def renumbered(self) -> _Rows:
+        """The surviving rows as the rows of a graph of their own, numbered
+        by marking id."""
+        kind, tgt, start = array("i"), [], array("i", [0])
+        ids = self.remap.tolist()
+        for u in self.keep:
+            ks, vs = self.row(u)
+            kind.extend(ks)
+            tgt += [ids[v] for v in vs]
+            start.append(len(tgt))
+        return _Rows(self.labels, self.trails, start, kind, tgt)
 
     def distance(self, m0: int, finals: frozenset[int]) -> int:
         """Arc length of the shortest path from marking ``m0`` to one of ``finals``."""
-        start, goals = m0, finals
+        first, goals = m0, finals
         if self.keep is not None:
-            start, goals = self.keep[m0], {self.keep[f] for f in finals}
-        if start in goals:
+            first, goals = self.keep[m0], {self.keep[f] for f in finals}
+        if first in goals:
             return 0
-        tgt = self.tgt
+        tgt, moved = self.tgt, self.moved
+        start = self.start.tolist()  # two reads a row, without making an int per read
         # breadth-first, one level at a time
-        seen = bytearray(len(tgt))
-        seen[start] = 1
-        level = [start]
+        seen = bytearray(len(start) - 1)
+        seen[first] = 1
+        level = [first]
         d = 0
         while level:
             d += 1
             reached = []
             for u in level:
-                for v in tgt[u]:
+                for v in moved[u][1] if u in moved else tgt[start[u]:start[u + 1]]:
                     if not seen[v]:
                         if v in goals:
                             return d
@@ -107,17 +148,22 @@ class _Rows:
     def out(self, rank: dict[int, int]) -> tuple[tuple[Arc, ...], ...]:
         """The ``Arc`` rows: in row order, or, for rewritten rows, each
         marking's arcs in (label rank, trail, target) order."""
-        labels, trails, kind, tgt = self.labels, self.trails, self.kind, self.tgt
+        labels, trails = self.labels, self.trails
         new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
-        if self.keep is None:
-            return tuple([tuple([new(Arc, (u, labels[k], trails[k], v)) for k, v in zip(ks, vs)])
-                          for u, (ks, vs) in enumerate(zip(kind, tgt))])
-        remap = self.remap
         rows = []
-        for src, u in enumerate(self.keep):
-            items = [(rank[labels[k]], trails[k], v, labels[k]) for k, v in zip(kind[u], tgt[u])]
+        if self.keep is None:
+            for u in range(len(self.start) - 1):
+                ks, vs = self.row(u)
+                rows.append(tuple([new(Arc, (u, labels[k], trails[k], v))
+                                   for k, v in zip(ks, vs)]))
+            return tuple(rows)
+        ids = self.remap.tolist()  # one int object per marking id
+        for u in self.keep:
+            ks, vs = self.row(u)
+            src = ids[u]
+            items = [(rank[labels[k]], trails[k], v, labels[k]) for k, v in zip(ks, vs)]
             items.sort()
-            rows.append(tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items]))
+            rows.append(tuple([new(Arc, (src, l, tr, ids[t])) for _, tr, t, l in items]))
         return tuple(rows)
 
 
@@ -161,7 +207,7 @@ class ReachabilityGraph:
         return tuple(chain.from_iterable(self.out))
 
     def size(self) -> int:
-        return len(self.markings) + self._rows.arc_count()
+        return len(self.markings) + self._rows.arc_count
 
     def marking_name(self, mid: int) -> str:
         return self.net.marking_name(self.markings[mid])
@@ -211,12 +257,10 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
     firing = [(t, pre, ~pre, post) for t, (pre, post) in enumerate(zip(net.pre, net.post))]
     index = {net.m0: 0}
     markings = [net.m0]
-    kind: list[list[int]] = []  # per marking: the transitions it fires
-    tgt: list[list[int]] = []  # per marking: the markings they reach
+    kind, tgt, start = array("i"), [], array("i", [0])
+    ks: list[int] = []  # transitions fired since the last move into ``kind``
     # breadth-first: markings are expanded in id order while the list grows
     for m in markings:
-        ts: list[int] = []
-        vs: list[int] = []
         for t, pre, keep, post in firing:
             if (m & pre) != pre:
                 continue
@@ -233,16 +277,19 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                     raise StateSpaceCapError("marking cap %d exceeded" % cap)
                 index[m2] = tid
                 markings.append(m2)
-            ts.append(t)
-            vs.append(tid)
-        kind.append(ts)
-        tgt.append(vs)
+            ks.append(t)  # a list append is cheaper than an array's
+            tgt.append(tid)
+        if len(ks) >= _BATCH:
+            kind.fromlist(ks)
+            ks.clear()
+        start.append(len(tgt))
+    kind.fromlist(ks)
     finals = frozenset(index[f] for f in net.finals if f in index)
     labels = [tr.label for tr in net.transitions]
     # a silent arc's trail is its own transition
     trails = [(t,) if label == TAU else () for t, label in enumerate(labels)]
     return ReachabilityGraph(net, tuple(markings), 0, finals,
-                             rows=_Rows(labels, trails, kind, tgt))
+                             rows=_Rows(labels, trails, start, kind, tgt, index=index))
 
 
 def remove_tau(rg: ReachabilityGraph) -> ReachabilityGraph:
@@ -263,56 +310,104 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     added or removed, made hot just before that change.  Every other marking
     is "cold": its arcs are exactly its raw arcs.  Phases, orders and
     tie-breaks are those of a rewrite with arc sets for every marking, so
-    the result is the same graph.  The raw graph's predecessor rows are
-    derived here from its rows; no graph carries them.  The result keeps
-    the raw rows, with each surviving hot marking's arc set written as its
-    row.
+    the result is the same graph.  A built graph's raw in-arcs are read off
+    its net through its ``index``; another graph's are chained here from its
+    rows.  The result shares the raw rows' flat sequences, leaving them
+    unchanged, and holds each surviving hot marking's arc set as a row of
+    its own.
     """
     net = rg.net
     rows = rg._rows
-    if rows.keep is not None:  # a rewritten graph is rewritten again from its own arcs
-        rows = _Rows.of_out(rg.out)
-    labels, kind, tgt = rows.labels, rows.kind, rows.tgt
+    if rows.keep is not None:  # a rewritten graph is rewritten again from its own rows
+        rows = rows.renumbered()
+    labels, start, kind, tgt = rows.labels, rows.start, rows.kind, rows.tgt
     # plain removal drops the silent transitions' trails
     trails = [tr if extended or label != TAU else () for label, tr in zip(labels, rows.trails)]
-    n = len(tgt)
-    srcs: list[list[int]] = [[] for _ in range(n)]  # each raw arc's source, by target
-    for u, vs in enumerate(tgt):
-        for v in vs:
-            srcs[v].append(u)
+    n = len(start) - 1
     m0 = rg.m0
     finals = set(rg.finals)
+    hot = set(finals)
+    silent = [k for k, label in enumerate(labels) if label == TAU]
+    # the silent arcs: a C scan of ``kind`` reads an arc about four times as
+    # fast as a Python loop, so up to four silent kinds are scanned for apart
+    if len(silent) <= 4:
+        found = [i for k in silent for i in _positions(kind, k)]
+    else:
+        silent = set(silent)
+        found = [i for i, k in enumerate(kind) if k in silent]
+    for i in found:  # each silent arc's source and target
+        hot.add(bisect_right(start, i) - 1)
+        hot.add(tgt[i])
 
     def raw_out(u):
-        return [(u, labels[k], trails[k], v) for k, v in zip(kind[u], tgt[u])]
+        lo, hi = start[u], start[u + 1]
+        return [(u, labels[k], trails[k], v) for k, v in zip(kind[lo:hi], tgt[lo:hi])]
 
-    def raw_inn(v):
-        return [(u, labels[k], trails[k], v) for u in dict.fromkeys(srcs[v])
-                for k, w in zip(kind[u], tgt[u]) if w == v]
+    if rows.index is not None:
+        # a built graph reads a marking's raw in-arcs off its net: each
+        # transition that can fire into the marking, from the marking it
+        # fires in when that one is reachable; every marking but m0 was
+        # reached by an arc
+        markings, index = rg.markings, rows.index
+        producers: dict = {}  # transitions by the lowest place they mark (0: none)
+        for t, (pre, post) in enumerate(zip(net.pre, net.post)):
+            producers.setdefault(post & -post, []).append((t, pre, post, ~post))
+        no_raw_in: Collection[int] = ()
 
-    hot = set(finals)
-    silent = {k for k, label in enumerate(labels) if label == TAU}
-    for u, ks in enumerate(kind):
-        if not silent.isdisjoint(ks):
-            for k, v in zip(ks, tgt[u]):
-                if k in silent:
-                    hot.add(u)
-                    hot.add(v)
+        def raw_inn(v):
+            m = markings[v]
+            arcs = []
+            bits = m
+            while True:  # each marked place, then the transitions that mark none
+                low = bits & -bits
+                for t, pre, post, unpost in producers.get(low, ()):
+                    if m & post == post:
+                        rest = m & unpost
+                        if not rest & pre:
+                            u = index.get(rest | pre)
+                            if u is not None:
+                                arcs.append((u, labels[t], trails[t], v))
+                if not bits:
+                    return arcs
+                bits ^= low
+    else:
+        # each marking's raw in-arcs as a chain of arc indices: the last one,
+        # then from each arc the one before it into the same marking (-1 ends
+        # a chain)
+        first_in = [-1] * n
+        next_in = array("i", [-1]) * len(tgt)
+        for i, v in enumerate(tgt):
+            next_in[i] = first_in[v]
+            first_in[v] = i
+        no_raw_in = set(_positions(first_in, -1))
+
+        def raw_inn(v):
+            arcs = []
+            i = first_in[v]
+            while i >= 0:
+                k = kind[i]
+                arcs.append((bisect_right(start, i) - 1, labels[k], trails[k], v))
+                i = next_in[i]
+            return arcs
+
     if _shares_a_visible_label(net):
         # a cold row is emitted raw, so it must hold no two raw arcs that are
         # equal in working form (a net without shared visible labels has no
         # such arcs in its built or its reduced graph)
         for u in range(n):
-            if len(set(raw_out(u))) < len(kind[u]):
+            if len(set(raw_out(u))) < start[u + 1] - start[u]:
                 hot.add(u)
 
-    alive = [True] * n
+    alive = bytearray(b"\x01") * n
+    dead: list[int] = []  # the removed markings
     out: list = [None] * n  # arc sets of hot markings, None while cold
     inn: list = [None] * n
-    touched = list(range(n))  # markings prune() must look at
+    promoted: list[int] = []  # the hot markings
+    touched: list[int] = []  # markings prune() must look at
 
     def promote(u):
         if out[u] is None:
+            promoted.append(u)
             out[u] = set(raw_out(u))
             inn[u] = set(raw_inn(u))
 
@@ -332,7 +427,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         touched.append(v)
 
     def kill(u):
-        alive[u] = False
+        alive[u] = 0
+        dead.append(u)
         promote(u)
         for a in list(out[u]) + list(inn[u]):
             discard(a)
@@ -345,7 +441,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             if not alive[u]:
                 continue
             if out[u] is None:
-                no_in, no_out = not srcs[u], not kind[u]
+                no_in, no_out = u in no_raw_in, start[u] == start[u + 1]
             else:
                 no_in, no_out = not inn[u], not out[u]
             if (no_in and u != m0) or (no_out and u not in finals):
@@ -384,6 +480,10 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             for new in additions:
                 add(new)
 
+    # a cold marking with raw arcs in and out stays, so the first prune looks
+    # only at the hot markings and at the cold ones without raw in- or out-arcs
+    lengths = list(map(sub, islice(start, 1, None), start))  # each row's raw arc count
+    touched.extend(chain(promoted, no_raw_in, _positions(lengths, 0)))
     prune()
 
     # backwards replacement: remaining tau arcs all target final markings;
@@ -440,7 +540,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
                 add((a[0], a[1], a[2], rep))
             for a in list(out[s]):
                 discard(a)
-            alive[s] = False
+            alive[s] = 0
+            dead.append(s)
             is_candidate.discard(s)
             group.discard(s)
             del sig[s]
@@ -468,25 +569,41 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     if not live_finals:
         raise TauReductionError("no final marking survives reduction")
 
-    keep = [u for u in range(n) if alive[u]]
-    remap = [-1] * n
-    for mid, u in enumerate(keep):
-        remap[u] = mid
-    # a hot marking's arc set becomes its row, with kinds numbered after the
-    # raw ones; a cold marking keeps its raw row, which has no silent arc and
-    # no arc into a removed marking
-    kind, tgt = list(kind), list(tgt)  # the raw graph keeps its own rows
+    keep = array("i", compress(range(n), alive))
+    remap = array("i", accumulate(alive, initial=0))  # the live rows before each row
+    remap.pop()
+    for u in dead:
+        remap[u] = -1
+    # a surviving hot marking's arc set becomes its own row, with kinds
+    # numbered after the raw ones; a cold marking keeps its raw row, which
+    # has no silent arc and no arc into a removed marking
     extra: dict = {}  # (label, trail) -> kind
-    for u in keep:
-        if out[u] is not None:
+    moved = {}
+    arc_count = len(tgt) - sum(start[u + 1] - start[u] for u in dead)
+    for u in sorted(promoted):
+        if alive[u]:
             arcs = list(out[u])
             assert all(a[1] != TAU for a in arcs)
-            kind[u] = [extra.setdefault(a[1:3], len(labels) + len(extra)) for a in arcs]
-            tgt[u] = [a[3] for a in arcs]
+            moved[u] = ([extra.setdefault(a[1:3], len(labels) + len(extra)) for a in arcs],
+                        [a[3] for a in arcs])
+            arc_count += len(arcs) - (start[u + 1] - start[u])
     rows = _Rows(labels + [label for label, _ in extra],
-                 rows.trails + [trail for _, trail in extra], kind, tgt, keep, remap)
-    return ReachabilityGraph(net, tuple([rg.markings[u] for u in keep]), remap[m0],
+                 rows.trails + [trail for _, trail in extra], start, kind, tgt,
+                 keep, remap, moved, arc_count)
+    return ReachabilityGraph(net, tuple(compress(rg.markings, alive)), remap[m0],
                              frozenset(remap[f] for f in live_finals), reduced=True, rows=rows)
+
+
+def _positions(seq: array, x: int):
+    """The indices at which ``x`` occurs in ``seq``, found by the sequence's
+    own scan."""
+    i = -1
+    while True:
+        try:
+            i = seq.index(x, i + 1)
+        except ValueError:
+            return
+        yield i
 
 
 def _shares_a_visible_label(net: SystemNet) -> bool:

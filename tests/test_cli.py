@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -99,6 +100,26 @@ def test_all_optimal_on_a_long_trace(tmp_path):
     (trace,) = json.loads(out.read_text())["traces"]
     assert trace["n_optimal"] >= 1
     assert trace["length"] == 600
+
+
+def test_report_text_is_the_json_dumps_text(tmp_path):
+    # the report is written a few thousand encoder pieces at a time: the
+    # stdout and the --out text of a run, and a report of many batches, read
+    # as json.dumps writes them
+    from logalign.cli import _write_report
+
+    args, out = check_args(tmp_path, "--emit-alignments")
+    assert run_cli(*args).returncode == 0
+    proc = run_cli("check", "--log", str(DATA / "loan.xes"), "--model", str(DATA / "loan.pnml"),
+                   "--emit-alignments")
+    assert proc.returncode == 0, proc.stderr
+    for text in (out.read_text(), proc.stdout):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    report = {"traces": [{"id": "t%d" % i, "cost": i / 7, "moves": [["A", None, i]] * 3}
+                         for i in range(800)], "error": None}
+    buf = io.StringIO()
+    _write_report(report, buf)
+    assert buf.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_check_csv_output(tmp_path):

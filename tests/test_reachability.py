@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -858,11 +859,27 @@ def counted_skips(rg):
 
 def assert_compact_form_matches_rows(rg, what):
     """``size()`` and ``min_visible_skips()`` answer before any ``Arc`` row
-    exists, with the values counted on the rows built afterwards, and a
-    reduced graph's kept rows lead only to kept rows."""
+    exists, with the values counted on the rows built afterwards.  The rows
+    keep their offset layout: offsets non-decreasing from 0 to the end of
+    the flat arrays, one row per marking (a reduced graph's kept rows, in
+    marking order), and kept rows that lead only to kept rows."""
     rows = rg._rows
-    if rows.keep is not None:
-        assert all(rows.remap[v] >= 0 for u in rows.keep for v in rows.tgt[u]), what
+    start = rows.start
+    assert start[0] == 0 and start[-1] == len(rows.kind) == len(rows.tgt), what
+    assert all(lo <= hi for lo, hi in zip(start, start[1:])), what
+    if rows.index is not None:  # a built graph's marking -> row dict
+        assert rows.index == {m: u for u, m in enumerate(rg.markings)}, what
+    if rows.keep is None:
+        assert len(start) == len(rg.markings) + 1 and not rows.moved, what
+    else:
+        assert rows.index is None, what
+        keep, remap = rows.keep, rows.remap
+        assert len(keep) == len(rg.markings) and len(remap) == len(start) - 1, what
+        assert [u for u in range(len(remap)) if remap[u] >= 0] == list(keep), what
+        assert all(remap[u] == mid for mid, u in enumerate(keep)), what
+        assert set(rows.moved) <= set(keep), what
+        assert all(len(ks) == len(vs) for ks, vs in rows.moved.values()), what
+        assert all(remap[v] >= 0 for u in keep for v in rows.row(u)[1]), what
     size, skips = rg.size(), outcome(rg.min_visible_skips)
     assert "out" not in vars(rg) and "arcs" not in vars(rg), what
     assert size == len(rg.markings) + sum(len(row) for row in rg.out) == \
@@ -892,22 +909,106 @@ def assert_lazy_rows_match_eager(net, what):
             assert getattr(got, name) == getattr(want, name), "%s: %s" % (label, name)
 
 
-def test_lazy_rows_match_the_eager_emission_on_hand_nets():
+def in_arc_nets():
+    """Nets whose built graphs test reading a marking's raw in-arcs off the
+    net: in the first, B's inputs p and q give the candidate predecessor
+    [p, q] of the reachable [p, r], although B does not fire into it (p is
+    still marked); in the second, a silent transition marks no place."""
+    refilled = SystemNet.build(
+        ["i", "a", "p", "q", "r", "o"],
+        [("tA", "A", ["i"], ["p", "q"]), ("tB", "B", ["p", "q"], ["r"]),
+         ("tC", "C", ["i"], ["a"]), ("tau", None, ["a"], ["p", "r"]),
+         ("tD", "D", ["r"], ["o"]), ("tE", "E", ["p", "r"], ["o"])], LabelTable())
+    sink = SystemNet.build(
+        ["i", "p", "q", "o"],
+        [("tA", "A", ["i"], ["p", "q"]), ("drop", None, ["q"], []),
+         ("tB", "B", ["p"], ["o"])], LabelTable())
+    return {"refilled input": refilled, "sink transition": sink}
+
+
+def hand_nets():
+    """The hand nets, the failing inputs and ``parallel_tasks_net`` k = 1..8."""
     nets = {"loan": loan_net(), "sequence": sequence_net(["A", "B", "C"]),
             "parallel merge": parallel_merge_net(),
             "skippable parallel": skippable_parallel_net(),
-            "shared label": shared_label_net(), "folding": folding_net(), **failing_nets()}
+            "shared label": shared_label_net(), "folding": folding_net(), **failing_nets(),
+            **in_arc_nets()}
     for k in range(1, 9):
         nets["parallel %d" % k] = parallel_tasks_net(["T%d" % i for i in range(k)])
-    for what, net in nets.items():
+    return nets
+
+
+def random_nets():
+    return {"seed %d, max_visible %d" % (seed, max_visible):
+            random_workflow_net(seed, max_visible=max_visible)
+            for seed in range(40) for max_visible in (5, 8)}
+
+
+def test_lazy_rows_match_the_eager_emission_on_hand_nets():
+    for what, net in hand_nets().items():
         assert_lazy_rows_match_eager(net, what)
 
 
 def test_lazy_rows_match_the_eager_emission_on_random_nets():
-    for seed in range(40):
-        for max_visible in (5, 8):
-            assert_lazy_rows_match_eager(random_workflow_net(seed, max_visible=max_visible),
-                                         "seed %d, max_visible %d" % (seed, max_visible))
+    for what, net in random_nets().items():
+        assert_lazy_rows_match_eager(net, what)
+
+
+def assert_reducing_twice_matches_eager(net, what):
+    """A reduced graph is reduced again from its compact rows, without
+    building its ``Arc`` rows, into the graph the eager reference makes of
+    those rows."""
+    if outcome(build_rg, net)[0] is None:
+        return
+    for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
+        label = "%s, extended=%s, reduced twice" % (what, extended)
+        inner = outcome(reduce, build_rg(net))[0]
+        if inner is None:
+            continue
+        twice = outcome(reduce, inner)
+        assert "out" not in vars(inner) and "arcs" not in vars(inner), label
+        if twice[0] is not None:
+            assert_compact_form_matches_rows(twice[0], label)
+        assert_same_outcome(twice, outcome(eager_reduce, inner, extended), label)
+
+
+def test_reducing_twice_reads_the_compact_rows_on_hand_nets():
+    for what, net in hand_nets().items():
+        assert_reducing_twice_matches_eager(net, what)
+
+
+def test_reducing_twice_reads_the_compact_rows_on_random_nets():
+    for what, net in random_nets().items():
+        assert_reducing_twice_matches_eager(net, what)
+
+
+def graph_view(rg):
+    """What a graph answers, read after everything else was done to it."""
+    return (rg.size(), outcome(rg.min_visible_skips), rg.out, rg.arcs, rg.markings,
+            rg.m0, rg.finals)
+
+
+def assert_reduction_leaves_its_input_alone(net, what):
+    """Tau removal shares the flat rows of the graph it reduces, and leaves
+    that graph as a freshly built one: the raw graph after both reductions,
+    and a reduced graph after it is reduced again both ways."""
+    raw = outcome(build_rg, net)[0]
+    if raw is None:
+        return
+    reduced = outcome(remove_tau, build_rg(net))[0]
+    for reduce in (remove_tau, remove_tau_extended):
+        outcome(reduce, raw)
+        if reduced is not None:
+            outcome(reduce, reduced)
+    assert graph_view(raw) == graph_view(build_rg(net)), what
+    if reduced is not None:
+        assert graph_view(reduced) == graph_view(remove_tau(build_rg(net))), what
+
+
+def test_reduction_leaves_its_input_alone():
+    nets = {**hand_nets(), **random_nets()}
+    for what, net in nets.items():
+        assert_reduction_leaves_its_input_alone(net, what)
 
 
 def test_a_graph_given_by_arcs_answers_from_its_rows():
@@ -1040,3 +1141,22 @@ def test_a_raw_silent_arc_carries_its_own_transition():
             silent += 1
         assert all(a.trail == () for a in remove_tau(raw).arcs), what
     assert silent > 100
+
+
+def test_graph_memory_per_arc():
+    # flat rows hold an arc in a few bytes: the reduced graph of 12 parallel
+    # tasks holds about 28 bytes per arc once its raw graph is dropped, and
+    # building and reducing it peaks at about 41 (per-marking row lists took
+    # 66 and 102)
+    net = parallel_tasks_net(["T%d" % i for i in range(12)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reduced = remove_tau(build_rg(net))
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arcs = reduced.size() - len(reduced.markings)
+    assert arcs == 12 * 2 ** 11
+    assert (live - base) / arcs < 36
+    assert (peak - base) / arcs < 64
