@@ -15,11 +15,13 @@ one offset per marking where its row starts (compressed sparse rows).  Tau
 removal shares those sequences with the graph it reduces and records what
 it left of them: the surviving markings, and apart from the shared rows the
 rewritten rows of the markings whose arcs it changed.  A surviving row's
-arcs all lead to surviving rows.  ``size()`` and ``min_visible_skips()``
-read this form.  The ``Arc`` objects, ``arcs`` and the ``out`` rows
-(``out[m]`` holds the arcs of ``arcs`` that leave marking ``m``, in
-``arcs`` order), are built once, when a search or a dot file first reads
-them, so a graph that is only compared by size never builds them.
+arcs all lead to surviving rows.  A reduction that rewrote most surviving
+rows shares nothing and keeps flat sequences of its own instead.
+``size()`` and ``min_visible_skips()`` read this form.  The ``Arc``
+objects, ``arcs`` and the ``out`` rows (``out[m]`` holds the arcs of
+``arcs`` that leave marking ``m``, in ``arcs`` order), are built once, when
+a search or a dot file first reads them, so a graph that is only compared
+by size never builds them.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class _Rows:
     maps each surviving row it rewrote to that row's own ``(kind, tgt)``
     pair of lists, read instead of the shared slices.  A surviving row's
     arcs all lead to surviving rows, so no read needs to filter them.
-    ``arc_count`` counts the arcs of the surviving rows.
+    ``arc_count`` counts the arcs of the surviving rows.  When it rewrote
+    most surviving rows, tau removal stores them ``renumbered`` instead:
+    sequences of its own, one row per marking, with no ``keep``.
     """
 
     __slots__ = ("labels", "trails", "start", "kind", "tgt", "keep", "remap", "moved",
@@ -145,25 +149,27 @@ class _Rows:
             level = reached
         raise TauReductionError("no final marking reachable from the initial marking")
 
-    def out(self, rank: dict[int, int]) -> tuple[tuple[Arc, ...], ...]:
-        """The ``Arc`` rows: in row order, or, for rewritten rows, each
-        marking's arcs in (label rank, trail, target) order."""
+    def out(self, rank: Optional[dict[int, int]]) -> tuple[tuple[Arc, ...], ...]:
+        """The ``Arc`` rows by marking id: each row's arcs in row order, or,
+        given the label ``rank``, in (label rank, trail, target) order."""
         labels, trails = self.labels, self.trails
         new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
-        rows = []
         if self.keep is None:
-            for u in range(len(self.start) - 1):
-                ks, vs = self.row(u)
-                rows.append(tuple([new(Arc, (u, labels[k], trails[k], v))
-                                   for k, v in zip(ks, vs)]))
-            return tuple(rows)
-        ids = self.remap.tolist()  # one int object per marking id
-        for u in self.keep:
+            kept, ids = range(len(self.start) - 1), None
+        else:
+            kept, ids = self.keep, self.remap.tolist()  # one int object per marking id
+        rows = []
+        for u in kept:
             ks, vs = self.row(u)
-            src = ids[u]
-            items = [(rank[labels[k]], trails[k], v, labels[k]) for k, v in zip(ks, vs)]
-            items.sort()
-            rows.append(tuple([new(Arc, (src, l, tr, ids[t])) for _, tr, t, l in items]))
+            if ids is not None:
+                u, vs = ids[u], [ids[v] for v in vs]
+            if rank is None:
+                row = [new(Arc, (u, labels[k], trails[k], v)) for k, v in zip(ks, vs)]
+            else:
+                items = [(rank[labels[k]], trails[k], v, labels[k]) for k, v in zip(ks, vs)]
+                items.sort()
+                row = [new(Arc, (u, l, tr, v)) for _, tr, v, l in items]
+            rows.append(tuple(row))
         return tuple(rows)
 
 
@@ -200,7 +206,8 @@ class ReachabilityGraph:
 
     @cached_property
     def out(self) -> tuple[tuple[Arc, ...], ...]:
-        return self._rows.out(self.net.table.rank())
+        # a reduced graph's rows are ordered here, a built graph's are kept
+        return self._rows.out(self.net.table.rank() if self.reduced else None)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -292,6 +299,33 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
                              rows=_Rows(labels, trails, start, kind, tgt, index=index))
 
 
+def _fired_into(net: SystemNet, index: dict[int, int]):
+    """The backward step of ``build_rg``'s firing rule: a function giving,
+    for a marking, each transition that fires into it with the row (in
+    ``index``) of the marking it fires in, when that marking is reachable."""
+    producers: dict = {}  # transitions by the lowest place they mark (0: none)
+    for t, (pre, post) in enumerate(zip(net.pre, net.post)):
+        producers.setdefault(post & -post, []).append((t, pre, post, ~post))
+
+    def fired_into(m):
+        found = []
+        bits = m
+        while True:  # each marked place, then the transitions that mark none
+            low = bits & -bits
+            for t, pre, post, unpost in producers.get(low, ()):
+                if m & post == post:
+                    rest = m & unpost  # the marking t fired in, less t's preset
+                    if not rest & pre:
+                        u = index.get(rest | pre)
+                        if u is not None:
+                            found.append((t, u))
+            if not bits:
+                return found
+            bits ^= low
+
+    return fired_into
+
+
 def remove_tau(rg: ReachabilityGraph) -> ReachabilityGraph:
     return _reduce(rg, extended=False)
 
@@ -314,7 +348,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     its net through its ``index``; another graph's are chained here from its
     rows.  The result shares the raw rows' flat sequences, leaving them
     unchanged, and holds each surviving hot marking's arc set as a row of
-    its own.
+    its own, or, when those are most of its rows, holds all its rows itself.
     """
     net = rg.net
     rows = rg._rows
@@ -327,15 +361,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     m0 = rg.m0
     finals = set(rg.finals)
     hot = set(finals)
-    silent = [k for k, label in enumerate(labels) if label == TAU]
-    # the silent arcs: a C scan of ``kind`` reads an arc about four times as
-    # fast as a Python loop, so up to four silent kinds are scanned for apart
-    if len(silent) <= 4:
-        found = [i for k in silent for i in _positions(kind, k)]
-    else:
-        silent = set(silent)
-        found = [i for i, k in enumerate(kind) if k in silent]
-    for i in found:  # each silent arc's source and target
+    silent = {k for k, label in enumerate(labels) if label == TAU}
+    for i in [i for i, k in enumerate(kind) if k in silent]:  # each silent arc's ends
         hot.add(bisect_right(start, i) - 1)
         hot.add(tgt[i])
 
@@ -344,32 +371,13 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         return [(u, labels[k], trails[k], v) for k, v in zip(kind[lo:hi], tgt[lo:hi])]
 
     if rows.index is not None:
-        # a built graph reads a marking's raw in-arcs off its net: each
-        # transition that can fire into the marking, from the marking it
-        # fires in when that one is reachable; every marking but m0 was
-        # reached by an arc
-        markings, index = rg.markings, rows.index
-        producers: dict = {}  # transitions by the lowest place they mark (0: none)
-        for t, (pre, post) in enumerate(zip(net.pre, net.post)):
-            producers.setdefault(post & -post, []).append((t, pre, post, ~post))
+        # a built graph reads a marking's raw in-arcs off its net; every
+        # marking but m0 was reached by an arc
+        fired_into, markings = _fired_into(net, rows.index), rg.markings
         no_raw_in: Collection[int] = ()
 
         def raw_inn(v):
-            m = markings[v]
-            arcs = []
-            bits = m
-            while True:  # each marked place, then the transitions that mark none
-                low = bits & -bits
-                for t, pre, post, unpost in producers.get(low, ()):
-                    if m & post == post:
-                        rest = m & unpost
-                        if not rest & pre:
-                            u = index.get(rest | pre)
-                            if u is not None:
-                                arcs.append((u, labels[t], trails[t], v))
-                if not bits:
-                    return arcs
-                bits ^= low
+            return [(u, labels[t], trails[t], v) for t, u in fired_into(markings[v])]
     else:
         # each marking's raw in-arcs as a chain of arc indices: the last one,
         # then from each arc the one before it into the same marking (-1 ends
@@ -412,15 +420,20 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             inn[u] = set(raw_inn(u))
 
     def add(a):
-        promote(a[0])
-        promote(a[3])
-        out[a[0]].add(a)
-        inn[a[3]].add(a)
+        u, v = a[0], a[3]
+        if out[u] is None:
+            promote(u)
+        if out[v] is None:
+            promote(v)
+        out[u].add(a)
+        inn[v].add(a)
 
     def discard(a):
         u, v = a[0], a[3]
-        promote(u)
-        promote(v)
+        if out[u] is None:
+            promote(u)
+        if out[v] is None:
+            promote(v)
         out[u].discard(a)
         inn[v].discard(a)
         touched.append(u)
@@ -590,6 +603,10 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     rows = _Rows(labels + [label for label, _ in extra],
                  rows.trails + [trail for _, trail in extra], start, kind, tgt,
                  keep, remap, moved, arc_count)
+    if 2 * len(moved) > len(keep):
+        # most surviving rows were rewritten, so the graph keeps rows of its
+        # own rather than the shared sequences
+        rows = rows.renumbered()
     return ReachabilityGraph(net, tuple(compress(rg.markings, alive)), remap[m0],
                              frozenset(remap[f] for f in live_finals), reduced=True, rows=rows)
 

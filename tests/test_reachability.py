@@ -1011,6 +1011,19 @@ def test_reduction_leaves_its_input_alone():
         assert_reduction_leaves_its_input_alone(net, what)
 
 
+def test_a_reduction_shares_the_raw_rows_unless_it_rewrote_most():
+    # tau removal rewrites 18 of the 256 surviving rows of 8 parallel tasks
+    # and shares the raw sequences; on loan it rewrites most rows and keeps
+    # sequences of its own
+    raw = build_rg(parallel_tasks_net(["T%d" % i for i in range(8)]))
+    shared = remove_tau(raw)._rows
+    assert shared.kind is raw._rows.kind and shared.tgt is raw._rows.tgt
+    assert len(shared.keep) == 256 and len(shared.moved) == 18
+    raw = build_rg(loan_net())
+    own = remove_tau(raw)._rows
+    assert own.keep is None and own.kind is not raw._rows.kind and own.tgt is not raw._rows.tgt
+
+
 def test_a_graph_given_by_arcs_answers_from_its_rows():
     rg = hand_graph(4, [(0, "A", 1), (1, "B", 3), (0, "C", 2), (2, None, 3)], {3})
     assert rg.size() == 4 + 4 and rg.min_visible_skips() == 2
