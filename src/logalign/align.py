@@ -112,13 +112,12 @@ class _Node:
     ``move`` is ``(op, arc)`` for a match or rhide and ``(OP_LHIDE, label)``
     for an lhide; ``moves()`` turns the path into ``Move`` objects.  ``key``
     is the node's own move key ``(op, label rank, target marking or -1,
-    trail)``, so ``chain()`` (the keys from the root) orders two nodes
-    lexicographically, a prefix first.  ``__lt__`` gives the same order
-    without building chains: two paths agree up to their lowest common
-    ancestor, so it brings both nodes to equal depth, walks up to that
-    ancestor and compares the keys of its two children on the paths.  When
-    one node is an ancestor of the other, the shorter path sorts first; when
-    the two child keys are equal, the full chains decide.
+    trail)``.  Two nodes order as their key sequences from the root do,
+    compared lexicographically.  The heap compares only two distinct nodes
+    of equal length (the parents of two entries of equal length), and on a
+    graph from tau removal a node's children have distinct keys, so
+    ``__lt__`` climbs both nodes to the children of their lowest common
+    ancestor and compares those two keys.
     """
 
     __slots__ = ("parent", "move", "key", "length")
@@ -129,29 +128,12 @@ class _Node:
         self.key = key
         self.length = 0 if parent is None else parent.length + 1
 
-    def chain(self):
-        keys = []
-        node = self
-        while node.parent is not None:
-            keys.append(node.key)
-            node = node.parent
-        keys.reverse()
-        return keys
-
     def __lt__(self, other):
         a, b = self, other
-        while a.length > b.length:
-            a = a.parent
-        while b.length > a.length:
-            b = b.parent
-        if a is b:
-            return self.length < other.length
         while a.parent is not b.parent:
             a = a.parent
             b = b.parent
-        if a.key != b.key:
-            return a.key < b.key
-        return self.chain() < other.chain()
+        return a.key < b.key
 
     def moves(self):
         out = []
@@ -238,12 +220,13 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     or -1, trail, arc or label, pos, mid, g)``; a ``_Node`` is made only when
     an entry settles its search state.  Entries that tie on the first four
     fields and share a parent compare by the rest of their move key; with
-    different parents (of equal length) they compare by the parents' chain
-    order, which is the order of their own chains: no two nodes share a
-    chain, as a state settles only at a strictly lower ``g``.  Search states
-    ``(pos, mid)`` are settled under ``pos * len(rg.markings) + mid``; their
-    estimates are cached under ``pos * n_classes + classes[mid]``, since
-    markings of one future-label class share every estimate.
+    different parents (of equal length) they compare by the parents' order
+    (``_Node``), which is the order of their own key sequences from the
+    root: no two nodes share one, as a state settles only at a strictly
+    lower ``g``.  Search states ``(pos, mid)`` are settled under
+    ``pos * len(rg.markings) + mid``; their estimates are cached under
+    ``pos * n_classes + classes[mid]``, since markings of one future-label
+    class share every estimate.
     """
     trace = tuple(trace)
     n = len(trace)

@@ -1,13 +1,16 @@
 """Reachability graphs of 1-bounded system nets and silent-arc removal.
 
 ``build_rg`` expands a net breadth-first into its marking graph.
-``remove_tau`` / ``remove_tau_extended`` rewrite the graph so that no arc
-carries the silent label while the visible trace language between the
-initial and final markings is preserved.  An arc's trail lists the silent
-transitions it stands for: a raw silent arc's trail is its own transition,
-a raw visible arc's is empty.  In extended mode every rewritten arc keeps
-the trails it absorbed (its tau trail), which the recomposition stage uses
-to detect hidden label conflicts; plain tau removal drops them.
+``remove_tau`` / ``remove_tau_extended`` rewrite a graph built by
+``build_rg``, and only such a graph, so that no arc carries the silent
+label while the visible trace language between the initial and final
+markings is preserved.  Nothing reduces a graph twice: a reduced graph,
+or one given by its arcs, raises ``ValueError``.  An arc's trail lists
+the silent transitions it stands for: a raw silent arc's trail is its own
+transition, a raw visible arc's is empty.  In extended mode every
+rewritten arc keeps the trails it absorbed (its tau trail), which the
+recomposition stage uses to detect hidden label conflicts; plain tau
+removal drops them.
 
 A graph holds its arcs in a compact form (``_Rows``): the transitions fired
 and the markings reached by all arcs, in flat sequences row after row, with
@@ -33,7 +36,7 @@ from collections import deque
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice
 from operator import sub
-from typing import Collection, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import Not1BoundedError, StateSpaceCapError, TauReductionError
 from .logs import TAU
@@ -60,7 +63,8 @@ class _Rows:
     a list: its items are read without making an int object per read, and
     all arcs into a row share one int object, 8 bytes an arc in all.
     ``index``, kept by ``build_rg`` only, maps each marking to its row, so
-    that tau removal reads a row's raw in-arcs off the net.
+    that tau removal reads a row's raw in-arcs off the net; tau removal
+    takes only rows that have it.
 
     Tau removal shares ``start``, ``kind`` and ``tgt`` with the graph it
     reduces, which it leaves unchanged, and records what it left of them:
@@ -336,7 +340,7 @@ def remove_tau_extended(rg: ReachabilityGraph) -> ReachabilityGraph:
 
 
 def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
-    """Rewrite ``rg`` without silent arcs.
+    """Rewrite ``rg``, a graph built by ``build_rg``, without silent arcs.
 
     The rewrite works on arcs ``(src, label, trail, tgt)``.  Only some
     markings get explicit arc sets ("hot" markings): the tau arcs' sources
@@ -344,16 +348,17 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     added or removed, made hot just before that change.  Every other marking
     is "cold": its arcs are exactly its raw arcs.  Phases, orders and
     tie-breaks are those of a rewrite with arc sets for every marking, so
-    the result is the same graph.  A built graph's raw in-arcs are read off
-    its net through its ``index``; another graph's are chained here from its
-    rows.  The result shares the raw rows' flat sequences, leaving them
-    unchanged, and holds each surviving hot marking's arc set as a row of
-    its own, or, when those are most of its rows, holds all its rows itself.
+    the result is the same graph.  The raw in-arcs are read off the net
+    through the rows' ``index``; every marking but m0 has one, as
+    ``build_rg`` reached it by an arc.  The result shares the raw rows' flat
+    sequences, leaving them unchanged, and holds each surviving hot
+    marking's arc set as a row of its own, or, when those are most of its
+    rows, holds all its rows itself.
     """
     net = rg.net
     rows = rg._rows
-    if rows.keep is not None:  # a rewritten graph is rewritten again from its own rows
-        rows = rows.renumbered()
+    if rows.index is None:
+        raise ValueError("tau removal takes a graph built by build_rg")
     labels, start, kind, tgt = rows.labels, rows.start, rows.kind, rows.tgt
     # plain removal drops the silent transitions' trails
     trails = [tr if extended or label != TAU else () for label, tr in zip(labels, rows.trails)]
@@ -365,38 +370,14 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     for i in [i for i, k in enumerate(kind) if k in silent]:  # each silent arc's ends
         hot.add(bisect_right(start, i) - 1)
         hot.add(tgt[i])
+    fired_into, markings = _fired_into(net, rows.index), rg.markings
 
     def raw_out(u):
         lo, hi = start[u], start[u + 1]
         return [(u, labels[k], trails[k], v) for k, v in zip(kind[lo:hi], tgt[lo:hi])]
 
-    if rows.index is not None:
-        # a built graph reads a marking's raw in-arcs off its net; every
-        # marking but m0 was reached by an arc
-        fired_into, markings = _fired_into(net, rows.index), rg.markings
-        no_raw_in: Collection[int] = ()
-
-        def raw_inn(v):
-            return [(u, labels[t], trails[t], v) for t, u in fired_into(markings[v])]
-    else:
-        # each marking's raw in-arcs as a chain of arc indices: the last one,
-        # then from each arc the one before it into the same marking (-1 ends
-        # a chain)
-        first_in = [-1] * n
-        next_in = array("i", [-1]) * len(tgt)
-        for i, v in enumerate(tgt):
-            next_in[i] = first_in[v]
-            first_in[v] = i
-        no_raw_in = set(_positions(first_in, -1))
-
-        def raw_inn(v):
-            arcs = []
-            i = first_in[v]
-            while i >= 0:
-                k = kind[i]
-                arcs.append((bisect_right(start, i) - 1, labels[k], trails[k], v))
-                i = next_in[i]
-            return arcs
+    def raw_inn(v):
+        return [(u, labels[t], trails[t], v) for t, u in fired_into(markings[v])]
 
     if _shares_a_visible_label(net):
         # a cold row is emitted raw, so it must hold no two raw arcs that are
@@ -453,8 +434,8 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
             u = touched.pop()
             if not alive[u]:
                 continue
-            if out[u] is None:
-                no_in, no_out = u in no_raw_in, start[u] == start[u + 1]
+            if out[u] is None:  # a cold marking keeps its raw in-arcs
+                no_in, no_out = False, start[u] == start[u + 1]
             else:
                 no_in, no_out = not inn[u], not out[u]
             if (no_in and u != m0) or (no_out and u not in finals):
@@ -494,9 +475,9 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
                 add(new)
 
     # a cold marking with raw arcs in and out stays, so the first prune looks
-    # only at the hot markings and at the cold ones without raw in- or out-arcs
+    # only at the hot markings and at the cold ones without raw out-arcs
     lengths = list(map(sub, islice(start, 1, None), start))  # each row's raw arc count
-    touched.extend(chain(promoted, no_raw_in, _positions(lengths, 0)))
+    touched.extend(chain(promoted, _positions(lengths, 0)))
     prune()
 
     # backwards replacement: remaining tau arcs all target final markings;

@@ -67,9 +67,8 @@ class SComponentAligner:
     # -- per-component projected alignments ------------------------------
 
     def _lane_moves(self, idx: int, projected: tuple[int, ...], deadline) -> tuple[Move, ...]:
-        hit = self._proj_cache.get((idx, projected))
-        if hit is not None:
-            return hit
+        """Align one lane's projection and cache its moves; the caller looks
+        the cache up first."""
         comp, rg = self.components[idx]
         alignment = align_one_optimal(projected, rg=rg, deadline=deadline)
         # trails in net transition ids and no marking ids, so agreeing lanes

@@ -242,9 +242,10 @@ def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline)
 def _base_report(net, log, vreport, strategy, skips, timings, rows):
     completed = [r for r in rows if r["cost"] is not None]
     weighted_cost = sum(r["frequency"] * r["cost"] for r in completed)
-    wsum = sum(r["frequency"] for r in completed)
-    wfit = sum(r["frequency"] * r["fitness"] for r in completed if r["fitness"] is not None)
-    ufit = [r["fitness"] for r in completed if r["fitness"] is not None]
+    fitted = [r for r in completed if r["fitness"] is not None]
+    wsum = sum(r["frequency"] for r in fitted)
+    wfit = sum(r["frequency"] * r["fitness"] for r in fitted)
+    ufit = [r["fitness"] for r in fitted]
     conflicts: dict[str, int] = {}
     for r in rows:
         if r["conflict"]:

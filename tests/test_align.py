@@ -267,41 +267,50 @@ def child(parent, op, label, rg_tgt=None, trail=(), lrank=None):
 
 
 def assert_same_order(nodes):
+    """Every pair the heap can compare, two distinct nodes of equal length,
+    orders as its chains do."""
+    pairs = 0
     for a in nodes:
-        assert a.chain() == reference_chain(a)
         for b in nodes:
-            assert (a < b) == reference_lt(a, b), (reference_chain(a), reference_chain(b))
+            if a is not b and a.length == b.length:
+                assert (a < b) == reference_lt(a, b), (reference_chain(a), reference_chain(b))
+                pairs += 1
+    return pairs
 
 
 def test_tie_compare_matches_chain_order_on_hand_trees():
     root = _Node(None, None, 0)
     s1 = child(root, OP_MATCH, 3, rg_tgt=1)
     s2 = child(root, OP_RHIDE, 1, rg_tgt=2)  # sibling of s1 with a larger op
-    s3 = child(root, OP_MATCH, 3, rg_tgt=1)  # same move key as s1
-    s1a = child(s1, OP_LHIDE, 2)  # s1 is its ancestor
-    s1b = child(s1, OP_LHIDE, 2, trail=(5,))
-    s3a = child(s3, OP_LHIDE, 2)  # same chain as s1a
-    s3b = child(s3, OP_MATCH, 0, rg_tgt=4)  # equal keys at s1/s3, decided below
+    s1a = child(s1, OP_LHIDE, 2)
+    s1b = child(s1, OP_LHIDE, 2, trail=(5,))  # sibling of s1a with a larger trail
+    s2a = child(s2, OP_MATCH, 1, rg_tgt=3)  # a smaller key than its cousins'
+    s2b = child(s2, OP_LHIDE, 2)  # the key of its cousin s1a
     s1aa = child(s1a, OP_RHIDE, 4, rg_tgt=7)
-    s2a = child(s2, OP_MATCH, 1, rg_tgt=3)
-    nodes = [root, s1, s2, s3, s1a, s1b, s3a, s3b, s1aa, s2a]
-    assert_same_order(nodes)
-    assert s1 < s1a and not s1a < s1  # a prefix sorts first
+    s2aa = child(s2a, OP_MATCH, 0, rg_tgt=8)
+    assert assert_same_order([root, s1, s2, s1a, s1b, s2a, s2b, s1aa, s2aa]) == 2 + 12 + 2
     assert s1 < s2 and not s2 < s1
-    assert not s1a < s3a and not s3a < s1a  # equal chains
-    assert s3b < s1a
+    assert s1a < s1b and not s1b < s1a
+    assert s1b < s2a and not s2a < s1b  # decided by the parents
+    assert s1a < s2b and not s2b < s1a
+    assert s1aa < s2aa and not s2aa < s1aa  # decided two levels up
 
 
 def test_tie_compare_matches_chain_order_on_random_trees():
     rng = random.Random(17)
+    pairs = 0
     for _ in range(20):
         nodes = [_Node(None, None, 0)]
         for _ in range(40):
             parent = rng.choice(nodes)
-            # few distinct moves, so siblings and cousins often share keys
-            nodes.append(child(parent, rng.choice((OP_MATCH, OP_RHIDE)), rng.randint(1, 2),
-                               rg_tgt=rng.choice((None, 1)), trail=rng.choice(((), (9,)))))
-        assert_same_order(nodes)
+            # few distinct moves, so cousins often share keys; siblings never
+            # do, as a search settles each child state once
+            node = child(parent, rng.choice((OP_MATCH, OP_RHIDE)), rng.randint(1, 2),
+                         rg_tgt=rng.choice((None, 1)), trail=rng.choice(((), (9,))))
+            if all(x.parent is not parent or x.key != node.key for x in nodes):
+                nodes.append(node)
+        pairs += assert_same_order(nodes)
+    assert pairs > 1000
 
 
 def test_one_optimal_unchanged_under_chain_order(monkeypatch):

@@ -107,6 +107,20 @@ def test_conflicting_trace_with_capped_fallback_fails_alone():
     assert result.report["aggregates"]["failed_traces"] == 1
 
 
+def test_weighted_fitness_is_null_when_no_row_has_a_fitness():
+    # the cap stops the loan graph's build, so no skip count exists and no
+    # completed row has a fitness: both averages read null, as no row weighs in
+    net, log = loan_pair()
+    report = run_conformance(net, log, RunConfig(state_cap=5)).report
+    rows = report["traces"]
+    assert report["min_model_skips"] is None and len(rows) >= 2
+    assert all(r["cost"] is not None and r["fitness"] is None for r in rows)
+    aggregates = report["aggregates"]
+    assert aggregates["completed_traces"] == len(rows)
+    assert aggregates["avg_fitness_weighted"] is None
+    assert aggregates["avg_fitness_unweighted"] is None
+
+
 def count_monolithic_builds(monkeypatch, net):
     calls = []
 

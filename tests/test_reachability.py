@@ -83,18 +83,19 @@ def test_remove_tau_loan_matches_worked_reduction():
 
 
 def test_remove_tau_keeps_tau_free_graph():
-    rg = remove_tau(build_rg(sequence_net(["A", "B"])))
-    again = remove_tau(rg)
-    assert again.markings == rg.markings
-    assert again.arcs == rg.arcs
-    assert again.finals == rg.finals
+    raw = build_rg(sequence_net(["A", "B"]))
+    rg = remove_tau(raw)
+    assert rg.markings == raw.markings
+    assert [a[:4] for a in rg.arcs] == [a[:4] for a in raw.arcs]
+    assert rg.finals == raw.finals
+    assert_fixed_point(rg, False, "sequence")
 
 
 def test_remove_tau_idempotent_on_loan():
-    rg = remove_tau(build_rg(loan_net()))
-    again = remove_tau(rg)
-    assert again.markings == rg.markings
-    assert [a[:4] for a in again.arcs] == [a[:4] for a in rg.arcs]
+    # nothing reduces a graph twice; the reference reduction of a reduced
+    # graph is that graph
+    for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
+        assert_fixed_point(reduce(build_rg(loan_net())), extended, "loan")
 
 
 def test_remove_tau_cycle_without_visible_exit():
@@ -699,6 +700,12 @@ def assert_same_outcome(got, want, what):
         assert getattr(got_rg, name) == getattr(want_rg, name), "%s: %s" % (what, name)
 
 
+def assert_fixed_point(reduced, extended, what):
+    """A reduced graph is what the reference reduction makes of it."""
+    assert_same_outcome((reduced, None), outcome(reference_reduce, reduced, extended),
+                        what + ", fixed point")
+
+
 def assert_graph_code_exact(net, what):
     built = outcome(build_rg, net)
     assert_same_outcome(built, outcome(reference_build_rg, net), what)
@@ -710,10 +717,7 @@ def assert_graph_code_exact(net, what):
         reduced = outcome(reduce, rg)
         assert_same_outcome(reduced, outcome(reference_reduce, rg, extended), label)
         if reduced[0] is not None:
-            # a reduced graph goes through the reduction unchanged in shape
-            assert_same_outcome(outcome(reduce, reduced[0]),
-                                outcome(reference_reduce, reduced[0], extended),
-                                label + ", reduced twice")
+            assert_fixed_point(reduced[0], extended, label)
 
 
 def folding_net():
@@ -954,32 +958,23 @@ def test_lazy_rows_match_the_eager_emission_on_random_nets():
         assert_lazy_rows_match_eager(net, what)
 
 
-def assert_reducing_twice_matches_eager(net, what):
-    """A reduced graph is reduced again from its compact rows, without
-    building its ``Arc`` rows, into the graph the eager reference makes of
-    those rows."""
+def assert_reduced_graphs_are_fixed_points(net, what):
     if outcome(build_rg, net)[0] is None:
         return
     for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
-        label = "%s, extended=%s, reduced twice" % (what, extended)
-        inner = outcome(reduce, build_rg(net))[0]
-        if inner is None:
-            continue
-        twice = outcome(reduce, inner)
-        assert "out" not in vars(inner) and "arcs" not in vars(inner), label
-        if twice[0] is not None:
-            assert_compact_form_matches_rows(twice[0], label)
-        assert_same_outcome(twice, outcome(eager_reduce, inner, extended), label)
+        reduced = outcome(reduce, build_rg(net))[0]
+        if reduced is not None:
+            assert_fixed_point(reduced, extended, "%s, extended=%s" % (what, extended))
 
 
-def test_reducing_twice_reads_the_compact_rows_on_hand_nets():
+def test_reduced_graphs_are_fixed_points_on_hand_nets():
     for what, net in hand_nets().items():
-        assert_reducing_twice_matches_eager(net, what)
+        assert_reduced_graphs_are_fixed_points(net, what)
 
 
-def test_reducing_twice_reads_the_compact_rows_on_random_nets():
+def test_reduced_graphs_are_fixed_points_on_random_nets():
     for what, net in random_nets().items():
-        assert_reducing_twice_matches_eager(net, what)
+        assert_reduced_graphs_are_fixed_points(net, what)
 
 
 def graph_view(rg):
@@ -990,19 +985,13 @@ def graph_view(rg):
 
 def assert_reduction_leaves_its_input_alone(net, what):
     """Tau removal shares the flat rows of the graph it reduces, and leaves
-    that graph as a freshly built one: the raw graph after both reductions,
-    and a reduced graph after it is reduced again both ways."""
+    that graph as a freshly built one after both reductions."""
     raw = outcome(build_rg, net)[0]
     if raw is None:
         return
-    reduced = outcome(remove_tau, build_rg(net))[0]
     for reduce in (remove_tau, remove_tau_extended):
         outcome(reduce, raw)
-        if reduced is not None:
-            outcome(reduce, reduced)
     assert graph_view(raw) == graph_view(build_rg(net)), what
-    if reduced is not None:
-        assert graph_view(reduced) == graph_view(remove_tau(build_rg(net))), what
 
 
 def test_reduction_leaves_its_input_alone():
@@ -1024,32 +1013,40 @@ def test_a_reduction_shares_the_raw_rows_unless_it_rewrote_most():
     assert own.keep is None and own.kind is not raw._rows.kind and own.tgt is not raw._rows.tgt
 
 
+def given_by_arcs(rg):
+    return ReachabilityGraph(rg.net, rg.markings, rg.m0, rg.finals, rg.arcs, rg.reduced)
+
+
 def test_a_graph_given_by_arcs_answers_from_its_rows():
-    rg = hand_graph(4, [(0, "A", 1), (1, "B", 3), (0, "C", 2), (2, None, 3)], {3})
+    rg = given_by_arcs(hand_graph(4, [(0, "A", 1), (1, "B", 3), (0, "C", 2), (2, None, 3)], 3))
     assert rg.size() == 4 + 4 and rg.min_visible_skips() == 2
-    reduced = remove_tau(rg)
-    assert_compact_form_matches_rows(reduced, "hand graph")
 
 
-def test_markings_no_silent_arc_touches_die_exactly_in_graphs_given_by_arcs():
-    # no built graph has a marking other than m0 without an in-arc: here 5
-    # has none, so 5 and then 3 die; in the second graph the visible chain
-    # 3 -> 4 -> 5 ends in a deadlock and dies from its end
-    graphs = {
-        "no in-arc": (hand_graph(6, [(0, "A", 1), (1, "B", 2), (5, "C", 1), (5, "D", 3),
-                                     (3, "E", 2), (1, None, 4), (4, "F", 2)], {2}),
-                      [(0, "A", 1), (1, "B", 2), (1, "F", 2)]),
-        "deadlock": (hand_graph(7, [(0, "A", 1), (1, "B", 2), (0, "C", 3), (3, "D", 4),
-                                    (4, "E", 5), (1, None, 6), (6, "G", 2)], {2}),
-                     [(0, "A", 1), (1, "B", 2), (1, "G", 2)]),
-    }
-    for what, (rg, arcs) in graphs.items():
-        for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
-            label = "%s, extended=%s" % (what, extended)
-            assert_compact_form_matches_rows(reduce(rg), label)
-            reduced = outcome(reduce, rg)
-            assert_same_outcome(reduced, outcome(reference_reduce, rg, extended), label)
-            assert arcs_by_name(reduced[0]) == arcs, label
+def test_tau_removal_takes_only_built_graphs():
+    # a reduced graph is never reduced again, and a graph given by arcs has
+    # no marking index to read in-arcs through; both are refused untouched
+    raw = build_rg(loan_net())
+    reduced = remove_tau(build_rg(loan_net()))
+    for what, rg in {"reduced": reduced, "extended": remove_tau_extended(raw),
+                     "raw by arcs": given_by_arcs(raw),
+                     "reduced by arcs": given_by_arcs(reduced)}.items():
+        view = graph_view(rg)
+        for reduce in (remove_tau, remove_tau_extended):
+            with pytest.raises(ValueError, match="built by build_rg"):
+                reduce(rg)
+        assert graph_view(rg) == view, what
+
+
+def test_markings_no_silent_arc_touches_die_exactly():
+    # the visible chain 3 -> 4 -> 5 ends in a deadlock and dies from its end
+    rg = hand_graph(7, [(0, "A", 1), (1, "B", 2), (0, "C", 3), (3, "D", 4),
+                        (4, "E", 5), (1, None, 6), (6, "G", 2)], 2)
+    for extended, reduce in ((False, remove_tau), (True, remove_tau_extended)):
+        label = "deadlock, extended=%s" % extended
+        assert_compact_form_matches_rows(reduce(rg), label)
+        reduced = outcome(reduce, rg)
+        assert_same_outcome(reduced, outcome(reference_reduce, rg, extended), label)
+        assert arcs_by_name(reduced[0]) == [(0, "A", 1), (1, "B", 2), (1, "G", 2)], label
 
 
 def test_build_rg_exact_at_the_cap():
@@ -1063,15 +1060,15 @@ def test_build_rg_exact_at_the_cap():
             StateSpaceCapError, "marking cap %d exceeded" % (size - 1))
 
 
-def hand_graph(n, rows, finals):
-    """A raw graph over markings 0..n-1 (0 initial) with the arcs ``rows`` of
-    (source, label or None for silent, target), each by its own transition."""
-    net = SystemNet.build(["i", "o"], [("t%d" % k, label, ["i"], ["o"])
-                                       for k, (_, label, _) in enumerate(rows)], LabelTable())
-    arcs = tuple(Arc(src, TAU, (k,), tgt) if label is None
-                 else Arc(src, net.table.lookup(label), (), tgt)
-                 for k, (src, label, tgt) in enumerate(rows))
-    return ReachabilityGraph(net, tuple(1 << mid for mid in range(n)), 0, frozenset(finals), arcs)
+def hand_graph(n, rows, final):
+    """The built graph of a state machine over places 0..n-1, a token on 0
+    at first and on ``final`` at the end, with one transition per row of
+    (source, label or None for silent, target)."""
+    places = ["p%d" % k for k in range(n)]
+    net = SystemNet.build(places, [("t%d" % k, label, [places[src]], [places[tgt]])
+                                   for k, (src, label, tgt) in enumerate(rows)],
+                          LabelTable(), initial="p0", final=places[final])
+    return build_rg(net)
 
 
 def arcs_by_name(rg):
@@ -1085,7 +1082,7 @@ def test_transient_fold_prefers_a_survivor_that_is_not_transient():
     # 4, which is not transient, rather than into the lower-numbered 2
     rows = [(0, "X", 2), (0, "Y", 3), (0, "Z", 4), (2, None, 4), (3, None, 4),
             (4, "A", 1), (4, "L", 2)]
-    rg = hand_graph(5, rows, {1})
+    rg = hand_graph(5, rows, 1)
     reduced = remove_tau(rg)
     assert arcs_by_name(reduced) == [(0, "X", 2), (0, "Y", 4), (0, "Z", 4), (2, "A", 1),
                                      (2, "L", 2), (4, "A", 1), (4, "L", 2)]
@@ -1097,7 +1094,7 @@ def test_transient_fold_revisits_a_candidate_that_gains_a_match():
     # arc A->3 into A->4, so 1 then folds into 2
     rows = [(0, "X", 1), (0, "Y", 2), (1, None, 5), (5, "A", 4), (2, "A", 3),
             (3, None, 7), (7, "B", 6), (4, "B", 6)]
-    rg = hand_graph(8, rows, {6})
+    rg = hand_graph(8, rows, 6)
     reduced = remove_tau(rg)
     assert arcs_by_name(reduced) == [(0, "X", 2), (0, "Y", 2), (2, "A", 4), (4, "B", 6)]
     assert_same_outcome((reduced, None), outcome(reference_reduce, rg, False), "plain")
@@ -1128,8 +1125,7 @@ def test_adjacency_rows_hold_the_arc_objects():
     for what, net in nets.items():
         raw = build_rg(net)
         graphs = {"raw": raw, "plain": remove_tau(raw), "extended": remove_tau_extended(raw),
-                  "rows from arcs": ReachabilityGraph(net, raw.markings, raw.m0, raw.finals,
-                                                      raw.arcs)}
+                  "rows from arcs": given_by_arcs(raw)}
         for name, rg in graphs.items():
             assert_rows_hold_the_arcs(rg, "%s, %s" % (what, name))
 

@@ -298,7 +298,10 @@ def reference_align_trace(aligner, trace, deadline=None):
         lanes = []
         for idx, (comp, _) in enumerate(aligner.components):
             projected = tuple(l for l in trace if l in comp.alphabet)
-            lanes.append(ReferenceLane(aligner._lane_moves(idx, projected, deadline)))
+            moves = aligner._proj_cache.get((idx, projected))
+            if moves is None:
+                moves = aligner._lane_moves(idx, projected, deadline)
+            lanes.append(ReferenceLane(moves))
     except SearchBudgetError as exc:
         return RecompositionOutcome(None, None, False, str(exc))
     composed, conflict = reference_replay(aligner, trace, lanes)
