@@ -21,9 +21,14 @@ its exact distance and records the tight moves into it (the distance grows
 by exactly the move's cost); a closure over those moves from the cheapest
 goals finds the states on a cheapest path and the moves between them, and
 one pass over the states in decreasing (distance, position) order orders
-each state's moves and counts the optima of the resulting edge DAG.  Both
-searches keep a move unbuilt, as ``(op, arc)`` or ``(OP_LHIDE, label)``,
-and make a ``Move`` only for a move they return.
+each state's moves and counts the optima of the resulting edge DAG.
+
+Both searches read the graph's successor index (``rg.succ``), whose shared
+``Successor`` entries give each arc's target, trail, label and label rank,
+and keep a move unbuilt, as its op and the ``Successor`` it took (an lhide
+takes ``(-1, (), label)``, which compares like one).  A ``Move`` is made
+only for a move they return, from that entry and the source and target
+markings of its search states.
 
 Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
@@ -45,7 +50,7 @@ from typing import NamedTuple, Optional
 from .errors import LogAlignError, SearchBudgetError
 from .heuristic import FutureLabelTable, precompute_future_labels
 from .logs import TAU
-from .reachability import ReachabilityGraph
+from .reachability import ReachabilityGraph, SuccessorIndex
 
 OP_MATCH = 0
 OP_RHIDE = 1
@@ -90,7 +95,7 @@ def is_proper(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:
     contiguous arc path from the initial to a final marking."""
     if alignment.log_projection() != tuple(trace):
         return False
-    arcset = {(a.src, a.label, a.trail, a.tgt) for a in rg.arcs}
+    arcset = {(u, s.label, s.trail, s.tgt) for u, row in enumerate(rg.succ.rows) for s in row}
     model = alignment.model_projection()
     if not model:
         return rg.m0 in rg.finals
@@ -107,12 +112,12 @@ def is_proper(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:
 
 
 class _Node:
-    """A settled A* search state and the move that reached it.
+    """A settled A* search state: its marking ``mid``, and the move that
+    reached it, as its ``op``, label rank ``lrank`` and ``succ`` entry.
 
-    ``move`` is ``(op, arc)`` for a match or rhide and ``(OP_LHIDE, label)``
-    for an lhide; ``moves()`` turns the path into ``Move`` objects.  ``key``
-    is the node's own move key ``(op, label rank, target marking or -1,
-    trail)``.  Two nodes order as their key sequences from the root do,
+    ``moves()`` turns the path into ``Move`` objects.  The node's own move
+    key is ``(op, lrank, succ)``, and ``succ`` compares by target, then
+    trail.  Two nodes order as their key sequences from the root do,
     compared lexicographically.  The heap compares only two distinct nodes
     of equal length (the parents of two entries of equal length), and on a
     graph from tau removal a node's children have distinct keys, so
@@ -120,36 +125,53 @@ class _Node:
     ancestor and compares those two keys.
     """
 
-    __slots__ = ("parent", "move", "key", "length")
+    __slots__ = ("parent", "op", "lrank", "succ", "mid")
 
-    def __init__(self, parent, move, key):
+    def __init__(self, parent, op, lrank, succ, mid):
         self.parent = parent
-        self.move = move
-        self.key = key
-        self.length = 0 if parent is None else parent.length + 1
+        self.op = op
+        self.lrank = lrank
+        self.succ = succ
+        self.mid = mid
 
     def __lt__(self, other):
         a, b = self, other
         while a.parent is not b.parent:
             a = a.parent
             b = b.parent
-        return a.key < b.key
+        return (a.op, a.lrank, a.succ) < (b.op, b.lrank, b.succ)
 
     def moves(self):
         out = []
         node = self
         while node.parent is not None:
-            out.append(_move(*node.move))
+            out.append(_move(node.op, node.succ, node.parent.mid))
             node = node.parent
         out.reverse()
         return out
 
 
-def _move(op, x):
-    """The ``Move`` of an unbuilt move ``(op, arc)`` or ``(OP_LHIDE, label)``."""
+def _move(op, succ, src):
+    """The ``Move`` of op taking entry ``succ`` from marking ``src``."""
+    new = tuple.__new__  # a Move without the NamedTuple constructor's call overhead
     if op == OP_LHIDE:
-        return Move(OP_LHIDE, x, (), None, None)
-    return Move(op, x.label, x.trail, x.src, x.tgt)
+        return new(Move, (OP_LHIDE, succ[2], (), None, None))
+    return new(Move, (op, succ[2], succ[1], src, succ[0]))
+
+
+def _lhides(trace) -> list[tuple]:
+    """Per trace position, the entry an lhide of its label takes."""
+    return [(-1, (), label) for label in trace]
+
+
+def _label_rank(trace, index: SuccessorIndex, rg: ReachabilityGraph) -> dict[int, int]:
+    """The rank of the trace's labels: the index's, unless the trace holds
+    a label interned after it.  Only lhide keys, which compare among
+    themselves, then read a newer rank."""
+    rank = index.rank
+    if trace and max(trace) >= len(rank):
+        rank = rg.net.table.rank()
+    return rank
 
 
 def future_table(rg: ReachabilityGraph) -> FutureLabelTable:
@@ -216,102 +238,96 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
                       stats: Optional[dict] = None) -> Alignment:
     """Single cheapest proper alignment of a trace against the graph.
 
-    A heap entry is ``(rho, -length, op, label rank, parent, target marking
-    or -1, trail, arc or label, pos, mid, g)``; a ``_Node`` is made only when
-    an entry settles its search state.  Entries that tie on the first four
-    fields and share a parent compare by the rest of their move key; with
-    different parents (of equal length) they compare by the parents' order
-    (``_Node``), which is the order of their own key sequences from the
-    root: no two nodes share one, as a state settles only at a strictly
-    lower ``g``.  Search states ``(pos, mid)`` are settled under
-    ``pos * len(rg.markings) + mid``; their estimates are cached under
-    ``pos * n_classes + classes[mid]``, since markings of one future-label
-    class share every estimate.
+    A heap entry is ``(rho, -length, op, label rank, parent, successor
+    entry, pos, mid, g)``; a ``_Node`` is made only when an entry settles
+    its search state.  The entry's ``Successor`` compares by target, then
+    trail, so entries that tie on the first four fields and share a parent
+    compare by the rest of their move key; with different parents (of
+    equal length) they compare by the parents' order (``_Node``), which is
+    the order of their own key sequences from the root: no two nodes share
+    one, as a state settles only at a strictly lower ``g``.  So the order
+    in which a pop pushes its children does not matter.  Search states
+    ``(pos, mid)`` are settled in one dict per trace position, by marking;
+    their estimates are cached in one dict per position, by future-label
+    class, since markings of one class share every estimate.
     """
     trace = tuple(trace)
     n = len(trace)
     ftable = future_table(rg)
     h = ftable.h
     classes = ftable.classes
-    ncls = ftable.n_classes
     rem = _remaining_counts(trace)
-    rank = rg.net.table.rank()
-    out = rg.out
+    index = rg.succ
+    rows = index.rows
+    rank = _label_rank(trace, index, rg)
+    lhides = _lhides(trace)
     finals = rg.finals
-    width = len(rg.markings)
     budget = _Budget(node_budget, deadline)
     push = heapq.heappush
-    hcache: dict[int, int] = {}
-    settled: dict[int, int] = {}
+    settled: list[dict[int, int]] = [{} for _ in range(n + 1)]  # mid -> g
+    hcache: list[dict[int, int]] = [{} for _ in range(n + 1)]  # class -> h
 
     rho_max = n + rg.min_visible_skips()
-    h0 = hcache[classes[rg.m0]] = h(rem[0], rg.m0, n)
-    heap = [(h0, 0, OP_MATCH, 0, None, -1, (), None, 0, rg.m0, 0)]
+    h0 = hcache[0][classes[rg.m0]] = h(rem[0], rg.m0, n)
+    heap = [(h0, 0, OP_MATCH, 0, None, None, 0, rg.m0, 0)]
     max_rho = 0
     pops = 0
     while heap:
-        rho, _, op, lrank, parent, tgt, trail, x, pos, mid, g = heapq.heappop(heap)
-        skey = pos * width + mid
-        prior = settled.get(skey)
+        rho, depth, op, lrank, parent, succ, pos, mid, g = heapq.heappop(heap)
+        here = settled[pos]
+        prior = here.get(mid)
         if prior is not None and prior <= g:
             continue
-        settled[skey] = g
+        here[mid] = g
         pops += 1
         budget.spend()
         if rho > max_rho:
             max_rho = rho
-        if parent is None:
-            node = _Node(None, None, None)
-        else:
-            node = _Node(parent, (op, x), (op, lrank, tgt, trail))
+        node = _Node(parent, op, lrank, succ, mid)
         if pos == n and mid in finals:
             if stats is not None:
                 stats["pops"] = pops
                 stats["max_rho_popped"] = max_rho
             return make_alignment(node.moves())
-        depth = -node.length - 1
+        depth -= 1  # the children's -length
         ng = g + 1
-        row = out[mid]
+        label = None  # no match at the end of the trace
         if pos < n:
+            # the lhide, then per arc its match (at the next position) and rhide
             label = trace[pos]
-            lr = rank[label]
             npos = pos + 1
-            base = npos * width
-            hbase = npos * ncls
-            for a in row:
-                if a.label != label:
-                    continue
-                nmid = a.tgt
-                prior = settled.get(base + nmid)
-                if prior is not None and prior <= g:
-                    continue
-                k = hbase + classes[nmid]
-                hv = hcache.get(k)
-                if hv is None:
-                    hv = hcache[k] = h(rem[npos], nmid, n - npos)
-                if g + hv <= rho_max:
-                    push(heap, (g + hv, depth, OP_MATCH, lr, node, nmid, a.trail, a, npos, nmid, g))
-            prior = settled.get(base + mid)
+            there = settled[npos]
+            nhcache = hcache[npos]
+            nrem = rem[npos]
+            prior = there.get(mid)
             if prior is None or prior > ng:
-                k = hbase + classes[mid]
-                hv = hcache.get(k)
+                c = classes[mid]
+                hv = nhcache.get(c)
                 if hv is None:
-                    hv = hcache[k] = h(rem[npos], mid, n - npos)
+                    hv = nhcache[c] = h(nrem, mid, n - npos)
                 if ng + hv <= rho_max:
-                    push(heap, (ng + hv, depth, OP_LHIDE, lr, node, -1, (), label, npos, mid, ng))
-        base = pos * width
-        hbase = pos * ncls
-        for a in row:
-            nmid = a.tgt
-            prior = settled.get(base + nmid)
+                    push(heap, (ng + hv, depth, OP_LHIDE, rank[label], node, lhides[pos], npos,
+                                mid, ng))
+        hcache_here = hcache[pos]
+        for s in rows[mid]:
+            nmid = s[0]
+            c = classes[nmid]
+            if s[2] == label:
+                prior = there.get(nmid)
+                if prior is None or prior > g:
+                    hv = nhcache.get(c)
+                    if hv is None:
+                        hv = nhcache[c] = h(nrem, nmid, n - npos)
+                    if g + hv <= rho_max:
+                        push(heap, (g + hv, depth, OP_MATCH, s[3], node, s, npos, nmid, g))
+            prior = here.get(nmid)
             if prior is not None and prior <= ng:
                 continue
-            k = hbase + classes[nmid]
-            hv = hcache.get(k)
+            hv = hcache_here.get(c)
             if hv is None:
-                hv = hcache[k] = h(rem[pos], nmid, n - pos)
+                hv = hcache_here[c] = h(rem[pos], nmid, n - pos)
             if ng + hv <= rho_max:
-                push(heap, (ng + hv, depth, OP_RHIDE, rank[a.label], node, nmid, a.trail, a, pos, nmid, ng))
+                push(heap, (ng + hv, depth, OP_RHIDE, s[3], node, s, pos, nmid, ng))
     raise LogAlignError("no proper alignment exists for the trace")
 
 
@@ -354,14 +370,17 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     classes = ftable.classes
     ncls = ftable.n_classes
     rem = _remaining_counts(trace)
+    index = rg.succ
+    rows = index.rows
+    lhides = _lhides(trace)
     budget = _Budget(node_budget, deadline)
-    hcache: dict[int, int] = {}  # keyed like the cache of align_one_optimal
+    hcache: dict[int, int] = {}  # pos * n_classes + class -> h
 
     goals = {(n, f) for f in rg.finals}
     bound = n + rg.min_visible_skips()
 
     # forward sweep: exact cheapest cost to every state on some optimal path,
-    # and the steps (parent state, op, arc or label) that reach it at that cost
+    # and the steps (parent state, op, successor entry) that reach it at that cost
     dist: dict[tuple[int, int], int] = {}
     tight: dict[tuple[int, int], list] = {}
     heap: list = []
@@ -395,15 +414,15 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             bound = g  # the first goal popped is a cheapest one
             continue
         pos, mid = key
-        row = rg.out[mid]
+        row = rows[mid]
         if pos < n:
             label = trace[pos]
-            for a in row:
-                if a.label == label:
-                    push_fwd((pos + 1, a.tgt), g, (key, OP_MATCH, a))
-            push_fwd((pos + 1, mid), g + 1, (key, OP_LHIDE, label))
-        for a in row:
-            push_fwd((pos, a.tgt), g + 1, (key, OP_RHIDE, a))
+            for s in row:
+                if s[2] == label:
+                    push_fwd((pos + 1, s[0]), g, (key, OP_MATCH, s))
+            push_fwd((pos + 1, mid), g + 1, (key, OP_LHIDE, lhides[pos]))
+        for s in row:
+            push_fwd((pos, s[0]), g + 1, (key, OP_RHIDE, s))
 
     # closure over the steps from the cheapest goals, one spend per state:
     # each step becomes an edge of its parent
@@ -415,15 +434,15 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     while stack:
         key = stack.pop()
         budget.spend()
-        for pkey, op, x in tight[key]:
+        for pkey, op, succ in tight[key]:
             nexts = edges.get(pkey)
             if nexts is None:
                 nexts = edges[pkey] = []
                 stack.append(pkey)
-            nexts.append((_move(op, x), key))
+            nexts.append((_move(op, succ, pkey[1]), key))
 
     # every move raises (dist, pos), so successors come first in this order
-    rank = rg.net.table.rank()
+    rank = _label_rank(trace, index, rg)
     paths = dict.fromkeys(ends, 1)
     for key in sorted(edges, key=lambda k: (dist[k], k[0]), reverse=True):
         nexts = edges[key]

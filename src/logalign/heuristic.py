@@ -208,7 +208,8 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     if not rg.reduced:
         raise ValueError("future labels are computed on a tau-free graph")
     n = len(rg.markings)
-    comp = _tarjan(n, rg)
+    rows = rg.succ.rows
+    comp = _tarjan(rows)
     ncomp = max(comp) + 1 if n else 0
     sizes = [0] * ncomp
     for c in comp:
@@ -217,16 +218,16 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     internal: list[set[int]] = [set() for _ in range(ncomp)]
     crossing: list[list] = [[] for _ in range(ncomp)]
     nontrivial = [size > 1 for size in sizes]
-    for a in rg.arcs:
-        c = comp[a.src]
-        if comp[a.tgt] == c:
-            internal[c].add(a.label)
-            nontrivial[c] = True
-        else:
-            crossing[c].append(a)
+    for c, row in zip(comp, rows):
+        for s in row:
+            if comp[s.tgt] == c:
+                internal[c].add(s.label)
+                nontrivial[c] = True
+            else:
+                crossing[c].append(s)
 
     # one tuple for every capped component, so they all share one class
-    degenerate: tuple[Entry, ...] = (((), frozenset(a.label for a in rg.arcs)),)
+    degenerate: tuple[Entry, ...] = (((), frozenset(s.label for row in rows for s in row)),)
     degenerate_kept: tuple[KeptEntry, ...] = ((0,) + degenerate[0],)  # its one entry
     has_final = [False] * ncomp
     for f in rg.finals:
@@ -235,7 +236,7 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     # a step (successor component, label) bumps the same entries for every
     # component that takes it: its bumped list is kept while components that
     # have not yet taken it remain, and freed after the last of them
-    steps = [tuple(dict.fromkeys((comp[a.tgt], a.label) for a in arcs)) for arcs in crossing]
+    steps = [tuple(dict.fromkeys((comp[s.tgt], s.label) for s in succs)) for succs in crossing]
     takers = Counter(step for taken in steps for step in taken)  # still to come
     shared: dict[tuple[int, int], list[Entry]] = {}
 
@@ -292,8 +293,10 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     return FutureLabelTable(rg, tuple([futures[c] for c in comp]), tuple([kept[c] for c in comp]))
 
 
-def _tarjan(n: int, rg: ReachabilityGraph) -> list[int]:
-    """Iterative Tarjan; component ids in emission (reverse topological) order."""
+def _tarjan(rows) -> list[int]:
+    """Iterative Tarjan over successor rows; component ids in emission
+    (reverse topological) order."""
+    n = len(rows)
     comp = [-1] * n
     low = [0] * n
     num = [-1] * n
@@ -313,8 +316,9 @@ def _tarjan(n: int, rg: ReachabilityGraph) -> list[int]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            while pi < len(rg.out[v]):
-                w = rg.out[v][pi].tgt
+            row = rows[v]
+            while pi < len(row):
+                w = row[pi].tgt
                 pi += 1
                 if num[w] == -1:
                     work[-1] = (v, pi)

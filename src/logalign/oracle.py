@@ -54,14 +54,15 @@ def brute_force_optimal_cost(trace, rg: ReachabilityGraph,
                 moves.append(move)
             moves.reverse()
             return d, OracleWitness(tuple(moves), d)
+        row = rg.succ.rows[mid]
         succ = []
         if pos < n:
             succ.append(((pos + 1, mid), 1, (LHIDE, trace[pos])))
-            for a in rg.out[mid]:
-                if a.label == trace[pos]:
-                    succ.append(((pos + 1, a.tgt), 0, (MATCH, a.label)))
-        for a in rg.out[mid]:
-            succ.append(((pos, a.tgt), 1, (RHIDE, a.label)))
+            for s in row:
+                if s.label == trace[pos]:
+                    succ.append(((pos + 1, s.tgt), 0, (MATCH, s.label)))
+        for s in row:
+            succ.append(((pos, s.tgt), 1, (RHIDE, s.label)))
         for nstate, w, move in succ:
             nd = d + w
             if nd < dist.get(nstate, GUARD):
@@ -95,20 +96,21 @@ def enumerate_optimal_move_sequences(trace, rg: ReachabilityGraph,
             budget_left = 0
         else:
             budget_left = cstar - cost
+        row = rg.succ.rows[mid]
         if pos < n:
-            for a in rg.out[mid]:
-                if a.label == trace[pos]:
-                    acc.append((MATCH, a.label, a.trail, a.tgt))
-                    rec(pos + 1, a.tgt, cost, acc)
+            for s in row:
+                if s.label == trace[pos]:
+                    acc.append((MATCH, s.label, s.trail, s.tgt))
+                    rec(pos + 1, s.tgt, cost, acc)
                     acc.pop()
             if budget_left > 0:
                 acc.append((LHIDE, trace[pos], (), mid))
                 rec(pos + 1, mid, cost + 1, acc)
                 acc.pop()
         if budget_left > 0:
-            for a in rg.out[mid]:
-                acc.append((RHIDE, a.label, a.trail, a.tgt))
-                rec(pos, a.tgt, cost + 1, acc)
+            for s in row:
+                acc.append((RHIDE, s.label, s.trail, s.tgt))
+                rec(pos, s.tgt, cost + 1, acc)
                 acc.pop()
 
     rec(0, rg.m0, 0, [])

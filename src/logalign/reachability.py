@@ -4,13 +4,12 @@
 ``remove_tau`` / ``remove_tau_extended`` rewrite a graph built by
 ``build_rg``, and only such a graph, so that no arc carries the silent
 label while the visible trace language between the initial and final
-markings is preserved.  Nothing reduces a graph twice: a reduced graph,
-or one given by its arcs, raises ``ValueError``.  An arc's trail lists
-the silent transitions it stands for: a raw silent arc's trail is its own
-transition, a raw visible arc's is empty.  In extended mode every
-rewritten arc keeps the trails it absorbed (its tau trail), which the
-recomposition stage uses to detect hidden label conflicts; plain tau
-removal drops them.
+markings is preserved.  Nothing reduces a graph twice: a reduced graph
+raises ``ValueError``.  An arc's trail lists the silent transitions it
+stands for: a raw silent arc's trail is its own transition, a raw visible
+arc's is empty.  In extended mode every rewritten arc keeps the trails it
+absorbed (its tau trail), which the recomposition stage uses to detect
+hidden label conflicts; plain tau removal drops them.
 
 A graph holds its arcs in a compact form (``_Rows``): the transitions fired
 and the markings reached by all arcs, in flat sequences row after row, with
@@ -20,11 +19,18 @@ it left of them: the surviving markings, and apart from the shared rows the
 rewritten rows of the markings whose arcs it changed.  A surviving row's
 arcs all lead to surviving rows.  A reduction that rewrote most surviving
 rows shares nothing and keeps flat sequences of its own instead.
-``size()`` and ``min_visible_skips()`` read this form.  The ``Arc``
-objects, ``arcs`` and the ``out`` rows (``out[m]`` holds the arcs of
-``arcs`` that leave marking ``m``, in ``arcs`` order), are built once, when
-a search or a dot file first reads them, so a graph that is only compared
-by size never builds them.
+``size()`` and ``min_visible_skips()`` read this form.
+
+Everything that walks a graph's arcs reads its successor index ``succ``,
+built from the rows once, on the first walk: the searches, the heuristic
+precompute, the propriety checks and the oracle.  ``succ.rows[m]`` holds a
+``Successor`` (target, trail, label, label rank) per arc that leaves marking
+``m``, in row order, or on a reduced graph in (label rank, trail, target)
+order, the order the searches break ties in.  Arcs of one kind into one
+marking share their ``Successor``.  The ``Arc`` objects, ``arcs`` and the
+``out`` rows (``out[m]`` holds the arcs of ``arcs`` that leave marking
+``m``, in ``succ`` order), are read off the index only by dot files and
+tests, so no alignment builds them.
 """
 
 from __future__ import annotations
@@ -51,6 +57,27 @@ class Arc(NamedTuple):
     label: int
     trail: tuple[int, ...]  # silent transitions: a raw silent arc's own, or those absorbed
     tgt: int
+
+
+class Successor(NamedTuple):
+    """One arc of a successor row, without its source.  The fields compare
+    target first, then trail, as the searches' tie keys do."""
+
+    tgt: int
+    trail: tuple[int, ...]
+    label: int
+    rank: int  # the label's rank in the index's ``rank``
+
+
+class SuccessorIndex:
+    """A graph's successor rows by marking id, and the label ``rank``
+    (``LabelTable.rank``) their entries carry, taken once per graph."""
+
+    __slots__ = ("rows", "rank")
+
+    def __init__(self, rows: tuple[tuple[Successor, ...], ...], rank: dict[int, int]):
+        self.rows = rows
+        self.rank = rank
 
 
 class _Rows:
@@ -95,16 +122,6 @@ class _Rows:
         self.moved = {} if moved is None else moved
         self.arc_count = len(tgt) if arc_count is None else arc_count
         self.index = index
-
-    @classmethod
-    def of_out(cls, out) -> _Rows:
-        """The rows of ``Arc`` rows, with one kind per (label, trail) pair."""
-        kinds: dict = {}
-        kind = array("i", [kinds.setdefault((a.label, a.trail), len(kinds))
-                           for row in out for a in row])
-        return cls([label for label, _ in kinds], [trail for _, trail in kinds],
-                   array("i", accumulate(map(len, out), initial=0)), kind,
-                   [a.tgt for row in out for a in row])
 
     def row(self, u: int) -> tuple:
         """The kinds and the targets of row ``u``."""
@@ -153,11 +170,19 @@ class _Rows:
             level = reached
         raise TauReductionError("no final marking reachable from the initial marking")
 
-    def out(self, rank: Optional[dict[int, int]]) -> tuple[tuple[Arc, ...], ...]:
-        """The ``Arc`` rows by marking id: each row's arcs in row order, or,
-        given the label ``rank``, in (label rank, trail, target) order."""
+    def successors(self, rank: dict[int, int], ordered: bool,
+                   shared_from: int) -> tuple[tuple[Successor, ...], ...]:
+        """The successor rows by marking id: each row's arcs in row order,
+        or when ``ordered`` in (label rank, trail, target) order.  Arcs of a
+        kind ``shared_from`` or above into one marking share one entry.  The
+        kinds below it are the net's transitions, and no two arcs of one
+        transition lead into one marking: the firing rule run backwards gives
+        its one source, so those arcs share nothing and no lookup is made."""
         labels, trails = self.labels, self.trails
-        new = tuple.__new__  # Arc(...) without the NamedTuple constructor's call overhead
+        ranks = [rank[label] for label in labels]
+        nkinds = len(labels)
+        new = tuple.__new__  # a Successor without the NamedTuple constructor's call overhead
+        shared: dict[int, Successor] = {}  # by target * nkinds + kind
         if self.keep is None:
             kept, ids = range(len(self.start) - 1), None
         else:
@@ -166,23 +191,29 @@ class _Rows:
         for u in kept:
             ks, vs = self.row(u)
             if ids is not None:
-                u, vs = ids[u], [ids[v] for v in vs]
-            if rank is None:
-                row = [new(Arc, (u, labels[k], trails[k], v)) for k, v in zip(ks, vs)]
-            else:
-                items = [(rank[labels[k]], trails[k], v, labels[k]) for k, v in zip(ks, vs)]
+                vs = [ids[v] for v in vs]
+            pairs = zip(ks, vs)
+            if ordered:
+                items = [(ranks[k], trails[k], v, k) for k, v in pairs]
                 items.sort()
-                row = [new(Arc, (u, l, tr, v)) for _, tr, v, l in items]
+                pairs = [(k, v) for _, _, v, k in items]
+            row = []
+            for k, v in pairs:
+                if k < shared_from:
+                    row.append(new(Successor, (v, trails[k], labels[k], ranks[k])))
+                    continue
+                s = shared.get(v * nkinds + k)
+                if s is None:
+                    s = shared[v * nkinds + k] = new(Successor, (v, trails[k], labels[k], ranks[k]))
+                row.append(s)
             rows.append(tuple(row))
         return tuple(rows)
 
 
 class ReachabilityGraph:
     """A marking graph: ``markings`` (bitmasks) by marking id, the initial
-    marking ``m0`` and the ``finals`` as ids, and its arcs.
-
-    A graph is given either by its compact ``rows`` (``build_rg`` and tau
-    removal) or by its ``arcs``, whose rows are then read off them.
+    marking ``m0`` and the ``finals`` as ids, and its arcs in compact
+    ``rows`` (built by ``build_rg`` or by tau removal).
     """
 
     net: SystemNet
@@ -192,26 +223,26 @@ class ReachabilityGraph:
     reduced: bool
 
     def __init__(self, net: SystemNet, markings: tuple[int, ...], m0: int,
-                 finals: frozenset[int], arcs: Optional[tuple[Arc, ...]] = None,
-                 reduced: bool = False, *, rows: Optional[_Rows] = None):
+                 finals: frozenset[int], rows: _Rows, reduced: bool = False):
         self.net = net
         self.markings = markings
         self.m0 = m0
         self.finals = finals
         self.reduced = reduced
-        if rows is None:
-            self.arcs = tuple(arcs)
-            out: list[list[Arc]] = [[] for _ in markings]
-            for a in self.arcs:
-                out[a.src].append(a)
-            self.out = tuple(tuple(x) for x in out)
-            rows = _Rows.of_out(self.out)
         self._rows = rows
 
     @cached_property
-    def out(self) -> tuple[tuple[Arc, ...], ...]:
+    def succ(self) -> SuccessorIndex:
         # a reduced graph's rows are ordered here, a built graph's are kept
-        return self._rows.out(self.net.table.rank() if self.reduced else None)
+        rank = self.net.table.rank()
+        return SuccessorIndex(self._rows.successors(rank, self.reduced, len(self.net.transitions)),
+                              rank)
+
+    @cached_property
+    def out(self) -> tuple[tuple[Arc, ...], ...]:
+        new = tuple.__new__
+        return tuple(tuple([new(Arc, (u, s.label, s.trail, s.tgt)) for s in row])
+                     for u, row in enumerate(self.succ.rows))
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -300,7 +331,7 @@ def build_rg(net: SystemNet, cap: int = DEFAULT_MARKING_CAP) -> ReachabilityGrap
     # a silent arc's trail is its own transition
     trails = [(t,) if label == TAU else () for t, label in enumerate(labels)]
     return ReachabilityGraph(net, tuple(markings), 0, finals,
-                             rows=_Rows(labels, trails, start, kind, tgt, index=index))
+                             _Rows(labels, trails, start, kind, tgt, index=index))
 
 
 def _fired_into(net: SystemNet, index: dict[int, int]):
@@ -589,7 +620,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
         # own rather than the shared sequences
         rows = rows.renumbered()
     return ReachabilityGraph(net, tuple(compress(rg.markings, alive)), remap[m0],
-                             frozenset(remap[f] for f in live_finals), reduced=True, rows=rows)
+                             frozenset(remap[f] for f in live_finals), rows, reduced=True)
 
 
 def _positions(seq: array, x: int):

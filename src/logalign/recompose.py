@@ -262,9 +262,10 @@ def replays_on_model(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool
     as one contiguous path from the initial to a final marking."""
     if alignment.log_projection() != tuple(trace):
         return False
+    rows = rg.succ.rows
     current = {rg.m0}
     for move in alignment.model_projection():
-        current = {a.tgt for u in current for a in rg.out[u] if a.label == move.label}
+        current = {s.tgt for u in current for s in rows[u] if s.label == move.label}
         if not current:
             return False
     return bool(current & rg.finals)

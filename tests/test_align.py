@@ -9,10 +9,11 @@ from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, O
                             make_alignment, Move, _Budget, future_table, _Node,
                             _remaining_counts)
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
-from logalign.heuristic import FutureLabelTable
+from logalign.heuristic import FutureLabelTable, precompute_future_labels
 from logalign.invariants import decompose
-from logalign.oracle import brute_force_optimal_cost
-from logalign.reachability import Arc, build_rg, remove_tau, remove_tau_extended
+from logalign.oracle import brute_force_optimal_cost, enumerate_optimal_move_sequences
+from logalign.reachability import Successor, build_rg, remove_tau, remove_tau_extended
+from logalign.recompose import replays_on_model
 from logalign.sampledata import loan_pair
 
 from gen import random_log, random_workflow_net
@@ -246,11 +247,10 @@ def reference_chain(node):
     """Move keys from the root, rebuilt from each node's move and label rank."""
     keys = []
     while node.parent is not None:
-        op, x = node.move
-        if isinstance(x, Arc):
-            keys.append((op, node.key[1], x.tgt, x.trail))
+        if isinstance(node.succ, Successor):
+            keys.append((node.op, node.lrank, node.succ.tgt, node.succ.trail))
         else:  # an lhide carries only its label
-            keys.append((op, node.key[1], -1, ()))
+            keys.append((node.op, node.lrank, -1, ()))
         node = node.parent
     keys.reverse()
     return keys
@@ -260,10 +260,16 @@ def reference_lt(a, b):
     return reference_chain(a) < reference_chain(b)
 
 
+def node_key(node):
+    return node.op, node.lrank, node.succ
+
+
 def child(parent, op, label, rg_tgt=None, trail=(), lrank=None):
     tgt = -1 if rg_tgt is None else rg_tgt
-    move = (op, label) if tgt == -1 and not trail else (op, Arc(0, label, trail, tgt))
-    return _Node(parent, move, (op, label if lrank is None else lrank, tgt, trail))
+    lrank = label if lrank is None else lrank
+    if tgt == -1 and not trail:
+        return _Node(parent, op, lrank, (-1, (), label), parent.mid)
+    return _Node(parent, op, lrank, Successor(tgt, trail, label, lrank), tgt)
 
 
 def assert_same_order(nodes):
@@ -272,14 +278,14 @@ def assert_same_order(nodes):
     pairs = 0
     for a in nodes:
         for b in nodes:
-            if a is not b and a.length == b.length:
+            if a is not b and len(reference_chain(a)) == len(reference_chain(b)):
                 assert (a < b) == reference_lt(a, b), (reference_chain(a), reference_chain(b))
                 pairs += 1
     return pairs
 
 
 def test_tie_compare_matches_chain_order_on_hand_trees():
-    root = _Node(None, None, 0)
+    root = _Node(None, OP_MATCH, 0, None, 0)
     s1 = child(root, OP_MATCH, 3, rg_tgt=1)
     s2 = child(root, OP_RHIDE, 1, rg_tgt=2)  # sibling of s1 with a larger op
     s1a = child(s1, OP_LHIDE, 2)
@@ -300,14 +306,14 @@ def test_tie_compare_matches_chain_order_on_random_trees():
     rng = random.Random(17)
     pairs = 0
     for _ in range(20):
-        nodes = [_Node(None, None, 0)]
+        nodes = [_Node(None, OP_MATCH, 0, None, 0)]
         for _ in range(40):
             parent = rng.choice(nodes)
             # few distinct moves, so cousins often share keys; siblings never
             # do, as a search settles each child state once
             node = child(parent, rng.choice((OP_MATCH, OP_RHIDE)), rng.randint(1, 2),
                          rg_tgt=rng.choice((None, 1)), trail=rng.choice(((), (9,))))
-            if all(x.parent is not parent or x.key != node.key for x in nodes):
+            if all(x.parent is not parent or node_key(x) != node_key(node) for x in nodes):
                 nodes.append(node)
         pairs += assert_same_order(nodes)
     assert pairs > 1000
@@ -532,17 +538,75 @@ def exactness_cases():
 
 
 def test_one_optimal_matches_the_reference_search():
+    # reduced graphs that share the raw rows and graphs with rows of their
+    # own; the search runs first on each fresh graph and builds no Arc rows,
+    # which the reference then reads
     cases = exactness_cases()
     assert len(cases) >= 400
     with_trail = 0
+    forms = {True: 0, False: 0}
+    shared_entries = 0
     for trace, rg in cases:
+        fresh = "succ" not in vars(rg)
         fast_stats, ref_stats = {}, {}
-        expected = reference_align_one_optimal(trace, rg, stats=ref_stats)
         got = align_one_optimal(trace, rg, stats=fast_stats)
+        if fresh:
+            assert "out" not in vars(rg) and "arcs" not in vars(rg)
+            forms[rg._rows.keep is None] += 1
+            entries = [s for row in rg.succ.rows for s in row]
+            shared_entries += len({id(s) for s in entries}) < len(entries)
+        expected = reference_align_one_optimal(trace, rg, stats=ref_stats)
         assert got.moves == expected.moves
         assert fast_stats == ref_stats
         with_trail += any(m.trail for m in got.moves)
     assert with_trail >= 20  # extended labels are exercised
+    assert forms[True] >= 20 and forms[False] >= 20, forms  # renumbered, shared
+    assert shared_entries >= 10
+
+
+def test_labels_interned_after_the_index_rank_among_the_trace_labels():
+    # the index takes the label rank once; lhides of labels interned later
+    # (texts that sort before and between the model's) rank by the table's
+    # rank, as they did when every search read it
+    net, log, rg = loan_setup()
+    trace = log.traces[0].labels
+    align_one_optimal(trace, rg)
+    assert len(rg.succ.rank) == len(net.table)
+    extra = [net.table.intern(text) for text in ("AB", "0", "Ca")]
+    rng = random.Random(53)
+    for _ in range(40):
+        noisy = list(rng.choice(log.traces).labels)
+        for _ in range(3):
+            noisy.insert(rng.randrange(len(noisy) + 1), rng.choice(extra))
+        stats, ref_stats = {}, {}
+        got = align_one_optimal(noisy, rg, stats=stats)
+        assert got.moves == reference_align_one_optimal(noisy, rg, stats=ref_stats).moves
+        assert stats == ref_stats
+        optima = all_optimal_alignments(noisy, rg)
+        assert optima.edges == reference_all_optimal(noisy, rg).edges
+
+
+def test_searches_and_checks_build_no_arc_rows():
+    # every reader of a graph's arcs on the align path walks its successor
+    # index: the precompute, both searches, both propriety checks, the oracle
+    net, log = loan_pair()
+    trace = log.traces[0].labels
+    for reduce in (remove_tau, remove_tau_extended):
+        alignment = align_one_optimal(trace, reduce(build_rg(net)))
+        readers = {
+            "precompute": precompute_future_labels,
+            "one optimal": lambda rg: align_one_optimal(trace, rg) == alignment,
+            "all optimal": lambda rg: all_optimal_alignments(trace, rg).cost == alignment.cost,
+            "is_proper": lambda rg: is_proper(alignment, trace, rg),
+            "replays_on_model": lambda rg: replays_on_model(alignment, trace, rg),
+            "oracle": lambda rg: brute_force_optimal_cost(trace, rg)[0] == alignment.cost,
+            "enumeration": lambda rg: enumerate_optimal_move_sequences(trace, rg)[1],
+        }
+        for what, read in readers.items():
+            rg = reduce(build_rg(net))
+            assert read(rg), what
+            assert "succ" in vars(rg), what
+            assert "out" not in vars(rg) and "arcs" not in vars(rg), what
 
 
 def test_one_optimal_and_the_reference_share_the_node_budget():

@@ -6,10 +6,11 @@ from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _dominates,
                                 precompute_future_labels)
 from logalign.logs import LabelTable
 from logalign.petri import SystemNet
-from logalign.reachability import Arc, ReachabilityGraph, build_rg, remove_tau
+from logalign.reachability import Arc, build_rg, remove_tau
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
+from graphs import graph_of_arcs
 from nets import parallel_tasks_net, sequence_net
 
 
@@ -41,7 +42,7 @@ def reference_entries(rg, entry_cap):
     """Per-marking entries merged with a dict and a sort per candidate and
     no stop at the cap."""
     n = len(rg.markings)
-    comp = _tarjan(n, rg)
+    comp = _tarjan(rg.succ.rows)
     ncomp = max(comp) + 1 if n else 0
     sizes = [0] * ncomp
     for mid in range(n):
@@ -310,7 +311,7 @@ def test_capped_components_share_one_class():
         capped = [mid for mid, entries in enumerate(table.entries)
                   if entries == degenerate and uncapped[mid] != degenerate]
         assert len({table.classes[mid] for mid in capped}) <= 1
-        comp = _tarjan(len(rg.markings), rg)
+        comp = _tarjan(rg.succ.rows)
         spread += len({comp[mid] for mid in capped}) > 1
     assert spread >= 5  # several capped components share the class
 
@@ -326,7 +327,7 @@ def test_shared_bumped_lists_leave_entries_unchanged():
             rg = remove_tau(build_rg(net))
         except LogAlignError:
             continue
-        comp = _tarjan(len(rg.markings), rg)
+        comp = _tarjan(rg.succ.rows)
         takers = {}
         for a in rg.arcs:
             if comp[a.src] != comp[a.tgt]:
@@ -383,11 +384,11 @@ def test_scans_equal_the_reference_pruning_on_parallel_tasks(monkeypatch):
 
 
 def arc_graph(n, arcs, finals):
-    """A tau-free graph of n markings given by (src, label, tgt) arcs."""
-    net = sequence_net(["A", "B"])
-    return ReachabilityGraph(net, tuple(range(n)), 0, frozenset(finals),
-                             tuple(Arc(src, label, (), tgt) for src, label, tgt in arcs),
-                             reduced=True)
+    """A tau-free graph of n markings given by (src, label, tgt) arcs, over
+    the labels 1..9 of a net's table."""
+    net = sequence_net(list("ABCDEFGHI"))
+    return graph_of_arcs(net, range(n), 0, finals,
+                         [Arc(src, label, (), tgt) for src, label, tgt in arcs], reduced=True)
 
 
 def test_a_capped_successors_degenerate_entry_is_bumped(monkeypatch):

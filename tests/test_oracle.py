@@ -9,6 +9,7 @@ from logalign.reachability import Arc, ReachabilityGraph, build_rg, remove_tau
 from logalign.sampledata import loan_net
 
 from gen import noised_trace, random_model_run, random_workflow_net
+from graphs import graph_of_arcs
 from nets import parallel_merge_net, sequence_net
 
 
@@ -76,8 +77,7 @@ def test_oracle_reversal_invariance():
 def _reverse(rg: ReachabilityGraph) -> ReachabilityGraph:
     (final,) = rg.finals
     arcs = tuple(Arc(a.tgt, a.label, a.trail, a.src) for a in rg.arcs)
-    return ReachabilityGraph(rg.net, rg.markings, final, frozenset({rg.m0}), arcs,
-                             reduced=True)
+    return graph_of_arcs(rg.net, rg.markings, final, {rg.m0}, arcs, reduced=True)
 
 
 def test_enumeration_matches_brute_force_cost():

@@ -239,6 +239,11 @@ def capture_monolithic_graph(monkeypatch, net):
 
 
 def rows_built(rg):
+    """Whether anything built the graph's successor index or its ``Arc`` rows."""
+    return any(name in vars(rg) for name in ("succ", "out", "arcs"))
+
+
+def arc_rows_built(rg):
     return "out" in vars(rg) or "arcs" in vars(rg)
 
 
@@ -299,6 +304,20 @@ def test_a_fallback_builds_the_monolithic_rows_and_keeps_its_cost(monkeypatch):
     assert report["aggregates"]["fallbacks"] == 1 and rows_built(graphs[-1])
     mono = run_conformance(net, log, RunConfig(strategy="monolithic")).report
     assert [r["cost"] for r in report["traces"]] == [r["cost"] for r in mono["traces"]] == [0, 1]
+
+
+def test_a_fallback_searches_the_successor_index_without_arc_rows():
+    # the lanes' searches and the fallback's A* with its heuristic precompute
+    # read each graph's successor index; none builds the graph's Arc rows
+    net = hidden_history_parallel_net()
+    conflicting = [net.table.lookup(x) for x in ["T%d" % k for k in range(1, 8)] + list("ABD")]
+    full = remove_tau(build_rg(net))
+    aligner = SComponentAligner(net, full_rg=full)
+    outcome = aligner.align_trace(conflicting)
+    assert outcome.fallback_used and outcome.alignment.cost == 1
+    graphs = [full] + aligner.component_rgs()
+    assert all("succ" in vars(rg) for rg in graphs)
+    assert not any(arc_rows_built(rg) for rg in graphs)
 
 
 def test_all_optimal_stops_at_the_global_deadline():

@@ -8,11 +8,12 @@ from logalign.errors import (LogAlignError, Not1BoundedError, StateSpaceCapError
                              TauReductionError)
 from logalign.logs import TAU, LabelTable
 from logalign.petri import SystemNet
-from logalign.reachability import (DEFAULT_MARKING_CAP, Arc, ReachabilityGraph, build_rg,
-                                   min_visible_skips_net, remove_tau, remove_tau_extended)
+from logalign.reachability import (DEFAULT_MARKING_CAP, Arc, build_rg, min_visible_skips_net,
+                                   remove_tau, remove_tau_extended)
 from logalign.sampledata import loan_net
 
 from gen import random_workflow_net
+from graphs import graph_of_arcs
 from nets import parallel_merge_net, parallel_tasks_net, sequence_net, skippable_parallel_net
 
 
@@ -273,7 +274,7 @@ def reference_build_rg(net, cap=DEFAULT_MARKING_CAP):
             label = net.transitions[t].label
             arcs.append(Arc(mid, label, (t,) if label == TAU else (), tid))
     finals = frozenset(index[f] for f in net.finals if f in index)
-    return ReachabilityGraph(net, tuple(markings), 0, finals, tuple(arcs))
+    return graph_of_arcs(net, markings, 0, finals, arcs)
 
 
 def reference_reduce(rg, extended):
@@ -423,9 +424,8 @@ def reference_reduce(rg, extended):
         key=lambda a: (a[0], rank[a[1]], a[2], a[3]))
     new_arcs = tuple(Arc(s, l, tr, t) for s, l, tr, t in flat)
     assert all(a.label != TAU for a in new_arcs)
-    return ReachabilityGraph(net, tuple(new_markings), remap[rg.m0],
-                             frozenset(remap[f] for f in live_finals), new_arcs,
-                             reduced=True)
+    return graph_of_arcs(net, new_markings, remap[rg.m0], [remap[f] for f in live_finals],
+                         new_arcs, reduced=True)
 
 
 def eager_reduce(rg, extended):
@@ -668,9 +668,8 @@ def eager_reduce(rg, extended):
         row = tuple([new(Arc, (src, l, tr, remap[t])) for _, tr, t, l in items])
         arcs += row
         new_out.append(row)
-    rebuilt = ReachabilityGraph(net, tuple(new_markings), remap[m0],
-                                frozenset(remap[f] for f in live_finals), tuple(arcs),
-                                reduced=True)
+    rebuilt = graph_of_arcs(net, new_markings, remap[m0], [remap[f] for f in live_finals],
+                            arcs, reduced=True)
     assert rebuilt.out == tuple(new_out)
     return rebuilt
 
@@ -1014,7 +1013,7 @@ def test_a_reduction_shares_the_raw_rows_unless_it_rewrote_most():
 
 
 def given_by_arcs(rg):
-    return ReachabilityGraph(rg.net, rg.markings, rg.m0, rg.finals, rg.arcs, rg.reduced)
+    return graph_of_arcs(rg.net, rg.markings, rg.m0, rg.finals, rg.arcs, rg.reduced)
 
 
 def test_a_graph_given_by_arcs_answers_from_its_rows():
