@@ -174,12 +174,14 @@ def _label_rank(trace, index: SuccessorIndex, rg: ReachabilityGraph) -> dict[int
     return rank
 
 
-def future_table(rg: ReachabilityGraph) -> FutureLabelTable:
+def future_table(rg: ReachabilityGraph, deadline: Optional[float] = None) -> FutureLabelTable:
     """The graph's future-label table, built on the first call and kept on
-    the graph (the table refers back to it weakly); both searches read it."""
+    the graph (the table refers back to it weakly); both searches read it.
+    A build that passes ``deadline`` raises ``SearchBudgetError`` and keeps
+    nothing."""
     table = getattr(rg, "_future_table", None)
     if table is None:
-        table = precompute_future_labels(rg)
+        table = precompute_future_labels(rg, deadline=deadline)
         rg._future_table = table
     return table
 
@@ -189,12 +191,13 @@ def table_off_the_clock(rg: ReachabilityGraph, deadline: Optional[float],
     """``deadline`` for a search of ``rg``, after building the graph's
     future-label table if it is not built yet: moved on by the time the
     build took, but not past ``global_deadline``, so the one-time build is
-    not paid from one trace's own timeout.  Without a deadline the search
-    builds the table itself."""
+    not paid from one trace's own timeout.  The build itself stops at
+    ``global_deadline`` (``SearchBudgetError``).  Without a deadline the
+    search builds the table itself."""
     if deadline is None or getattr(rg, "_future_table", None) is not None:
         return deadline
     start = time.monotonic()
-    future_table(rg)
+    future_table(rg, global_deadline)
     deadline += time.monotonic() - start
     return deadline if global_deadline is None else min(deadline, global_deadline)
 

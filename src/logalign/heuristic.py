@@ -7,10 +7,21 @@ finals; labels on arcs inside a nontrivial component are recorded with an
 unbounded-repetition flag instead of a count.  A component whose set grows
 past ``entry_cap`` entries gets the single degenerate entry (no counts, every
 label repeatable), so its merging stops as soon as the cap is passed.
-Every component that crosses into one successor component on one label
-bumps that successor's entries the same way, so such a step's bumped list
-is built once, shared by the components that take it, and freed once the
-last of them is done; a step taken by one component is not kept.
+
+The precompute holds each entry as two ints.  The graph's labels get a dense
+index (``_Digits``), by ascending label id, so labels a log interned besides
+the graph's own cannot widen them:
+
+- the counts are one integer of fixed-width digits, digit i holding the
+  count of label i;
+- the repeatable labels (omega) are a bitmask, bit i for label i.
+
+One more occurrence of a label adds that label's unit digit, and a union of
+omegas is an ``|``.  A count is the number of component crossings on a path
+to a final component, below the number of components ``ncomp``, so digits
+of ``ncomp.bit_length() + 1`` bits never carry into each other and keep
+their top bit, the guard bit, clear.  The digit sum, an entry's total
+count, is the counts integer modulo ``2 ** width - 1``.
 
 The estimate for a search state compares the multiset of remaining trace
 labels F against each future multiset (counts c, repeatable labels omega):
@@ -34,8 +45,8 @@ label plus one per element of the smaller of omega and F's distinct
 labels; with an empty omega, its counted labels alone.  A search passes |F|
 in, as it knows the trace position; ``h`` sums F only when it is left out.
 
-``h`` scans a pruned, sorted form of each entry set and returns the same
-minimum as a scan of every entry:
+``h`` scans a pruned form of each entry set, decoded once per set from the
+packed entries, and returns the same minimum as a scan of every entry:
 
 - The estimate is a sum of one term per label.  Entry x dominates entry y
   of the same set when, for every label l, either l is in omega_x and
@@ -43,48 +54,124 @@ minimum as a scan of every entry:
   c_x[l] = c_y[l].  In the first case x's term for l has no missing part
   and a surplus no larger than y's; in the second the two terms are equal.
   So x's estimate is never above y's for any F, and dropping y leaves the
-  minimum unchanged.  A dominating entry has a total count at most y's, and
-  a larger omega when the totals are equal, so one pass in
-  (total, -|omega|) order, checking each entry against those kept so far,
-  drops every dominated entry; equal keys keep the order they are given in.
+  minimum unchanged.  On packed entries the test is three integer tests:
+  omega_y has no bit outside omega_x; c_x and c_y agree on every digit of a
+  label outside omega_x; and c_y with every guard bit set, less c_x, keeps
+  every guard bit set, which holds exactly when no digit of c_x exceeds
+  c_y's.
+- A dominating entry has a total count at most y's, and a larger omega when
+  the totals are equal, and two entries that dominate each other are
+  equal.  So one pass in (total, -|omega|) order, checking each entry
+  against those kept so far, drops every dominated entry and keeps the same
+  entries whatever the order among equal keys.  The kept entries of equal
+  key stay in the order they are given in.
 - Dominance survives one more occurrence of a label in both entries and a
   union of both omegas with one set.  So every undominated entry of a
   component is the final entry or a successor's kept entry, bumped on the
   step's label and unioned with the component's own repeatable labels.
   These candidates are usually far fewer than the component's raw entries,
-  and the pass over them keeps the same entries.  They are fed to it in the
-  raw tuple's sorted order, so the kept order is the same too.  A
-  component whose candidates are not fewer than its raw entries (one raw
-  entry, as on every component of a net of parallel tasks) prunes the raw
-  entries instead.
+  and the pass over them keeps the same entries.  A component whose
+  candidates are not fewer than its raw entries (one raw entry, as on every
+  component of a net of parallel tasks) prunes the raw entries instead.
 - Since surplus >= sum(c) - |F|, an entry of total count T costs at least
   T - |F|.  Entries are scanned by ascending T and the scan stops once
-  T - |F| reaches the best estimate found.
+  T - |F| reaches the best estimate found.  Neither the stop nor the
+  minimum depends on the order among entries of one total, so neither does
+  the estimate.
 
-``h(F, mid)`` reads nothing of the marking but its entry tuple, which every
+``h(F, mid)`` reads nothing of the marking but its scan tuple, which every
 marking of one component shares, and every capped component shares the one
-degenerate tuple.  ``classes[mid]`` numbers the distinct tuples densely from
-0 (``n_classes`` of them): the marking's future-label class.  Markings of one
-class get the same estimate for every F, so a search caches ``h`` per
-(trace position, class) rather than per (trace position, marking).
+degenerate entry set.  ``classes[mid]`` numbers the distinct entry sets
+densely from 0 (``n_classes`` of them): the marking's future-label class.
+Markings of one class get the same estimate for every F, so a search caches
+``h`` per (trace position, class) rather than per (trace position, marking).
+``entries`` decodes the raw entry sets, sorted, only when first read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+import time
 from typing import Optional, Sequence
 from weakref import ref
 
+from .errors import SearchBudgetError
 from .reachability import ReachabilityGraph
 
 DEFAULT_ENTRY_CAP = 256
 
 Entry = tuple[tuple[tuple[int, int], ...], frozenset[int]]  # (sorted counts, repeatable)
+Packed = tuple[int, int]  # (counts, one digit per label; repeatable labels' bits)
 # (total count, repeatable, ((label, count, weight), ...)): weight 1 for a
 # repeatable label, 2 for any other
 ScanEntry = tuple[int, frozenset[int], tuple[tuple[int, int, int], ...]]
-KeptEntry = tuple[int, tuple[tuple[int, int], ...], frozenset[int]]  # (total count, counts, repeatable)
+
+
+class _Digits:
+    """A graph's labels, ascending, as digit and bit positions of packed
+    entries, with the masks the dominance test reads."""
+
+    __slots__ = ("labels", "width", "mask", "unit", "bit", "guards", "_free", "_omegas",
+                 "_triples")
+
+    def __init__(self, labels: Sequence[int], width: int):
+        self.labels = labels
+        self.width = width
+        self.mask = (1 << width) - 1  # one digit; a counts integer modulo it is its total
+        self.unit = {l: 1 << width * i for i, l in enumerate(labels)}
+        self.bit = {l: 1 << i for i, l in enumerate(labels)}
+        self.guards = sum(1 << width * i + width - 1 for i in range(len(labels)))
+        self._free: dict[int, int] = {}  # omega -> digits of the labels outside it
+        self._omegas: dict[int, frozenset[int]] = {}
+        self._triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+
+    def free(self, om: int) -> int:
+        digits = self._free.get(om)
+        if digits is None:
+            digits = (1 << self.width * len(self.labels)) - 1
+            for i in range(om.bit_length()):
+                if om >> i & 1:
+                    digits &= ~(self.mask << self.width * i)
+            self._free[om] = digits
+        return digits
+
+    def omega(self, om: int) -> frozenset[int]:
+        labels = self._omegas.get(om)
+        if labels is None:
+            labels = self._omegas[om] = frozenset(
+                l for i, l in enumerate(self.labels) if om >> i & 1)
+        return labels
+
+    def counts(self, cnt: int) -> tuple[tuple[int, int], ...]:
+        """(label, count) pairs by ascending label."""
+        width, mask, labels = self.width, self.mask, self.labels
+        out = []
+        i = 0
+        while cnt:
+            c = cnt & mask
+            if c:
+                out.append((labels[i], c))
+            cnt >>= width
+            i += 1
+        return tuple(out)
+
+    def scan(self, kept: Sequence[Packed]) -> tuple[ScanEntry, ...]:
+        """Kept entries in the form ``h`` scans.  Equal (label, count,
+        weight) triples are one tuple, so a table of many one-entry classes,
+        as on a net of parallel tasks, holds each triple once."""
+        out = []
+        for cnt, om in kept:
+            labels = []
+            for l, c in self.counts(cnt):
+                triple = (l, c, 1 if om & self.bit[l] else 2)
+                labels.append(self._triples.setdefault(triple, triple))
+            out.append((sum(c for _, c, _ in labels), self.omega(om), tuple(labels)))
+        return tuple(out)
+
+    def entries(self, pool: Sequence[Packed]) -> tuple[Entry, ...]:
+        """Raw entries decoded and sorted: by counts, then smaller omega,
+        then omega's sorted labels."""
+        decoded = [(self.counts(cnt), self.omega(om)) for cnt, om in pool]
+        return tuple(sorted(decoded, key=lambda e: (e[0], len(e[1]), sorted(e[1]))))
 
 
 class FutureLabelTable:
@@ -96,31 +183,34 @@ class FutureLabelTable:
     frees.  ``rg`` is the graph while it is alive, and None after.
     """
 
-    __slots__ = ("_rg", "entries", "classes", "n_classes", "_scan")
+    __slots__ = ("_rg", "classes", "n_classes", "_scan", "_raw", "_digits", "_entries")
 
-    def __init__(self, rg: ReachabilityGraph, entries: tuple[tuple[Entry, ...], ...],
-                 kept: Optional[tuple[tuple[KeptEntry, ...], ...]] = None):
+    def __init__(self, rg: ReachabilityGraph, classes: list[int],
+                 raw: Sequence[Sequence[Packed]], kept: Sequence[Sequence[Packed]],
+                 digits: _Digits):
+        """``classes`` per marking id; ``raw`` and ``kept`` per class, its
+        packed raw and undominated entries, the latter in scan order."""
         self._rg = ref(rg)
-        self.entries = entries  # per marking id
-        # markings of one component share their entry tuple: prune each tuple
-        # once (or take its undominated entries from kept, per marking id)
-        # and number the distinct tuples, by identity, as the classes
-        by_id: dict[int, int] = {}
-        pruned: list[tuple[ScanEntry, ...]] = []
-        classes = []
-        for mid, own in enumerate(entries):
-            cls = by_id.get(id(own))
-            if cls is None:
-                cls = by_id[id(own)] = len(pruned)
-                pruned.append(_scan_form(_prune(own) if kept is None else kept[mid]))
-            classes.append(cls)
-        self.classes = classes  # per marking id
-        self.n_classes = len(pruned)
-        self._scan = [pruned[cls] for cls in classes]
+        self.classes = classes
+        self.n_classes = len(raw)
+        scans = [digits.scan(entries) for entries in kept]
+        self._scan = [scans[cls] for cls in classes]
+        self._raw = raw
+        self._digits = digits
+        self._entries: Optional[tuple[tuple[Entry, ...], ...]] = None
 
     @property
     def rg(self) -> Optional[ReachabilityGraph]:
         return self._rg()
+
+    @property
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+        """Each marking's raw entries, decoded on the first read; markings
+        of one class share one tuple."""
+        if self._entries is None:
+            decoded = [self._digits.entries(pool) for pool in self._raw]
+            self._entries = tuple([decoded[cls] for cls in self.classes])
+        return self._entries
 
     def h(self, remaining: dict[int, int], mid: int, size: Optional[int] = None) -> int:
         """The estimate for remaining trace labels ``remaining`` (of total
@@ -160,137 +250,100 @@ class FutureLabelTable:
         return best
 
 
-def _prune(entries: Sequence[Entry]) -> tuple[KeptEntry, ...]:
-    """The entries no other entry dominates, by ascending total count, as
-    (total, counts, repeatable)."""
-    # by total count, then larger omega first, then as given
-    order = sorted((sum(c for _, c in entry[0]), -len(entry[1]), i)
-                   for i, entry in enumerate(entries))
-    kept: list[tuple[int, dict[int, int], frozenset[int]]] = []
-    out: list[KeptEntry] = []
-    for total, _, i in order:
-        counts, omega = entries[i]
-        cdict = dict(counts)
-        if not kept or not any(_dominates(x, cdict, omega) for x in kept):
-            kept.append((total, cdict, omega))
-            out.append((total, counts, omega))
-    return tuple(out)
+def _prune(pool: Sequence[Packed], digits: _Digits) -> Sequence[Packed]:
+    """The entries no other entry dominates, by ascending total count, then
+    larger omega first, then as given."""
+    if len(pool) == 1:
+        return pool
+    total = digits.mask
+    guards = digits.guards
+    kept: list[tuple[int, int, int]] = []  # (counts, omega, digits outside omega)
+    out = []
+    for entry in sorted(pool, key=lambda e: (e[0] % total, -e[1].bit_count())):
+        cy, oy = entry
+        for cx, ox, free in kept:
+            if not oy & ~ox and not (cx ^ cy) & free and ((cy | guards) - cx) & guards == guards:
+                break
+        else:
+            kept.append((cy, oy, digits.free(oy)))
+            out.append(entry)
+    return out
 
 
-def _scan_form(kept: tuple[KeptEntry, ...]) -> tuple[ScanEntry, ...]:
-    """Pruned entries in the form ``h`` scans."""
-    return tuple((total, omega, tuple((l, c, 1 if l in omega else 2) for l, c in counts))
-                 for total, counts, omega in kept)
-
-
-def _dominates(x: tuple[int, dict[int, int], frozenset[int]], cdict: dict[int, int],
-               omega: frozenset[int]) -> bool:
-    """Whether the estimate of entry x = (total, counts, repeatable) is at
-    most that of entry (cdict, omega) for every F."""
-    _, xdict, xomega = x
-    if not omega <= xomega:
-        return False
-    for l, c in xdict.items():
-        if c > cdict.get(l, 0) or (c != cdict[l] and l not in xomega):
-            return False
-    return all(l in xomega or l in xdict for l in cdict)
-
-
-def _bump(counts: tuple[tuple[int, int], ...], label: int) -> tuple[tuple[int, int], ...]:
-    """Sorted counts with one more occurrence of label."""
-    i = bisect_left(counts, (label,))
-    if i < len(counts) and counts[i][0] == label:
-        return counts[:i] + ((label, counts[i][1] + 1),) + counts[i + 1:]
-    return counts[:i] + ((label, 1),) + counts[i:]
-
-
-def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENTRY_CAP) -> FutureLabelTable:
+def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENTRY_CAP,
+                             deadline: Optional[float] = None) -> FutureLabelTable:
+    """The graph's future-label table.  Raises ``SearchBudgetError`` once
+    ``time.monotonic()`` passes ``deadline``, read every 1,024 components."""
     if not rg.reduced:
         raise ValueError("future labels are computed on a tau-free graph")
     n = len(rg.markings)
     rows = rg.succ.rows
     comp = _tarjan(rows)
     ncomp = max(comp) + 1 if n else 0
-    sizes = [0] * ncomp
-    for c in comp:
-        sizes[c] += 1
-
-    internal: list[set[int]] = [set() for _ in range(ncomp)]
-    crossing: list[list] = [[] for _ in range(ncomp)]
-    nontrivial = [size > 1 for size in sizes]
-    for c, row in zip(comp, rows):
-        for s in row:
-            if comp[s.tgt] == c:
-                internal[c].add(s.label)
-                nontrivial[c] = True
-            else:
-                crossing[c].append(s)
-
-    # one tuple for every capped component, so they all share one class
-    degenerate: tuple[Entry, ...] = (((), frozenset(s.label for row in rows for s in row)),)
-    degenerate_kept: tuple[KeptEntry, ...] = ((0,) + degenerate[0],)  # its one entry
-    has_final = [False] * ncomp
-    for f in rg.finals:
-        has_final[comp[f]] = True
-
-    # a step (successor component, label) bumps the same entries for every
-    # component that takes it: its bumped list is kept while components that
-    # have not yet taken it remain, and freed after the last of them
-    steps = [tuple(dict.fromkeys((comp[s.tgt], s.label) for s in succs)) for succs in crossing]
-    takers = Counter(step for taken in steps for step in taken)  # still to come
-    shared: dict[tuple[int, int], list[Entry]] = {}
+    digits = _Digits(sorted({s.label for row in rows for s in row}), ncomp.bit_length() + 1)
+    unit, bit = digits.unit, digits.bit
+    final = {comp[f] for f in rg.finals}
+    # no counts, every label repeatable: still optimistic; one tuple for
+    # every capped component, so they all share one class
+    degenerate = ((0, (1 << len(digits.labels)) - 1),)
+    members = sorted(range(n), key=comp.__getitem__)  # by component, then id
 
     # Tarjan emits components in reverse topological order, so successors of
     # a component are always finished before it
-    futures: list[tuple[Entry, ...]] = [()] * ncomp
-    kept: list[tuple[KeptEntry, ...]] = [()] * ncomp  # each component's undominated entries
+    futures: list[Sequence[Packed]] = [()] * ncomp  # each component's raw entries
+    kept: list[Sequence[Packed]] = [()] * ncomp  # and its undominated ones
+    p = 0
     for c in range(ncomp):
-        omega_base = frozenset(internal[c]) if nontrivial[c] else frozenset()
-        unions: dict[frozenset[int], frozenset[int]] = {}
-        acc: dict[Entry, None] = {}
-        if has_final[c]:
-            acc[((), omega_base)] = None
-        for step in steps[c]:
-            bumped = shared.get(step)
-            if bumped is None:
-                succ, label = step
-                bumped = [(_bump(counts, label), omega) for counts, omega in futures[succ]]
-                if takers[step] > 1:
-                    shared[step] = bumped
-            if omega_base:
-                for counts, omega in bumped:
-                    merged = unions.get(omega)
-                    if merged is None:
-                        merged = unions[omega] = omega | omega_base
-                    acc[(counts, merged)] = None
-            else:
-                acc.update(dict.fromkeys(bumped))
+        if deadline is not None and not c & 1023 and time.monotonic() > deadline:
+            raise SearchBudgetError("heuristic precompute exceeded the global deadline")
+        own = 0  # the labels of arcs inside c, repeatable on every path from it
+        steps: dict[tuple[int, int], None] = {}  # (successor component, label)
+        while p < n and comp[members[p]] == c:
+            for s in rows[members[p]]:
+                t = comp[s.tgt]
+                if t == c:
+                    own |= bit[s.label]
+                else:
+                    steps[(t, s.label)] = None
+            p += 1
+        has_final = c in final
+        acc: dict[Packed, None] = {(0, own): None} if has_final else {}
+        for succ, label in steps:
+            u = unit[label]
+            for cnt, om in futures[succ]:
+                # a successor's own omega int where c adds none: no new int
+                acc[(cnt + u, om | own if own else om)] = None
             if len(acc) > entry_cap:
                 break
         if len(acc) > entry_cap:
-            futures[c] = degenerate  # no counts, every label repeatable: still optimistic
-            kept[c] = degenerate_kept
-        else:
-            pool = futures[c] = tuple(sorted(acc))
-            # every undominated entry is the final entry or a successor's kept
-            # entry bumped on the step's label: prune those when they are
-            # fewer (each successor keeps at least one, so check that first)
-            if (has_final[c] + len(steps[c]) < len(pool)
-                    and has_final[c] + sum(len(kept[succ]) for succ, _ in steps[c]) < len(pool)):
-                cand = {((), omega_base)} if has_final[c] else set()
-                for succ, label in steps[c]:
-                    for _, counts, omega in kept[succ]:
-                        merged = unions.get(omega)
-                        if merged is None:
-                            merged = unions[omega] = omega | omega_base
-                        cand.add((_bump(counts, label), merged))
-                pool = [e for e in pool if e in cand]  # in the raw order, which ties keep
-            kept[c] = _prune(pool)
-        for step in steps[c]:
-            takers[step] -= 1
-            if not takers[step]:
-                shared.pop(step, None)  # absent unless an earlier taker built it
-    return FutureLabelTable(rg, tuple([futures[c] for c in comp]), tuple([kept[c] for c in comp]))
+            futures[c] = kept[c] = degenerate
+            continue
+        pool = futures[c] = tuple(acc)
+        # every undominated entry is the final entry or a successor's kept
+        # entry bumped on the step's label: prune those when they are fewer
+        # (each successor keeps at least one, so check that first)
+        if (has_final + len(steps) < len(pool)
+                and has_final + sum(len(kept[succ]) for succ, _ in steps) < len(pool)):
+            cand: dict[Packed, None] = {(0, own): None} if has_final else {}
+            for succ, label in steps:
+                u = unit[label]
+                for cnt, om in kept[succ]:
+                    cand[(cnt + u, om | own)] = None
+            pool = tuple(cand)
+        kept[c] = _prune(pool, digits)
+
+    by_pool: dict[int, int] = {}  # a raw entry tuple's identity -> its class
+    raw: list[Sequence[Packed]] = []
+    undominated: list[Sequence[Packed]] = []
+    classes = []
+    for c in comp:
+        cls = by_pool.get(id(futures[c]))
+        if cls is None:
+            cls = by_pool[id(futures[c])] = len(raw)
+            raw.append(futures[c])
+            undominated.append(kept[c])
+        classes.append(cls)
+    return FutureLabelTable(rg, classes, raw, undominated, digits)
 
 
 def _tarjan(rows) -> list[int]:

@@ -124,11 +124,12 @@ class SComponentAligner:
             return RecompositionOutcome(make_alignment(composed), None, False)
         if isinstance(self.full_rg, StateSpaceCapError):
             return RecompositionOutcome(None, conflict, True, str(self.full_rg))
-        deadline = table_off_the_clock(self.full_rg, deadline, global_deadline)
         try:
+            deadline = table_off_the_clock(self.full_rg, deadline, global_deadline)
             alignment = align_one_optimal(trace, rg=self.full_rg, deadline=deadline)
         except LogAlignError as exc:
-            # the search may run out of budget; only this trace fails
+            # the search or the table's build may run out of budget or
+            # time; only this trace fails
             return RecompositionOutcome(None, conflict, True, str(exc))
         return RecompositionOutcome(alignment, conflict, True)
 

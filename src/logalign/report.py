@@ -184,12 +184,16 @@ def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline)
     deadline.  Once the global deadline has passed, the remaining traces are
     not attempted and are marked ``"global timeout"``.  The monolithic
     graph's heuristic table is built before the first trace's clock starts,
-    so no trace's own timeout pays for it; the global deadline does.
+    so no trace's own timeout pays for it; the global deadline does, and a
+    build that passes it leaves every trace to be marked.
     """
     all_optimal = chosen == "monolithic" and config.all_optimal
     search = all_optimal_alignments if all_optimal else align_one_optimal
     if chosen == "monolithic" and log.traces:
-        future_table(rg)
+        try:
+            future_table(rg, global_deadline)
+        except SearchBudgetError:
+            pass  # past the global deadline, which the loop reads
     rows = []
     timed_out = False
     for idx, trace in enumerate(log.traces):

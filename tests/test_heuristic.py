@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from logalign import heuristic
-from logalign.errors import LogAlignError
-from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _dominates, _tarjan,
+from logalign.errors import LogAlignError, SearchBudgetError
+from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _Digits, _tarjan,
                                 precompute_future_labels)
 from logalign.logs import LabelTable
 from logalign.petri import SystemNet
@@ -40,7 +42,9 @@ def reference_h(table, remaining, mid):
 
 def reference_entries(rg, entry_cap):
     """Per-marking entries merged with a dict and a sort per candidate and
-    no stop at the cap."""
+    no stop at the cap; each set sorted by counts, then smaller omega, then
+    omega's sorted labels, so entries of equal counts and incomparable
+    omegas come in one order whatever the merge order."""
     n = len(rg.markings)
     comp = _tarjan(rg.succ.rows)
     ncomp = max(comp) + 1 if n else 0
@@ -71,8 +75,21 @@ def reference_entries(rg, entry_cap):
                 merged = dict(counts)
                 merged[a.label] = merged.get(a.label, 0) + 1
                 acc[(tuple(sorted(merged.items())), omega | omega_base)] = True
-        futures[c] = (((), all_labels),) if len(acc) > entry_cap else tuple(sorted(acc))
+        futures[c] = (((), all_labels),) if len(acc) > entry_cap else \
+            tuple(sorted(acc, key=lambda e: (e[0], len(e[1]), sorted(e[1]))))
     return tuple(futures[comp[mid]] for mid in range(n))
+
+
+def reference_dominates(x, cdict, omega):
+    """Whether the estimate of entry x = (total, counts, repeatable) is at
+    most that of entry (cdict, omega) for every F."""
+    _, xdict, xomega = x
+    if not omega <= xomega:
+        return False
+    for l, c in xdict.items():
+        if c > cdict.get(l, 0) or (c != cdict[l] and l not in xomega):
+            return False
+    return all(l in xomega or l in xdict for l in cdict)
 
 
 def reference_prune(entries):
@@ -84,20 +101,44 @@ def reference_prune(entries):
     kept = []
     for total, counts, omega in order:
         cdict = dict(counts)
-        if not any(_dominates(x, cdict, omega) for x in kept):
+        if not any(reference_dominates(x, cdict, omega) for x in kept):
             kept.append((total, cdict, omega))
     return tuple((total, omega, tuple((l, c, 1 if l in omega else 2) for l, c in cdict.items()))
                  for total, cdict, omega in kept)
 
 
+def scan_groups(scan):
+    """A scan tuple's entries as one set per (total, -|omega|) key, in scan
+    order, after checking that the keys ascend: the order among entries of
+    one key is free."""
+    assert sorted(scan, key=lambda e: (e[0], -len(e[1]))) == list(scan)
+    groups = {}
+    for entry in scan:
+        groups.setdefault((entry[0], -len(entry[1])), set()).add(entry)
+    return list(groups.items())
+
+
 def assert_scans_match_reference(table):
-    """Every class's scan tuple, order included, is the reference pruning of
-    its raw entry tuple."""
+    """Every class's scan tuple is the reference pruning of its raw entry
+    tuple: the same entries of each (total, -|omega|) key, the keys in
+    ascending order."""
     expected = {}
     for mid, own in enumerate(table.entries):
         if id(own) not in expected:
-            expected[id(own)] = reference_prune(own)
-        assert table._scan[mid] == expected[id(own)], mid
+            expected[id(own)] = scan_groups(reference_prune(own))
+        assert scan_groups(table._scan[mid]) == expected[id(own)], mid
+
+
+def table_of_entries(rg, entries):
+    """A table that gives every marking of ``rg`` the raw entries
+    ``entries``, (sorted counts, repeatable) pairs of counts below 8,
+    pruned as the precompute prunes a component's entries."""
+    labels = sorted({l for counts, omega in entries for l in omega | {l for l, _ in counts}})
+    digits = _Digits(labels, 4)
+    pool = tuple((sum(c * digits.unit[l] for l, c in counts), sum(digits.bit[l] for l in omega))
+                 for counts, omega in entries)
+    return FutureLabelTable(rg, [0] * len(rg.markings), [pool], [heuristic._prune(pool, digits)],
+                            digits)
 
 
 def suffix_counts(trace):
@@ -216,8 +257,7 @@ def test_dominated_entry_is_dropped_without_changing_the_estimate():
     z = (((c, 1),), frozenset())
     w = (((c, 2),), frozenset())  # beats z on {c: 2}
     u = (((a, 1), (b, 2)), frozenset({d}))  # beats x on {d: 5}
-    entries = tuple((x, y, z, w, u) for _ in rg.markings)
-    table = FutureLabelTable(rg, entries)
+    table = table_of_entries(rg, (x, y, z, w, u))
     assert [({l: c for l, c, _ in labels}, omega) for _, omega, labels in table._scan[rg.m0]] == [
         ({a: 1}, frozenset({b})), ({c: 1}, frozenset()), ({c: 2}, frozenset()),
         ({a: 1, b: 2}, frozenset({d}))]
@@ -237,7 +277,7 @@ def test_estimate_walks_the_smaller_of_omega_and_remaining():
                   {b: 1, c: 3}, {a: 1, b: 1, d: 2}, {c: 5, d: 1})
     for chosen in ((wide,), (narrow,), (plain,), (wide, narrow), (narrow, plain),
                    (wide, narrow, plain)):
-        table = FutureLabelTable(rg, tuple(chosen for _ in rg.markings))
+        table = table_of_entries(rg, chosen)
         for rem in remainders:
             expected = reference_h(table, rem, rg.m0)
             assert table.h(rem, rg.m0) == expected, (chosen, rem)
@@ -316,9 +356,9 @@ def test_capped_components_share_one_class():
     assert spread >= 5  # several capped components share the class
 
 
-def test_shared_bumped_lists_leave_entries_unchanged():
-    # components that cross into one successor component on one label share
-    # its bumped entries; every cap still gives the reference entries, and
+def test_steps_taken_by_several_components_leave_entries_unchanged():
+    # components that cross into one successor component on one label bump
+    # the same entries; every cap still gives the reference entries, and
     # the reference pruning of them
     sharing = 0
     for seed in range(60):
@@ -341,15 +381,15 @@ def test_shared_bumped_lists_leave_entries_unchanged():
 
 
 def record_prune_inputs(monkeypatch):
-    """The entry sequences the precompute prunes, in the order it prunes
-    them (the initial marking's component comes last): a component's raw
-    entry tuple itself, or a list of its candidates."""
+    """The packed entry sequences the precompute prunes, in the order it
+    prunes them (the initial marking's component comes last): a component's
+    raw entry tuple itself, or a tuple of its candidates."""
     inputs = []
     prune = heuristic._prune
 
-    def recording(entries):
+    def recording(entries, digits):
         inputs.append(entries)
-        return prune(entries)
+        return prune(entries, digits)
 
     monkeypatch.setattr(heuristic, "_prune", recording)
     return inputs
@@ -380,7 +420,7 @@ def test_scans_equal_the_reference_pruning_on_parallel_tasks(monkeypatch):
     assert_scans_match_reference(table)
     # one raw entry per component, so every component prunes its raw entries
     assert all(len(own) == 1 for own in table.entries)
-    assert {id(own) for own in inputs} == {id(own) for own in table.entries}
+    assert {id(own) for own in inputs} == {id(pool) for pool in table._raw}
 
 
 def arc_graph(n, arcs, finals):
@@ -408,12 +448,13 @@ def test_a_capped_successors_degenerate_entry_is_bumped(monkeypatch):
     assert table.entries == reference_entries(rg, 3)
 
 
-def test_kept_entries_with_equal_counts_keep_the_raw_order(monkeypatch):
+def test_kept_entries_with_equal_keys_keep_the_candidate_order(monkeypatch):
     inputs = record_prune_inputs(monkeypatch)
     # 1 reaches the final loops 3 (on 3) and 2 (on 2) and the plain final 4,
     # all on label 1: ({1: 1}, {2}) and ({1: 1}, {3}) are kept and tie, and
     # both dominate ({1: 1}, {}); 0 reaches 1 on label 4.  The tie keeps the
-    # raw tuple's order, which follows the arcs' order both ways round.
+    # candidates' order, which follows the arcs' order both ways round; the
+    # decoded raw entries are sorted whatever the arcs' order.
     loops = [(1, 1, 3), (1, 1, 2)]
     for arcs in (loops, loops[::-1]):
         rg = arc_graph(5, [(0, 4, 1)] + arcs + [(1, 1, 4), (2, 2, 2), (3, 3, 3)], [2, 3, 4])
@@ -421,7 +462,8 @@ def test_kept_entries_with_equal_counts_keep_the_raw_order(monkeypatch):
         table = precompute_future_labels(rg)
         kept = [omega for _, omega, _ in table._scan[0]]
         assert kept == [frozenset({tgt}) for _, _, tgt in arcs]
-        assert kept == [omega for _, omega in table.entries[0] if omega]  # the raw order
+        assert [omega for _, omega in table.entries[0] if omega] == [{2}, {3}]
+        assert table.entries == reference_entries(rg, DEFAULT_ENTRY_CAP)
         assert len(table.entries[0]) == 3 and len(inputs[-1]) == 2
         assert_scans_match_reference(table)
 
@@ -445,7 +487,7 @@ def test_a_component_without_fewer_candidates_prunes_its_raw_entries(monkeypatch
     rg = arc_graph(4, [(0, 1, 1), (0, 1, 2), (0, 1, 3), (3, 2, 3)], [1, 2, 3])
     table = precompute_future_labels(rg)
     assert len(table.entries[0]) == 2
-    assert inputs[-1] is table.entries[0]
+    assert inputs[-1] is table._raw[table.classes[0]]
     assert len(table._scan[0]) == 1
     assert_scans_match_reference(table)
     # 0 reaches 1 on label 9, which reaches the final 2 on label 1 or 2:
@@ -454,5 +496,104 @@ def test_a_component_without_fewer_candidates_prunes_its_raw_entries(monkeypatch
     rg = arc_graph(3, [(0, 9, 1), (1, 1, 2), (1, 2, 2)], [2])
     table = precompute_future_labels(rg)
     assert len(table.entries[0]) == len(table.entries[1]) == 2
-    assert inputs[-1] is table.entries[0]
+    assert inputs[-1] is table._raw[table.classes[0]]
     assert_scans_match_reference(table)
+
+
+def test_a_chain_of_300_components_counts_one_label_past_a_digit_without_guard():
+    # 0 reaches the loop 1 on label 2 and 2 on label 3; 1 reaches the chain
+    # 4 -> 5 -> ... -> 302 -> the final 303, each marking its own component,
+    # on label 1, and 2 reaches it through 3 on labels 2 and 1.  So 0 holds
+    # x = ({1: 300, 3: 1}, {2}) and y = ({1: 300, 2: 1, 3: 1}, {}), which x
+    # dominates.  A count of 300 has 9 bits: digits of 304.bit_length() = 9
+    # bits would give it the guard bit, and the dominance test would keep y.
+    arcs = [(0, 3, 1), (0, 3, 2), (1, 2, 1), (1, 1, 4), (2, 2, 3), (3, 1, 4)] + \
+        [(k, 1, k + 1) for k in range(4, 303)]
+    rg = arc_graph(304, arcs, [303])
+    table = precompute_future_labels(rg)
+    assert table._digits.width == 10
+    x = (((1, 300), (3, 1)), frozenset({2}))
+    y = (((1, 300), (2, 1), (3, 1)), frozenset())
+    assert table.entries[0] == (y, x)
+    assert table._scan[0] == ((301, frozenset({2}), ((1, 300, 2), (3, 1, 2))),)
+    assert table.entries == reference_entries(rg, DEFAULT_ENTRY_CAP)
+    assert_scans_match_reference(table)
+    for rem in ({}, {1: 299}, {1: 300, 3: 1}, {1: 301, 2: 4}, {1: 512}, {2: 1, 3: 1}, {4: 3}):
+        for mid in (0, 1, 2, 3, 4, 150, 302, 303):
+            expected = reference_h(table, rem, mid)
+            assert table.h(rem, mid) == expected, (rem, mid)
+            assert table.h(rem, mid, sum(rem.values())) == expected, (rem, mid)
+
+
+def test_foreign_labels_interned_first_do_not_widen_the_entries():
+    # a log's 2,000 labels interned before the net's: the digits number only
+    # the graph's own labels, so the packed entries stay as small as without
+    table = LabelTable()
+    foreign = [table.intern("X%d" % i) for i in range(2000)]
+    net = random_workflow_net(3, max_visible=10, table=table)
+    rg = remove_tau(build_rg(net))
+    ftable = precompute_future_labels(rg)
+    labels = sorted({a.label for a in rg.arcs})
+    assert min(labels) > max(foreign)
+    digits = ftable._digits
+    assert list(digits.labels) == labels
+    width_bits = digits.width * len(labels)
+    assert all(cnt.bit_length() <= width_bits and om.bit_length() <= len(labels)
+               for pool in ftable._raw for cnt, om in pool)
+    assert ftable.entries == reference_entries(rg, DEFAULT_ENTRY_CAP)
+    assert_scans_match_reference(ftable)
+    log = random_log(net, random.Random(53), n_traces=6, max_trace_len=12)
+    traces = [t.labels for t in log.traces] + [tuple(foreign[:3] + labels[:2])]
+    remaining = [rem for trace in traces for rem in suffix_counts(trace)]
+    for mid in range(len(rg.markings)):
+        for rem in remaining:
+            assert ftable.h(rem, mid) == reference_h(ftable, rem, mid), (mid, rem)
+
+
+def test_raw_sets_of_exactly_the_cap_and_one_more():
+    # a choice among eight tasks: eight raw entries at the initial marking,
+    # kept under a cap of 8 and degenerate under a cap of 7
+    table = LabelTable()
+    tasks = "ABCDEFGH"
+    net = SystemNet.build(["i", "o"], [("t_%s" % x, x, ["i"], ["o"]) for x in tasks], table)
+    rg = remove_tau(build_rg(net))
+    ids = [table.lookup(x) for x in tasks]
+    z = table.intern("Z")
+    remainders = ({}, {ids[0]: 1}, {ids[0]: 2, ids[3]: 1}, {z: 2}, {z: 1, ids[7]: 1})
+    for cap, kept in ((8, True), (7, False)):
+        capped = precompute_future_labels(rg, entry_cap=cap)
+        assert capped.entries == reference_entries(rg, cap)
+        if kept:
+            assert len(capped.entries[rg.m0]) == len(capped._scan[rg.m0]) == 8
+        else:
+            assert capped.entries[rg.m0] == (((), frozenset(ids)),)
+        assert_scans_match_reference(capped)
+        for rem in remainders:
+            expected = reference_h(capped, rem, rg.m0)
+            assert capped.h(rem, rg.m0) == expected, (cap, rem)
+            assert capped.h(rem, rg.m0, sum(rem.values())) == expected, (cap, rem)
+
+
+def test_the_precompute_stops_at_a_deadline_that_has_passed(monkeypatch):
+    # 2,048 markings of eleven parallel tasks, each its own component
+    rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(11)])))
+    assert len(rg.markings) == 2048
+    with pytest.raises(SearchBudgetError, match="global deadline"):
+        precompute_future_labels(rg, deadline=-1.0)
+    # the clock is read before components 0 and 1,024, and the deadline
+    # passes between the two reads
+    reads = []
+
+    def clock():
+        reads.append(len(reads))
+        return reads[-1]
+
+    monkeypatch.setattr(heuristic.time, "monotonic", clock)
+    with pytest.raises(SearchBudgetError):
+        precompute_future_labels(rg, deadline=0.5)
+    assert reads == [0, 1]
+    del reads[:]
+    table = precompute_future_labels(rg, deadline=5.0)
+    assert reads == [0, 1]
+    assert table.entries == precompute_future_labels(rg).entries
+    assert reads == [0, 1]  # no deadline, no clock

@@ -390,6 +390,53 @@ def test_the_global_deadline_still_covers_the_heuristic_precompute(monkeypatch):
     assert [r["error"] for r in result.report["traces"]] == ["global timeout"] * len(log.traces)
 
 
+def precompute_after_the_deadline(monkeypatch):
+    """Make every heuristic precompute start once its deadline has passed,
+    and record the errors it raises."""
+    from logalign import align as align_module
+
+    precompute = align_module.precompute_future_labels
+    raised = []
+
+    def late(rg, *args, deadline=None, **kwargs):
+        while deadline is not None and time.monotonic() <= deadline:
+            time.sleep(0.002)
+        try:
+            return precompute(rg, *args, deadline=deadline, **kwargs)
+        except SearchBudgetError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(align_module, "precompute_future_labels", late)
+    return raised
+
+
+def test_a_precompute_past_the_global_deadline_times_out_every_trace(monkeypatch):
+    raised = precompute_after_the_deadline(monkeypatch)
+    net, log = loan_pair()
+    for all_optimal in (False, True):
+        del raised[:]
+        result = run_conformance(net, log, RunConfig(strategy="monolithic",
+                                                     all_optimal=all_optimal,
+                                                     global_timeout_ms=20))
+        assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+        assert raised == ["heuristic precompute exceeded the global deadline"]
+        assert [r["error"] for r in result.report["traces"]] == ["global timeout"] * len(log.traces)
+        assert all(r["cost"] is None for r in result.report["traces"])
+
+
+def test_a_component_precompute_past_the_global_deadline_fails_its_trace(monkeypatch):
+    raised = precompute_after_the_deadline(monkeypatch)
+    net, log = loan_pair()
+    # the deadline leaves room for the setup, so the first trace starts
+    result = run_conformance(net, log, RunConfig(strategy="scomponent", timeout_ms=1000,
+                                                 global_timeout_ms=300))
+    assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+    first, *rest = result.report["traces"]
+    assert raised == [first["error"]] == ["heuristic precompute exceeded the global deadline"]
+    assert [r["error"] for r in rest] == ["global timeout"] * len(rest)
+
+
 def test_a_first_fallback_does_not_pay_for_the_heuristic_precompute(monkeypatch):
     net = hidden_history_parallel_net()
     table = net.table
