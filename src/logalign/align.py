@@ -28,7 +28,9 @@ Both searches read the graph's successor index (``rg.succ``), whose shared
 and keep a move unbuilt, as its op and the ``Successor`` it took (an lhide
 takes ``(-1, (), label)``, which compares like one).  A ``Move`` is made
 only for a move they return, from that entry and the source and target
-markings of its search states.
+markings of its search states.  The index keeps each row in storage order,
+and neither search depends on it: A*'s heap key and the sweep's edge sort
+are total orders of their own.
 
 Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
@@ -50,7 +52,7 @@ from typing import NamedTuple, Optional
 from .errors import LogAlignError, SearchBudgetError
 from .heuristic import FutureLabelTable, precompute_future_labels
 from .logs import TAU
-from .reachability import ReachabilityGraph, SuccessorIndex
+from .reachability import ReachabilityGraph
 
 OP_MATCH = 0
 OP_RHIDE = 1
@@ -95,7 +97,7 @@ def is_proper(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool:
     contiguous arc path from the initial to a final marking."""
     if alignment.log_projection() != tuple(trace):
         return False
-    arcset = {(u, s.label, s.trail, s.tgt) for u, row in enumerate(rg.succ.rows) for s in row}
+    arcset = {(u, s.label, s.trail, s.tgt) for u, row in enumerate(rg.succ) for s in row}
     model = alignment.model_projection()
     if not model:
         return rg.m0 in rg.finals
@@ -122,7 +124,8 @@ class _Node:
     of equal length (the parents of two entries of equal length), and on a
     graph from tau removal a node's children have distinct keys, so
     ``__lt__`` climbs both nodes to the children of their lowest common
-    ancestor and compares those two keys.
+    ancestor and compares those two keys.  So nodes order by their key
+    sequences alone, whatever order the graph's rows push children in.
     """
 
     __slots__ = ("parent", "op", "lrank", "succ", "mid")
@@ -164,11 +167,11 @@ def _lhides(trace) -> list[tuple]:
     return [(-1, (), label) for label in trace]
 
 
-def _label_rank(trace, index: SuccessorIndex, rg: ReachabilityGraph) -> dict[int, int]:
-    """The rank of the trace's labels: the index's, unless the trace holds
+def _label_rank(trace, rg: ReachabilityGraph) -> dict[int, int]:
+    """The rank of the trace's labels: the graph's, unless the trace holds
     a label interned after it.  Only lhide keys, which compare among
     themselves, then read a newer rank."""
-    rank = index.rank
+    rank = rg.rank
     if trace and max(trace) >= len(rank):
         rank = rg.net.table.rank()
     return rank
@@ -260,9 +263,8 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     h = ftable.h
     classes = ftable.classes
     rem = _remaining_counts(trace)
-    index = rg.succ
-    rows = index.rows
-    rank = _label_rank(trace, index, rg)
+    rows = rg.succ
+    rank = _label_rank(trace, rg)
     lhides = _lhides(trace)
     finals = rg.finals
     budget = _Budget(node_budget, deadline)
@@ -373,8 +375,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     classes = ftable.classes
     ncls = ftable.n_classes
     rem = _remaining_counts(trace)
-    index = rg.succ
-    rows = index.rows
+    rows = rg.succ
     lhides = _lhides(trace)
     budget = _Budget(node_budget, deadline)
     hcache: dict[int, int] = {}  # pos * n_classes + class -> h
@@ -445,7 +446,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             nexts.append((_move(op, succ, pkey[1]), key))
 
     # every move raises (dist, pos), so successors come first in this order
-    rank = _label_rank(trace, index, rg)
+    rank = _label_rank(trace, rg)
     paths = dict.fromkeys(ends, 1)
     for key in sorted(edges, key=lambda k: (dist[k], k[0]), reverse=True):
         nexts = edges[key]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .logs import EventLog, LabelTable
+from .petri import dot_string
 
 
 class Dafsa:
@@ -155,6 +156,6 @@ def dafsa_to_dot(dafsa: Dafsa) -> str:
         shape = "doublecircle" if state in dafsa.finals else "circle"
         lines.append('  n%d [shape=%s, label="n%d"];' % (state, shape, state))
     for src, label, tgt in dafsa.arcs:
-        lines.append('  n%d -> n%d [label="%s"];' % (src, tgt, dafsa.table.text(label)))
+        lines.append("  n%d -> n%d [label=%s];" % (src, tgt, dot_string(dafsa.table.text(label))))
     lines.append("}")
     return "\n".join(lines)

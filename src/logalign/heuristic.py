@@ -273,11 +273,19 @@ def _prune(pool: Sequence[Packed], digits: _Digits) -> Sequence[Packed]:
 def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENTRY_CAP,
                              deadline: Optional[float] = None) -> FutureLabelTable:
     """The graph's future-label table.  Raises ``SearchBudgetError`` once
-    ``time.monotonic()`` passes ``deadline``, read every 1,024 components."""
+    ``time.monotonic()`` passes ``deadline``, read on entry, before the
+    graph's successor index is built, and before every 1,024th component
+    after the first."""
     if not rg.reduced:
         raise ValueError("future labels are computed on a tau-free graph")
+
+    def check_deadline():
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetError("heuristic precompute exceeded the global deadline")
+
+    check_deadline()
     n = len(rg.markings)
-    rows = rg.succ.rows
+    rows = rg.succ
     comp = _tarjan(rows)
     ncomp = max(comp) + 1 if n else 0
     digits = _Digits(sorted({s.label for row in rows for s in row}), ncomp.bit_length() + 1)
@@ -294,8 +302,8 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     kept: list[Sequence[Packed]] = [()] * ncomp  # and its undominated ones
     p = 0
     for c in range(ncomp):
-        if deadline is not None and not c & 1023 and time.monotonic() > deadline:
-            raise SearchBudgetError("heuristic precompute exceeded the global deadline")
+        if c and not c & 1023:
+            check_deadline()
         own = 0  # the labels of arcs inside c, repeatable on every path from it
         steps: dict[tuple[int, int], None] = {}  # (successor component, label)
         while p < n and comp[members[p]] == c:

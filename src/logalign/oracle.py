@@ -54,7 +54,7 @@ def brute_force_optimal_cost(trace, rg: ReachabilityGraph,
                 moves.append(move)
             moves.reverse()
             return d, OracleWitness(tuple(moves), d)
-        row = rg.succ.rows[mid]
+        row = rg.succ[mid]
         succ = []
         if pos < n:
             succ.append(((pos + 1, mid), 1, (LHIDE, trace[pos])))
@@ -96,7 +96,7 @@ def enumerate_optimal_move_sequences(trace, rg: ReachabilityGraph,
             budget_left = 0
         else:
             budget_left = cstar - cost
-        row = rg.succ.rows[mid]
+        row = rg.succ[mid]
         if pos < n:
             for s in row:
                 if s.label == trace[pos]:

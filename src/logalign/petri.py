@@ -331,6 +331,12 @@ def parse_pnml(data: bytes | str, table: Optional[LabelTable] = None) -> SystemN
     return net
 
 
+def dot_string(text: str) -> str:
+    """``text`` as a quoted Graphviz string: backslashes and double quotes
+    escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def net_to_dot(net: SystemNet) -> str:
     """Graphviz rendering of the net, silent transitions drawn black."""
     lines = ["digraph net {", "  rankdir=LR;"]
@@ -338,12 +344,12 @@ def net_to_dot(net: SystemNet) -> str:
         marks = []
         if net.m0 >> i & 1:
             marks.append("&bull;")
-        lines.append('  p%d [shape=circle, label="%s%s"];' % (i, p, "".join(marks)))
+        lines.append("  p%d [shape=circle, label=%s];" % (i, dot_string(p + "".join(marks))))
     for t, tr in enumerate(net.transitions):
         if tr.label == TAU:
             lines.append('  t%d [shape=box, style=filled, fillcolor=black, label=""];' % t)
         else:
-            lines.append('  t%d [shape=box, label="%s"];' % (t, net.table.text(tr.label)))
+            lines.append("  t%d [shape=box, label=%s];" % (t, dot_string(net.table.text(tr.label))))
         for p in net.preset_places(t):
             lines.append("  p%d -> t%d;" % (p, t))
         for p in net.postset_places(t):

@@ -17,20 +17,19 @@ one offset per marking where its row starts (compressed sparse rows).  Tau
 removal shares those sequences with the graph it reduces and records what
 it left of them: the surviving markings, and apart from the shared rows the
 rewritten rows of the markings whose arcs it changed.  A surviving row's
-arcs all lead to surviving rows.  A reduction that rewrote most surviving
-rows shares nothing and keeps flat sequences of its own instead.
-``size()`` and ``min_visible_skips()`` read this form.
+arcs all lead to surviving rows.  ``size()`` and ``min_visible_skips()``
+read this form.
 
 Everything that walks a graph's arcs reads its successor index ``succ``,
 built from the rows once, on the first walk: the searches, the heuristic
-precompute, the propriety checks and the oracle.  ``succ.rows[m]`` holds a
-``Successor`` (target, trail, label, label rank) per arc that leaves marking
-``m``, in row order, or on a reduced graph in (label rank, trail, target)
-order, the order the searches break ties in.  Arcs of one kind into one
-marking share their ``Successor``.  The ``Arc`` objects, ``arcs`` and the
-``out`` rows (``out[m]`` holds the arcs of ``arcs`` that leave marking
-``m``, in ``succ`` order), are read off the index only by dot files and
-tests, so no alignment builds them.
+precompute, the propriety checks and the oracle.  ``succ[m]`` holds a
+``Successor`` (target, trail, label, label rank in ``rank``) per arc that
+leaves marking ``m``, in storage order; no reader depends on that order.
+Arcs of one kind into one marking share their ``Successor``.  The ``Arc``
+objects, ``arcs`` and the ``out`` rows (``out[m]`` holds the arcs of
+``arcs`` that leave marking ``m``, in (label rank, trail, target) order),
+are read off the index only by dot files and tests, so no alignment builds
+them.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import NamedTuple, Optional
 
 from .errors import Not1BoundedError, StateSpaceCapError, TauReductionError
 from .logs import TAU
-from .petri import SystemNet
+from .petri import SystemNet, dot_string
 
 DEFAULT_MARKING_CAP = 5_000_000
 _BATCH = 4096  # kinds build_rg gathers in a list before moving them into its array
@@ -66,18 +65,7 @@ class Successor(NamedTuple):
     tgt: int
     trail: tuple[int, ...]
     label: int
-    rank: int  # the label's rank in the index's ``rank``
-
-
-class SuccessorIndex:
-    """A graph's successor rows by marking id, and the label ``rank``
-    (``LabelTable.rank``) their entries carry, taken once per graph."""
-
-    __slots__ = ("rows", "rank")
-
-    def __init__(self, rows: tuple[tuple[Successor, ...], ...], rank: dict[int, int]):
-        self.rows = rows
-        self.rank = rank
+    rank: int  # the label's rank in the graph's ``rank``
 
 
 class _Rows:
@@ -100,9 +88,7 @@ class _Rows:
     maps each surviving row it rewrote to that row's own ``(kind, tgt)``
     pair of lists, read instead of the shared slices.  A surviving row's
     arcs all lead to surviving rows, so no read needs to filter them.
-    ``arc_count`` counts the arcs of the surviving rows.  When it rewrote
-    most surviving rows, tau removal stores them ``renumbered`` instead:
-    sequences of its own, one row per marking, with no ``keep``.
+    ``arc_count`` counts the arcs of the surviving rows.
     """
 
     __slots__ = ("labels", "trails", "start", "kind", "tgt", "keep", "remap", "moved",
@@ -117,7 +103,7 @@ class _Rows:
         self.start = start
         self.kind = kind
         self.tgt = tgt
-        self.keep = keep  # None: rows not rewritten, one per marking
+        self.keep = keep  # None: one row per marking, none removed
         self.remap = remap
         self.moved = {} if moved is None else moved
         self.arc_count = len(tgt) if arc_count is None else arc_count
@@ -130,18 +116,6 @@ class _Rows:
             return moved
         lo, hi = self.start[u], self.start[u + 1]
         return self.kind[lo:hi], self.tgt[lo:hi]
-
-    def renumbered(self) -> _Rows:
-        """The surviving rows as the rows of a graph of their own, numbered
-        by marking id."""
-        kind, tgt, start = array("i"), [], array("i", [0])
-        ids = self.remap.tolist()
-        for u in self.keep:
-            ks, vs = self.row(u)
-            kind.extend(ks)
-            tgt += [ids[v] for v in vs]
-            start.append(len(tgt))
-        return _Rows(self.labels, self.trails, start, kind, tgt)
 
     def distance(self, m0: int, finals: frozenset[int]) -> int:
         """Arc length of the shortest path from marking ``m0`` to one of ``finals``."""
@@ -170,14 +144,14 @@ class _Rows:
             level = reached
         raise TauReductionError("no final marking reachable from the initial marking")
 
-    def successors(self, rank: dict[int, int], ordered: bool,
+    def successors(self, rank: dict[int, int],
                    shared_from: int) -> tuple[tuple[Successor, ...], ...]:
-        """The successor rows by marking id: each row's arcs in row order,
-        or when ``ordered`` in (label rank, trail, target) order.  Arcs of a
-        kind ``shared_from`` or above into one marking share one entry.  The
-        kinds below it are the net's transitions, and no two arcs of one
-        transition lead into one marking: the firing rule run backwards gives
-        its one source, so those arcs share nothing and no lookup is made."""
+        """The successor rows by marking id, each row's arcs in row order.
+        Arcs of a kind ``shared_from`` or above into one marking share one
+        entry.  The kinds below it are the net's transitions, and no two arcs
+        of one transition lead into one marking: the firing rule run
+        backwards gives its one source, so those arcs share nothing and no
+        lookup is made."""
         labels, trails = self.labels, self.trails
         ranks = [rank[label] for label in labels]
         nkinds = len(labels)
@@ -192,13 +166,8 @@ class _Rows:
             ks, vs = self.row(u)
             if ids is not None:
                 vs = [ids[v] for v in vs]
-            pairs = zip(ks, vs)
-            if ordered:
-                items = [(ranks[k], trails[k], v, k) for k, v in pairs]
-                items.sort()
-                pairs = [(k, v) for _, _, v, k in items]
             row = []
-            for k, v in pairs:
+            for k, v in zip(ks, vs):
                 if k < shared_from:
                     row.append(new(Successor, (v, trails[k], labels[k], ranks[k])))
                     continue
@@ -232,17 +201,21 @@ class ReachabilityGraph:
         self._rows = rows
 
     @cached_property
-    def succ(self) -> SuccessorIndex:
-        # a reduced graph's rows are ordered here, a built graph's are kept
-        rank = self.net.table.rank()
-        return SuccessorIndex(self._rows.successors(rank, self.reduced, len(self.net.transitions)),
-                              rank)
+    def rank(self) -> dict[int, int]:
+        """The label rank (``LabelTable.rank``) the index's entries carry,
+        taken once per graph."""
+        return self.net.table.rank()
+
+    @cached_property
+    def succ(self) -> tuple[tuple[Successor, ...], ...]:
+        return self._rows.successors(self.rank, len(self.net.transitions))
 
     @cached_property
     def out(self) -> tuple[tuple[Arc, ...], ...]:
         new = tuple.__new__
-        return tuple(tuple([new(Arc, (u, s.label, s.trail, s.tgt)) for s in row])
-                     for u, row in enumerate(self.succ.rows))
+        return tuple(tuple([new(Arc, (u, s.label, s.trail, s.tgt))
+                            for s in sorted(row, key=lambda s: (s.rank, s.trail, s.tgt))])
+                     for u, row in enumerate(self.succ))
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -383,8 +356,7 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     through the rows' ``index``; every marking but m0 has one, as
     ``build_rg`` reached it by an arc.  The result shares the raw rows' flat
     sequences, leaving them unchanged, and holds each surviving hot
-    marking's arc set as a row of its own, or, when those are most of its
-    rows, holds all its rows itself.
+    marking's arc set as a row of its own.
     """
     net = rg.net
     rows = rg._rows
@@ -615,10 +587,6 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
     rows = _Rows(labels + [label for label, _ in extra],
                  rows.trails + [trail for _, trail in extra], start, kind, tgt,
                  keep, remap, moved, arc_count)
-    if 2 * len(moved) > len(keep):
-        # most surviving rows were rewritten, so the graph keeps rows of its
-        # own rather than the shared sequences
-        rows = rows.renumbered()
     return ReachabilityGraph(net, tuple(compress(rg.markings, alive)), remap[m0],
                              frozenset(remap[f] for f in live_finals), rows, reduced=True)
 
@@ -644,11 +612,11 @@ def rg_to_dot(rg: ReachabilityGraph) -> str:
     lines = ["digraph rg {", "  rankdir=LR;"]
     for mid in range(len(rg.markings)):
         shape = "doublecircle" if mid in rg.finals else "ellipse"
-        lines.append('  m%d [shape=%s, label="%s"];' % (mid, shape, rg.marking_name(mid)))
+        lines.append("  m%d [shape=%s, label=%s];" % (mid, shape, dot_string(rg.marking_name(mid))))
     for a in rg.arcs:
         text = rg.net.table.text(a.label)
         if a.trail:
             text += " (%s)" % ",".join(rg.net.transitions[t].name for t in a.trail)
-        lines.append('  m%d -> m%d [label="%s"];' % (a.src, a.tgt, text))
+        lines.append("  m%d -> m%d [label=%s];" % (a.src, a.tgt, dot_string(text)))
     lines.append("}")
     return "\n".join(lines)

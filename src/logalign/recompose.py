@@ -263,7 +263,7 @@ def replays_on_model(alignment: Alignment, trace, rg: ReachabilityGraph) -> bool
     as one contiguous path from the initial to a final marking."""
     if alignment.log_projection() != tuple(trace):
         return False
-    rows = rg.succ.rows
+    rows = rg.succ
     current = {rg.m0}
     for move in alignment.model_projection():
         current = {s.tgt for u in current for s in rows[u] if s.label == move.label}

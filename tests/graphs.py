@@ -9,9 +9,8 @@ from logalign.reachability import ReachabilityGraph, _Rows
 
 def graph_of_arcs(net, markings, m0, finals, arcs, reduced=False):
     """The graph over ``arcs``: each marking's row holds its arcs in ``arcs``
-    order, with one kind per (label, trail) pair, and its successor index
-    keeps that order also when the graph is ``reduced``.  It has no marking
-    index, so tau removal refuses it."""
+    order, with one kind per (label, trail) pair, and so does its successor
+    index.  It has no marking index, so tau removal refuses it."""
     out = [[] for _ in markings]
     for a in arcs:
         out[a.src].append(a)
@@ -21,8 +20,4 @@ def graph_of_arcs(net, markings, m0, finals, arcs, reduced=False):
     rows = _Rows([label for label, _ in kinds], [trail for _, trail in kinds],
                  array("i", accumulate(map(len, out), initial=0)), kind,
                  [a.tgt for row in out for a in row])
-    rg = ReachabilityGraph(net, tuple(markings), m0, frozenset(finals), rows)
-    if reduced:
-        rg.succ  # built while the graph reads as unreduced, so in row order
-        rg.reduced = True
-    return rg
+    return ReachabilityGraph(net, tuple(markings), m0, frozenset(finals), rows, reduced)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +251,30 @@ def test_check_dot_dir_matches_golden_graphs(tmp_path):
     assert names == ["component_%d.dot" % k for k in range(4)] + ["rg.dot"]
     for name in names:
         assert (dots / name).read_text() == (golden / name).read_text(), name
+
+
+def test_dot_files_quote_labels_and_names(tmp_path):
+    # a label, a place name and a silent transition's name (in a component
+    # graph's trail) holding double quotes and backslashes
+    model = tmp_path / "quotes.pnml"
+    write_pnml(model, ["i", "p&quot;1\\", "p2", "o"],
+               [("tA", 'say "hi" \\ok', ["i"], ['p&quot;1\\']),
+                ('t&quot;\\x', None, ['p&quot;1\\'], ["p2"]),
+                ("tB", "B", ["p2"], ["o"])])
+    log = tmp_path / "log.txt"
+    log.write_text('say "hi" \\ok,B\n')
+    dots = tmp_path / "dots"
+    proc = run_cli("check", "--log", str(log), "--model", str(model), "--strategy", "scomponent",
+                   "--dot-dir", str(dots), "--out", str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    texts = set()
+    for name in ("net.dot", "rg.dot", "dafsa.dot", "component_0.dot"):
+        for line in (dots / name).read_text().splitlines():
+            # every quote and backslash sits inside a well-formed quoted string
+            assert '"' not in quoted.sub("", line) and "\\" not in quoted.sub("", line), line
+            texts.update(re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(line))
+    assert {'say "hi" \\ok', 'p"1\\', '[p"1\\]', 'B (t"\\x)'} <= texts
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv", "--dot-dir"])

@@ -46,7 +46,7 @@ def reference_entries(rg, entry_cap):
     omega's sorted labels, so entries of equal counts and incomparable
     omegas come in one order whatever the merge order."""
     n = len(rg.markings)
-    comp = _tarjan(rg.succ.rows)
+    comp = _tarjan(rg.succ)
     ncomp = max(comp) + 1 if n else 0
     sizes = [0] * ncomp
     for mid in range(n):
@@ -351,7 +351,7 @@ def test_capped_components_share_one_class():
         capped = [mid for mid, entries in enumerate(table.entries)
                   if entries == degenerate and uncapped[mid] != degenerate]
         assert len({table.classes[mid] for mid in capped}) <= 1
-        comp = _tarjan(rg.succ.rows)
+        comp = _tarjan(rg.succ)
         spread += len({comp[mid] for mid in capped}) > 1
     assert spread >= 5  # several capped components share the class
 
@@ -367,7 +367,7 @@ def test_steps_taken_by_several_components_leave_entries_unchanged():
             rg = remove_tau(build_rg(net))
         except LogAlignError:
             continue
-        comp = _tarjan(rg.succ.rows)
+        comp = _tarjan(rg.succ)
         takers = {}
         for a in rg.arcs:
             if comp[a.src] != comp[a.tgt]:
@@ -580,8 +580,8 @@ def test_the_precompute_stops_at_a_deadline_that_has_passed(monkeypatch):
     assert len(rg.markings) == 2048
     with pytest.raises(SearchBudgetError, match="global deadline"):
         precompute_future_labels(rg, deadline=-1.0)
-    # the clock is read before components 0 and 1,024, and the deadline
-    # passes between the two reads
+    # the clock is read on entry and before component 1,024, and the
+    # deadline passes between the two reads
     reads = []
 
     def clock():
@@ -597,3 +597,10 @@ def test_the_precompute_stops_at_a_deadline_that_has_passed(monkeypatch):
     assert reads == [0, 1]
     assert table.entries == precompute_future_labels(rg).entries
     assert reads == [0, 1]  # no deadline, no clock
+
+
+def test_a_precompute_past_its_deadline_builds_no_successor_index():
+    rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(11)])))
+    with pytest.raises(SearchBudgetError, match="global deadline"):
+        precompute_future_labels(rg, deadline=-1.0)
+    assert "succ" not in vars(rg)
