@@ -18,10 +18,14 @@ search node is made only when an entry is popped and settles its state, and
 ``all_optimal_alignments`` computes every cost-minimal proper alignment of
 one trace.  One bounded A* sweep settles each state on a cheapest path at
 its exact distance and records the tight moves into it (the distance grows
-by exactly the move's cost); a closure over those moves from the cheapest
-goals finds the states on a cheapest path and the moves between them, and
-one pass over the states in decreasing (distance, position) order orders
-each state's moves and counts the optima of the resulting edge DAG.
+by exactly the move's cost).  Its bound falls to the optimal cost when the
+first goal pops, and the heap pops in ascending estimated cost, so the sweep
+stops at the first pop above the bound: every entry left would be skipped
+without a spend or a push.  A closure over the tight moves from the
+cheapest goals finds the states on a cheapest path and the moves between
+them, and one pass over the states in decreasing (distance, position)
+order orders each state's moves and counts the optima of the resulting
+edge DAG.
 
 Both searches read the graph's successor index (``rg.succ``), whose shared
 ``Successor`` entries give each arc's target, trail, label and label rank,
@@ -39,7 +43,9 @@ search evaluates ``h`` at most once per (position, class) and every state
 still gets the value it would get on its own.  The cache pays where classes
 merge many markings, as on looping nets; where each marking is its own class
 (a parallel block) it seldom hits, and each estimate is a closed form over
-the entry's own labels, given the remaining size ``len(trace) - pos``.
+the entry's own labels, given the remaining size ``len(trace) - pos`` and
+the mask of labels still in the trace (``FutureLabelTable.supports``, one
+per position); on a parallel block, two popcounts.
 """
 
 from __future__ import annotations
@@ -263,6 +269,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     h = ftable.h
     classes = ftable.classes
     rem = _remaining_counts(trace)
+    sup = ftable.supports(trace)
     rows = rg.succ
     rank = _label_rank(trace, rg)
     lhides = _lhides(trace)
@@ -273,7 +280,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     hcache: list[dict[int, int]] = [{} for _ in range(n + 1)]  # class -> h
 
     rho_max = n + rg.min_visible_skips()
-    h0 = hcache[0][classes[rg.m0]] = h(rem[0], rg.m0, n)
+    h0 = hcache[0][classes[rg.m0]] = h(rem[0], rg.m0, n, sup[0])
     heap = [(h0, 0, OP_MATCH, 0, None, None, 0, rg.m0, 0)]
     max_rho = 0
     pops = 0
@@ -304,12 +311,13 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
             there = settled[npos]
             nhcache = hcache[npos]
             nrem = rem[npos]
+            nsup = sup[npos]
             prior = there.get(mid)
             if prior is None or prior > ng:
                 c = classes[mid]
                 hv = nhcache.get(c)
                 if hv is None:
-                    hv = nhcache[c] = h(nrem, mid, n - npos)
+                    hv = nhcache[c] = h(nrem, mid, n - npos, nsup)
                 if ng + hv <= rho_max:
                     push(heap, (ng + hv, depth, OP_LHIDE, rank[label], node, lhides[pos], npos,
                                 mid, ng))
@@ -322,7 +330,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
                 if prior is None or prior > g:
                     hv = nhcache.get(c)
                     if hv is None:
-                        hv = nhcache[c] = h(nrem, nmid, n - npos)
+                        hv = nhcache[c] = h(nrem, nmid, n - npos, nsup)
                     if g + hv <= rho_max:
                         push(heap, (g + hv, depth, OP_MATCH, s[3], node, s, npos, nmid, g))
             prior = here.get(nmid)
@@ -330,7 +338,7 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
                 continue
             hv = hcache_here.get(c)
             if hv is None:
-                hv = hcache_here[c] = h(rem[pos], nmid, n - pos)
+                hv = hcache_here[c] = h(rem[pos], nmid, n - pos, sup[pos])
             if ng + hv <= rho_max:
                 push(heap, (ng + hv, depth, OP_RHIDE, s[3], node, s, pos, nmid, ng))
     raise LogAlignError("no proper alignment exists for the trace")
@@ -375,6 +383,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     classes = ftable.classes
     ncls = ftable.n_classes
     rem = _remaining_counts(trace)
+    sup = ftable.supports(trace)
     rows = rg.succ
     lhides = _lhides(trace)
     budget = _Budget(node_budget, deadline)
@@ -396,7 +405,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             k = pos * ncls + classes[mid]
             hv = hcache.get(k)
             if hv is None:
-                hv = hcache[k] = ftable.h(rem[pos], mid, n - pos)
+                hv = hcache[k] = ftable.h(rem[pos], mid, n - pos, sup[pos])
             f = g + hv
             if f <= bound:
                 dist[key] = g
@@ -411,7 +420,9 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
         tight[root] = []  # the root has no step
     while heap:
         f, g, key = heapq.heappop(heap)
-        if g > dist[key] or f > bound:
+        if f > bound:
+            break  # the heap pops by ascending f, and bound only falls
+        if g > dist[key]:
             continue
         budget.spend()
         if key in goals:

@@ -45,6 +45,21 @@ label plus one per element of the smaller of omega and F's distinct
 labels; with an empty omega, its counted labels alone.  A search passes |F|
 in, as it knows the trace position; ``h`` sums F only when it is left out.
 
+A class whose kept set is one entry with no omega and no count above 1 is a
+set entry: every class of a net of parallel tasks is one, and so is the
+empty entry of a final component.  With C its counted labels, each term
+of the sum above has c[l] = 1 and w_l = 2, and min(F[l], 1) is 1 exactly
+when l is still in F, so the form reduces to
+
+    |F| + |C| - 2 * |C & support(F)|
+
+An entry whose digits are all 0 or 1 is itself the mask of C's unit
+digits, and a search passes support(F) in as a mask of the same digits
+(``supports`` gives one per trace position, from one backward pass over
+the trace; ``h`` derives it from F when it is left out).  So a set entry's
+estimate is two popcounts, with no walk over labels; any other class pays
+one list read before its scan.
+
 ``h`` scans a pruned form of each entry set, decoded once per set from the
 packed entries, and returns the same minimum as a scan of every entry:
 
@@ -108,9 +123,9 @@ ScanEntry = tuple[int, frozenset[int], tuple[tuple[int, int, int], ...]]
 
 class _Digits:
     """A graph's labels, ascending, as digit and bit positions of packed
-    entries, with the masks the dominance test reads."""
+    entries, with the masks the dominance and set-entry tests read."""
 
-    __slots__ = ("labels", "width", "mask", "unit", "bit", "guards", "_free", "_omegas",
+    __slots__ = ("labels", "width", "mask", "unit", "bit", "guards", "ones", "_free", "_omegas",
                  "_triples")
 
     def __init__(self, labels: Sequence[int], width: int):
@@ -120,6 +135,7 @@ class _Digits:
         self.unit = {l: 1 << width * i for i, l in enumerate(labels)}
         self.bit = {l: 1 << i for i, l in enumerate(labels)}
         self.guards = sum(1 << width * i + width - 1 for i in range(len(labels)))
+        self.ones = sum(self.unit.values())  # every digit 1
         self._free: dict[int, int] = {}  # omega -> digits of the labels outside it
         self._omegas: dict[int, frozenset[int]] = {}
         self._triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
@@ -183,7 +199,7 @@ class FutureLabelTable:
     frees.  ``rg`` is the graph while it is alive, and None after.
     """
 
-    __slots__ = ("_rg", "classes", "n_classes", "_scan", "_raw", "_digits", "_entries")
+    __slots__ = ("_rg", "classes", "n_classes", "_scan", "_sets", "_raw", "_digits", "_entries")
 
     def __init__(self, rg: ReachabilityGraph, classes: list[int],
                  raw: Sequence[Sequence[Packed]], kept: Sequence[Sequence[Packed]],
@@ -195,6 +211,12 @@ class FutureLabelTable:
         self.n_classes = len(raw)
         scans = [digits.scan(entries) for entries in kept]
         self._scan = [scans[cls] for cls in classes]
+        # a set entry: one kept entry with no omega and no count above 1,
+        # whose counts integer is then the mask of its labels' unit digits
+        above_one = ~digits.ones
+        sets = [entries[0][0] if len(entries) == 1 and not entries[0][1]
+                and not entries[0][0] & above_one else None for entries in kept]
+        self._sets = [sets[cls] for cls in classes]
         self._raw = raw
         self._digits = digits
         self._entries: Optional[tuple[tuple[Entry, ...], ...]] = None
@@ -212,9 +234,33 @@ class FutureLabelTable:
             self._entries = tuple([decoded[cls] for cls in self.classes])
         return self._entries
 
-    def h(self, remaining: dict[int, int], mid: int, size: Optional[int] = None) -> int:
+    def supports(self, trace: Sequence[int]) -> list[int]:
+        """Per trace position, the graph's labels still in the trace from
+        there on, as a mask of their unit digits (``_Digits.unit``)."""
+        unit = self._digits.unit
+        out = [0] * (len(trace) + 1)
+        acc = 0
+        for i in range(len(trace) - 1, -1, -1):
+            acc |= unit.get(trace[i], 0)
+            out[i] = acc
+        return out
+
+    def h(self, remaining: dict[int, int], mid: int, size: Optional[int] = None,
+          support: Optional[int] = None) -> int:
         """The estimate for remaining trace labels ``remaining`` (of total
-        ``size``, summed here when not given) at marking ``mid``."""
+        ``size`` and label mask ``support``, as ``supports`` gives it, each
+        derived from ``remaining`` when not given) at marking ``mid``."""
+        labels = self._sets[mid]
+        if labels is not None:
+            if size is None:
+                size = sum(remaining.values())
+            if support is None:
+                unit = self._digits.unit
+                support = 0
+                for l, f in remaining.items():
+                    if f:
+                        support |= unit.get(l, 0)
+            return size + labels.bit_count() - 2 * (labels & support).bit_count()
         scan = self._scan[mid]
         if not scan:
             return 0
@@ -274,8 +320,9 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
                              deadline: Optional[float] = None) -> FutureLabelTable:
     """The graph's future-label table.  Raises ``SearchBudgetError`` once
     ``time.monotonic()`` passes ``deadline``, read on entry, before the
-    graph's successor index is built, and before every 1,024th component
-    after the first."""
+    graph's successor index is built, again once the index and the
+    components are built, and before every 1,024th component after the
+    first."""
     if not rg.reduced:
         raise ValueError("future labels are computed on a tau-free graph")
 
@@ -287,6 +334,7 @@ def precompute_future_labels(rg: ReachabilityGraph, entry_cap: int = DEFAULT_ENT
     n = len(rg.markings)
     rows = rg.succ
     comp = _tarjan(rows)
+    check_deadline()
     ncomp = max(comp) + 1 if n else 0
     digits = _Digits(sorted({s.label for row in rows for s in row}), ncomp.bit_length() + 1)
     unit, bit = digits.unit, digits.bit

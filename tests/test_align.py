@@ -4,10 +4,11 @@ import time
 
 import pytest
 
+from logalign import align as align_module
 from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, OptimalSet,
                             align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
                             make_alignment, Move, _Budget, future_table, _Node,
-                            _remaining_counts)
+                            _label_rank, _lhides, _move, _remaining_counts)
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
 from logalign.heuristic import FutureLabelTable, precompute_future_labels
 from logalign.invariants import decompose
@@ -875,3 +876,119 @@ def test_all_optimal_and_the_reference_share_the_node_budget(monkeypatch):
                 all_optimal_alignments(trace, rg, node_budget=budget)
         assert all_optimal_alignments(trace, rg, node_budget=needed) == \
             reference_all_optimal(trace, rg, node_budget=needed)
+
+
+def continuing_sweep(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
+    """The all-optimal sweep that pops its heap to the end, skipping each
+    entry above its bound instead of stopping at the first: the exact
+    reference for the sweep that stops."""
+    inf = float("inf")
+    trace = tuple(trace)
+    n = len(trace)
+    ftable = future_table(rg)
+    classes = ftable.classes
+    ncls = ftable.n_classes
+    rem = _remaining_counts(trace)
+    lhides = _lhides(trace)
+    budget = _Budget(node_budget, None)
+    hcache = {}
+    goals = {(n, f) for f in rg.finals}
+    bound = n + rg.min_visible_skips()
+    dist, tight, heap = {}, {}, []
+
+    def push_fwd(key, g, step):
+        d = dist.get(key, inf)
+        if g < d:
+            pos, mid = key
+            k = pos * ncls + classes[mid]
+            hv = hcache.get(k)
+            if hv is None:
+                hv = hcache[k] = ftable.h(rem[pos], mid)
+            if g + hv <= bound:
+                dist[key] = g
+                tight[key] = [step]
+                heapq.heappush(heap, (g + hv, g, key))
+        elif g == d:
+            tight[key].append(step)
+
+    root = (0, rg.m0)
+    push_fwd(root, 0, None)
+    if root in tight:
+        tight[root] = []
+    while heap:
+        f, g, key = heapq.heappop(heap)
+        if g > dist[key] or f > bound:
+            continue
+        budget.spend()
+        if key in goals:
+            bound = g
+            continue
+        pos, mid = key
+        if pos < n:
+            for s in rg.succ[mid]:
+                if s[2] == trace[pos]:
+                    push_fwd((pos + 1, s[0]), g, (key, OP_MATCH, s))
+            push_fwd((pos + 1, mid), g + 1, (key, OP_LHIDE, lhides[pos]))
+        for s in rg.succ[mid]:
+            push_fwd((pos, s[0]), g + 1, (key, OP_RHIDE, s))
+
+    ends = [k for k in goals if dist.get(k) == bound]
+    if not ends:
+        raise LogAlignError("no proper alignment exists for the trace")
+    edges = {}
+    stack = list(ends)
+    while stack:
+        key = stack.pop()
+        budget.spend()
+        for pkey, op, succ in tight[key]:
+            if pkey not in edges:
+                edges[pkey] = []
+                stack.append(pkey)
+            edges[pkey].append((_move(op, succ, pkey[1]), key))
+    rank = _label_rank(trace, rg)
+    for nexts in edges.values():
+        nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
+    edges = {key: tuple(nexts) for key, nexts in sorted(edges.items())}
+    return OptimalSet(bound, edges, root, reference_count(edges, root))
+
+
+def test_all_optimal_matches_the_continuing_sweep(monkeypatch):
+    cases = exactness_cases()
+    assert len(cases) >= 400
+    spends = counting_spends(monkeypatch)
+    for trace, rg in cases:
+        spends.clear()
+        expected = continuing_sweep(trace, rg)
+        ref_spends = len(spends)
+        spends.clear()
+        got = all_optimal_alignments(trace, rg)
+        assert len(spends) == ref_spends
+        assert got.cost == expected.cost
+        assert list(got.edges.items()) == list(expected.edges.items())
+        assert got.n_optimal == expected.n_optimal
+
+
+def test_the_sweep_pops_at_most_one_entry_above_the_optimal_cost(monkeypatch):
+    popped = []
+    heappop = heapq.heappop
+
+    def recording_heappop(heap):
+        entry = heappop(heap)
+        popped.append(entry)
+        return entry
+
+    monkeypatch.setattr(align_module.heapq, "heappop", recording_heappop)
+    rng = random.Random(67)
+    par = parallel_tasks_net(["T%d" % i for i in range(8)])
+    rg = remove_tau(build_rg(par))
+    cases = [(trace.labels, rg)
+             for trace in random_log(par, rng, n_traces=40, max_trace_len=10).traces]
+    cases += exactness_cases()
+    most = 0
+    for trace, rg in cases:
+        popped.clear()
+        cost = all_optimal_alignments(trace, rg).cost
+        above = sum(1 for f, _, _ in popped if f > cost)
+        assert above <= 1, (trace, above)
+        most = max(most, len(popped))
+    assert most >= 100  # the sweeps are long enough to overshoot

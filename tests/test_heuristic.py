@@ -8,7 +8,7 @@ from logalign.heuristic import (DEFAULT_ENTRY_CAP, FutureLabelTable, _Digits, _t
                                 precompute_future_labels)
 from logalign.logs import LabelTable
 from logalign.petri import SystemNet
-from logalign.reachability import Arc, build_rg, remove_tau
+from logalign.reachability import Arc, _Rows, build_rg, remove_tau
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
@@ -580,8 +580,8 @@ def test_the_precompute_stops_at_a_deadline_that_has_passed(monkeypatch):
     assert len(rg.markings) == 2048
     with pytest.raises(SearchBudgetError, match="global deadline"):
         precompute_future_labels(rg, deadline=-1.0)
-    # the clock is read on entry and before component 1,024, and the
-    # deadline passes between the two reads
+    # the clock is read on entry, after Tarjan and before component 1,024,
+    # and the deadline passes between the first two reads
     reads = []
 
     def clock():
@@ -594,9 +594,29 @@ def test_the_precompute_stops_at_a_deadline_that_has_passed(monkeypatch):
     assert reads == [0, 1]
     del reads[:]
     table = precompute_future_labels(rg, deadline=5.0)
-    assert reads == [0, 1]
+    assert reads == [0, 1, 2]
     assert table.entries == precompute_future_labels(rg).entries
-    assert reads == [0, 1]  # no deadline, no clock
+    assert reads == [0, 1, 2]  # no deadline, no clock
+
+
+def test_a_deadline_passed_while_the_index_is_built_stops_the_precompute(monkeypatch):
+    # 256 markings of eight parallel tasks, each its own component: fewer
+    # than the 1,024 between the loop's own reads
+    rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(8)])))
+    assert len(set(_tarjan(rg.succ))) < 1024
+    del rg.succ
+    now = [0.0]
+    monkeypatch.setattr(heuristic.time, "monotonic", lambda: now[0])
+    successors = _Rows.successors
+
+    def slow_successors(self, *args):
+        now[0] += 1.0
+        return successors(self, *args)
+
+    monkeypatch.setattr(_Rows, "successors", slow_successors)
+    with pytest.raises(SearchBudgetError, match="global deadline"):
+        precompute_future_labels(rg, deadline=0.5)
+    assert now == [1.0]  # the index was built once
 
 
 def test_a_precompute_past_its_deadline_builds_no_successor_index():
@@ -604,3 +624,69 @@ def test_a_precompute_past_its_deadline_builds_no_successor_index():
     with pytest.raises(SearchBudgetError, match="global deadline"):
         precompute_future_labels(rg, deadline=-1.0)
     assert "succ" not in vars(rg)
+
+
+def test_set_entries_give_the_reference_estimate_with_and_without_support():
+    # every marking of loan, of parallel tasks with k = 1..8 and of random
+    # nets; the traces repeat labels and hold labels the graph lacks
+    rng = random.Random(53)
+    nets = [loan_net()] + [parallel_tasks_net(["T%d" % i for i in range(k)])
+                           for k in range(1, 9)]
+    nets += [random_workflow_net(seed, max_visible=10) for seed in range(40)]
+    fast = slow = repeated = foreign = 0
+    for net in nets:
+        try:
+            rg = remove_tau(build_rg(net))
+        except LogAlignError:
+            continue
+        table = precompute_future_labels(rg)
+        outside = [net.table.intern("Z"), net.table.intern("Y")]
+        labels = sorted({a.label for a in rg.arcs}) + outside
+        traces = [()] + [tuple(rng.choice(labels) for _ in range(rng.randint(1, 12)))
+                         for _ in range(6)]
+        for trace in traces:
+            repeated += len(set(trace)) < len(trace)
+            foreign += any(l in outside for l in trace)
+            supports = table.supports(trace)
+            for pos, rem in enumerate(suffix_counts(trace)):
+                for mid in range(len(rg.markings)):
+                    expected = reference_h(table, rem, mid)
+                    assert table.h(rem, mid) == expected, (mid, rem)
+                    assert table.h(rem, mid, len(trace) - pos, supports[pos]) == expected, \
+                        (mid, rem)
+        fast += sum(one is not None for one in table._sets)
+        slow += sum(one is None for one in table._sets)
+    assert fast >= 500 and slow >= 100  # both forms are exercised
+    assert repeated >= 100 and foreign >= 100
+
+
+def test_parallel_tasks_take_set_entries_at_every_marking():
+    for k in range(1, 9):
+        rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(k)])))
+        table = precompute_future_labels(rg)
+        assert all(one is not None for one in table._sets)
+        final = next(iter(rg.finals))
+        assert table._sets[final] == 0  # the empty final entry
+        assert table._sets[rg.m0].bit_count() == k
+
+
+def test_a_count_above_one_or_an_omega_keeps_the_scan():
+    rg = remove_tau(build_rg(sequence_net(["A", "B"])))
+    a, b, c = 1, 2, 3
+    ones = (((a, 1), (b, 1)), frozenset())
+    two = (((a, 2),), frozenset())
+    one_and_two = (((a, 1), (b, 2)), frozenset())
+    with_omega = (((a, 1),), frozenset({b}))
+    omega_alone = ((), frozenset({c}))
+    only_a = (((a, 1),), frozenset())
+    only_b = (((b, 1),), frozenset())
+    remainders = ({}, {a: 1}, {a: 2}, {a: 3}, {b: 1}, {a: 2, b: 2}, {c: 1}, {a: 1, c: 4})
+    for entries, fast in (((ones,), True), ((two,), False), ((one_and_two,), False),
+                          ((with_omega,), False), ((omega_alone,), False),
+                          ((only_a, only_b), False)):
+        table = table_of_entries(rg, entries)
+        assert (table._sets[rg.m0] is not None) == fast, entries
+        for rem in remainders:
+            expected = reference_h(table, rem, rg.m0)
+            assert table.h(rem, rg.m0) == expected, (entries, rem)
+            assert table.h(rem, rg.m0, sum(rem.values())) == expected, (entries, rem)

@@ -320,15 +320,25 @@ def test_a_fallback_searches_the_successor_index_without_arc_rows():
     assert not any(arc_rows_built(rg) for rg in graphs)
 
 
-def test_all_optimal_stops_at_the_global_deadline():
+def test_all_optimal_stops_at_the_global_deadline(monkeypatch):
     rng = random.Random(79)
     net = parallel_tasks_net(["T%d" % i for i in range(8)])
     log = random_log(net, rng, n_traces=300, max_trace_len=8)
+    # a clock that moves on 1 ms per read, so the 50 ms deadline passes after
+    # the same number of reads on any host
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return len(reads) / 1000.0
+
+    monkeypatch.setattr(time, "monotonic", clock)
     result = run_conformance(net, log, RunConfig(
         strategy="monolithic", all_optimal=True, timeout_ms=1, global_timeout_ms=50))
     assert result.exit_code == EXIT_GLOBAL_TIMEOUT
     rows = result.report["traces"]
     assert rows[-1]["error"] == "global timeout"
+    assert rows[0]["cost"] is not None
     for row in rows:
         if row["cost"] is None:
             assert row["error"] is not None and row["n_optimal"] == 0
