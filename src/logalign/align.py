@@ -44,8 +44,11 @@ still gets the value it would get on its own.  The cache pays where classes
 merge many markings, as on looping nets; where each marking is its own class
 (a parallel block) it seldom hits, and each estimate is a closed form over
 the entry's own labels, given the remaining size ``len(trace) - pos`` and
-the mask of labels still in the trace (``FutureLabelTable.supports``, one
-per position); on a parallel block, two popcounts.
+the mask of labels still in the trace (``FutureLabelTable.suffixes`` gives
+the remaining labels and their mask for every position); on a parallel
+block, two popcounts.  Ranks are the label table's (``LabelTable.rank``),
+whose older labels keep their order when a label is interned after the
+index is built, so no search takes a snapshot of its own.
 """
 
 from __future__ import annotations
@@ -173,16 +176,6 @@ def _lhides(trace) -> list[tuple]:
     return [(-1, (), label) for label in trace]
 
 
-def _label_rank(trace, rg: ReachabilityGraph) -> dict[int, int]:
-    """The rank of the trace's labels: the graph's, unless the trace holds
-    a label interned after it.  Only lhide keys, which compare among
-    themselves, then read a newer rank."""
-    rank = rg.rank
-    if trace and max(trace) >= len(rank):
-        rank = rg.net.table.rank()
-    return rank
-
-
 def future_table(rg: ReachabilityGraph, deadline: Optional[float] = None) -> FutureLabelTable:
     """The graph's future-label table, built on the first call and kept on
     the graph (the table refers back to it weakly); both searches read it.
@@ -209,16 +202,6 @@ def table_off_the_clock(rg: ReachabilityGraph, deadline: Optional[float],
     future_table(rg, global_deadline)
     deadline += time.monotonic() - start
     return deadline if global_deadline is None else min(deadline, global_deadline)
-
-
-def _remaining_counts(trace) -> list[dict[int, int]]:
-    rem: list[dict[int, int]] = [dict() for _ in range(len(trace) + 1)]
-    acc: dict[int, int] = {}
-    for i in range(len(trace) - 1, -1, -1):
-        acc = dict(acc)
-        acc[trace[i]] = acc.get(trace[i], 0) + 1
-        rem[i] = acc
-    return rem
 
 
 class _Budget:
@@ -268,10 +251,9 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     ftable = future_table(rg)
     h = ftable.h
     classes = ftable.classes
-    rem = _remaining_counts(trace)
-    sup = ftable.supports(trace)
+    rem, sup = ftable.suffixes(trace)
     rows = rg.succ
-    rank = _label_rank(trace, rg)
+    rank = rg.net.table.rank()
     lhides = _lhides(trace)
     finals = rg.finals
     budget = _Budget(node_budget, deadline)
@@ -382,8 +364,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     ftable = future_table(rg)
     classes = ftable.classes
     ncls = ftable.n_classes
-    rem = _remaining_counts(trace)
-    sup = ftable.supports(trace)
+    rem, sup = ftable.suffixes(trace)
     rows = rg.succ
     lhides = _lhides(trace)
     budget = _Budget(node_budget, deadline)
@@ -457,7 +438,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
             nexts.append((_move(op, succ, pkey[1]), key))
 
     # every move raises (dist, pos), so successors come first in this order
-    rank = _label_rank(trace, rg)
+    rank = rg.net.table.rank()
     paths = dict.fromkeys(ends, 1)
     for key in sorted(edges, key=lambda k: (dist[k], k[0]), reverse=True):
         nexts = edges[key]

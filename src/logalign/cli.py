@@ -22,7 +22,8 @@ from .errors import LogAlignError, OracleGuardError
 from .logs import LabelTable, parse_text_log, parse_xes
 from .petri import parse_pnml
 from .reachability import DEFAULT_MARKING_CAP, build_rg, remove_tau
-from .report import EXIT_INPUT_ERROR, RunConfig, collector_off, report_to_csv, run_conformance
+from .report import (EXIT_INPUT_ERROR, STRATEGIES, RunConfig, collector_off, report_to_csv,
+                     run_conformance)
 
 
 def _int_at_least(low: int):
@@ -42,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="align an event log against a workflow net")
     check.add_argument("--log", required=True, help="XES file (or .txt fallback)")
     check.add_argument("--model", required=True, help="PNML file")
-    check.add_argument("--strategy", choices=["auto", "monolithic", "scomponent"],
-                       default="auto")
+    check.add_argument("--strategy", choices=STRATEGIES, default="auto")
     check.add_argument("--all-optimal", action="store_true",
                        help="enumerate all optimal alignments (monolithic only)")
     check.add_argument("--timeout-ms", type=_int_at_least(0), default=None,

@@ -22,7 +22,7 @@ from .petri import dot_string
 
 
 class Dafsa:
-    __slots__ = ("table", "out", "finals", "initial", "arcs", "in_degree", "out_degree", "_rank")
+    __slots__ = ("table", "out", "finals", "initial", "arcs", "in_degree", "out_degree")
 
     def __init__(self, table: LabelTable, out: tuple[dict[int, int], ...], finals: frozenset[int],
                  initial: int = 0):
@@ -31,7 +31,7 @@ class Dafsa:
         self.finals = finals
         self.initial = initial
         # derived from ``out``: arcs in label order per state, and state degrees
-        self._rank = rank = table.rank()
+        rank = table.rank()
         self.arcs = tuple((src, label, tgt) for src, row in enumerate(out)
                           for label, tgt in sorted(row.items(), key=lambda it: rank[it[0]]))
         indeg = [0] * len(out)
@@ -47,13 +47,14 @@ class Dafsa:
 
     def language(self) -> Iterator[tuple[int, ...]]:
         """All initial-to-final label sequences, lexicographic by label text."""
+        rank = self.table.rank()
         stack = [(self.initial, ())]
         while stack:
             state, prefix = stack.pop()
             if state in self.finals:
                 yield prefix
             for label, tgt in sorted(self.out[state].items(),
-                                     key=lambda it: self._rank[it[0]], reverse=True):
+                                     key=lambda it: rank[it[0]], reverse=True):
                 stack.append((tgt, prefix + (label,)))
 
 

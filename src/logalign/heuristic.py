@@ -46,7 +46,7 @@ labels; with an empty omega, its counted labels alone.  A search passes |F|
 in, as it knows the trace position; ``h`` sums F only when it is left out.
 
 A class whose kept set is one entry with no omega and no count above 1 is a
-set entry: every class of a net of parallel tasks is one, and so is the
+set class: every class of a net of parallel tasks is one, and so is the
 empty entry of a final component.  With C its counted labels, each term
 of the sum above has c[l] = 1 and w_l = 2, and min(F[l], 1) is 1 exactly
 when l is still in F, so the form reduces to
@@ -55,13 +55,14 @@ when l is still in F, so the form reduces to
 
 An entry whose digits are all 0 or 1 is itself the mask of C's unit
 digits, and a search passes support(F) in as a mask of the same digits
-(``supports`` gives one per trace position, from one backward pass over
-the trace; ``h`` derives it from F when it is left out).  So a set entry's
-estimate is two popcounts, with no walk over labels; any other class pays
-one list read before its scan.
+(``suffixes`` gives F and its mask for every trace position, from one
+backward pass over the trace; ``h`` derives the mask from F when it is
+left out).  So a set class's estimate is two popcounts, with no walk over
+labels.
 
-``h`` scans a pruned form of each entry set, decoded once per set from the
-packed entries, and returns the same minimum as a scan of every entry:
+For any other class ``h`` scans a pruned form of its entry set, decoded
+once per class from the packed entries, and returns the same minimum as a
+scan of every entry:
 
 - The estimate is a sum of one term per label.  Entry x dominates entry y
   of the same set when, for every label l, either l is in omega_x and
@@ -94,13 +95,16 @@ packed entries, and returns the same minimum as a scan of every entry:
   minimum depends on the order among entries of one total, so neither does
   the estimate.
 
-``h(F, mid)`` reads nothing of the marking but its scan tuple, which every
-marking of one component shares, and every capped component shares the one
-degenerate entry set.  ``classes[mid]`` numbers the distinct entry sets
-densely from 0 (``n_classes`` of them): the marking's future-label class.
-Markings of one class get the same estimate for every F, so a search caches
-``h`` per (trace position, class) rather than per (trace position, marking).
-``entries`` decodes the raw entry sets, sorted, only when first read.
+``classes[mid]`` numbers the distinct entry sets densely from 0
+(``n_classes`` of them): the marking's future-label class.  Every marking
+of one component has one class, and every capped component shares the one
+degenerate entry set.  The table keeps one form per class, and ``h(F,
+mid)`` reads nothing of the marking but its class's form: a set class's
+unit-digit mask, or any other class's scan tuple.  A set class is never
+decoded.  Markings of one class get the same estimate for every F, so a
+search caches ``h`` per (trace position, class) rather than per (trace
+position, marking).  ``entries`` decodes the raw entry sets, sorted, only
+when first read.
 """
 
 from __future__ import annotations
@@ -125,8 +129,7 @@ class _Digits:
     """A graph's labels, ascending, as digit and bit positions of packed
     entries, with the masks the dominance and set-entry tests read."""
 
-    __slots__ = ("labels", "width", "mask", "unit", "bit", "guards", "ones", "_free", "_omegas",
-                 "_triples")
+    __slots__ = ("labels", "width", "mask", "unit", "bit", "guards", "ones", "_free", "_omegas")
 
     def __init__(self, labels: Sequence[int], width: int):
         self.labels = labels
@@ -138,7 +141,6 @@ class _Digits:
         self.ones = sum(self.unit.values())  # every digit 1
         self._free: dict[int, int] = {}  # omega -> digits of the labels outside it
         self._omegas: dict[int, frozenset[int]] = {}
-        self._triples: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
     def free(self, om: int) -> int:
         digits = self._free.get(om)
@@ -171,16 +173,11 @@ class _Digits:
         return tuple(out)
 
     def scan(self, kept: Sequence[Packed]) -> tuple[ScanEntry, ...]:
-        """Kept entries in the form ``h`` scans.  Equal (label, count,
-        weight) triples are one tuple, so a table of many one-entry classes,
-        as on a net of parallel tasks, holds each triple once."""
+        """Kept entries in the form ``h`` scans."""
         out = []
         for cnt, om in kept:
-            labels = []
-            for l, c in self.counts(cnt):
-                triple = (l, c, 1 if om & self.bit[l] else 2)
-                labels.append(self._triples.setdefault(triple, triple))
-            out.append((sum(c for _, c, _ in labels), self.omega(om), tuple(labels)))
+            labels = tuple((l, c, 1 if om & self.bit[l] else 2) for l, c in self.counts(cnt))
+            out.append((sum(c for _, c, _ in labels), self.omega(om), labels))
         return tuple(out)
 
     def entries(self, pool: Sequence[Packed]) -> tuple[Entry, ...]:
@@ -191,7 +188,7 @@ class _Digits:
 
 
 class FutureLabelTable:
-    """The future-label entries of each marking of ``rg``, in scan form.
+    """The future-label estimate of each marking class of ``rg``.
 
     The searches keep a graph's table on the graph, so the table holds its
     graph through a weak reference: a strong one would make each searched
@@ -199,7 +196,7 @@ class FutureLabelTable:
     frees.  ``rg`` is the graph while it is alive, and None after.
     """
 
-    __slots__ = ("_rg", "classes", "n_classes", "_scan", "_sets", "_raw", "_digits", "_entries")
+    __slots__ = ("_rg", "classes", "n_classes", "_forms", "_raw", "_digits", "_entries")
 
     def __init__(self, rg: ReachabilityGraph, classes: list[int],
                  raw: Sequence[Sequence[Packed]], kept: Sequence[Sequence[Packed]],
@@ -209,14 +206,12 @@ class FutureLabelTable:
         self._rg = ref(rg)
         self.classes = classes
         self.n_classes = len(raw)
-        scans = [digits.scan(entries) for entries in kept]
-        self._scan = [scans[cls] for cls in classes]
-        # a set entry: one kept entry with no omega and no count above 1,
+        # a set class: one kept entry with no omega and no count above 1,
         # whose counts integer is then the mask of its labels' unit digits
         above_one = ~digits.ones
-        sets = [entries[0][0] if len(entries) == 1 and not entries[0][1]
-                and not entries[0][0] & above_one else None for entries in kept]
-        self._sets = [sets[cls] for cls in classes]
+        self._forms = [entries[0][0] if len(entries) == 1 and not entries[0][1]
+                       and not entries[0][0] & above_one else digits.scan(entries)
+                       for entries in kept]
         self._raw = raw
         self._digits = digits
         self._entries: Optional[tuple[tuple[Entry, ...], ...]] = None
@@ -234,24 +229,27 @@ class FutureLabelTable:
             self._entries = tuple([decoded[cls] for cls in self.classes])
         return self._entries
 
-    def supports(self, trace: Sequence[int]) -> list[int]:
-        """Per trace position, the graph's labels still in the trace from
-        there on, as a mask of their unit digits (``_Digits.unit``)."""
+    def suffixes(self, trace: Sequence[int]) -> tuple[list[dict[int, int]], list[int]]:
+        """Per trace position, the labels still in the trace from there on,
+        from one backward pass: their counts by label, and the graph's among
+        them as a mask of their unit digits (``_Digits.unit``)."""
         unit = self._digits.unit
-        out = [0] * (len(trace) + 1)
-        acc = 0
-        for i in range(len(trace) - 1, -1, -1):
-            acc |= unit.get(trace[i], 0)
-            out[i] = acc
-        return out
+        counts: list[dict[int, int]] = [{}]
+        supports = [0]
+        for label in reversed(trace):
+            acc = dict(counts[-1])
+            acc[label] = acc.get(label, 0) + 1
+            counts.append(acc)
+            supports.append(supports[-1] | unit.get(label, 0))
+        return counts[::-1], supports[::-1]
 
     def h(self, remaining: dict[int, int], mid: int, size: Optional[int] = None,
           support: Optional[int] = None) -> int:
         """The estimate for remaining trace labels ``remaining`` (of total
-        ``size`` and label mask ``support``, as ``supports`` gives it, each
-        derived from ``remaining`` when not given) at marking ``mid``."""
-        labels = self._sets[mid]
-        if labels is not None:
+        ``size`` and label mask ``support``, as ``suffixes`` gives them,
+        each derived from ``remaining`` when not given) at marking ``mid``."""
+        form = self._forms[self.classes[mid]]
+        if form.__class__ is int:  # a set class's mask
             if size is None:
                 size = sum(remaining.values())
             if support is None:
@@ -260,15 +258,14 @@ class FutureLabelTable:
                 for l, f in remaining.items():
                     if f:
                         support |= unit.get(l, 0)
-            return size + labels.bit_count() - 2 * (labels & support).bit_count()
-        scan = self._scan[mid]
-        if not scan:
+            return size + form.bit_count() - 2 * (form & support).bit_count()
+        if not form:
             return 0
         if size is None:
             size = sum(remaining.values())
         get = remaining.get
-        best = scan[0][0] + size + 1  # above the first entry's estimate
-        for total, omega, labels in scan:
+        best = form[0][0] + size + 1  # above the first entry's estimate
+        for total, omega, labels in form:
             if total - size >= best:
                 break
             # |F| + T less F's repeatable labels, summed from the smaller side

@@ -28,6 +28,7 @@ class LabelTable:
     def __init__(self):
         self._texts: list[str] = [TAU_TEXT]
         self._ids: dict[str, int] = {TAU_TEXT: TAU}
+        self._rank: Optional[dict[int, int]] = None
 
     def intern(self, text: str) -> int:
         if text == TAU_TEXT:
@@ -37,6 +38,7 @@ class LabelTable:
             lid = len(self._texts)
             self._texts.append(text)
             self._ids[text] = lid
+            self._rank = None
         return lid
 
     def text(self, lid: int) -> str:
@@ -51,13 +53,16 @@ class LabelTable:
     def rank(self) -> dict[int, int]:
         """Map label id -> position under lexicographic order of the texts.
 
-        The silent label sorts before every visible label.
+        The silent label sorts before every visible label.  The same dict,
+        which readers do not change, is returned until a label is interned,
+        and a new one after, in which the older labels keep their order.
         """
-        order = sorted(range(1, len(self._texts)), key=lambda i: self._texts[i])
-        ranks = {TAU: 0}
-        for pos, lid in enumerate(order, start=1):
-            ranks[lid] = pos
-        return ranks
+        if self._rank is None:
+            order = sorted(range(1, len(self._texts)), key=lambda i: self._texts[i])
+            self._rank = {TAU: 0}
+            for pos, lid in enumerate(order, start=1):
+                self._rank[lid] = pos
+        return self._rank
 
 
 class Trace:

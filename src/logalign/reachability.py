@@ -23,8 +23,10 @@ read this form.
 Everything that walks a graph's arcs reads its successor index ``succ``,
 built from the rows once, on the first walk: the searches, the heuristic
 precompute, the propriety checks and the oracle.  ``succ[m]`` holds a
-``Successor`` (target, trail, label, label rank in ``rank``) per arc that
-leaves marking ``m``, in storage order; no reader depends on that order.
+``Successor`` (target, trail, label, label rank) per arc that leaves
+marking ``m``, in storage order; no reader depends on that order.  The
+ranks are the label table's (``LabelTable.rank``) when the index is built;
+a label interned later leaves their order unchanged.
 Arcs of one kind into one marking share their ``Successor``.  The ``Arc``
 objects, ``arcs`` and the ``out`` rows (``out[m]`` holds the arcs of
 ``arcs`` that leave marking ``m``, in (label rank, trail, target) order),
@@ -65,7 +67,7 @@ class Successor(NamedTuple):
     tgt: int
     trail: tuple[int, ...]
     label: int
-    rank: int  # the label's rank in the graph's ``rank``
+    rank: int  # the label's rank (``LabelTable.rank``) when the index was built
 
 
 class _Rows:
@@ -201,14 +203,8 @@ class ReachabilityGraph:
         self._rows = rows
 
     @cached_property
-    def rank(self) -> dict[int, int]:
-        """The label rank (``LabelTable.rank``) the index's entries carry,
-        taken once per graph."""
-        return self.net.table.rank()
-
-    @cached_property
     def succ(self) -> tuple[tuple[Successor, ...], ...]:
-        return self._rows.successors(self.rank, len(self.net.transitions))
+        return self._rows.successors(self.net.table.rank(), len(self.net.transitions))
 
     @cached_property
     def out(self) -> tuple[tuple[Arc, ...], ...]:
@@ -508,29 +504,37 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
 
     # fold markings whose only original exits were silent into an identically
     # behaving survivor, so chains like AND-join -> tau -> join-place collapse:
-    # repeatedly merge the lowest candidate that has a match into
-    # min(matches, key=(transient, id)), where a match is any other live
-    # marking with the same signature (final or not, and its set of arcs)
+    # repeatedly merge the lowest candidate that has a twin into
+    # min(twins, key=(transient, id)), where a twin is any other live marking
+    # with the same signature (final or not, and its set of arcs).  Every
+    # twin of a hot marking has that marking's least exit, so the twins are
+    # among the sources of the in-arcs of its target (raw ones while the
+    # target is cold); a dead marking has no arcs left.
     candidates = sorted(s for s in transient if alive[s] and s != m0 and s not in finals)
     if candidates:
         def signature(u):
             exits = out[u] if out[u] is not None else raw_out(u)
             return (u in finals, frozenset(a[1:] for a in exits))
 
-        sig = {u: signature(u) for u in range(n) if alive[u]}
-        groups: dict = {}
-        for u, key in sig.items():
-            groups.setdefault(key, set()).add(u)
+        def twins(u, key):
+            _, label, trail, v = min(out[u])
+            into = inn[v] if inn[v] is not None else raw_inn(v)
+            return [a[0] for a in into if a[0] != u and a[1] == label and a[2] == trail
+                    and signature(a[0]) == key]
+
         is_candidate = set(candidates)
         heap = candidates  # sorted, so already a heap
         while heap:
             s = heapq.heappop(heap)
-            if not alive[s] or any(x[2] == s for x in sig[s][1]):
+            if not alive[s]:
                 continue
-            group = groups[sig[s]]
-            if len(group) < 2:
+            key = signature(s)
+            if any(x[2] == s for x in key[1]):
                 continue
-            rep = min((m for m in group if m != s), key=lambda m: (m in transient, m))
+            group = twins(s, key)
+            if not group:
+                continue
+            rep = min(group, key=lambda m: (m in transient, m))
             redirected = sorted(inn[s])
             for a in redirected:
                 discard(a)
@@ -539,22 +543,13 @@ def _reduce(rg: ReachabilityGraph, extended: bool) -> ReachabilityGraph:
                 discard(a)
             alive[s] = 0
             dead.append(s)
-            is_candidate.discard(s)
-            group.discard(s)
-            del sig[s]
             # only the redirected arcs' sources changed their signatures; the
-            # candidates in a group that gained one of them (itself included)
-            # may have a match now, so they are looked at again
+            # candidates among each one and its new twins may have a match
+            # now, so they are looked at again
             for u in {a[0] for a in redirected}:
-                key = signature(u)
-                if key != sig[u]:
-                    groups[sig[u]].discard(u)
-                    sig[u] = key
-                    group = groups.setdefault(key, set())
-                    group.add(u)
-                    for m in group:
-                        if m in is_candidate:
-                            heapq.heappush(heap, m)
+                for m in [u] + twins(u, signature(u)):
+                    if m in is_candidate:
+                        heapq.heappush(heap, m)
 
     prune()
 

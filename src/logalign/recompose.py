@@ -51,7 +51,6 @@ class SComponentAligner:
     def __init__(self, net, *, full_rg: ReachabilityGraph | StateSpaceCapError):
         self.net = net
         self.full_rg = full_rg
-        self.rank = net.table.rank()
         self.components = [(comp, remove_tau_extended(build_rg(comp.net)))
                            for comp in decompose(net).components]
         # label -> indices of the lanes whose alphabet holds it, ascending
@@ -135,7 +134,7 @@ class SComponentAligner:
 
     def _replay(self, trace, lanes):
         """``(composed moves, None)``, or ``(None, the first conflict)``."""
-        owners, rank = self.owners, self.rank
+        owners, rank = self.owners, self.net.table.rank()
         composed: list[Move] = []
         cursors = [iter(moves) for moves in lanes]
         heads: list[Optional[Move]] = [None] * len(lanes)  # each lane's next move

@@ -39,8 +39,11 @@ EXIT_GLOBAL_TIMEOUT = 3
 EXIT_STATE_CAP = 4
 
 
+STRATEGIES = ("auto", "monolithic", "scomponent")
+
+
 class RunConfig(NamedTuple):
-    strategy: str = "auto"  # auto | monolithic | scomponent
+    strategy: str = "auto"  # one of STRATEGIES
     all_optimal: bool = False
     timeout_ms: Optional[int] = None  # per trace
     global_timeout_ms: Optional[int] = None
@@ -91,10 +94,18 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
     """Validate, build the graphs, choose a strategy, align every trace and
     assemble the report.
 
+    Raises ``ValueError``, before any work, for a config the command line
+    would refuse: an unknown strategy, a negative timeout or a state cap
+    below 1.
+
     The cyclic garbage collector stays off for the whole run and is left as
     the caller had it.  A run builds no reference cycles, so a collection
     during it would walk what the run holds and free nothing.
     """
+    if config.strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r, not one of %s" % (config.strategy, STRATEGIES))
+    if min(config.timeout_ms or 0, config.global_timeout_ms or 0) < 0 or config.state_cap < 1:
+        raise ValueError("a negative timeout or a state cap below 1: %r" % (config,))
     with collector_off():
         timings: dict[str, float] = {}
         t0 = time.perf_counter()

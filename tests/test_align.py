@@ -8,7 +8,7 @@ from logalign import align as align_module
 from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, OptimalSet,
                             align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
                             make_alignment, Move, _Budget, future_table, _Node,
-                            _label_rank, _lhides, _move, _remaining_counts)
+                            _lhides, _move)
 from logalign.errors import DecompositionError, LogAlignError, SearchBudgetError
 from logalign.heuristic import FutureLabelTable, precompute_future_labels
 from logalign.invariants import decompose
@@ -459,7 +459,7 @@ def reference_align_one_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET, s
     """The straightforward A*: a Move per candidate and a node per push."""
     trace = tuple(trace)
     ftable = future_table(rg)
-    rem = _remaining_counts(trace)
+    rem = ftable.suffixes(trace)[0]
     rank = rg.net.table.rank()
     budget = _Budget(node_budget, None)
     hcache = {}
@@ -596,7 +596,7 @@ def test_searches_do_not_depend_on_row_order():
                                        all_optimal_alignments(trace, shuffled))
             assert list(shuffled_optima.edges.items()) == list(optima.edges.items())
             assert shuffled_optima.n_optimal == optima.n_optimal
-            rem = _remaining_counts(trace)
+            rem = table.suffixes(trace)[0]
             for pos in range(len(trace) + 1):
                 for mid in rng.sample(range(len(rg.markings)), min(len(rg.markings), 6)):
                     assert shuffled_table.h(rem[pos], mid) == table.h(rem[pos], mid)
@@ -604,13 +604,13 @@ def test_searches_do_not_depend_on_row_order():
 
 
 def test_labels_interned_after_the_index_rank_among_the_trace_labels():
-    # the graph takes the label rank once; lhides of labels interned later
+    # the graph's index takes the label rank once; lhides of labels interned later
     # (texts that sort before and between the model's) rank by the table's
     # rank, as they did when every search read it
     net, log, rg = loan_setup()
     trace = log.traces[0].labels
     align_one_optimal(trace, rg)
-    assert len(rg.rank) == len(net.table)
+    assert len(net.table.rank()) == len(net.table)
     extra = [net.table.intern(text) for text in ("AB", "0", "Ca")]
     rng = random.Random(53)
     for _ in range(40):
@@ -720,7 +720,7 @@ def reference_all_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
     ftable = future_table(rg)
     classes = ftable.classes
     ncls = ftable.n_classes
-    rem = _remaining_counts(trace)
+    rem = ftable.suffixes(trace)[0]
     budget = _Budget(node_budget, None)
     hcache = {}
 
@@ -888,7 +888,7 @@ def continuing_sweep(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
     ftable = future_table(rg)
     classes = ftable.classes
     ncls = ftable.n_classes
-    rem = _remaining_counts(trace)
+    rem = ftable.suffixes(trace)[0]
     lhides = _lhides(trace)
     budget = _Budget(node_budget, None)
     hcache = {}
@@ -945,7 +945,7 @@ def continuing_sweep(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
                 edges[pkey] = []
                 stack.append(pkey)
             edges[pkey].append((_move(op, succ, pkey[1]), key))
-    rank = _label_rank(trace, rg)
+    rank = rg.net.table.rank()
     for nexts in edges.values():
         nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
     edges = {key: tuple(nexts) for key, nexts in sorted(edges.items())}

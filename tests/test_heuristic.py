@@ -118,6 +118,19 @@ def scan_groups(scan):
     return list(groups.items())
 
 
+def scan_of(table, mid):
+    """The scan tuple of ``mid``'s class; a set class's decoded from its mask."""
+    form = table._forms[table.classes[mid]]
+    return table._digits.scan(((form, 0),)) if isinstance(form, int) else form
+
+
+def sets_of(table):
+    """Per marking, its class's unit-digit mask, or None unless it is a set
+    class."""
+    return [form if isinstance(form, int) else None
+            for form in (table._forms[cls] for cls in table.classes)]
+
+
 def assert_scans_match_reference(table):
     """Every class's scan tuple is the reference pruning of its raw entry
     tuple: the same entries of each (total, -|omega|) key, the keys in
@@ -126,7 +139,7 @@ def assert_scans_match_reference(table):
     for mid, own in enumerate(table.entries):
         if id(own) not in expected:
             expected[id(own)] = scan_groups(reference_prune(own))
-        assert scan_groups(table._scan[mid]) == expected[id(own)], mid
+        assert scan_groups(scan_of(table, mid)) == expected[id(own)], mid
 
 
 def table_of_entries(rg, entries):
@@ -258,7 +271,8 @@ def test_dominated_entry_is_dropped_without_changing_the_estimate():
     w = (((c, 2),), frozenset())  # beats z on {c: 2}
     u = (((a, 1), (b, 2)), frozenset({d}))  # beats x on {d: 5}
     table = table_of_entries(rg, (x, y, z, w, u))
-    assert [({l: c for l, c, _ in labels}, omega) for _, omega, labels in table._scan[rg.m0]] == [
+    scan = scan_of(table, rg.m0)
+    assert [({l: c for l, c, _ in labels}, omega) for _, omega, labels in scan] == [
         ({a: 1}, frozenset({b})), ({c: 1}, frozenset()), ({c: 2}, frozenset()),
         ({a: 1, b: 2}, frozenset({d}))]
     for rem in ({}, {a: 1}, {b: 2}, {a: 1, b: 2}, {b: 5}, {c: 1}, {c: 2}, {d: 5},
@@ -460,7 +474,7 @@ def test_kept_entries_with_equal_keys_keep_the_candidate_order(monkeypatch):
         rg = arc_graph(5, [(0, 4, 1)] + arcs + [(1, 1, 4), (2, 2, 2), (3, 3, 3)], [2, 3, 4])
         del inputs[:]
         table = precompute_future_labels(rg)
-        kept = [omega for _, omega, _ in table._scan[0]]
+        kept = [omega for _, omega, _ in scan_of(table, 0)]
         assert kept == [frozenset({tgt}) for _, _, tgt in arcs]
         assert [omega for _, omega in table.entries[0] if omega] == [{2}, {3}]
         assert table.entries == reference_entries(rg, DEFAULT_ENTRY_CAP)
@@ -476,7 +490,7 @@ def test_a_final_component_with_repeatable_labels_is_a_candidate(monkeypatch):
     table = precompute_future_labels(rg)
     assert ((), frozenset({5})) in table.entries[0]
     assert len(table.entries[0]) == 3 and len(inputs[-1]) == 2
-    assert table._scan[0][0] == (0, frozenset({5}), ())
+    assert scan_of(table, 0)[0] == (0, frozenset({5}), ())
     assert_scans_match_reference(table)
 
 
@@ -488,7 +502,7 @@ def test_a_component_without_fewer_candidates_prunes_its_raw_entries(monkeypatch
     table = precompute_future_labels(rg)
     assert len(table.entries[0]) == 2
     assert inputs[-1] is table._raw[table.classes[0]]
-    assert len(table._scan[0]) == 1
+    assert len(scan_of(table, 0)) == 1
     assert_scans_match_reference(table)
     # 0 reaches 1 on label 9, which reaches the final 2 on label 1 or 2:
     # two candidates for two raw entries
@@ -515,7 +529,7 @@ def test_a_chain_of_300_components_counts_one_label_past_a_digit_without_guard()
     x = (((1, 300), (3, 1)), frozenset({2}))
     y = (((1, 300), (2, 1), (3, 1)), frozenset())
     assert table.entries[0] == (y, x)
-    assert table._scan[0] == ((301, frozenset({2}), ((1, 300, 2), (3, 1, 2))),)
+    assert scan_of(table, 0) == ((301, frozenset({2}), ((1, 300, 2), (3, 1, 2))),)
     assert table.entries == reference_entries(rg, DEFAULT_ENTRY_CAP)
     assert_scans_match_reference(table)
     for rem in ({}, {1: 299}, {1: 300, 3: 1}, {1: 301, 2: 4}, {1: 512}, {2: 1, 3: 1}, {4: 3}):
@@ -564,7 +578,7 @@ def test_raw_sets_of_exactly_the_cap_and_one_more():
         capped = precompute_future_labels(rg, entry_cap=cap)
         assert capped.entries == reference_entries(rg, cap)
         if kept:
-            assert len(capped.entries[rg.m0]) == len(capped._scan[rg.m0]) == 8
+            assert len(capped.entries[rg.m0]) == len(scan_of(capped, rg.m0)) == 8
         else:
             assert capped.entries[rg.m0] == (((), frozenset(ids)),)
         assert_scans_match_reference(capped)
@@ -647,27 +661,39 @@ def test_set_entries_give_the_reference_estimate_with_and_without_support():
         for trace in traces:
             repeated += len(set(trace)) < len(trace)
             foreign += any(l in outside for l in trace)
-            supports = table.supports(trace)
+            supports = table.suffixes(trace)[1]
             for pos, rem in enumerate(suffix_counts(trace)):
                 for mid in range(len(rg.markings)):
                     expected = reference_h(table, rem, mid)
                     assert table.h(rem, mid) == expected, (mid, rem)
                     assert table.h(rem, mid, len(trace) - pos, supports[pos]) == expected, \
                         (mid, rem)
-        fast += sum(one is not None for one in table._sets)
-        slow += sum(one is None for one in table._sets)
+        fast += sum(one is not None for one in sets_of(table))
+        slow += sum(one is None for one in sets_of(table))
     assert fast >= 500 and slow >= 100  # both forms are exercised
     assert repeated >= 100 and foreign >= 100
+
+
+def test_set_classes_are_never_decoded(monkeypatch):
+    def scan(self, kept):
+        raise AssertionError("a set class was decoded: %r" % (kept,))
+
+    monkeypatch.setattr(_Digits, "scan", scan)
+    rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(8)])))
+    table = precompute_future_labels(rg)
+    assert all(one is not None for one in sets_of(table))
+    final = next(iter(rg.finals))
+    assert table.h({}, rg.m0) == 8 and table.h({}, final) == 0
 
 
 def test_parallel_tasks_take_set_entries_at_every_marking():
     for k in range(1, 9):
         rg = remove_tau(build_rg(parallel_tasks_net(["T%d" % i for i in range(k)])))
         table = precompute_future_labels(rg)
-        assert all(one is not None for one in table._sets)
+        assert all(one is not None for one in sets_of(table))
         final = next(iter(rg.finals))
-        assert table._sets[final] == 0  # the empty final entry
-        assert table._sets[rg.m0].bit_count() == k
+        assert sets_of(table)[final] == 0  # the empty final entry
+        assert sets_of(table)[rg.m0].bit_count() == k
 
 
 def test_a_count_above_one_or_an_omega_keeps_the_scan():
@@ -685,7 +711,7 @@ def test_a_count_above_one_or_an_omega_keeps_the_scan():
                           ((with_omega,), False), ((omega_alone,), False),
                           ((only_a, only_b), False)):
         table = table_of_entries(rg, entries)
-        assert (table._sets[rg.m0] is not None) == fast, entries
+        assert (sets_of(table)[rg.m0] is not None) == fast, entries
         for rem in remainders:
             expected = reference_h(table, rem, rg.m0)
             assert table.h(rem, rg.m0) == expected, (entries, rem)

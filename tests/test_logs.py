@@ -114,6 +114,25 @@ def test_interning_is_bijective():
     assert table.text(a) == "A" and table.text(b) == "B"
 
 
+def test_rank_is_one_dict_until_a_label_is_interned():
+    table = LabelTable()
+    m, c, x = (table.intern(text) for text in ("M", "C", "X"))
+    rank = table.rank()
+    assert rank == {0: 0, c: 1, m: 2, x: 3}
+    assert table.rank() is rank
+    table.intern("C")  # known already: nothing to sort again
+    assert table.rank() is rank
+    a, n = table.intern("A"), table.intern("N")
+    after = table.rank()
+    assert after is not rank and table.rank() is after
+    assert rank == {0: 0, c: 1, m: 2, x: 3}  # the older dict is left as it was
+    assert after == {0: 0, a: 1, c: 2, m: 3, n: 4, x: 5}
+    # the older labels keep their relative order, so keys compared on either
+    # dict among them compare alike
+    older = sorted(rank, key=rank.__getitem__)
+    assert sorted(older, key=after.__getitem__) == older
+
+
 
 def test_traces_and_logs_compare_hash_and_print_by_value():
     trace = Trace((1, 2), 3)

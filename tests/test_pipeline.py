@@ -15,7 +15,8 @@ from logalign.errors import SearchBudgetError
 from logalign.logs import make_log
 from logalign.reachability import build_rg, remove_tau
 from logalign.recompose import SComponentAligner
-from logalign.report import EXIT_GLOBAL_TIMEOUT, EXIT_OK, RunConfig, run_conformance
+from logalign.report import (EXIT_GLOBAL_TIMEOUT, EXIT_OK, EXIT_STATE_CAP, RunConfig,
+                             run_conformance)
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
@@ -131,6 +132,26 @@ def count_monolithic_builds(monkeypatch, net):
 
     monkeypatch.setattr(report_module, "build_rg", counting_build_rg)
     return calls
+
+
+@pytest.mark.parametrize("config", [RunConfig(strategy="scomponents"), RunConfig(timeout_ms=-1),
+                                    RunConfig(global_timeout_ms=-1), RunConfig(state_cap=0)])
+def test_a_config_the_command_line_refuses_raises_before_any_work(monkeypatch, config):
+    net, log = loan_pair()
+
+    def work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(report_module, "validate", work)
+    with pytest.raises(ValueError):
+        run_conformance(net, log, config)
+
+
+def test_the_least_settings_the_command_line_takes_are_accepted():
+    net, log = loan_pair()
+    result = run_conformance(net, log, RunConfig(strategy="monolithic", timeout_ms=0,
+                                                 global_timeout_ms=0, state_cap=1))
+    assert result.exit_code == EXIT_STATE_CAP
 
 
 def test_one_monolithic_build_per_run(monkeypatch):

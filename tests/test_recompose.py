@@ -362,7 +362,7 @@ def reference_catch_up(aligner, label, lanes, composed):
                 proposals.setdefault((nxt[1], nxt[2]), set()).add(i)
         chosen = None
         for (x, trail), members in sorted(
-                proposals.items(), key=lambda kv: (aligner.rank[kv[0][0]], kv[0][1])):
+                proposals.items(), key=lambda kv: (aligner.net.table.rank()[kv[0][0]], kv[0][1])):
             if members == set(aligner.owners.get(x, ())):
                 chosen = (x, trail, members)
                 break
