@@ -26,7 +26,7 @@ for comp in decomposition.components:
           ",".join(sorted(net.table.text(l) for l in comp.alphabet))))
 
 # built from the net alone, the aligner takes any trace over its labels
-aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+aligner = SComponentAligner(net)
 sym = {OP_MATCH: "m", OP_LHIDE: "l", OP_RHIDE: "r"}
 trace = next(t.labels for t in log.traces if log.texts(t) == tuple("BDAEFG"))
 outcome = aligner.align_trace(trace)
@@ -45,8 +45,7 @@ merge_net = SystemNet.build(
      ("t_C", "C", ["p"], ["o"])],
     table)
 bad_trace = tuple(table.lookup(x) for x in "CAB")
-outcome = SComponentAligner(merge_net,
-                            full_rg=remove_tau(build_rg(merge_net))).align_trace(bad_trace)
+outcome = SComponentAligner(merge_net).align_trace(bad_trace)
 print("\nTrace C,A,B on the A||B-then-C net recomposes at cost %d"
       % outcome.alignment.cost)
 print("while the true optimum is 2: the divide step trades a little")
@@ -62,7 +61,7 @@ parallel8 = SystemNet.build(
     ["i"] + ["a%d" % k for k in range(8)] + ["b%d" % k for k in range(8)] + ["o"],
     rows, big_table)
 rg8 = remove_tau(build_rg(parallel8))
-aligner8 = SComponentAligner(parallel8, full_rg=rg8)
+aligner8 = SComponentAligner(parallel8)
 choice, info = hybrid_select(rg8, aligner8.component_rgs())
 print("\nEight parallel tasks: monolithic graph size %d vs %d summed over"
       % (info["rg_size"], info["component_rg_total"]))

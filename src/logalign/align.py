@@ -188,22 +188,6 @@ def future_table(rg: ReachabilityGraph, deadline: Optional[float] = None) -> Fut
     return table
 
 
-def table_off_the_clock(rg: ReachabilityGraph, deadline: Optional[float],
-                        global_deadline: Optional[float]) -> Optional[float]:
-    """``deadline`` for a search of ``rg``, after building the graph's
-    future-label table if it is not built yet: moved on by the time the
-    build took, but not past ``global_deadline``, so the one-time build is
-    not paid from one trace's own timeout.  The build itself stops at
-    ``global_deadline`` (``SearchBudgetError``).  Without a deadline the
-    search builds the table itself."""
-    if deadline is None or getattr(rg, "_future_table", None) is not None:
-        return deadline
-    start = time.monotonic()
-    future_table(rg, global_deadline)
-    deadline += time.monotonic() - start
-    return deadline if global_deadline is None else min(deadline, global_deadline)
-
-
 class _Budget:
     """Counts the pops of one search against its node budget, and reads the
     clock against its deadline on the first pop and every 256 after it."""

@@ -10,8 +10,8 @@ model skips.  The replay keeps each lane's next move and, per model skip,
 the lanes proposing it, and changes them only when a lane advances, so a
 trace costs time linear in its length plus the number of lanes.
 Disagreements (on order, on operation, or on the tau history hidden inside
-an extended label) abort the replay and the trace falls back to a
-monolithic search on the full reachability graph.
+an extended label) abort the replay and are reported as the trace's
+conflict; what a conflicting trace gets instead is the pipeline's choice.
 
 Recomposed alignments are proper but not necessarily optimal; they never
 cost less than a monolithic optimum.
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .align import (OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment,
-                    table_off_the_clock)
-from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError
+from .align import OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment
+from .errors import SearchBudgetError
 from .invariants import decompose
 from .logs import TAU
 from .reachability import ReachabilityGraph, build_rg, remove_tau_extended
@@ -34,23 +33,26 @@ EXTENDED_LABEL_CONFLICT = "extended-label-conflict"
 
 
 class RecompositionOutcome(NamedTuple):
+    """A recomposed alignment, or the conflict or lane search error that
+    stopped it (``alignment`` is None then)."""
+
     alignment: Optional[Alignment]
     conflict: Optional[str]
-    fallback_used: bool
     error: Optional[str] = None
+
+    @property
+    def fallback_used(self) -> bool:
+        """Whether the trace needs a whole-model search instead."""
+        return self.conflict is not None
 
 
 class SComponentAligner:
-    """Aligns traces against one net through its S-components.
+    """Aligns traces against one net through its S-components: projects
+    each trace, aligns its lanes, replays them and checks the composed run
+    on the net.  It never searches the whole model's graph."""
 
-    ``full_rg`` is the net's tau-free monolithic graph, which conflicting
-    traces fall back to, or the StateSpaceCapError that stopped its build;
-    in that case only the conflicting traces fail.
-    """
-
-    def __init__(self, net, *, full_rg: ReachabilityGraph | StateSpaceCapError):
+    def __init__(self, net):
         self.net = net
-        self.full_rg = full_rg
         self.components = [(comp, remove_tau_extended(build_rg(comp.net)))
                            for comp in decompose(net).components]
         # label -> indices of the lanes whose alphabet holds it, ascending
@@ -80,17 +82,9 @@ class SComponentAligner:
 
     # -- the replay itself ------------------------------------------------
 
-    def align_trace(self, trace, deadline: Optional[float] = None, *,
-                    global_deadline: Optional[float] = None) -> RecompositionOutcome:
-        """Align one trace through the components, falling back to the full
-        graph on a conflict.
-
-        ``deadline`` bounds the trace's searches.  The first search of each
-        graph, a component's or the fallback's, builds the graph's heuristic
-        table first and moves ``deadline`` on by the time that took, but not
-        past ``global_deadline``, so the trace's own timeout does not pay for
-        the one-time build.
-        """
+    def align_trace(self, trace, deadline: Optional[float] = None) -> RecompositionOutcome:
+        """Align one trace through the components; ``deadline`` bounds the
+        lanes' searches."""
         trace = tuple(trace)
         projections: list[list[int]] = [[] for _ in self.components]
         for label in trace:
@@ -104,12 +98,10 @@ class SComponentAligner:
                 projected = tuple(projected)
                 moves = cache.get((idx, projected))
                 if moves is None:
-                    deadline = table_off_the_clock(self.components[idx][1], deadline,
-                                                   global_deadline)
                     moves = self._lane_moves(idx, projected, deadline)
                 lanes.append(moves)
         except SearchBudgetError as exc:
-            return RecompositionOutcome(None, None, False, str(exc))
+            return RecompositionOutcome(None, None, str(exc))
 
         composed, conflict = self._replay(trace, lanes)
         if conflict is None:
@@ -120,17 +112,8 @@ class SComponentAligner:
             if not visible_run_realizable(self.net, visible):
                 conflict = EXTENDED_LABEL_CONFLICT
         if conflict is None:
-            return RecompositionOutcome(make_alignment(composed), None, False)
-        if isinstance(self.full_rg, StateSpaceCapError):
-            return RecompositionOutcome(None, conflict, True, str(self.full_rg))
-        try:
-            deadline = table_off_the_clock(self.full_rg, deadline, global_deadline)
-            alignment = align_one_optimal(trace, rg=self.full_rg, deadline=deadline)
-        except LogAlignError as exc:
-            # the search or the table's build may run out of budget or
-            # time; only this trace fails
-            return RecompositionOutcome(None, conflict, True, str(exc))
-        return RecompositionOutcome(alignment, conflict, True)
+            return RecompositionOutcome(make_alignment(composed), None)
+        return RecompositionOutcome(None, conflict)
 
     def _replay(self, trace, lanes):
         """``(composed moves, None)``, or ``(None, the first conflict)``."""

@@ -141,7 +141,7 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         decomposition_error = None
         if config.strategy in ("auto", "scomponent") and vreport.decomposable:
             try:
-                aligner = SComponentAligner(net, full_rg=rg if rg is not None else cap_error)
+                aligner = SComponentAligner(net)
             except LogAlignError as exc:  # decomposition or component reduction failed
                 decomposition_error = str(exc)
         elif config.strategy in ("auto", "scomponent"):
@@ -173,7 +173,7 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
             skips = None
 
         t = time.perf_counter()
-        rows, timed_out = _align_traces(net, log, rg, aligner, chosen, skips, config,
+        rows, timed_out = _align_traces(net, log, rg, cap_error, aligner, chosen, skips, config,
                                         global_deadline)
         mark("align", t)
         timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -185,24 +185,48 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         return RunResult(report, EXIT_GLOBAL_TIMEOUT if timed_out else EXIT_OK)
 
 
-def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline):
+def table_off_the_clock(rg, deadline: Optional[float],
+                        global_deadline: Optional[float]) -> Optional[float]:
+    """``deadline`` for a search of ``rg``, after building the graph's
+    future-label table if it is not built yet: moved on by the time the
+    build took, but not past ``global_deadline``, so the one-time build is
+    not paid from one trace's own timeout.  The build itself stops at
+    ``global_deadline`` (``SearchBudgetError``).  Without a deadline the
+    search builds the table itself."""
+    if deadline is None or getattr(rg, "_future_table", None) is not None:
+        return deadline
+    start = time.monotonic()
+    future_table(rg, global_deadline)
+    deadline += time.monotonic() - start
+    return deadline if global_deadline is None else min(deadline, global_deadline)
+
+
+def _align_traces(net, log, rg, cap_error, aligner, chosen, skips, config, global_deadline):
     """One report row per distinct trace, filled in as the trace is aligned
     in log order, and whether the global deadline cut the run short.  On
     all-optimal runs a row also counts the trace's optima, and its moves are
     the first of them.
 
+    The monolithic route searches the whole model's graph ``rg`` for every
+    trace; the S-component route recomposes each trace from its lanes and
+    searches ``rg`` only for a trace whose lanes conflict, which fails with
+    ``cap_error`` when the state cap stopped the graph's build.
+
     Each trace's search gets the earlier of its own timeout and the global
     deadline.  Once the global deadline has passed, the remaining traces are
-    not attempted and are marked ``"global timeout"``.  The monolithic
-    graph's heuristic table is built before the first trace's clock starts,
-    so no trace's own timeout pays for it; the global deadline does, and a
-    build that passes it leaves every trace to be marked.
+    not attempted and are marked ``"global timeout"``.  The heuristic table
+    of every graph the chosen route searches is built before the first
+    trace's clock starts, so no trace's own timeout pays for it; the global
+    deadline does, and a build that passes it leaves every trace to be
+    marked.  The fallback graph's table is built at the first conflict, and
+    that trace's deadline moves on by the build time.
     """
     all_optimal = chosen == "monolithic" and config.all_optimal
     search = all_optimal_alignments if all_optimal else align_one_optimal
-    if chosen == "monolithic" and log.traces:
+    if log.traces:
         try:
-            future_table(rg, global_deadline)
+            for graph in [rg] if chosen == "monolithic" else aligner.component_rgs():
+                future_table(graph, global_deadline)
         except SearchBudgetError:
             pass  # past the global deadline, which the loop reads
     rows = []
@@ -226,25 +250,30 @@ def _align_traces(net, log, rg, aligner, chosen, skips, config, global_deadline)
             deadline = own if deadline is None else min(own, deadline)
         alignment = None
         if chosen != "monolithic":
-            outcome = aligner.align_trace(labels, deadline, global_deadline=global_deadline)
-            alignment = outcome.alignment
-            row["cost"] = None if alignment is None else alignment.cost
-            row["conflict"], row["error"] = outcome.conflict, outcome.error
-            if outcome.fallback_used:
+            alignment, row["conflict"], row["error"] = aligner.align_trace(labels, deadline)
+            if alignment is not None:
+                row["cost"] = alignment.cost
+            elif row["conflict"] is not None:
                 row["strategy"] = "s-component+fallback"
-        else:
-            try:
-                found = search(labels, rg=rg, deadline=deadline)
-            except SearchBudgetError as exc:
-                row["error"] = str(exc)
+        if chosen == "monolithic" or row["conflict"] is not None:
+            # the whole-model search; the stored cap error is reported, not
+            # raised, as its traceback would hold this frame
+            if rg is None:
+                row["error"] = str(cap_error)
             else:
-                row["cost"] = found.cost
-                if all_optimal:
-                    row["n_optimal"] = found.n_optimal
-                    if config.emit_alignments:
-                        alignment = found.alignments(limit=1)[0]
+                try:
+                    found = search(labels, rg=rg,
+                                   deadline=table_off_the_clock(rg, deadline, global_deadline))
+                except LogAlignError as exc:
+                    row["error"] = str(exc)
                 else:
-                    alignment = found
+                    row["cost"] = found.cost
+                    if all_optimal:
+                        row["n_optimal"] = found.n_optimal
+                        if config.emit_alignments:
+                            alignment = found.alignments(limit=1)[0]
+                    else:
+                        alignment = found
         if row["cost"] is not None:
             row["fitness"] = fitness_of(row["cost"], len(labels), skips)
         elif global_deadline is not None and time.monotonic() > global_deadline:

@@ -14,6 +14,7 @@ import pytest
 from logalign.align import OP_MATCH, OP_RHIDE, align_one_optimal, all_optimal_alignments
 from logalign.dafsa import build_dafsa, language
 from logalign.invariants import decompose, minimal_place_invariants
+from logalign.logs import make_log
 from logalign.oracle import brute_force_optimal_cost
 from logalign.reachability import build_rg, remove_tau
 from logalign.recompose import (EXTENDED_LABEL_CONFLICT, SComponentAligner,
@@ -194,7 +195,7 @@ def test_c08_recomposition_propriety(instance_corpus):
     routed = 0
     for net, rg, trace in instance_corpus:
         if id(net) not in aligners:
-            aligners[id(net)] = SComponentAligner(net, full_rg=rg)
+            aligners[id(net)] = SComponentAligner(net)
         outcome = aligners[id(net)].align_trace(trace)
         if outcome.alignment is None or outcome.fallback_used:
             continue
@@ -207,7 +208,7 @@ def test_c08_recomposition_propriety(instance_corpus):
 def test_c09_known_cases():
     net = parallel_merge_net()
     trace = tuple(net.table.lookup(x) for x in "CAB")
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     outcome = aligner.align_trace(trace)
     rg = remove_tau(build_rg(net))
     assert outcome.conflict is None and not outcome.fallback_used
@@ -217,13 +218,18 @@ def test_c09_known_cases():
 
     net2 = skippable_parallel_net()
     trace2 = tuple(net2.table.lookup(x) for x in "ABD")
-    aligner2 = SComponentAligner(net2, full_rg=remove_tau(build_rg(net2)))
+    aligner2 = SComponentAligner(net2)
     outcome2 = aligner2.align_trace(trace2)
     rg2 = remove_tau(build_rg(net2))
     assert outcome2.conflict == EXTENDED_LABEL_CONFLICT
-    assert outcome2.fallback_used
-    assert outcome2.alignment.cost == brute_force_optimal_cost(trace2, rg2)[0] == 1
-    assert replays_on_model(outcome2.alignment, trace2, rg2)
+    assert outcome2.fallback_used and outcome2.alignment is None
+    # the pipeline searches the whole model for the conflicting trace
+    (row,) = run_conformance(net2, make_log([trace2], net2.table),
+                             RunConfig(strategy="scomponent")).report["traces"]
+    assert (row["strategy"], row["conflict"]) == ("s-component+fallback", EXTENDED_LABEL_CONFLICT)
+    fallback = align_one_optimal(trace2, rg=rg2)
+    assert row["cost"] == fallback.cost == brute_force_optimal_cost(trace2, rg2)[0] == 1
+    assert replays_on_model(fallback, trace2, rg2)
 
 
 @criterion(10, "over-approximation bound on decomposed path")
@@ -235,7 +241,7 @@ def test_c10_over_approximation_bound(instance_corpus):
             break
         if id(net) not in aligners:
             decomposition = decompose(net)
-            aligners[id(net)] = (SComponentAligner(net, full_rg=rg), decomposition)
+            aligners[id(net)] = (SComponentAligner(net), decomposition)
         aligner, decomposition = aligners[id(net)]
         outcome = aligner.align_trace(trace)
         if outcome.alignment is None or outcome.fallback_used:
@@ -258,14 +264,14 @@ def test_c11_hybrid(loan):
     par_net = parallel_tasks_net(["T%d" % i for i in range(8)])
     par_rg = remove_tau(build_rg(par_net))
     par_log = random_log(par_net, random.Random(4), n_traces=1000, max_trace_len=12)
-    par_aligner = SComponentAligner(par_net, full_rg=par_rg)
+    par_aligner = SComponentAligner(par_net)
     choice, info = hybrid_select(par_rg, par_aligner.component_rgs())
     assert choice == "s-component"
     assert info["rg_size"] > 2 ** 8
 
     seq_net = sequence_net(["A", "B", "C"])
     seq_rg = remove_tau(build_rg(seq_net))
-    seq_aligner = SComponentAligner(seq_net, full_rg=seq_rg)
+    seq_aligner = SComponentAligner(seq_net)
     assert hybrid_select(seq_rg, seq_aligner.component_rgs())[0] == "monolithic"
 
     # directional wall-clock check on the 8-parallel net with 1000 traces

@@ -56,6 +56,27 @@ def test_strategy_parity_on_random_logs():
             assert b["cost"] >= a["cost"]
 
 
+def test_a_fallback_row_is_the_monolithic_row():
+    # a conflicting trace gets the monolithic route's search: its cost and
+    # its moves, not only a cost no lower
+    fallbacks = {"auto": 0, "scomponent": 0}
+    for seed in range(24):
+        net = random_workflow_net(seed, max_visible=8)
+        log = random_log(net, random.Random(seed), n_traces=12, max_trace_len=10)
+        mono = run_conformance(net, log, RunConfig(strategy="monolithic",
+                                                   emit_alignments=True)).report
+        for strategy in fallbacks:
+            report = run_conformance(net, log, RunConfig(strategy=strategy,
+                                                         emit_alignments=True)).report
+            for row, expected in zip(report["traces"], mono["traces"]):
+                if row["strategy"] == "s-component+fallback":
+                    fallbacks[strategy] += 1
+                    assert row["cost"] is not None and row["labels"] == expected["labels"]
+                    assert (row["cost"], row["moves"]) == \
+                        (expected["cost"], expected["moves"]), (seed, strategy)
+    assert min(fallbacks.values()) >= 30, fallbacks
+
+
 def test_long_trace_alignment_is_tractable():
     import time
 
@@ -286,6 +307,41 @@ def test_decomposed_route_never_builds_the_monolithic_rows(monkeypatch):
     assert not rows_built(rg)
 
 
+def test_the_component_tables_are_built_before_the_first_trace(monkeypatch):
+    # every graph the route searches has its heuristic table before the first
+    # trace's clock starts; with no conflict the monolithic graph gets
+    # neither a table nor a successor index
+    from logalign import align as align_module
+
+    net = parallel_tasks_net(["T%d" % i for i in range(8)])
+    log = random_log(net, random.Random(5), n_traces=40, max_trace_len=10)
+    graphs = capture_monolithic_graph(monkeypatch, net)
+    precompute = align_module.precompute_future_labels
+    tabled = []
+
+    def recording(rg, *args, **kwargs):
+        tabled.append(rg)
+        return precompute(rg, *args, **kwargs)
+
+    align_trace = SComponentAligner.align_trace
+    at_first_trace = []
+
+    def first_trace_sees_the_tables(self, *args, **kwargs):
+        if not at_first_trace:
+            at_first_trace.append(({id(rg) for rg in tabled},
+                                   {id(rg) for rg in self.component_rgs()}))
+        return align_trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(align_module, "precompute_future_labels", recording)
+    monkeypatch.setattr(SComponentAligner, "align_trace", first_trace_sees_the_tables)
+    report = run_conformance(net, log, RunConfig(strategy="scomponent")).report
+    assert report["aggregates"]["fallbacks"] == 0 and report["aggregates"]["failed_traces"] == 0
+    ((tables, components),) = at_first_trace
+    assert tables == components and len(components) == 8
+    (rg,) = graphs
+    assert len(tabled) == 8 and not rows_built(rg)
+
+
 def hidden_history_parallel_net():
     """Eight parallel branches; the first is A, then B||C or a silent skip of
     both, then D, so its trace T1..T7,A,B,D conflicts (a plain parallel net
@@ -327,16 +383,32 @@ def test_a_fallback_builds_the_monolithic_rows_and_keeps_its_cost(monkeypatch):
     assert [r["cost"] for r in report["traces"]] == [r["cost"] for r in mono["traces"]] == [0, 1]
 
 
-def test_a_fallback_searches_the_successor_index_without_arc_rows():
+def record_aligners(monkeypatch):
+    """Keep every aligner the pipeline builds."""
+    aligners = []
+
+    class Recorded(SComponentAligner):
+        def __init__(self, net):
+            super().__init__(net)
+            aligners.append(self)
+
+    monkeypatch.setattr(report_module, "SComponentAligner", Recorded)
+    return aligners
+
+
+def test_a_fallback_searches_the_successor_index_without_arc_rows(monkeypatch):
     # the lanes' searches and the fallback's A* with its heuristic precompute
     # read each graph's successor index; none builds the graph's Arc rows
     net = hidden_history_parallel_net()
     conflicting = [net.table.lookup(x) for x in ["T%d" % k for k in range(1, 8)] + list("ABD")]
-    full = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, full_rg=full)
-    outcome = aligner.align_trace(conflicting)
-    assert outcome.fallback_used and outcome.alignment.cost == 1
-    graphs = [full] + aligner.component_rgs()
+    monolithic = capture_monolithic_graph(monkeypatch, net)
+    aligners = record_aligners(monkeypatch)
+    report = run_conformance(net, make_log([conflicting], net.table),
+                             RunConfig(strategy="scomponent")).report
+    (row,) = report["traces"]
+    assert row["strategy"] == "s-component+fallback" and row["cost"] == 1
+    (aligner,) = aligners
+    graphs = monolithic + aligner.component_rgs()
     assert all("succ" in vars(rg) for rg in graphs)
     assert not any(arc_rows_built(rg) for rg in graphs)
 
@@ -456,16 +528,17 @@ def test_a_precompute_past_the_global_deadline_times_out_every_trace(monkeypatch
         assert all(r["cost"] is None for r in result.report["traces"])
 
 
-def test_a_component_precompute_past_the_global_deadline_fails_its_trace(monkeypatch):
+def test_a_component_precompute_past_the_global_deadline_times_out_every_trace(monkeypatch):
+    # the component tables are built before the first trace, as the
+    # monolithic route's table is, so no trace starts
     raised = precompute_after_the_deadline(monkeypatch)
     net, log = loan_pair()
-    # the deadline leaves room for the setup, so the first trace starts
     result = run_conformance(net, log, RunConfig(strategy="scomponent", timeout_ms=1000,
-                                                 global_timeout_ms=300))
+                                                 global_timeout_ms=20))
     assert result.exit_code == EXIT_GLOBAL_TIMEOUT
-    first, *rest = result.report["traces"]
-    assert raised == [first["error"]] == ["heuristic precompute exceeded the global deadline"]
-    assert [r["error"] for r in rest] == ["global timeout"] * len(rest)
+    assert raised == ["heuristic precompute exceeded the global deadline"]
+    assert [r["error"] for r in result.report["traces"]] == ["global timeout"] * len(log.traces)
+    assert all(r["cost"] is None for r in result.report["traces"])
 
 
 def test_a_first_fallback_does_not_pay_for_the_heuristic_precompute(monkeypatch):
@@ -512,7 +585,7 @@ def test_run_leaves_the_collector_as_it_found_it():
 def test_align_loop_runs_with_the_collector_off_and_restores_it_when_it_raises(monkeypatch):
     seen = []
 
-    def fail(self, trace, deadline=None, *, global_deadline=None):
+    def fail(self, trace, deadline=None):
         seen.append(gc.isenabled())
         raise RuntimeError("aligner failed")
 

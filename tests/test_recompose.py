@@ -9,6 +9,7 @@ from logalign.reachability import build_rg, remove_tau
 from logalign.recompose import (EXTENDED_LABEL_CONFLICT, OPERATION_CONFLICT, ORDER_CONFLICT,
                                 RecompositionOutcome, SComponentAligner, hybrid_select,
                                 replays_on_model, visible_run_realizable)
+from logalign.report import RunConfig, run_conformance
 from logalign.sampledata import loan_pair
 
 from gen import noised_trace, random_log, random_model_run, random_workflow_net
@@ -27,7 +28,7 @@ def as_text(net, alignment):
 
 def test_recompose_loan_trace_without_conflict():
     net, _ = loan_pair()
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     outcome = aligner.align_trace(ids(net, "BDAEFG"))
     assert outcome.conflict is None
     assert not outcome.fallback_used
@@ -39,7 +40,7 @@ def test_recompose_loan_trace_without_conflict():
 
 def test_recompose_all_loan_traces_proper():
     net, log = loan_pair()
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     full = remove_tau(build_rg(net))
     for trace in log.traces:
         outcome = aligner.align_trace(trace.labels)
@@ -51,7 +52,8 @@ def test_recompose_all_loan_traces_proper():
 
 def test_aligner_takes_traces_it_was_never_built_with():
     # the aligner is built from the net alone; any trace gets a proper
-    # alignment that never costs less than the optimum
+    # alignment that never costs less than the optimum, or a conflict, which
+    # the pipeline answers with the optimum
     cases = []
     net, _ = loan_pair()
     cases.append((net, [ids(net, "BDAEFG"), ids(net, "GFEDCBA"), ids(net, "AAB"), ()]))
@@ -67,19 +69,27 @@ def test_aligner_takes_traces_it_was_never_built_with():
     checked = 0
     for net, traces in cases:
         full = remove_tau(build_rg(net))
-        aligner = SComponentAligner(net, full_rg=full)
+        aligner = SComponentAligner(net)
+        rows = run_conformance(net, make_log(traces, net.table),
+                               RunConfig(strategy="scomponent")).report["traces"]
+        costs = {tuple(row["labels"]): row["cost"] for row in rows}
         for trace in traces:
             outcome = aligner.align_trace(trace)
-            assert outcome.alignment is not None, outcome.error
-            assert replays_on_model(outcome.alignment, trace, full)
-            assert outcome.alignment.cost >= brute_force_optimal_cost(trace, full)[0]
+            assert outcome.error is None
+            optimum = brute_force_optimal_cost(trace, full)[0]
+            if outcome.alignment is None:
+                assert outcome.conflict is not None
+                assert costs[tuple(net.table.text(x) for x in trace)] == optimum
+            else:
+                assert replays_on_model(outcome.alignment, trace, full)
+                assert outcome.alignment.cost >= optimum
             checked += 1
     assert checked >= 30
 
 
 def test_recompose_over_approximates_parallel_merge():
     net = parallel_merge_net()
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     outcome = aligner.align_trace(ids(net, "CAB"))
     assert outcome.conflict is None and not outcome.fallback_used
     assert as_text(net, outcome.alignment) == ["r(A)", "r(B)", "m(C)", "l(A)", "l(B)"]
@@ -92,14 +102,16 @@ def test_recompose_over_approximates_parallel_merge():
 
 def test_recompose_extended_label_conflict_falls_back():
     net = skippable_parallel_net()
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     outcome = aligner.align_trace(ids(net, "ABD"))
     assert outcome.conflict == EXTENDED_LABEL_CONFLICT
-    assert outcome.fallback_used
+    assert outcome.fallback_used and outcome.alignment is None
     rg = remove_tau(build_rg(net))
     oracle_cost, _ = brute_force_optimal_cost(ids(net, "ABD"), rg)
-    assert outcome.alignment.cost == oracle_cost == 1
-    assert replays_on_model(outcome.alignment, ids(net, "ABD"), rg)
+    (row,) = run_conformance(net, make_log([ids(net, "ABD")], net.table),
+                             RunConfig(strategy="scomponent")).report["traces"]
+    assert (row["strategy"], row["conflict"]) == ("s-component+fallback", EXTENDED_LABEL_CONFLICT)
+    assert row["cost"] == oracle_cost == 1
 
 
 def test_recompose_without_trails_would_be_improper():
@@ -107,7 +119,7 @@ def test_recompose_without_trails_would_be_improper():
     # which is exactly why extended labels exist
     net = skippable_parallel_net()
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, full_rg=rg)
+    aligner = SComponentAligner(net)
     lanes_ok = aligner.align_trace(ids(net, "ABD"))
     assert lanes_ok.fallback_used
     # m(A), m(B), m(D) does not correspond to any path of the full graph
@@ -129,7 +141,7 @@ def test_recompose_random_instances_proper_and_bounded():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=8)
-        aligner = SComponentAligner(net, full_rg=full)
+        aligner = SComponentAligner(net)
         decomposition = decompose(net)
         k = len(decomposition.components)
         for trace in log.traces:
@@ -139,26 +151,23 @@ def test_recompose_random_instances_proper_and_bounded():
             assert replays_on_model(outcome.alignment, trace.labels, full), "seed %d" % seed
             oracle_cost, _ = brute_force_optimal_cost(trace.labels, full)
             assert outcome.alignment.cost >= oracle_cost
-            if outcome.fallback_used:
-                assert outcome.alignment.cost == oracle_cost
-            else:
-                recomposed_count += 1
-                # worst-case over-approximation bound
-                parallel_labels = {
-                    net.transitions[t].label
-                    for t in range(len(net.transitions))
-                    if net.transitions[t].label and len(decomposition.transition_cover[t]) < k
-                }
-                reps = max([sum(1 for l in trace.labels if l == p) for p in parallel_labels],
-                           default=0)
-                assert outcome.alignment.cost - oracle_cost <= k * reps, "seed %d" % seed
+            recomposed_count += 1
+            # worst-case over-approximation bound
+            parallel_labels = {
+                net.transitions[t].label
+                for t in range(len(net.transitions))
+                if net.transitions[t].label and len(decomposition.transition_cover[t]) < k
+            }
+            reps = max([sum(1 for l in trace.labels if l == p) for p in parallel_labels],
+                       default=0)
+            assert outcome.alignment.cost - oracle_cost <= k * reps, "seed %d" % seed
     assert recomposed_count >= 40
 
 
 def test_hybrid_prefers_components_for_parallel_net():
     net = parallel_tasks_net(["T%d" % i for i in range(8)])
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, full_rg=rg)
+    aligner = SComponentAligner(net)
     choice, info = hybrid_select(rg, aligner.component_rgs())
     assert choice == "s-component"
     assert info["component_rg_total"] < info["rg_size"]
@@ -168,7 +177,7 @@ def test_hybrid_prefers_components_for_parallel_net():
 def test_hybrid_prefers_monolithic_for_sequence():
     net = sequence_net(["A", "B", "C"])
     rg = remove_tau(build_rg(net))
-    aligner = SComponentAligner(net, full_rg=rg)
+    aligner = SComponentAligner(net)
     choice, info = hybrid_select(rg, aligner.component_rgs())
     assert choice == "monolithic"
     assert info["component_rg_total"] == info["rg_size"]
@@ -187,7 +196,7 @@ def test_recompose_label_unknown_to_model_is_log_move():
     net, _ = loan_pair()
     trace = tuple(net.table.lookup(x) if net.table.lookup(x) is not None
                   else net.table.intern(x) for x in ["B", "D", "C", "ZZZ", "E", "G"])
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     outcome = aligner.align_trace(trace)
     assert outcome.conflict is None
     assert not outcome.fallback_used
@@ -211,7 +220,7 @@ def test_recompose_trace_with_only_foreign_labels():
     net, _ = loan_pair()
     zzz = net.table.intern("ZZZ")
     trace = (zzz,)
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     outcome = aligner.align_trace(trace)
     assert outcome.conflict is None and not outcome.fallback_used
     rg = remove_tau(build_rg(net))
@@ -221,7 +230,7 @@ def test_recompose_trace_with_only_foreign_labels():
 
 def test_conflict_taxonomy_all_kinds_occur():
     # order, operation, and extended-label conflicts all surface on random
-    # instances, and every conflicting trace still gets an optimal fallback
+    # instances; a conflicting trace carries no alignment of its own
     rng = random.Random(31)
     kinds = set()
     for seed in range(60):
@@ -231,22 +240,20 @@ def test_conflict_taxonomy_all_kinds_occur():
         except Exception:
             continue
         log = random_log(net, rng, n_traces=4, max_trace_len=9)
-        aligner = SComponentAligner(net, full_rg=full)
+        aligner = SComponentAligner(net)
         for trace in log.traces:
             outcome = aligner.align_trace(trace.labels)
             if outcome.conflict:
                 kinds.add(outcome.conflict)
                 assert outcome.fallback_used
-                if outcome.alignment is not None:
-                    oracle_cost, _ = brute_force_optimal_cost(trace.labels, full)
-                    assert outcome.alignment.cost == oracle_cost
+                assert outcome.alignment is None and outcome.error is None
     assert kinds == {"order-conflict", "operation-conflict", "extended-label-conflict"}
 
 
 def test_projected_alignment_cache_reuse():
     net = parallel_merge_net()
     log = make_log([ids(net, "ABC"), ids(net, "BAC")], net.table)
-    aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+    aligner = SComponentAligner(net)
     for trace in log.traces:
         outcome = aligner.align_trace(trace.labels)
         assert outcome.alignment.cost == 0
@@ -256,7 +263,7 @@ def test_projected_alignment_cache_reuse():
 
 def test_lane_owners_follow_the_alphabets():
     for net in (loan_pair()[0], random_workflow_net(5, max_visible=10)):
-        aligner = SComponentAligner(net, full_rg=remove_tau(build_rg(net)))
+        aligner = SComponentAligner(net)
         alphabets = [comp.alphabet for comp, _ in aligner.components]
         labels = {label for alphabet in alphabets for label in alphabet}
         assert set(aligner.owners) == labels
@@ -303,19 +310,15 @@ def reference_align_trace(aligner, trace, deadline=None):
                 moves = aligner._lane_moves(idx, projected, deadline)
             lanes.append(ReferenceLane(moves))
     except SearchBudgetError as exc:
-        return RecompositionOutcome(None, None, False, str(exc))
+        return RecompositionOutcome(None, None, str(exc))
     composed, conflict = reference_replay(aligner, trace, lanes)
     if conflict is None:
         visible = [m.label for m in composed if m.op != OP_LHIDE]
         if not visible_run_realizable(aligner.net, visible):
             conflict = EXTENDED_LABEL_CONFLICT
     if conflict is None:
-        return RecompositionOutcome(make_alignment(composed), None, False)
-    try:
-        alignment = align_one_optimal(trace, rg=aligner.full_rg, deadline=deadline)
-    except LogAlignError as exc:
-        return RecompositionOutcome(None, conflict, True, str(exc))
-    return RecompositionOutcome(alignment, conflict, True)
+        return RecompositionOutcome(make_alignment(composed), None)
+    return RecompositionOutcome(None, conflict)
 
 
 def reference_replay(aligner, trace, lanes):
@@ -388,8 +391,8 @@ def test_align_trace_matches_the_reference_replay():
     for seed in range(200):
         net = random_workflow_net(seed, max_visible=8)
         try:
-            full = remove_tau(build_rg(net))
-            aligner = SComponentAligner(net, full_rg=full)
+            remove_tau(build_rg(net))
+            aligner = SComponentAligner(net)
         except LogAlignError:
             continue
         nets += 1
