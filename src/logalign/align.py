@@ -16,16 +16,19 @@ search node is made only when an entry is popped and settles its state, and
 ``Move`` objects only along the returned path.
 
 ``all_optimal_alignments`` computes every cost-minimal proper alignment of
-one trace.  One bounded A* sweep settles each state on a cheapest path at
+one trace.  One bounded A* sweep, over search states coded as one int each
+(``pos * len(rg.succ) + mid``), settles each state on a cheapest path at
 its exact distance and records the tight moves into it (the distance grows
 by exactly the move's cost).  Its bound falls to the optimal cost when the
 first goal pops, and the heap pops in ascending estimated cost, so the sweep
 stops at the first pop above the bound: every entry left would be skipped
 without a spend or a push.  A closure over the tight moves from the
-cheapest goals finds the states on a cheapest path and the moves between
-them, and one pass over the states in decreasing (distance, position)
-order orders each state's moves and counts the optima of the resulting
-edge DAG.
+cheapest goals finds the states on a cheapest path and the moves into
+them, and one pass over those states in increasing (distance, position)
+order counts the optima: the paths into a state are the sum of those into
+its parents.  No ``Move`` is made and nothing is sorted for the count; the
+edge DAG of ``Move`` objects, each state's moves in order, is built from
+the kept tight moves on the first read of ``OptimalSet.edges``.
 
 Both searches read the graph's successor index (``rg.succ``), whose shared
 ``Successor`` entries give each arc's target, trail, label and label rank,
@@ -33,8 +36,8 @@ and keep a move unbuilt, as its op and the ``Successor`` it took (an lhide
 takes ``(-1, (), label)``, which compares like one).  A ``Move`` is made
 only for a move they return, from that entry and the source and target
 markings of its search states.  The index keeps each row in storage order,
-and neither search depends on it: A*'s heap key and the sweep's edge sort
-are total orders of their own.
+and neither search depends on it: A*'s heap key and the edge sort on the
+first read of ``OptimalSet.edges`` are total orders of their own.
 
 Both searches cache the future-label estimate per trace, keyed on the trace
 position and the marking's future-label class (``FutureLabelTable.classes``)
@@ -314,19 +317,52 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
 # all optimal alignments (one bounded sweep that keeps its tight moves)
 
 
-class OptimalSet(NamedTuple):
+class OptimalSet:
     """Every cost-minimal proper alignment of one trace.
 
     ``edges`` maps a search state ``(pos, mid)`` to its ordered
     ``(Move, next state)`` pairs that lie on some cheapest path; they form a
     DAG whose root-to-leaf paths from ``root`` are exactly the optima, and
-    ``n_optimal`` is their number.
+    ``n_optimal`` is their number.  A set from ``all_optimal_alignments``
+    holds the sweep's tight steps instead, and builds ``edges`` from them on
+    the first read of ``edges`` or ``alignments()`` and keeps it.  Two sets
+    are equal when their cost, edges, root and count are.
     """
 
-    cost: int
-    edges: dict
-    root: tuple
-    n_optimal: int
+    __slots__ = ("cost", "root", "n_optimal", "_edges", "_steps")
+
+    def __init__(self, cost: int, edges: Optional[dict], root: tuple, n_optimal: int):
+        self.cost = cost
+        self._edges = edges
+        self.root = root
+        self.n_optimal = n_optimal
+        self._steps = None
+
+    @classmethod
+    def _of_steps(cls, cost, root, n_optimal, steps):
+        """A set whose edges ``_edge_dag(*steps)`` builds when first read."""
+        found = cls(cost, None, root, n_optimal)
+        found._steps = steps
+        return found
+
+    @property
+    def edges(self) -> dict:
+        if self._edges is None:
+            self._edges = _edge_dag(*self._steps)
+            self._steps = None
+        return self._edges
+
+    def __eq__(self, other):
+        if not isinstance(other, OptimalSet):
+            return NotImplemented
+        return ((self.cost, self.edges, self.root, self.n_optimal)
+                == (other.cost, other.edges, other.root, other.n_optimal))
+
+    __hash__ = None  # the edges are a dict
+
+    def __repr__(self):
+        return "OptimalSet(cost=%r, edges=%r, root=%r, n_optimal=%r)" % (
+            self.cost, self.edges, self.root, self.n_optimal)
 
     def alignments(self, limit: Optional[int] = None) -> tuple[Alignment, ...]:
         """The first ``limit`` optima (all of them by default), depth first
@@ -339,6 +375,11 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
                            deadline: Optional[float] = None) -> OptimalSet:
     """Every cost-minimal proper alignment of a trace against the graph.
 
+    The sweep codes a search state ``(pos, mid)`` as the int
+    ``pos * len(rg.succ) + mid``, which orders as the pair does.  The
+    returned set holds the count of optima and the tight steps into every
+    state on a cheapest path; its ``edges`` are built on their first read.
+
     Raises ``SearchBudgetError`` when the sweep and the closure over its
     tight moves exceed the node budget or the deadline, as
     ``align_one_optimal`` does.
@@ -346,90 +387,151 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     trace = tuple(trace)
     n = len(trace)
     ftable = future_table(rg)
+    h = ftable.h
     classes = ftable.classes
     ncls = ftable.n_classes
     rem, sup = ftable.suffixes(trace)
     rows = rg.succ
+    width = len(rows)
     lhides = _lhides(trace)
     budget = _Budget(node_budget, deadline)
+    pop = heapq.heappop
+    push = heapq.heappush
     hcache: dict[int, int] = {}  # pos * n_classes + class -> h
 
-    goals = {(n, f) for f in rg.finals}
+    goals = {n * width + f for f in rg.finals}
     bound = n + rg.min_visible_skips()
 
     # forward sweep: exact cheapest cost to every state on some optimal path,
-    # and the steps (parent state, op, successor entry) that reach it at that cost
-    dist: dict[tuple[int, int], int] = {}
-    tight: dict[tuple[int, int], list] = {}
+    # and the steps (parent state, op, successor entry) that reach it at that
+    # cost; a push keeps its state only if its estimate is within the bound
+    dist: dict[int, int] = {}
+    tight: dict[int, list] = {}
     heap: list = []
-
-    def push_fwd(key, g, step):
-        d = dist.get(key, _INF)
-        if g < d:
-            pos, mid = key
-            k = pos * ncls + classes[mid]
-            hv = hcache.get(k)
-            if hv is None:
-                hv = hcache[k] = ftable.h(rem[pos], mid, n - pos, sup[pos])
-            f = g + hv
-            if f <= bound:
-                dist[key] = g
-                tight[key] = [step]
-                heapq.heappush(heap, (f, g, key))
-        elif g == d:
-            tight[key].append(step)
-
-    root = (0, rg.m0)
-    push_fwd(root, 0, None)
-    if root in tight:
+    root = rg.m0
+    hv = hcache[classes[root]] = h(rem[0], root, n, sup[0])
+    if hv <= bound:
+        dist[root] = 0
         tight[root] = []  # the root has no step
+        heap.append((hv, 0, root))
     while heap:
-        f, g, key = heapq.heappop(heap)
+        f, g, state = pop(heap)
         if f > bound:
             break  # the heap pops by ascending f, and bound only falls
-        if g > dist[key]:
+        if g > dist[state]:
             continue
         budget.spend()
-        if key in goals:
+        if state in goals:
             bound = g  # the first goal popped is a cheapest one
             continue
-        pos, mid = key
+        pos, mid = divmod(state, width)
         row = rows[mid]
+        ng = g + 1
         if pos < n:
+            # the matches, then the lhide, all to the next position
             label = trace[pos]
+            npos = pos + 1
+            base = state - mid + width
+            kbase = npos * ncls
+            nrem = rem[npos]
+            nsup = sup[npos]
+            left = n - npos
             for s in row:
                 if s[2] == label:
-                    push_fwd((pos + 1, s[0]), g, (key, OP_MATCH, s))
-            push_fwd((pos + 1, mid), g + 1, (key, OP_LHIDE, lhides[pos]))
+                    nmid = s[0]
+                    nxt = base + nmid
+                    d = dist.get(nxt, _INF)
+                    if g < d:
+                        k = kbase + classes[nmid]
+                        hv = hcache.get(k)
+                        if hv is None:
+                            hv = hcache[k] = h(nrem, nmid, left, nsup)
+                        if g + hv <= bound:
+                            dist[nxt] = g
+                            tight[nxt] = [(state, OP_MATCH, s)]
+                            push(heap, (g + hv, g, nxt))
+                    elif g == d:
+                        tight[nxt].append((state, OP_MATCH, s))
+            nxt = base + mid
+            d = dist.get(nxt, _INF)
+            if ng < d:
+                k = kbase + classes[mid]
+                hv = hcache.get(k)
+                if hv is None:
+                    hv = hcache[k] = h(nrem, mid, left, nsup)
+                if ng + hv <= bound:
+                    dist[nxt] = ng
+                    tight[nxt] = [(state, OP_LHIDE, lhides[pos])]
+                    push(heap, (ng + hv, ng, nxt))
+            elif ng == d:
+                tight[nxt].append((state, OP_LHIDE, lhides[pos]))
+        # the rhides, at this position
+        base = state - mid
+        kbase = pos * ncls
         for s in row:
-            push_fwd((pos, s[0]), g + 1, (key, OP_RHIDE, s))
+            nmid = s[0]
+            nxt = base + nmid
+            d = dist.get(nxt, _INF)
+            if ng < d:
+                k = kbase + classes[nmid]
+                hv = hcache.get(k)
+                if hv is None:
+                    hv = hcache[k] = h(rem[pos], nmid, n - pos, sup[pos])
+                if ng + hv <= bound:
+                    dist[nxt] = ng
+                    tight[nxt] = [(state, OP_RHIDE, s)]
+                    push(heap, (ng + hv, ng, nxt))
+            elif ng == d:
+                tight[nxt].append((state, OP_RHIDE, s))
 
     # closure over the steps from the cheapest goals, one spend per state:
-    # each step becomes an edge of its parent
-    ends = [k for k in goals if dist.get(k) == bound]
+    # every state on a cheapest path, with the steps into it
+    ends = [state for state in goals if dist.get(state) == bound]
     if not ends:
         raise LogAlignError("no proper alignment exists for the trace")
-    edges: dict[tuple[int, int], list] = {}
+    into = {state: tight[state] for state in ends}
     stack = list(ends)
     while stack:
-        key = stack.pop()
+        state = stack.pop()
         budget.spend()
-        for pkey, op, succ in tight[key]:
-            nexts = edges.get(pkey)
-            if nexts is None:
-                nexts = edges[pkey] = []
-                stack.append(pkey)
-            nexts.append((_move(op, succ, pkey[1]), key))
+        for parent, _, _ in into[state]:
+            if parent not in into:
+                into[parent] = tight[parent]
+                stack.append(parent)
 
-    # every move raises (dist, pos), so successors come first in this order
-    rank = rg.net.table.rank()
-    paths = dict.fromkeys(ends, 1)
-    for key in sorted(edges, key=lambda k: (dist[k], k[0]), reverse=True):
-        nexts = edges[key]
-        nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
-        edges[key] = tuple(nexts)
-        paths[key] = sum(paths[nkey] for _, nkey in nexts)
-    return OptimalSet(bound, dict(sorted(edges.items())), root, paths[root])
+    # every move raises (dist, pos), so a state's parents come first in this
+    # order; the root is the one state with no step into it
+    stride = (n + 1) * width
+    paths: dict[int, int] = {}
+    for key in sorted([dist[state] * stride + state for state in into]):
+        state = key % stride
+        steps = into[state]
+        paths[state] = sum([paths[parent] for parent, _, _ in steps]) if steps else 1
+    return OptimalSet._of_steps(bound, (0, root), sum([paths[state] for state in ends]),
+                                (into, width, rg.net.table.rank()))
+
+
+def _edge_dag(into, width, rank):
+    """The optimal edges from the tight steps ``into`` each state (coded
+    ``pos * width + mid``) on a cheapest path: per parent state, in
+    ascending order, its ``(Move, next state)`` pairs ordered by op, label
+    rank, trail and next state."""
+    children: dict[int, list] = {}
+    for state, steps in into.items():
+        key = divmod(state, width)
+        for parent, op, succ in steps:
+            nexts = children.get(parent)
+            if nexts is None:
+                nexts = children[parent] = []
+            nexts.append((op, rank[succ[2]], succ[1], key, succ))
+    edges = {}
+    for parent in sorted(children):
+        nexts = children[parent]
+        nexts.sort()
+        src = parent % width
+        edges[divmod(parent, width)] = tuple(
+            (_move(op, succ, src), key) for op, _, _, key, succ in nexts)
+    return edges
 
 
 def _optimal_paths(edges, root):

@@ -14,6 +14,7 @@ import json
 import random
 from pathlib import Path
 
+from logalign import align as align_module
 from logalign.report import EXIT_OK, RunConfig, run_conformance
 
 from gen import random_log
@@ -27,19 +28,21 @@ MODES = {
 }
 
 
-def par6_reports():
-    """Each mode's report, without ``timings_ms``, on a seeded log of 40
-    distinct traces."""
+def par6_report(config):
+    """The report, without ``timings_ms``, on a seeded log of 40 distinct
+    traces."""
     net = parallel_tasks_net(["T%d" % i for i in range(6)])
     log = random_log(net, random.Random(1), n_traces=40, max_trace_len=10)
     assert len(log.traces) == 40
-    reports = {}
-    for mode, config in MODES.items():
-        result = run_conformance(net, log, config)
-        assert result.exit_code == EXIT_OK
-        result.report.pop("timings_ms")
-        reports[mode] = result.report
-    return reports
+    result = run_conformance(net, log, config)
+    assert result.exit_code == EXIT_OK
+    result.report.pop("timings_ms")
+    return result.report
+
+
+def par6_reports():
+    """Each mode's report."""
+    return {mode: par6_report(config) for mode, config in MODES.items()}
 
 
 def test_parallel_net_reports_match_the_golden_reports():
@@ -49,6 +52,28 @@ def test_parallel_net_reports_match_the_golden_reports():
         assert reports[mode] == golden[mode], mode
     # ties between optima are exercised
     assert max(r["n_optimal"] for r in golden["monolithic --all-optimal"]["traces"]) > 1
+
+
+def test_an_all_optimal_run_without_moves_builds_no_move(monkeypatch):
+    """Without ``--emit-alignments`` the sweep counts the optima and builds
+    no ``Move``; the rows are the golden rows without their moves."""
+    built = []
+    move = align_module._move
+
+    def counted(*args):
+        built.append(None)
+        return move(*args)
+
+    monkeypatch.setattr(align_module, "_move", counted)
+    golden = json.loads(GOLDEN.read_text())["monolithic --all-optimal"]
+    report = par6_report(RunConfig(strategy="monolithic", all_optimal=True))
+    assert not built
+    for row in golden["traces"]:
+        del row["moves"]
+    assert report == golden
+    assert par6_report(MODES["monolithic --all-optimal"]) == \
+        json.loads(GOLDEN.read_text())["monolithic --all-optimal"]
+    assert built
 
 
 if __name__ == "__main__":
