@@ -11,24 +11,34 @@ simply the number of hides.
 proper alignment and breaks ties deterministically: lowest estimated total
 cost first, then the longer candidate, then the operation precedence
 match > rhide > lhide of the last move, then the lexicographic order of its
-label, and finally the full move sequence.  A push costs one heap tuple: a
-search node is made only when an entry is popped and settles its state, and
-``Move`` objects only along the returned path.
+label, and finally the full move sequence.  A push costs one tuple, and a
+heap insertion only if its estimate is at most the open one, the estimate
+of the entries being expanded: any other entry is parked in a list for its
+estimate (Dial's buckets), and the least list is heapified when the heap
+runs dry.  The heap key is a total order, a child estimated below the open
+estimate goes to the heap, and no parked entry can be the least while the
+heap holds one, so entries pop in the order one heap of every entry pops
+them.  A search node is made only when an entry is popped and settles its
+state, and ``Move`` objects only along the returned path.
 
 ``all_optimal_alignments`` computes every cost-minimal proper alignment of
 one trace.  One bounded A* sweep, over search states coded as one int each
 (``pos * len(rg.succ) + mid``), settles each state on a cheapest path at
 its exact distance and records the tight moves into it (the distance grows
-by exactly the move's cost).  Its bound falls to the optimal cost when the
-first goal pops, and the heap pops in ascending estimated cost, so the sweep
-stops at the first pop above the bound: every entry left would be skipped
-without a spend or a push.  A closure over the tight moves from the
-cheapest goals finds the states on a cheapest path and the moves into
-them, and one pass over those states in increasing (distance, position)
-order counts the optima: the paths into a state are the sum of those into
-its parents.  No ``Move`` is made and nothing is sorted for the count; the
-edge DAG of ``Move`` objects, each state's moves in order, is built from
-the kept tight moves on the first read of ``OptimalSet.edges``.
+by exactly the move's cost).  It parks entries as A* does, and records a
+step in ``dist`` and ``tight`` when the step arrives, parked or not.  Its
+bound falls to the optimal cost when the first goal pops, which is at the
+open estimate, so the sweep stops when the least parked estimate is above
+its bound and pops nothing above the optimal cost: an entry estimated
+above it costs a list append, not a heap insertion.  A closure over the
+tight moves from the cheapest goals finds the states on a cheapest path
+and the moves into them, and one pass over those states in increasing
+(distance, position) order counts the optima: the paths into a state are
+the sum of those into its parents.  No ``Move`` is made and nothing is
+sorted for the count.  ``OptimalSet.alignments`` walks the kept tight moves, sorting a state's
+moves only when the walk first reaches it and making ``Move`` objects only
+for the optima it lists; the edge DAG of ``Move`` objects, each state's
+moves in order, is built on the first read of ``OptimalSet.edges``.
 
 Both searches read the graph's successor index (``rg.succ``), whose shared
 ``Successor`` entries give each arc's target, trail, label and label rank,
@@ -36,27 +46,30 @@ and keep a move unbuilt, as its op and the ``Successor`` it took (an lhide
 takes ``(-1, (), label)``, which compares like one).  A ``Move`` is made
 only for a move they return, from that entry and the source and target
 markings of its search states.  The index keeps each row in storage order,
-and neither search depends on it: A*'s heap key and the edge sort on the
-first read of ``OptimalSet.edges`` are total orders of their own.
+and neither search depends on it: A*'s heap key and the edge order (op,
+label rank, trail, next state) are total orders of their own.
 
-Both searches cache the future-label estimate per trace, keyed on the trace
-position and the marking's future-label class (``FutureLabelTable.classes``)
-rather than the marking: markings of one class share every estimate, so a
-search evaluates ``h`` at most once per (position, class) and every state
-still gets the value it would get on its own.  The cache pays where classes
-merge many markings, as on looping nets; where each marking is its own class
-(a parallel block) it seldom hits, and each estimate is a closed form over
-the entry's own labels, given the remaining size ``len(trace) - pos`` and
-the mask of labels still in the trace (``FutureLabelTable.suffixes`` gives
-the remaining labels and their mask for every position); on a parallel
-block, two popcounts.  Ranks are the label table's (``LabelTable.rank``),
-whose older labels keep their order when a label is interned after the
-index is built, so no search takes a snapshot of its own.
+Both searches estimate a set class (``heuristic``) inline, as ``size +
+|C| - 2 * |C & support|`` from the marking's mask in
+``FutureLabelTable.set_masks``, given the remaining size ``len(trace) -
+pos`` and the mask of labels still in the trace (``FutureLabelTable.
+suffixes`` gives the remaining labels and their mask for every position):
+two popcounts, as on every class of a parallel block.  Any other class's
+estimate is a scan of its entries, which they cache per trace, keyed on the
+trace position and the marking's future-label class
+(``FutureLabelTable.classes``) rather than the marking: markings of one
+class share every estimate, so a search calls ``h`` at most once per
+(position, class) and every state still gets the value it would get on its
+own.  The cache pays where classes merge many markings, as on looping
+nets.  Ranks are the label table's (``LabelTable.rank``), whose older
+labels keep their order when a label is interned after the index is built,
+so no search takes a snapshot of its own.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 import time
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -229,87 +242,135 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
     the order of their own key sequences from the root: no two nodes share
     one, as a state settles only at a strictly lower ``g``.  So the order
     in which a pop pushes its children does not matter.  Search states
-    ``(pos, mid)`` are settled in one dict per trace position, by marking;
-    their estimates are cached in one dict per position, by future-label
-    class, since markings of one class share every estimate.
+    ``(pos, mid)`` are settled in one dict per trace position, by marking.
+    A set class's estimate is computed inline from its mask
+    (``FutureLabelTable.set_masks``); any other class's is cached in one
+    dict per position, by class, since markings of one class share every
+    estimate.
+
+    The heap holds only the entries whose estimate ``rho`` is at most the
+    open one; every other entry is parked in a list for its estimate, and
+    the least list is heapified when the heap runs dry.  No parked entry
+    can be the least while the heap holds one, and a child estimated below
+    the open estimate goes to the heap, so entries pop in the order one heap
+    of every entry would pop them.
     """
     trace = tuple(trace)
     n = len(trace)
     ftable = future_table(rg)
     h = ftable.h
     classes = ftable.classes
+    masks = ftable.set_masks
     rem, sup = ftable.suffixes(trace)
     rows = rg.succ
     rank = rg.net.table.rank()
     lhides = _lhides(trace)
     finals = rg.finals
     budget = _Budget(node_budget, deadline)
+    pop = heapq.heappop
     push = heapq.heappush
     settled: list[dict[int, int]] = [{} for _ in range(n + 1)]  # mid -> g
-    hcache: list[dict[int, int]] = [{} for _ in range(n + 1)]  # class -> h
+    hcache: list[dict[int, int]] = [{} for _ in range(n + 1)]  # scan class -> h
 
     rho_max = n + rg.min_visible_skips()
     h0 = hcache[0][classes[rg.m0]] = h(rem[0], rg.m0, n, sup[0])
+    cur = h0  # the open estimate
     heap = [(h0, 0, OP_MATCH, 0, None, None, 0, rg.m0, 0)]
+    parked: defaultdict[int, list] = defaultdict(list)  # estimate above cur -> its entries
     max_rho = 0
     pops = 0
-    while heap:
-        rho, depth, op, lrank, parent, succ, pos, mid, g = heapq.heappop(heap)
-        here = settled[pos]
-        prior = here.get(mid)
-        if prior is not None and prior <= g:
-            continue
-        here[mid] = g
-        pops += 1
-        budget.spend()
-        if rho > max_rho:
-            max_rho = rho
-        node = _Node(parent, op, lrank, succ, mid)
-        if pos == n and mid in finals:
-            if stats is not None:
-                stats["pops"] = pops
-                stats["max_rho_popped"] = max_rho
-            return make_alignment(node.moves())
-        depth -= 1  # the children's -length
-        ng = g + 1
-        label = None  # no match at the end of the trace
-        if pos < n:
-            # the lhide, then per arc its match (at the next position) and rhide
-            label = trace[pos]
-            npos = pos + 1
-            there = settled[npos]
-            nhcache = hcache[npos]
-            nrem = rem[npos]
-            nsup = sup[npos]
-            prior = there.get(mid)
-            if prior is None or prior > ng:
-                c = classes[mid]
-                hv = nhcache.get(c)
-                if hv is None:
-                    hv = nhcache[c] = h(nrem, mid, n - npos, nsup)
-                if ng + hv <= rho_max:
-                    push(heap, (ng + hv, depth, OP_LHIDE, rank[label], node, lhides[pos], npos,
-                                mid, ng))
-        hcache_here = hcache[pos]
-        for s in rows[mid]:
-            nmid = s[0]
-            c = classes[nmid]
-            if s[2] == label:
-                prior = there.get(nmid)
-                if prior is None or prior > g:
-                    hv = nhcache.get(c)
-                    if hv is None:
-                        hv = nhcache[c] = h(nrem, nmid, n - npos, nsup)
-                    if g + hv <= rho_max:
-                        push(heap, (g + hv, depth, OP_MATCH, s[3], node, s, npos, nmid, g))
-            prior = here.get(nmid)
-            if prior is not None and prior <= ng:
+    while True:
+        while heap:
+            rho, depth, op, lrank, parent, succ, pos, mid, g = pop(heap)
+            here = settled[pos]
+            prior = here.get(mid)
+            if prior is not None and prior <= g:
                 continue
-            hv = hcache_here.get(c)
-            if hv is None:
-                hv = hcache_here[c] = h(rem[pos], nmid, n - pos, sup[pos])
-            if ng + hv <= rho_max:
-                push(heap, (ng + hv, depth, OP_RHIDE, s[3], node, s, pos, nmid, ng))
+            here[mid] = g
+            pops += 1
+            budget.spend()
+            if rho > max_rho:
+                max_rho = rho
+            node = _Node(parent, op, lrank, succ, mid)
+            if pos == n and mid in finals:
+                if stats is not None:
+                    stats["pops"] = pops
+                    stats["max_rho_popped"] = max_rho
+                return make_alignment(node.moves())
+            depth -= 1  # the children's -length
+            ng = g + 1
+            label = None  # no match at the end of the trace
+            if pos < n:
+                # the lhide, then per arc its match (at the next position) and rhide
+                label = trace[pos]
+                npos = pos + 1
+                there = settled[npos]
+                nhcache = hcache[npos]
+                nrem = rem[npos]
+                nsup = sup[npos]
+                left = n - npos
+                prior = there.get(mid)
+                if prior is None or prior > ng:
+                    m = masks[mid]
+                    if m is None:
+                        c = classes[mid]
+                        hv = nhcache.get(c)
+                        if hv is None:
+                            hv = nhcache[c] = h(nrem, mid, left, nsup)
+                    else:
+                        hv = left + m.bit_count() - 2 * (m & nsup).bit_count()
+                    f = ng + hv
+                    if f <= rho_max:
+                        entry = (f, depth, OP_LHIDE, rank[label], node, lhides[pos], npos, mid, ng)
+                        if f <= cur:
+                            push(heap, entry)
+                        else:
+                            parked[f].append(entry)
+            hcache_here = hcache[pos]
+            size = n - pos
+            support = sup[pos]
+            for s in rows[mid]:
+                nmid = s[0]
+                m = masks[nmid]
+                if s[2] == label:
+                    prior = there.get(nmid)
+                    if prior is None or prior > g:
+                        if m is None:
+                            c = classes[nmid]
+                            hv = nhcache.get(c)
+                            if hv is None:
+                                hv = nhcache[c] = h(nrem, nmid, left, nsup)
+                        else:
+                            hv = left + m.bit_count() - 2 * (m & nsup).bit_count()
+                        f = g + hv
+                        if f <= rho_max:
+                            entry = (f, depth, OP_MATCH, s[3], node, s, npos, nmid, g)
+                            if f <= cur:
+                                push(heap, entry)
+                            else:
+                                parked[f].append(entry)
+                prior = here.get(nmid)
+                if prior is not None and prior <= ng:
+                    continue
+                if m is None:
+                    c = classes[nmid]
+                    hv = hcache_here.get(c)
+                    if hv is None:
+                        hv = hcache_here[c] = h(rem[pos], nmid, size, support)
+                else:
+                    hv = size + m.bit_count() - 2 * (m & support).bit_count()
+                f = ng + hv
+                if f <= rho_max:
+                    entry = (f, depth, OP_RHIDE, s[3], node, s, pos, nmid, ng)
+                    if f <= cur:
+                        push(heap, entry)
+                    else:
+                        parked[f].append(entry)
+        if not parked:
+            break
+        cur = min(parked)
+        heap = parked.pop(cur)
+        heapq.heapify(heap)
     raise LogAlignError("no proper alignment exists for the trace")
 
 
@@ -324,9 +385,10 @@ class OptimalSet:
     ``(Move, next state)`` pairs that lie on some cheapest path; they form a
     DAG whose root-to-leaf paths from ``root`` are exactly the optima, and
     ``n_optimal`` is their number.  A set from ``all_optimal_alignments``
-    holds the sweep's tight steps instead, and builds ``edges`` from them on
-    the first read of ``edges`` or ``alignments()`` and keeps it.  Two sets
-    are equal when their cost, edges, root and count are.
+    holds the sweep's tight steps instead: ``alignments()`` walks them
+    without building the edges, and ``edges`` is built from them on its
+    first read and kept.  Two sets are equal when their cost, edges, root
+    and count are.
     """
 
     __slots__ = ("cost", "root", "n_optimal", "_edges", "_steps")
@@ -367,18 +429,28 @@ class OptimalSet:
     def alignments(self, limit: Optional[int] = None) -> tuple[Alignment, ...]:
         """The first ``limit`` optima (all of them by default), depth first
         in edge order."""
-        return tuple(islice(_optimal_paths(self.edges, self.root), limit))
+        if self._edges is None:
+            paths = _step_paths(*self._steps, self.root[1])
+        else:
+            paths = _optimal_paths(self._edges, self.root)
+        return tuple(islice(paths, limit))
 
 
 def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
                            node_budget: int = DEFAULT_NODE_BUDGET,
-                           deadline: Optional[float] = None) -> OptimalSet:
+                           deadline: Optional[float] = None,
+                           stats: Optional[dict] = None) -> OptimalSet:
     """Every cost-minimal proper alignment of a trace against the graph.
 
     The sweep codes a search state ``(pos, mid)`` as the int
-    ``pos * len(rg.succ) + mid``, which orders as the pair does.  The
-    returned set holds the count of optima and the tight steps into every
-    state on a cheapest path; its ``edges`` are built on their first read.
+    ``pos * len(rg.succ) + mid``, which orders as the pair does.  Its heap
+    holds only the entries of estimate at most the open one, and parks the
+    others per estimate, as ``align_one_optimal`` does; it stops when the
+    least parked estimate is above its bound.  ``stats``, if given,
+    receives ``unopened``: the number of estimates whose parked entries it
+    never opened.  The returned set holds the count of optima and the tight
+    steps into every state on a cheapest path; its ``edges`` are built on
+    their first read.
 
     Raises ``SearchBudgetError`` when the sweep and the closure over its
     tight moves exceed the node budget or the deadline, as
@@ -389,6 +461,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     ftable = future_table(rg)
     h = ftable.h
     classes = ftable.classes
+    masks = ftable.set_masks
     ncls = ftable.n_classes
     rem, sup = ftable.suffixes(trace)
     rows = rg.succ
@@ -397,92 +470,128 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     budget = _Budget(node_budget, deadline)
     pop = heapq.heappop
     push = heapq.heappush
-    hcache: dict[int, int] = {}  # pos * n_classes + class -> h
+    hcache: dict[int, int] = {}  # pos * n_classes + scan class -> h
 
     goals = {n * width + f for f in rg.finals}
     bound = n + rg.min_visible_skips()
 
     # forward sweep: exact cheapest cost to every state on some optimal path,
     # and the steps (parent state, op, successor entry) that reach it at that
-    # cost; a push keeps its state only if its estimate is within the bound
+    # cost; a step is kept only if its estimate is within the bound, and its
+    # entry waits in ``parked`` while its estimate is above the open one
     dist: dict[int, int] = {}
     tight: dict[int, list] = {}
     heap: list = []
+    parked: defaultdict[int, list] = defaultdict(list)  # estimate above cur -> its entries
     root = rg.m0
-    hv = hcache[classes[root]] = h(rem[0], root, n, sup[0])
-    if hv <= bound:
+    cur = hcache[classes[root]] = h(rem[0], root, n, sup[0])  # the open estimate
+    if cur <= bound:
         dist[root] = 0
         tight[root] = []  # the root has no step
-        heap.append((hv, 0, root))
-    while heap:
-        f, g, state = pop(heap)
-        if f > bound:
-            break  # the heap pops by ascending f, and bound only falls
-        if g > dist[state]:
-            continue
-        budget.spend()
-        if state in goals:
-            bound = g  # the first goal popped is a cheapest one
-            continue
-        pos, mid = divmod(state, width)
-        row = rows[mid]
-        ng = g + 1
-        if pos < n:
-            # the matches, then the lhide, all to the next position
-            label = trace[pos]
-            npos = pos + 1
-            base = state - mid + width
-            kbase = npos * ncls
-            nrem = rem[npos]
-            nsup = sup[npos]
-            left = n - npos
+        heap.append((cur, 0, root))
+    while True:
+        while heap:
+            _, g, state = pop(heap)
+            if g > dist[state]:
+                continue
+            budget.spend()
+            if state in goals:
+                bound = g  # the first goal popped is a cheapest one
+                continue
+            pos, mid = divmod(state, width)
+            row = rows[mid]
+            ng = g + 1
+            if pos < n:
+                # the matches, then the lhide, all to the next position
+                label = trace[pos]
+                npos = pos + 1
+                base = state - mid + width
+                kbase = npos * ncls
+                nrem = rem[npos]
+                nsup = sup[npos]
+                left = n - npos
+                for s in row:
+                    if s[2] == label:
+                        nmid = s[0]
+                        nxt = base + nmid
+                        d = dist.get(nxt, _INF)
+                        if g < d:
+                            m = masks[nmid]
+                            if m is None:
+                                k = kbase + classes[nmid]
+                                hv = hcache.get(k)
+                                if hv is None:
+                                    hv = hcache[k] = h(nrem, nmid, left, nsup)
+                            else:
+                                hv = left + m.bit_count() - 2 * (m & nsup).bit_count()
+                            f = g + hv
+                            if f <= bound:
+                                dist[nxt] = g
+                                tight[nxt] = [(state, OP_MATCH, s)]
+                                if f <= cur:
+                                    push(heap, (f, g, nxt))
+                                else:
+                                    parked[f].append((f, g, nxt))
+                        elif g == d:
+                            tight[nxt].append((state, OP_MATCH, s))
+                nxt = base + mid
+                d = dist.get(nxt, _INF)
+                if ng < d:
+                    m = masks[mid]
+                    if m is None:
+                        k = kbase + classes[mid]
+                        hv = hcache.get(k)
+                        if hv is None:
+                            hv = hcache[k] = h(nrem, mid, left, nsup)
+                    else:
+                        hv = left + m.bit_count() - 2 * (m & nsup).bit_count()
+                    f = ng + hv
+                    if f <= bound:
+                        dist[nxt] = ng
+                        tight[nxt] = [(state, OP_LHIDE, lhides[pos])]
+                        if f <= cur:
+                            push(heap, (f, ng, nxt))
+                        else:
+                            parked[f].append((f, ng, nxt))
+                elif ng == d:
+                    tight[nxt].append((state, OP_LHIDE, lhides[pos]))
+            # the rhides, at this position
+            base = state - mid
+            kbase = pos * ncls
+            size = n - pos
+            support = sup[pos]
             for s in row:
-                if s[2] == label:
-                    nmid = s[0]
-                    nxt = base + nmid
-                    d = dist.get(nxt, _INF)
-                    if g < d:
+                nmid = s[0]
+                nxt = base + nmid
+                d = dist.get(nxt, _INF)
+                if ng < d:
+                    m = masks[nmid]
+                    if m is None:
                         k = kbase + classes[nmid]
                         hv = hcache.get(k)
                         if hv is None:
-                            hv = hcache[k] = h(nrem, nmid, left, nsup)
-                        if g + hv <= bound:
-                            dist[nxt] = g
-                            tight[nxt] = [(state, OP_MATCH, s)]
-                            push(heap, (g + hv, g, nxt))
-                    elif g == d:
-                        tight[nxt].append((state, OP_MATCH, s))
-            nxt = base + mid
-            d = dist.get(nxt, _INF)
-            if ng < d:
-                k = kbase + classes[mid]
-                hv = hcache.get(k)
-                if hv is None:
-                    hv = hcache[k] = h(nrem, mid, left, nsup)
-                if ng + hv <= bound:
-                    dist[nxt] = ng
-                    tight[nxt] = [(state, OP_LHIDE, lhides[pos])]
-                    push(heap, (ng + hv, ng, nxt))
-            elif ng == d:
-                tight[nxt].append((state, OP_LHIDE, lhides[pos]))
-        # the rhides, at this position
-        base = state - mid
-        kbase = pos * ncls
-        for s in row:
-            nmid = s[0]
-            nxt = base + nmid
-            d = dist.get(nxt, _INF)
-            if ng < d:
-                k = kbase + classes[nmid]
-                hv = hcache.get(k)
-                if hv is None:
-                    hv = hcache[k] = h(rem[pos], nmid, n - pos, sup[pos])
-                if ng + hv <= bound:
-                    dist[nxt] = ng
-                    tight[nxt] = [(state, OP_RHIDE, s)]
-                    push(heap, (ng + hv, ng, nxt))
-            elif ng == d:
-                tight[nxt].append((state, OP_RHIDE, s))
+                            hv = hcache[k] = h(rem[pos], nmid, size, support)
+                    else:
+                        hv = size + m.bit_count() - 2 * (m & support).bit_count()
+                    f = ng + hv
+                    if f <= bound:
+                        dist[nxt] = ng
+                        tight[nxt] = [(state, OP_RHIDE, s)]
+                        if f <= cur:
+                            push(heap, (f, ng, nxt))
+                        else:
+                            parked[f].append((f, ng, nxt))
+                elif ng == d:
+                    tight[nxt].append((state, OP_RHIDE, s))
+        if not parked:
+            break
+        cur = min(parked)
+        if cur > bound:
+            break  # every entry left is above the optimal cost
+        heap = parked.pop(cur)
+        heapq.heapify(heap)
+    if stats is not None:
+        stats["unopened"] = len(parked)
 
     # closure over the steps from the cheapest goals, one spend per state:
     # every state on a cheapest path, with the steps into it
@@ -511,48 +620,81 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
                                 (into, width, rg.net.table.rank()))
 
 
+def _out_steps(into, rank):
+    """Per parent state, its tight steps out, from the steps ``into`` each
+    state on a cheapest path, as ``(op, label rank, trail, next state,
+    successor entry)``, unsorted: their ascending order is the edge order."""
+    children: defaultdict[int, list] = defaultdict(list)
+    for state, steps in into.items():
+        for parent, op, succ in steps:
+            children[parent].append((op, rank[succ[2]], succ[1], state, succ))
+    return children
+
+
 def _edge_dag(into, width, rank):
     """The optimal edges from the tight steps ``into`` each state (coded
     ``pos * width + mid``) on a cheapest path: per parent state, in
-    ascending order, its ``(Move, next state)`` pairs ordered by op, label
-    rank, trail and next state."""
-    children: dict[int, list] = {}
-    for state, steps in into.items():
-        key = divmod(state, width)
-        for parent, op, succ in steps:
-            nexts = children.get(parent)
-            if nexts is None:
-                nexts = children[parent] = []
-            nexts.append((op, rank[succ[2]], succ[1], key, succ))
+    ascending order, its ``(Move, next state)`` pairs in edge order (op,
+    label rank, trail, next state)."""
+    children = _out_steps(into, rank)
     edges = {}
     for parent in sorted(children):
         nexts = children[parent]
         nexts.sort()
         src = parent % width
         edges[divmod(parent, width)] = tuple(
-            (_move(op, succ, src), key) for op, _, _, key, succ in nexts)
+            (_move(op, succ, src), divmod(state, width)) for op, _, _, state, succ in nexts)
     return edges
+
+
+def _step_paths(into, width, rank, root):
+    """Every root-to-leaf path of the tight steps ``into`` each state (coded
+    ``pos * width + mid``) from ``root``, depth first in edge order, as
+    ``_optimal_paths`` lists the edges built from them: a state's steps out
+    are sorted when the walk first reaches it, and ``Move`` objects are made
+    only for the paths yielded."""
+    children = _out_steps(into, rank)
+
+    def nexts(state):
+        pairs = children.get(state, ())
+        if pairs.__class__ is list:
+            src = state % width
+            pairs = children[state] = tuple(
+                ((op, succ, src), nxt) for op, _, _, nxt, succ in sorted(pairs))
+        return pairs
+
+    for path in _paths(root, nexts):
+        yield make_alignment([_move(*step) for step in path])
 
 
 def _optimal_paths(edges, root):
     """Every root-to-leaf path of the optimal edges, depth first in edge order."""
-    if not edges.get(root):
-        yield make_alignment(())
+    for path in _paths(root, lambda key: edges.get(key, ())):
+        yield make_alignment(path)
+
+
+def _paths(root, nexts):
+    """Every root-to-leaf path from ``root``, depth first, where
+    ``nexts(node)`` gives a node's ordered ``(step, next node)`` pairs: each
+    as the list of its steps, which the walk changes once it resumes."""
+    path: list = []
+    first = nexts(root)
+    if not first:
+        yield path
         return
-    moves: list[Move] = []
-    stack = [iter(edges[root])]
+    stack = [iter(first)]
     while stack:
-        step = next(stack[-1], None)
-        if step is None:
+        pair = next(stack[-1], None)
+        if pair is None:
             stack.pop()
-            if moves:
-                moves.pop()
+            if path:
+                path.pop()
             continue
-        move, nkey = step
-        moves.append(move)
-        nexts = edges.get(nkey, ())
-        if nexts:
-            stack.append(iter(nexts))
+        step, node = pair
+        path.append(step)
+        more = nexts(node)
+        if more:
+            stack.append(iter(more))
         else:
-            yield make_alignment(moves)
-            moves.pop()
+            yield path
+            path.pop()

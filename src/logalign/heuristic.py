@@ -58,7 +58,9 @@ digits, and a search passes support(F) in as a mask of the same digits
 (``suffixes`` gives F and its mask for every trace position, from one
 backward pass over the trace; ``h`` derives the mask from F when it is
 left out).  So a set class's estimate is two popcounts, with no walk over
-labels.
+labels.  The table lists each marking's set-class mask (``set_masks``, None
+for a marking of any other class), and both searches read it and compute
+the form themselves, calling ``h`` only for the other classes.
 
 For any other class ``h`` scans a pruned form of its entry set, decoded
 once per class from the packed entries, and returns the same minimum as a
@@ -102,9 +104,9 @@ degenerate entry set.  The table keeps one form per class, and ``h(F,
 mid)`` reads nothing of the marking but its class's form: a set class's
 unit-digit mask, or any other class's scan tuple.  A set class is never
 decoded.  Markings of one class get the same estimate for every F, so a
-search caches ``h`` per (trace position, class) rather than per (trace
-position, marking).  ``entries`` decodes the raw entry sets, sorted, only
-when first read.
+search caches ``h`` of a scan class per (trace position, class) rather
+than per (trace position, marking).  ``entries`` decodes the raw entry
+sets, sorted, only when first read.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class FutureLabelTable:
     frees.  ``rg`` is the graph while it is alive, and None after.
     """
 
-    __slots__ = ("_rg", "classes", "n_classes", "_forms", "_raw", "_digits", "_entries")
+    __slots__ = ("_rg", "classes", "n_classes", "set_masks", "_forms", "_raw", "_digits",
+                 "_entries")
 
     def __init__(self, rg: ReachabilityGraph, classes: list[int],
                  raw: Sequence[Sequence[Packed]], kept: Sequence[Sequence[Packed]],
@@ -212,6 +215,8 @@ class FutureLabelTable:
         self._forms = [entries[0][0] if len(entries) == 1 and not entries[0][1]
                        and not entries[0][0] & above_one else digits.scan(entries)
                        for entries in kept]
+        masks = [form if form.__class__ is int else None for form in self._forms]
+        self.set_masks = [masks[cls] for cls in classes]  # per marking; None for a scan class
         self._raw = raw
         self._digits = digits
         self._entries: Optional[tuple[tuple[Entry, ...], ...]] = None

@@ -54,9 +54,8 @@ def test_parallel_net_reports_match_the_golden_reports():
     assert max(r["n_optimal"] for r in golden["monolithic --all-optimal"]["traces"]) > 1
 
 
-def test_an_all_optimal_run_without_moves_builds_no_move(monkeypatch):
-    """Without ``--emit-alignments`` the sweep counts the optima and builds
-    no ``Move``; the rows are the golden rows without their moves."""
+def counting_moves(monkeypatch):
+    """A list that gets one item per call of ``align._move``."""
     built = []
     move = align_module._move
 
@@ -65,6 +64,13 @@ def test_an_all_optimal_run_without_moves_builds_no_move(monkeypatch):
         return move(*args)
 
     monkeypatch.setattr(align_module, "_move", counted)
+    return built
+
+
+def test_an_all_optimal_run_without_moves_builds_no_move(monkeypatch):
+    """Without ``--emit-alignments`` the sweep counts the optima and builds
+    no ``Move``; the rows are the golden rows without their moves."""
+    built = counting_moves(monkeypatch)
     golden = json.loads(GOLDEN.read_text())["monolithic --all-optimal"]
     report = par6_report(RunConfig(strategy="monolithic", all_optimal=True))
     assert not built
@@ -74,6 +80,15 @@ def test_an_all_optimal_run_without_moves_builds_no_move(monkeypatch):
     assert par6_report(MODES["monolithic --all-optimal"]) == \
         json.loads(GOLDEN.read_text())["monolithic --all-optimal"]
     assert built
+
+
+
+def test_an_emitting_all_optimal_run_builds_each_reported_move_once(monkeypatch):
+    """Listing each trace's first optimum walks the sweep's tight steps and
+    builds the ``Move`` objects of that optimum alone, not the edge DAG."""
+    built = counting_moves(monkeypatch)
+    report = par6_report(MODES["monolithic --all-optimal"])
+    assert len(built) == sum(len(row["moves"]) for row in report["traces"]) > 0
 
 
 if __name__ == "__main__":
