@@ -31,14 +31,15 @@ bound falls to the optimal cost when the first goal pops, which is at the
 open estimate, so the sweep stops when the least parked estimate is above
 its bound and pops nothing above the optimal cost: an entry estimated
 above it costs a list append, not a heap insertion.  A closure over the
-tight moves from the cheapest goals finds the states on a cheapest path
-and the moves into them, and one pass over those states in increasing
-(distance, position) order counts the optima: the paths into a state are
-the sum of those into its parents.  No ``Move`` is made and nothing is
-sorted for the count.  ``OptimalSet.alignments`` walks the kept tight moves, sorting a state's
-moves only when the walk first reaches it and making ``Move`` objects only
-for the optima it lists; the edge DAG of ``Move`` objects, each state's
-moves in order, is built on the first read of ``OptimalSet.edges``.
+tight moves from the cheapest goals finds the states on a cheapest path and
+keeps each one's moves out to such states, and one pass over those states
+in decreasing (distance, position) order counts the optima: the paths from
+a state are the sum of those from its children, and the count is the
+root's.  No ``Move`` is made and no state's moves are sorted for the
+count.  An ``OptimalSet`` sorts a state's moves into edge order only when
+a reader first reaches it: ``alignments()`` walks them, making ``Move``
+objects only for the optima it lists, and ``edges`` lays them out as a DAG
+of ``Move`` objects.
 
 Both searches read the graph's successor index (``rg.succ``), whose shared
 ``Successor`` entries give each arc's target, trail, label and label rank,
@@ -202,6 +203,11 @@ def future_table(rg: ReachabilityGraph, deadline: Optional[float] = None) -> Fut
         table = precompute_future_labels(rg, deadline=deadline)
         rg._future_table = table
     return table
+
+
+def future_table_built(rg: ReachabilityGraph) -> bool:
+    """Whether ``future_table(rg)`` would return a table built before."""
+    return getattr(rg, "_future_table", None) is not None
 
 
 class _Budget:
@@ -379,61 +385,67 @@ def align_one_optimal(trace, rg: ReachabilityGraph, *,
 
 
 class OptimalSet:
-    """Every cost-minimal proper alignment of one trace.
+    """Every cost-minimal proper alignment of one trace, as the tight steps
+    out of each search state on a cheapest path (coded ``pos * width +
+    mid``): their root-to-leaf paths from ``root`` are exactly the optima,
+    and ``n_optimal`` is their number.
 
-    ``edges`` maps a search state ``(pos, mid)`` to its ordered
-    ``(Move, next state)`` pairs that lie on some cheapest path; they form a
-    DAG whose root-to-leaf paths from ``root`` are exactly the optima, and
-    ``n_optimal`` is their number.  A set from ``all_optimal_alignments``
-    holds the sweep's tight steps instead: ``alignments()`` walks them
-    without building the edges, and ``edges`` is built from them on its
-    first read and kept.  Two sets are equal when their cost, edges, root
-    and count are.
+    A state's steps are put in edge order (op, label rank, trail, next
+    state) when a reader first reaches it, and kept in that order:
+    ``alignments()`` walks them depth first, making ``Move`` objects only
+    for the optima it lists, and ``edges`` builds the whole DAG from them.
     """
 
-    __slots__ = ("cost", "root", "n_optimal", "_edges", "_steps")
+    __slots__ = ("cost", "root", "n_optimal", "_out", "_width", "_rank")
 
-    def __init__(self, cost: int, edges: Optional[dict], root: tuple, n_optimal: int):
+    def __init__(self, cost: int, root: tuple, n_optimal: int, out: dict, width: int, rank):
         self.cost = cost
-        self._edges = edges
         self.root = root
         self.n_optimal = n_optimal
-        self._steps = None
+        self._out = out  # state -> its steps out, (op, successor entry, next state)
+        self._width = width
+        self._rank = rank
 
-    @classmethod
-    def _of_steps(cls, cost, root, n_optimal, steps):
-        """A set whose edges ``_edge_dag(*steps)`` builds when first read."""
-        found = cls(cost, None, root, n_optimal)
-        found._steps = steps
-        return found
+    def _ordered(self, state):
+        """``state``'s steps out in edge order, as ``((op, successor entry,
+        source marking), next state)``: sorted on the first call and kept."""
+        steps = self._out[state]
+        if steps.__class__ is list:
+            rank = self._rank
+            src = state % self._width
+            steps = self._out[state] = tuple(
+                ((op, succ, src), nxt) for op, _, _, nxt, succ in
+                sorted([(op, rank[succ[2]], succ[1], nxt, succ) for op, succ, nxt in steps]))
+        return steps
 
     @property
     def edges(self) -> dict:
-        if self._edges is None:
-            self._edges = _edge_dag(*self._steps)
-            self._steps = None
-        return self._edges
-
-    def __eq__(self, other):
-        if not isinstance(other, OptimalSet):
-            return NotImplemented
-        return ((self.cost, self.edges, self.root, self.n_optimal)
-                == (other.cost, other.edges, other.root, other.n_optimal))
-
-    __hash__ = None  # the edges are a dict
-
-    def __repr__(self):
-        return "OptimalSet(cost=%r, edges=%r, root=%r, n_optimal=%r)" % (
-            self.cost, self.edges, self.root, self.n_optimal)
+        """Per state ``(pos, mid)`` with a step out, in ascending order, its
+        ``(Move, next state)`` pairs in edge order; built on every read."""
+        width = self._width
+        return {divmod(state, width): tuple((_move(*step), divmod(nxt, width))
+                                            for step, nxt in self._ordered(state))
+                for state in sorted(self._out) if self._out[state]}
 
     def alignments(self, limit: Optional[int] = None) -> tuple[Alignment, ...]:
         """The first ``limit`` optima (all of them by default), depth first
         in edge order."""
-        if self._edges is None:
-            paths = _step_paths(*self._steps, self.root[1])
-        else:
-            paths = _optimal_paths(self._edges, self.root)
-        return tuple(islice(paths, limit))
+        return tuple(islice(self._paths(), limit))
+
+    def _paths(self):
+        ordered = self._ordered
+        path: list = []  # the steps to the state popped, unbuilt, after a None for the root
+        stack = [(0, None, self.root[1])]  # (depth, step into a state, state), next on top
+        while stack:
+            depth, step, state = stack.pop()
+            del path[depth:]
+            path.append(step)
+            nexts = ordered(state)
+            if nexts:
+                depth += 1
+                stack.extend([(depth, step, nxt) for step, nxt in reversed(nexts)])
+            else:
+                yield make_alignment([_move(*step) for step in path[1:]])
 
 
 def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
@@ -449,8 +461,7 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
     least parked estimate is above its bound.  ``stats``, if given,
     receives ``unopened``: the number of estimates whose parked entries it
     never opened.  The returned set holds the count of optima and the tight
-    steps into every state on a cheapest path; its ``edges`` are built on
-    their first read.
+    steps out of every state on a cheapest path.
 
     Raises ``SearchBudgetError`` when the sweep and the closure over its
     tight moves exceed the node budget or the deadline, as
@@ -594,107 +605,29 @@ def all_optimal_alignments(trace, rg: ReachabilityGraph, *,
         stats["unopened"] = len(parked)
 
     # closure over the steps from the cheapest goals, one spend per state:
-    # every state on a cheapest path, with the steps into it
+    # every state on a cheapest path, with its steps out to such states
     ends = [state for state in goals if dist.get(state) == bound]
     if not ends:
         raise LogAlignError("no proper alignment exists for the trace")
-    into = {state: tight[state] for state in ends}
+    out: dict[int, list] = {state: [] for state in ends}
     stack = list(ends)
     while stack:
         state = stack.pop()
         budget.spend()
-        for parent, _, _ in into[state]:
-            if parent not in into:
-                into[parent] = tight[parent]
+        for parent, op, succ in tight[state]:
+            steps = out.get(parent)
+            if steps is None:
+                out[parent] = [(op, succ, state)]
                 stack.append(parent)
+            else:
+                steps.append((op, succ, state))
 
-    # every move raises (dist, pos), so a state's parents come first in this
-    # order; the root is the one state with no step into it
+    # every move raises (dist, pos), so a state's children come first in
+    # descending order; the cheapest goals are the states with no step out
     stride = (n + 1) * width
     paths: dict[int, int] = {}
-    for key in sorted([dist[state] * stride + state for state in into]):
+    for key in sorted([dist[state] * stride + state for state in out], reverse=True):
         state = key % stride
-        steps = into[state]
-        paths[state] = sum([paths[parent] for parent, _, _ in steps]) if steps else 1
-    return OptimalSet._of_steps(bound, (0, root), sum([paths[state] for state in ends]),
-                                (into, width, rg.net.table.rank()))
-
-
-def _out_steps(into, rank):
-    """Per parent state, its tight steps out, from the steps ``into`` each
-    state on a cheapest path, as ``(op, label rank, trail, next state,
-    successor entry)``, unsorted: their ascending order is the edge order."""
-    children: defaultdict[int, list] = defaultdict(list)
-    for state, steps in into.items():
-        for parent, op, succ in steps:
-            children[parent].append((op, rank[succ[2]], succ[1], state, succ))
-    return children
-
-
-def _edge_dag(into, width, rank):
-    """The optimal edges from the tight steps ``into`` each state (coded
-    ``pos * width + mid``) on a cheapest path: per parent state, in
-    ascending order, its ``(Move, next state)`` pairs in edge order (op,
-    label rank, trail, next state)."""
-    children = _out_steps(into, rank)
-    edges = {}
-    for parent in sorted(children):
-        nexts = children[parent]
-        nexts.sort()
-        src = parent % width
-        edges[divmod(parent, width)] = tuple(
-            (_move(op, succ, src), divmod(state, width)) for op, _, _, state, succ in nexts)
-    return edges
-
-
-def _step_paths(into, width, rank, root):
-    """Every root-to-leaf path of the tight steps ``into`` each state (coded
-    ``pos * width + mid``) from ``root``, depth first in edge order, as
-    ``_optimal_paths`` lists the edges built from them: a state's steps out
-    are sorted when the walk first reaches it, and ``Move`` objects are made
-    only for the paths yielded."""
-    children = _out_steps(into, rank)
-
-    def nexts(state):
-        pairs = children.get(state, ())
-        if pairs.__class__ is list:
-            src = state % width
-            pairs = children[state] = tuple(
-                ((op, succ, src), nxt) for op, _, _, nxt, succ in sorted(pairs))
-        return pairs
-
-    for path in _paths(root, nexts):
-        yield make_alignment([_move(*step) for step in path])
-
-
-def _optimal_paths(edges, root):
-    """Every root-to-leaf path of the optimal edges, depth first in edge order."""
-    for path in _paths(root, lambda key: edges.get(key, ())):
-        yield make_alignment(path)
-
-
-def _paths(root, nexts):
-    """Every root-to-leaf path from ``root``, depth first, where
-    ``nexts(node)`` gives a node's ordered ``(step, next node)`` pairs: each
-    as the list of its steps, which the walk changes once it resumes."""
-    path: list = []
-    first = nexts(root)
-    if not first:
-        yield path
-        return
-    stack = [iter(first)]
-    while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        step, node = pair
-        path.append(step)
-        more = nexts(node)
-        if more:
-            stack.append(iter(more))
-        else:
-            yield path
-            path.pop()
+        steps = out[state]
+        paths[state] = sum([paths[nxt] for _, _, nxt in steps]) if steps else 1
+    return OptimalSet(bound, (0, root), paths[root], out, width, rg.net.table.rank())

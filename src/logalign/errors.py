@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the global deadline's check."""
+
+import time
+from typing import Optional
 
 
 class LogAlignError(Exception):
@@ -43,3 +46,10 @@ class SearchBudgetError(LogAlignError):
 
 class OracleGuardError(LogAlignError):
     """The brute-force oracle refused an instance above its size guard."""
+
+
+def check_deadline(deadline: Optional[float], phase: str) -> None:
+    """Raise ``SearchBudgetError`` for ``phase`` once ``time.monotonic()``
+    has passed ``deadline``; a None deadline never passes."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchBudgetError("%s exceeded the global deadline" % phase)

@@ -18,9 +18,9 @@ so a combined row's support is the union of its two parents'.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .errors import DecompositionError
+from .errors import DecompositionError, check_deadline
 from .logs import TAU
 from .petri import SystemNet, validate
 
@@ -33,8 +33,11 @@ class PlaceInvariant(NamedTuple):
         return tuple(p for p, w in enumerate(self.weights) if w)
 
 
-def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
-    """All minimal semi-positive solutions of J*N = 0, support-ordered."""
+def minimal_place_invariants(net: SystemNet,
+                             deadline: Optional[float] = None) -> list[PlaceInvariant]:
+    """All minimal semi-positive solutions of J*N = 0, support-ordered.
+    Raises ``SearchBudgetError`` once ``time.monotonic()`` passes
+    ``deadline``, read before each transition column."""
     nplaces = len(net.places)
     ntrans = len(net.transitions)
     # rows of [N | I]: effect vector per place plus its unit annotation
@@ -45,6 +48,7 @@ def minimal_place_invariants(net: SystemNet) -> list[PlaceInvariant]:
         effect = [(net.post[t] >> p & 1) - (net.pre[t] >> p & 1) for t in range(ntrans)]
         rows.append((effect, unit, 1 << p))
     for t in range(ntrans):
+        check_deadline(deadline, "decomposition")
         keep = [r for r in rows if r[0][t] == 0]
         pos = [r for r in rows if r[0][t] > 0]
         neg = [r for r in rows if r[0][t] < 0]
@@ -102,13 +106,14 @@ class SComponentDecomposition(NamedTuple):
     transition_cover: dict
 
 
-def decompose(net: SystemNet) -> SComponentDecomposition:
-    """One concurrency-free component per minimal invariant, cover-checked."""
+def decompose(net: SystemNet, deadline: Optional[float] = None) -> SComponentDecomposition:
+    """One concurrency-free component per minimal invariant, cover-checked.
+    The invariant tableau stops at ``deadline`` (``SearchBudgetError``)."""
     report = validate(net)
     if not report.decomposable:
         raise DecompositionError("net is not a uniquely-labelled free-choice workflow net: %s"
                                  % "; ".join(report.problems))
-    invariants = minimal_place_invariants(net)
+    invariants = minimal_place_invariants(net, deadline)
     if not invariants:
         raise DecompositionError("no place invariants found")
     source = net.m0.bit_length() - 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .align import OP_LHIDE, OP_RHIDE, Alignment, Move, align_one_optimal, make_alignment
-from .errors import SearchBudgetError
+from .errors import SearchBudgetError, check_deadline
 from .invariants import decompose
 from .logs import TAU
 from .reachability import ReachabilityGraph, build_rg, remove_tau_extended
@@ -49,12 +49,18 @@ class RecompositionOutcome(NamedTuple):
 class SComponentAligner:
     """Aligns traces against one net through its S-components: projects
     each trace, aligns its lanes, replays them and checks the composed run
-    on the net.  It never searches the whole model's graph."""
+    on the net.  It never searches the whole model's graph.
 
-    def __init__(self, net):
+    Building it stops with ``SearchBudgetError`` once ``time.monotonic()``
+    passes ``deadline``, read in the invariant tableau and before each
+    component's graph is built."""
+
+    def __init__(self, net, deadline: Optional[float] = None):
         self.net = net
-        self.components = [(comp, remove_tau_extended(build_rg(comp.net)))
-                           for comp in decompose(net).components]
+        self.components = []
+        for comp in decompose(net, deadline).components:
+            check_deadline(deadline, "decomposition")
+            self.components.append((comp, remove_tau_extended(build_rg(comp.net))))
         # label -> indices of the lanes whose alphabet holds it, ascending
         self.owners: dict[int, tuple[int, ...]] = {}
         for idx, (comp, _) in enumerate(self.components):

@@ -22,7 +22,8 @@ import time
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
-from .align import OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments, future_table
+from .align import (OP_NAMES, Alignment, align_one_optimal, all_optimal_alignments, future_table,
+                    future_table_built)
 from .dafsa import build_dafsa, dafsa_to_dot
 from .errors import LogAlignError, SearchBudgetError, StateSpaceCapError, TauReductionError
 from .logs import TAU, EventLog
@@ -141,8 +142,8 @@ def run_conformance(net: SystemNet, log: EventLog, config: RunConfig) -> RunResu
         decomposition_error = None
         if config.strategy in ("auto", "scomponent") and vreport.decomposable:
             try:
-                aligner = SComponentAligner(net)
-            except LogAlignError as exc:  # decomposition or component reduction failed
+                aligner = SComponentAligner(net, global_deadline)
+            except LogAlignError as exc:  # decomposition, its deadline or a component failed
                 decomposition_error = str(exc)
         elif config.strategy in ("auto", "scomponent"):
             decomposition_error = "net is not decomposable: %s" % "; ".join(vreport.problems)
@@ -193,7 +194,7 @@ def table_off_the_clock(rg, deadline: Optional[float],
     not paid from one trace's own timeout.  The build itself stops at
     ``global_deadline`` (``SearchBudgetError``).  Without a deadline the
     search builds the table itself."""
-    if deadline is None or getattr(rg, "_future_table", None) is not None:
+    if deadline is None or future_table_built(rg):
         return deadline
     start = time.monotonic()
     future_table(rg, global_deadline)

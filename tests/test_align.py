@@ -1,11 +1,13 @@
 import heapq
 import random
 import time
+from itertools import islice
+from typing import NamedTuple
 
 import pytest
 
 from logalign import align as align_module
-from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE, OptimalSet,
+from logalign.align import (DEFAULT_NODE_BUDGET, OP_LHIDE, OP_MATCH, OP_RHIDE,
                             align_one_optimal, alignment_cost, all_optimal_alignments, is_proper,
                             make_alignment, Move, _Budget, future_table, _Node,
                             _lhides, _move)
@@ -338,20 +340,32 @@ def test_one_optimal_unchanged_under_chain_order(monkeypatch):
     assert [align_one_optimal(*case).moves for case in cases] == fast
 
 
-def reference_alignments(edges, root):
-    """Every optimal alignment by recursion, depth first in edge order."""
-    out = []
+def reference_alignments(edges, root, limit=None):
+    """The first ``limit`` optimal alignments (all by default), depth first
+    in edge order, listed lazily by a recursive generator: some cases have
+    over a million optima."""
 
     def rec(key, acc):
         nexts = edges.get(key, ())
         if not nexts:
-            out.append(make_alignment(acc))
-            return
+            yield make_alignment(acc)
         for move, nkey in nexts:
-            rec(nkey, acc + [move])
+            yield from rec(nkey, acc + [move])
 
-    rec(root, [])
-    return tuple(out)
+    return tuple(islice(rec(root, []), limit))
+
+
+class ReferenceSet(NamedTuple):
+    """A reference search's optima: their cost, their edge DAG from
+    ``root`` and the number of its root-to-leaf paths."""
+
+    cost: int
+    edges: dict
+    root: tuple
+    n_optimal: int
+
+    def alignments(self, limit=None):
+        return reference_alignments(self.edges, self.root, limit)
 
 
 def test_optimal_alignments_listed_in_recursive_order():
@@ -807,7 +821,7 @@ def reference_all_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
         if nexts:
             nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
             edges[key] = tuple(nexts)
-    return OptimalSet(cstar, edges, root, reference_count(edges, root))
+    return ReferenceSet(cstar, edges, root, reference_count(edges, root))
 
 
 def all_optimal_cases():
@@ -854,9 +868,8 @@ def test_all_optimal_matches_the_two_sweep_reference(monkeypatch):
         assert len(spends) == ref_spends
         assert got.cost == expected.cost
         assert got.root == expected.root
-        assert got.n_optimal == expected.n_optimal  # counted before the edges are built
+        assert got.n_optimal == expected.n_optimal  # counted before the edges are read
         edges = got.edges
-        assert got.edges is edges
         assert list(edges) == list(expected.edges)
         assert edges == expected.edges  # per-state move order included
         assert got.alignments(limit=5) == expected.alignments(limit=5)
@@ -876,8 +889,9 @@ def test_all_optimal_and_the_reference_share_the_node_budget(monkeypatch):
                 reference_all_optimal(trace, rg, node_budget=budget)
             with pytest.raises(SearchBudgetError, match="node budget"):
                 all_optimal_alignments(trace, rg, node_budget=budget)
-        assert all_optimal_alignments(trace, rg, node_budget=needed) == \
-            reference_all_optimal(trace, rg, node_budget=needed)
+        got = all_optimal_alignments(trace, rg, node_budget=needed)
+        expected = reference_all_optimal(trace, rg, node_budget=needed)
+        assert (got.cost, got.edges, got.root, got.n_optimal) == expected
 
 
 def continuing_sweep(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
@@ -951,7 +965,7 @@ def continuing_sweep(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET):
     for nexts in edges.values():
         nexts.sort(key=lambda mn: (mn[0].op, rank[mn[0].label], mn[0].trail, mn[1]))
     edges = {key: tuple(nexts) for key, nexts in sorted(edges.items())}
-    return OptimalSet(bound, edges, root, reference_count(edges, root))
+    return ReferenceSet(bound, edges, root, reference_count(edges, root))
 
 
 def test_all_optimal_matches_the_continuing_sweep(monkeypatch):
@@ -966,10 +980,8 @@ def test_all_optimal_matches_the_continuing_sweep(monkeypatch):
         got = all_optimal_alignments(trace, rg)
         assert len(spends) == ref_spends
         assert got.cost == expected.cost
-        assert got.n_optimal == expected.n_optimal  # counted before the edges are built
-        edges = got.edges
-        assert got.edges is edges
-        assert list(edges.items()) == list(expected.edges.items())
+        assert got.n_optimal == expected.n_optimal  # counted before the edges are read
+        assert list(got.edges.items()) == list(expected.edges.items())
 
 
 def heap_only_align_one_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET, deadline=None,
@@ -1185,8 +1197,21 @@ def heap_only_all_optimal(trace, rg, *, node_budget=DEFAULT_NODE_BUDGET, deadlin
         state = key % stride
         steps = into[state]
         paths[state] = sum([paths[parent] for parent, _, _ in steps]) if steps else 1
-    return OptimalSet._of_steps(bound, (0, root), sum([paths[state] for state in ends]),
-                                (into, width, rg.net.table.rank()))
+
+    # per parent state, in ascending order, its (Move, next state) pairs in
+    # edge order (op, label rank, trail, next state)
+    rank = rg.net.table.rank()
+    children: dict[int, list] = {}
+    for state, steps in into.items():
+        for parent, op, succ in steps:
+            children.setdefault(parent, []).append((op, rank[succ[2]], succ[1], state, succ))
+    edges = {}
+    for parent in sorted(children):
+        src = parent % width
+        edges[divmod(parent, width)] = tuple(
+            (_move(op, succ, src), divmod(state, width))
+            for op, _, _, state, succ in sorted(children[parent]))
+    return ReferenceSet(bound, edges, (0, root), sum([paths[state] for state in ends]))
 
 
 def recording_pushes_below_the_last_pop(monkeypatch):
@@ -1301,7 +1326,7 @@ def test_the_sweep_pops_no_entry_above_the_optimal_cost(monkeypatch):
 
 
 def test_first_optima_walked_from_the_tight_steps_match_the_edge_dag():
-    # listed before the edges are built, then checked against the edges; all
+    # listed before the edges are read, then checked against the edges; all
     # of them where there are at most 2,000 (two cases have 53,352 and
     # 1,576,692), and the first two everywhere
     checked = several = 0
@@ -1309,14 +1334,13 @@ def test_first_optima_walked_from_the_tight_steps_match_the_edge_dag():
         optima = all_optimal_alignments(trace, rg)
         limits = (1, 2, None) if optima.n_optimal <= 2000 else (1, 2)
         listed = {k: optima.alignments(limit=k) for k in limits}
-        assert optima._edges is None
         if None in listed:
             expected = reference_alignments(optima.edges, optima.root)
             assert listed[None] == expected
-            assert optima.alignments() == expected  # from the edges, once built
+            assert optima.alignments() == expected  # again, with every state sorted
             checked += 1
         else:
-            expected = optima.alignments(limit=2)  # from the edges
+            expected = reference_alignments(optima.edges, optima.root, limit=2)
         assert listed[1] == expected[:1]
         assert listed[2] == expected[:2]
         several += len(listed[2]) == 2

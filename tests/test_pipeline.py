@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from logalign import cli
+from logalign import cli, invariants
 from logalign import report as report_module
 from logalign.align import future_table
 from logalign.errors import SearchBudgetError
@@ -20,7 +20,7 @@ from logalign.report import (EXIT_GLOBAL_TIMEOUT, EXIT_OK, EXIT_STATE_CAP, RunCo
 from logalign.sampledata import loan_net, loan_pair
 
 from gen import random_log, random_workflow_net
-from nets import parallel_tasks_net
+from nets import and_blocks_net, parallel_tasks_net
 
 DATA = Path(__file__).parent / "data"
 
@@ -388,8 +388,8 @@ def record_aligners(monkeypatch):
     aligners = []
 
     class Recorded(SComponentAligner):
-        def __init__(self, net):
-            super().__init__(net)
+        def __init__(self, net, deadline=None):
+            super().__init__(net, deadline)
             aligners.append(self)
 
     monkeypatch.setattr(report_module, "SComponentAligner", Recorded)
@@ -491,6 +491,30 @@ def test_the_global_deadline_still_covers_the_heuristic_precompute(monkeypatch):
                                                  global_timeout_ms=100))
     assert result.exit_code == EXIT_GLOBAL_TIMEOUT
     assert [r["error"] for r in result.report["traces"]] == ["global timeout"] * len(log.traces)
+
+
+def test_decomposition_stops_at_the_global_deadline(monkeypatch):
+    # 729 S-components: the invariant tableau reads the deadline before each
+    # of its 30 transition columns, so a deadline passed before it starts
+    # stops it before the first column's support check; the run then takes
+    # the monolithic route and times out every trace
+    drops = []
+    drop = invariants._drop_support_dominated
+
+    def counted(rows):
+        drops.append(len(rows))
+        return drop(rows)
+
+    monkeypatch.setattr(invariants, "_drop_support_dominated", counted)
+    net = and_blocks_net(6)
+    log = make_log([[t.label for t in net.transitions if t.label]], net.table)
+    result = run_conformance(net, log, RunConfig(global_timeout_ms=0))
+    assert len(drops) <= 1
+    assert result.exit_code == EXIT_GLOBAL_TIMEOUT
+    strategy = result.report["strategy"]
+    assert strategy["chosen"] == "monolithic"
+    assert "deadline" in strategy["reason"], strategy["reason"]
+    assert [r["error"] for r in result.report["traces"]] == ["global timeout"]
 
 
 def precompute_after_the_deadline(monkeypatch):

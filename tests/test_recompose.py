@@ -1,5 +1,9 @@
 import random
+import time
 
+import pytest
+
+from logalign import recompose as recompose_module
 from logalign.align import OP_LHIDE, OP_MATCH, OP_RHIDE, Move, align_one_optimal, make_alignment
 from logalign.errors import LogAlignError, SearchBudgetError
 from logalign.invariants import decompose
@@ -259,6 +263,27 @@ def test_projected_alignment_cache_reuse():
         assert outcome.alignment.cost == 0
     # both interleavings project to the same per-component traces
     assert len(aligner._proj_cache) == len(aligner.components)
+
+
+def test_the_aligner_reads_the_deadline_before_each_component_graph(monkeypatch):
+    # the deadline passes while the first component's graph is built, so
+    # the second is never built
+    net, _ = loan_pair()
+    assert len(decompose(net).components) >= 2
+    deadline = time.monotonic() + 0.5
+    built = []
+    build_rg_once = recompose_module.build_rg
+
+    def slow_build_rg(component_net):
+        built.append(component_net)
+        while time.monotonic() <= deadline:
+            time.sleep(0.005)
+        return build_rg_once(component_net)
+
+    monkeypatch.setattr(recompose_module, "build_rg", slow_build_rg)
+    with pytest.raises(SearchBudgetError, match="decomposition exceeded the global deadline"):
+        SComponentAligner(net, deadline)
+    assert len(built) == 1
 
 
 def test_lane_owners_follow_the_alphabets():
